@@ -283,7 +283,7 @@ def _cmd_dual(cfg: RunConfig, outdir: Path) -> int:
     rows = []
     for bump in (dual.StandardBump(), dual.CosineBump(), dual.BetaPowerBump(2)):
         rep = dual.dual_mass_report(bump, tol=cfg.tol)
-        neg = dual.negative_part_bound_check(bump, tol=cfg.tol)
+        neg = dual.negative_part_bound_check(bump, tol=cfg.tol, report=rep)
         results.append({
             "module": "dualcheck",
             "bump": rep.bump,
@@ -417,12 +417,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     outdir = Path(cfg.out)
     try:
         return _RUNNERS[cfg.command](cfg, outdir)
-    except (ConfigError, ValueError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
+    # NormalizationError subclasses ValueError, so it must be caught first
     except (fun.InvariantViolation, dual.NormalizationError, RuntimeError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
+    except (ConfigError, ValueError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,10 @@
 import csv
 import json
 
+import pytest
+
+from autocorr import cli
+from autocorr import dualcheck as dual
 from autocorr.cli import main
 
 
@@ -98,11 +102,29 @@ class TestSearch:
 
 
 class TestDual:
-    def test_dual_report(self, tmp_path):
+    BUMP_KEYS = {"module", "bump", "positive_mass", "negative_mass", "value0",
+                 "lower_bound", "refined_bound", "margin", "refined_margin",
+                 "sum_diff_gap", "identity_gap", "inequality_slack", "error_bound",
+                 "tolerance"}
+    SCAN_KEYS = {"module", "name", "a_min", "a_max", "points", "min_residual",
+                 "residual_at_1", "tolerance"}
+
+    def test_dual_report(self, tmp_path, monkeypatch):
+        calls = []
+        real = dual.dual_mass_report
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].label)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dual, "dual_mass_report", counted)
         assert main(["dual", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3  # one report per bump, shared with the negative-part check
         rep = _load(tmp_path / "dual_report.json")
+        assert set(rep) == {"schema", "command", "config", "timestamp", "results"}
         bump_rows = [r for r in rep["results"] if "bump" in r]
         assert len(bump_rows) == 3
+        assert [set(r) for r in rep["results"]] == [self.BUMP_KEYS] * 3 + [self.SCAN_KEYS]
         for r in bump_rows:
             assert r["positive_mass"] >= 0.410767 - 1e-4
             assert r["positive_mass"] >= r["refined_bound"] - 1e-4
@@ -110,6 +132,19 @@ class TestDual:
             rows = list(csv.reader(fh))
         assert rows[0] == ["bump", "pos_mass", "bound", "margin"]
         assert len(rows) == 4
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", [
+        (dual.NormalizationError("window ratio off", (0.0, 0.1)), 1),
+        (ValueError("bad value"), 2),
+    ], ids=["normalization-error", "value-error"])
+    def test_runner_exception(self, tmp_path, monkeypatch, exc, code):
+        def runner(cfg, outdir):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "roots", runner)
+        assert main(["roots", "--out", str(tmp_path)]) == code
 
 
 class TestConfigFile:

@@ -49,6 +49,22 @@ class TestBumpFamilies:
                                            epsabs=1e-13, limit=200)
                 assert float(bump.hat(xi)) == pytest.approx(2 * direct, abs=1e-10)
 
+    def test_standard_bump_hat_against_qawo(self):
+        # QUADPACK's oscillatory rule per xi, over the cutoff 64 and the
+        # tail-bound samples above it
+        from autocorr.dualcheck import _bump_normalizer
+
+        z = _bump_normalizer()
+
+        def den(x):
+            return math.exp(-1.0 / (1.0 - x * x)) / z if abs(x) < 1.0 else 0.0
+
+        xis = np.concatenate([np.linspace(0.0, 70.0, 99), [64.0]])
+        oracle = [2 * integrate.quad(den, 0, 1, weight="cos", wvar=2 * PI * xi,
+                                     epsabs=1e-13, limit=200)[0] for xi in xis]
+        assert np.max(np.abs(StandardBump().hat(xis) - oracle)) <= 1e-12
+        assert StandardBump().hat(xis.reshape(4, 25)).shape == (4, 25)
+
 
 class TestPositivePartMass:
     # frozen from the sign-split quadrature, cross-checked against brute
@@ -75,6 +91,37 @@ class TestPositivePartMass:
         assert rep.sum_diff_gap <= 2e-8
         assert rep.positive_mass <= rep.abs_mass + 1e-12
 
+    # the per-bracket brentq and per-xi QUADPACK implementation gave these
+    PINNED = {
+        "standard-bump": (0.9232850273630229, 0.09471618751860178),
+        "cosine": (1.020450768320109, 0.020450768319743462),
+        "beta-power": (0.9705559529942357, 0.033055952992953386),
+    }
+
+    @pytest.mark.parametrize("bump", [StandardBump(), CosineBump(), BetaPowerBump(2)],
+                             ids=lambda b: b.label)
+    def test_pinned_masses(self, bump):
+        rep = dual_mass_report(bump)
+        pos, neg = self.PINNED[rep.bump]
+        assert rep.positive_mass == pytest.approx(pos, abs=1e-10)
+        assert rep.negative_mass == pytest.approx(neg, abs=1e-10)
+
+    @pytest.mark.parametrize("start, tol", [(0, 1e-12), (3000, 1e-4)])
+    def test_batched_roots_cosine(self, start, tol):
+        # the Hann transform vanishes exactly at the half-integers xi >= 1; near
+        # xi = 3000 rounding noise in the three sincs limits any root finder
+        from autocorr.dualcheck import _bisect_roots
+
+        bump = CosineBump()
+        xs = (np.arange(start * 16, start * 16 + 64) + 0.2137) / 16
+        ys = bump.hat(xs)
+        cross = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
+        roots = _bisect_roots(bump.hat, xs[cross], xs[cross + 1], ys[cross])
+        exact = np.round(2.0 * roots) / 2.0
+        assert exact.size >= 6 and exact[0] == max(start + 0.5, 1.0)
+        assert np.all(np.diff(exact) == 0.5)
+        assert np.max(np.abs(roots - exact)) <= tol
+
     def test_positive_part_mass_shortcut(self):
         assert positive_part_mass(CosineBump()) == pytest.approx(1.0204507, abs=1e-5)
 
@@ -93,6 +140,13 @@ class TestNegativePartBound:
         rep = negative_part_bound_check(bump)
         assert rep.identity_gap <= 1e-8
         assert rep.inequality_slack >= -1e-8
+
+    def test_precomputed_report(self):
+        bump = CosineBump()
+        rep = dual_mass_report(bump)
+        assert negative_part_bound_check(bump, report=rep) == negative_part_bound_check(bump)
+        with pytest.raises(ValueError):
+            negative_part_bound_check(BetaPowerBump(2), report=rep)
 
 
 def _tuned_atom_density_measure():

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .funcspace import BSExample, GridFunction, MixedMeasure
+from .spectral import _leggauss
 
 __all__ = [
     "Correlation",
@@ -136,7 +137,7 @@ class Correlation:
         hi = self.halfwidth if halfrange is None else min(self.halfwidth, halfrange)
         if hi <= lo:
             return 0.0
-        x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
+        x_gl, w_gl = _leggauss(nodes)
         lefts = ts[:-1]
         keep = (ts[1:] > lo) & (lefts < hi)
         a = np.maximum(lefts[keep], lo)

@@ -65,6 +65,27 @@ class TestBumpFamilies:
         assert np.max(np.abs(StandardBump().hat(xis) - oracle)) <= 1e-12
         assert StandardBump().hat(xis.reshape(4, 25)).shape == (4, 25)
 
+    def test_cosine_hat_against_mpmath(self):
+        # near xi = 3000 the three sincs cancel terms of 1e-4 to values of
+        # 1e-12 and err by 1e-16; the closed form used for |xi| >= 2 errs by
+        # about 1e-24 there
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(xi):
+            x = mpmath.mpf(float(xi))
+            return float(mpmath.sincpi(2 * x)
+                         + (mpmath.sincpi(2 * x - 1) + mpmath.sincpi(2 * x + 1)) / 2)
+
+        far = np.concatenate([np.linspace(2999.9, 3000.1, 201),
+                              -np.linspace(2999.9, 3000.1, 21)])
+        near = np.linspace(-2.5, 2.5, 201)
+        with mpmath.workdps(40):
+            far_ref = np.array([oracle(x) for x in far])
+            near_ref = np.array([oracle(x) for x in near])
+        assert np.max(np.abs(CosineBump().hat(far) - far_ref)) <= 1e-21
+        assert np.max(np.abs(CosineBump().hat(near) - near_ref)) <= 1e-15
+        assert CosineBump().hat(far.reshape(2, 111)).shape == (2, 111)
+
 
 class TestPositivePartMass:
     # frozen from the sign-split quadrature, cross-checked against brute
@@ -106,10 +127,12 @@ class TestPositivePartMass:
         assert rep.positive_mass == pytest.approx(pos, abs=1e-10)
         assert rep.negative_mass == pytest.approx(neg, abs=1e-10)
 
-    @pytest.mark.parametrize("start, tol", [(0, 1e-12), (3000, 1e-4)])
+    @pytest.mark.parametrize("start, tol", [(0, 1e-12), (3000, 1e-4), (3000, 1e-9)])
     def test_batched_roots_cosine(self, start, tol):
         # the Hann transform vanishes exactly at the half-integers xi >= 1; near
-        # xi = 3000 rounding noise in the three sincs limits any root finder
+        # xi = 3000 the three-sinc form carries rounding noise of 1e-16 on
+        # values of 1e-12, which held any root finder to about 1e-5 (the 1e-4
+        # case); the closed form used for |xi| >= 2 places the roots to 1e-9
         from autocorr.dualcheck import _bisect_roots
 
         bump = CosineBump()

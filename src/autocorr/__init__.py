@@ -30,7 +30,6 @@ from .correlate import (
     convolution_structure,
     dilate,
     dilate_mollify,
-    measure_autocorrelate,
     mollify,
     periodize,
 )
@@ -43,7 +42,6 @@ from .dualcheck import (
     dual_mass_report,
     negative_part_bound_check,
     nu_spectrum_check,
-    positive_part_mass,
 )
 from .funcspace import (
     AnalyticFamily,
@@ -55,7 +53,6 @@ from .funcspace import (
     PiecewiseConstant,
     bs_l1,
     family_from_spec,
-    norms,
     sample,
 )
 from .functionals import (
@@ -75,7 +72,6 @@ from .spectral import (
     MomentResult,
     fourier,
     fourier_measure,
-    fourier_piecewise,
     mean_functional_fourier,
     weight_lp_moment,
 )

@@ -37,13 +37,6 @@ SCHEMA = 1
 
 _COMMANDS = ("constants", "roots", "evaluate", "search", "dual", "verify")
 
-_CONFIG_KEYS = {
-    "command", "weight", "a", "p_min", "p_max", "family", "functional",
-    "cells", "support", "budget", "seed", "tol", "out", "json", "b",
-    "s", "values", "dimension", "fault_inject",
-}
-
-
 @dataclasses.dataclass
 class RunConfig:
     command: str
@@ -70,6 +63,11 @@ class RunConfig:
         d = dataclasses.asdict(self)
         d["version"] = __version__
         return d
+
+
+# config keys mirror the flags: the --json flag fills json_path
+_CONFIG_KEYS = {"json" if f.name == "json_path" else f.name
+                for f in dataclasses.fields(RunConfig)}
 
 
 class ConfigError(ValueError):
@@ -200,12 +198,13 @@ def _family_of(cfg: RunConfig):
     if cfg.family is None:
         raise ConfigError("evaluate needs --family")
     spec = {"family": cfg.family}
+    halfwidth = cfg.s if cfg.s is not None else 0.5
     if cfg.family == "gaussian":
         spec["b"] = cfg.b if cfg.b is not None else 1.0
     elif cfg.family == "indicator":
-        spec["a"] = cfg.a
+        spec["a"] = halfwidth
     elif cfg.family == "piecewise-constant":
-        spec["s"] = cfg.s if cfg.s is not None else 0.5
+        spec["s"] = halfwidth
         if cfg.values is None:
             raise ConfigError("piecewise-constant needs 'values'")
         spec["values"] = cfg.values
@@ -355,9 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--weight", choices=["interval", "gaussian"], default="interval")
         p.add_argument("--a", type=float, default=2 * math.pi,
-                       help="gaussian weight parameter / indicator halfwidth")
+                       help="gaussian weight parameter")
         p.add_argument("--b", type=float, default=None, help="gaussian family parameter")
-        p.add_argument("--s", type=float, default=None, help="piecewise halfwidth")
+        p.add_argument("--s", type=float, default=None,
+                       help="indicator / piecewise-constant halfwidth (default 0.5)")
         p.add_argument("--p-min", dest="p_min", type=float, default=2.0)
         p.add_argument("--p-max", dest="p_max", type=float, default=12.0)
         p.add_argument("--family", type=str, default=None,

@@ -30,7 +30,6 @@ __all__ = [
     "dilate",
     "dilate_mollify",
     "mollify",
-    "measure_autocorrelate",
     "MeasureCorrelation",
     "measure_correlation",
     "ConvolutionStructure",
@@ -49,7 +48,6 @@ class Correlation:
     """
 
     grid: GridFunction
-    method: str
 
     @property
     def spacing(self) -> float:
@@ -99,29 +97,26 @@ class Correlation:
             cands.append(float(self.values[inside].min()))
         return min(cands)
 
-    def integral_window(self, lo: float, hi: float) -> float:
-        """Exact integral of the piecewise-linear correlation over [lo, hi]."""
-        if hi <= lo:
-            return 0.0
-        c = self.values
-        h = self.spacing
-        t0 = self.grid.origin + 0.5 * h  # leftmost lattice point (-W)
-        # antiderivative at lattice points
-        trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (c[:-1] + c[1:]))))
+    def integral_window(self, lo, hi):
+        """Exact integral of the piecewise-linear correlation over [lo, hi].
+
+        Takes scalars or broadcastable arrays like ``GridFunction.integral``.
+        """
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        out = np.where(hi > lo, self._antiderivative(hi) - self._antiderivative(lo), 0.0)
+        return out if out.ndim else float(out)
+
+    def _antiderivative(self, x: np.ndarray) -> np.ndarray:
+        c, h = self.values, self.spacing
         n = c.size
-
-        def F(x: float) -> float:
-            u = (x - t0) / h
-            if u <= 0.0:
-                return 0.0
-            if u >= n - 1:
-                return float(trap[-1])
-            k = int(u)
-            frac = u - k
-            ck = c[k] * (1 - frac) + c[k + 1] * frac
-            return float(trap[k] + 0.5 * frac * h * (c[k] + ck))
-
-        return F(hi) - F(lo)
+        trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (c[:-1] + c[1:]))))
+        u = (x - (self.grid.origin + 0.5 * h)) / h  # from the leftmost lattice point -W
+        k = np.minimum(np.clip(u, 0.0, None).astype(np.int64), n - 2)
+        frac = u - k
+        ck = c[k] * (1 - frac) + c[k + 1] * frac
+        inner = trap[k] + 0.5 * frac * h * (c[k] + ck)
+        return np.where(u <= 0.0, 0.0, np.where(u >= n - 1, trap[-1], inner))
 
     def weighted_integral(self, weight: Callable[[np.ndarray], np.ndarray],
                           halfrange: Optional[float] = None, nodes: int = 8) -> float:
@@ -179,7 +174,7 @@ def autocorrelate(f: GridFunction, method: str = "fft") -> Correlation:
     core = 0.5 * (core + core[::-1])  # exact evenness
     vals = np.concatenate(([0.0], core, [0.0]))  # zeros at +-(n h)
     grid = GridFunction(origin=-(n + 0.5) * h, spacing=h, samples=vals)
-    return Correlation(grid=grid, method=method)
+    return Correlation(grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +364,14 @@ class MeasureCorrelation:
         if mu.density is not None:
             d = mu.density
             for x, m in mu.atoms:
-                total = total + m * np.vectorize(d.integral)(x - hi, x - lo)
-                total = total + m * np.vectorize(d.integral)(x + lo, x + hi)
-            cc = self.density_corr
-            total = total + np.vectorize(cc.integral_window)(lo, hi)
+                total = total + m * d.integral(x - hi, x - lo)
+                total = total + m * d.integral(x + lo, x + hi)
+            total = total + self.density_corr.integral_window(lo, hi)
         return total if total.ndim else float(total)
 
 
 def measure_correlation(mu: MixedMeasure) -> MeasureCorrelation:
     return MeasureCorrelation(mu)
-
-
-def measure_autocorrelate(mu: MixedMeasure, lo: float, hi: float) -> float:
-    """mu*mu([lo, hi]) = iint 1_[lo,hi](x - y) dmu(x) dmu(y)."""
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    return float(measure_correlation(mu).interval_mass(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "BumpFunction",
     "bump_from_name",
     "DualMassReport",
-    "positive_part_mass",
     "dual_mass_report",
     "NegativePartReport",
     "negative_part_bound_check",
@@ -324,11 +323,6 @@ def dual_mass_report(phi: BumpFunction, tol: float = 1e-8) -> DualMassReport:
     return DualMassReport(bump=phi.label, positive_mass=pos,
                           negative_mass=absm - pos, abs_mass=absm, value0=phi0,
                           lower_bound=lb, refined_bound=refined, error_bound=err)
-
-
-def positive_part_mass(phi: BumpFunction, tol: float = 1e-8) -> float:
-    """||(phihat)_+||_1 over [-Xi, Xi] with the tail folded into the bound."""
-    return dual_mass_report(phi, tol).positive_mass
 
 
 @dataclass(frozen=True)

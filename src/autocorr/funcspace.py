@@ -29,7 +29,6 @@ __all__ = [
     "AnalyticFamily",
     "MixedMeasure",
     "sample",
-    "norms",
     "family_from_spec",
     "bs_l1",
 ]
@@ -111,10 +110,6 @@ class GridFunction:
         return float(math.sqrt(self.spacing * float(np.dot(self.samples, self.samples))))
 
     @property
-    def sup_norm(self) -> float:
-        return float(self.samples.max())
-
-    @property
     def total_variation(self) -> float:
         """Total variation of the cell model (edge jumps included)."""
         s = self.samples
@@ -131,27 +126,23 @@ class GridFunction:
         out[inside] = self.samples[idx[inside]]
         return out if out.ndim else float(out)
 
-    def _cumulative(self) -> np.ndarray:
-        # antiderivative values at cell boundaries
-        return np.concatenate(([0.0], np.cumsum(self.samples) * self.spacing))
+    def _antiderivative(self, x: np.ndarray) -> np.ndarray:
+        """int_{-inf}^x of the cell model, elementwise."""
+        n, h, s = self.cells, self.spacing, self.samples
+        cum = np.concatenate(([0.0], np.cumsum(s) * h))  # values at cell boundaries
+        t = np.clip((x - self.origin) / h, 0.0, float(n))
+        k = np.minimum(t.astype(np.int64), n - 1)
+        return np.where(t >= n, cum[-1], cum[k] + s[k] * (t - k) * h)
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Exact integral of the cell model over ``[lo, hi]``."""
-        if hi <= lo:
-            return 0.0
-        cum = self._cumulative()
-        n, h, o = self.cells, self.spacing, self.origin
+    def integral(self, lo, hi):
+        """Exact integral of the cell model over ``[lo, hi]`` (0 when hi <= lo).
 
-        def F(x: float) -> float:
-            t = (x - o) / h
-            if t <= 0.0:
-                return 0.0
-            if t >= n:
-                return float(cum[-1])
-            k = int(t)
-            return float(cum[k] + self.samples[k] * (t - k) * h)
-
-        return F(hi) - F(lo)
+        Takes scalars or broadcastable arrays; scalars give a float.
+        """
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        out = np.where(hi > lo, self._antiderivative(hi) - self._antiderivative(lo), 0.0)
+        return out if out.ndim else float(out)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -174,19 +165,8 @@ class GridFunction:
         falling into each target cell; total mass is preserved whenever the
         target window covers the support.
         """
-        edges = origin + spacing * np.arange(cells + 1)
-        cum = self._cumulative()
-        n, h, o = self.cells, self.spacing, self.origin
-        t = np.clip((edges - o) / h, 0.0, float(n))
-        k = np.minimum(t.astype(np.int64), n - 1)
-        F = cum[k] + self.samples[k] * (t - k) * h
-        masses = np.diff(F)
+        masses = np.diff(self._antiderivative(origin + spacing * np.arange(cells + 1)))
         return GridFunction(origin, spacing, masses / spacing)
-
-
-def norms(f: GridFunction) -> tuple[float, float]:
-    """(L1, L2) norms of the cell model."""
-    return (f.l1_norm, f.l2_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +419,4 @@ class MixedMeasure:
 
     @property
     def is_atomic_free(self) -> bool:
-        return not self.atoms
-
-    @property
-    def is_absolutely_continuous(self) -> bool:
         return not self.atoms

@@ -116,12 +116,7 @@ def _weighted_mean(f: GridFunction, w: Weight, label: str, ceiling: float,
     if method not in ("both", "time"):
         raise ValueError(f"method must be 'both' or 'time', got {method!r}")
     l1, l2 = _norms_or_raise(f)
-    corr = autocorrelate(f)
-    if isinstance(w, IntervalWeight):
-        num = corr.integral_window(-0.5, 0.5)
-    else:
-        halfrange = math.sqrt(46.0 / w.a)  # weight below 1e-20 outside
-        num = corr.weighted_integral(w.density, halfrange=halfrange)
+    num = w.correlation_integral(autocorrelate(f))
     err = 1e-13 * l1 * l1  # time side is exact up to rounding
     fourier_num = None
     if method == "both":

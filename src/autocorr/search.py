@@ -3,23 +3,21 @@
 A seeded multi-restart Nelder-Mead simplex (reflection / expansion /
 contraction / shrink) runs on unconstrained parameters; nonnegativity is
 enforced by squaring (cell value or family parameter = theta^2), which keeps
-the landscape smooth instead of projecting onto a boundary.  The merged
-record is independent of restart execution order: traces are concatenated in
-restart-index order and the winner is the best value with ties broken by the
-lowest restart index.
+the landscape smooth instead of projecting onto a boundary.  Restarts run in
+restart-index order; their traces are concatenated in that order and the
+winner is the best value with ties broken by the lowest restart index.  The
+BS example has no free parameter, so its record is a single evaluation.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .funcspace import BSExample, GridFunction, Indicator, sample
+from .funcspace import GridFunction, Indicator, sample
 from .functionals import q_gauss, q_mean, q_min_01, q_min_01_bs, q_min_12
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "baseline",
     "OBJECTIVES",
     "FAMILIES",
-    "worker_count",
 ]
 
 DEFAULT_BUDGET = 2000
@@ -57,15 +54,6 @@ class SearchRecord:
     evaluations: int
     seed: int
     trace: tuple[tuple[int, float], ...]  # (evaluation index, best so far)
-
-
-def worker_count() -> int:
-    """Worker cap from AUTOCORR_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("AUTOCORR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +103,6 @@ def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Call
     if family == "piecewise":
         dim = dimension if dimension >= 1 else 16
         return (lambda p: _build_piecewise(p, halfwidth)), dim
-    if family == "bs-example":
-        # amplitude parameter only; every objective here is scale invariant
-        return (lambda p: BSExample()), 1
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -221,7 +206,7 @@ def _baseline_full(objective: str, family: str, a: Optional[float] = None,
     if family == "bs-example":
         if objective != "min01":
             raise ValueError("the BS example is evaluated through the min01 functional")
-        return q_min_01_bs().value, np.array([1.0])
+        return q_min_01_bs().value, None  # no free parameter
     obj = _objective_fn(objective, a)
     if family == "indicator":
         grid = np.linspace(0.26, 6.0, 288)
@@ -261,18 +246,11 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
-    build, dim = _family_builder(family, dimension, halfwidth)
+    label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
-        if objective != "min01":
-            raise ValueError("the BS example is evaluated through the min01 functional")
-        # scale invariant in the amplitude parameter: one singular-quadrature
-        # evaluation serves the whole search
-        bs_value = q_min_01_bs().value
-
-        def obj_fn(f):
-            return bs_value
-    else:
-        obj_fn = _objective_fn(objective, a)
+        return _search_bs(objective, label, seed)
+    build, dim = _family_builder(family, dimension, halfwidth)
+    obj_fn = _objective_fn(objective, a)
 
     try:
         _, base_params = _baseline_full(objective, family, a=a, halfwidth=halfwidth)
@@ -285,44 +263,41 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
 
     restarts = max(4, dim)
     per_restart = budget // restarts
-    starts = []
-    for r in range(restarts):
-        if r == 0:
-            starts.append(x_base.copy())
-        else:
-            rng = np.random.default_rng([seed, r])
-            starts.append(x_base * np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim)))
-
-    def job(r: int):
-        return _run_restart(build, obj_fn, starts[r], per_restart)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(restarts)))
-    else:
-        results = [job(r) for r in range(restarts)]
-
-    # merge deterministically in restart-index order
+    # restarts run in index order; ties keep the lowest restart index
     trace: list[tuple[int, float]] = []
     best_so_far = -math.inf
-    idx = 0
-    best_value, best_params, best_restart = -math.inf, None, -1
-    for r, (values, bx, bv) in enumerate(results):
+    best_value, best_params = -math.inf, None
+    for r in range(restarts):
+        if r == 0:
+            x0 = x_base.copy()
+        else:
+            rng = np.random.default_rng([seed, r])
+            x0 = x_base * np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
+        values, bx, bv = _run_restart(build, obj_fn, x0, per_restart)
         for v in values:
-            idx += 1
-            if v > best_so_far:
-                best_so_far = v
-            trace.append((idx, best_so_far))
+            best_so_far = max(best_so_far, v)
+            trace.append((len(trace) + 1, best_so_far))
         if bv > best_value:
-            best_value, best_params, best_restart = bv, bx, r
+            best_value, best_params = bv, bx
 
-    check = _evaluate(build, obj_fn, best_params)
-    if abs(check - best_value) > 1e-10 * max(1.0, abs(best_value)):
-        raise SearchError(
-            f"best value {best_value!r} failed re-evaluation ({check!r})", best_params)
-    label = objective if a is None else f"{objective}(a={a:.6g})"
+    _check_reevaluation(best_value, _evaluate(build, obj_fn, best_params), best_params)
     return SearchRecord(objective=label, family=family, dimension=dim,
                         best_params=tuple(float(x) for x in best_params),
-                        best_value=float(best_value), evaluations=idx, seed=seed,
+                        best_value=float(best_value), evaluations=len(trace), seed=seed,
                         trace=tuple(trace))
+
+
+def _search_bs(objective: str, label: str, seed: int) -> SearchRecord:
+    """The BS example has no free parameter: one evaluation, re-checked."""
+    if objective != "min01":
+        raise ValueError("the BS example is evaluated through the min01 functional")
+    value = q_min_01_bs().value
+    _check_reevaluation(value, q_min_01_bs().value, np.zeros(0))
+    return SearchRecord(objective=label, family="bs-example", dimension=0, best_params=(),
+                        best_value=value, evaluations=1, seed=seed, trace=((1, value),))
+
+
+def _check_reevaluation(best_value: float, check: float, params: np.ndarray) -> None:
+    if abs(check - best_value) > 1e-10 * max(1.0, abs(best_value)):
+        raise SearchError(
+            f"best value {best_value!r} failed re-evaluation ({check!r})", params)

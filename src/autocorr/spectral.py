@@ -30,12 +30,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate, special
 
 from .funcspace import GridFunction, MixedMeasure
+
+if TYPE_CHECKING:
+    from .correlate import Correlation
 
 __all__ = [
     "sinc",
@@ -44,7 +47,6 @@ __all__ = [
     "Weight",
     "weight_from_spec",
     "fourier",
-    "fourier_piecewise",
     "fourier_measure",
     "MomentResult",
     "weight_lp_moment",
@@ -72,6 +74,26 @@ class IntervalWeight:
     def hat(self, xi) -> np.ndarray:
         return sinc(xi)
 
+    def cutoff(self, f: GridFunction, tol: float) -> float:
+        # tail_bound(f, Xi) <= tol/2, capped at 2e5
+        hi = max(64.0, f.total_variation * math.sqrt(1.0 / (2.0 * math.pi ** 3 * tol)))
+        return min(hi, 2.0e5)
+
+    def tail_bound(self, f: GridFunction, hi: float) -> float:
+        # 2 int_Xi (V/(2 pi xi))^2 (1/(pi xi)) = V^2/(4 pi^3 Xi^2)
+        V = f.total_variation
+        return V * V / (4.0 * math.pi ** 3 * hi * hi)
+
+    def lp_moment(self, p: float, tol: float) -> MomentResult:
+        """int |sinc|^p for p > 1 with a certified error (``_interval_lp_moment``)."""
+        if p <= 1:
+            raise ValueError(f"int |sinc|^p diverges for p <= 1 (got p={p})")
+        return MomentResult(*_interval_lp_moment(float(p), float(tol)))
+
+    def correlation_integral(self, corr: Correlation) -> float:
+        """int (f*f) w, exact on the piecewise-linear correlation."""
+        return corr.integral_window(-0.5, 0.5)
+
 
 @dataclass(frozen=True)
 class GaussianWeight:
@@ -91,6 +113,36 @@ class GaussianWeight:
     def hat(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=np.float64)
         return np.exp(-(math.pi ** 2) * xi * xi / self.a)
+
+    def cutoff(self, f: GridFunction, tol: float) -> float:
+        # first integer Xi with tail_bound(f, Xi) <= tol/2, capped near 1e4
+        hi = 1.0
+        while self.tail_bound(f, hi) > tol / 2 and hi <= 1e4:
+            hi += 1.0
+        return hi
+
+    def tail_bound(self, f: GridFunction, hi: float) -> float:
+        # |fhat| <= ||f||_1 and 2 int_Xi exp(-c xi^2) <= exp(-c Xi^2)/(c Xi)
+        c = math.pi ** 2 / self.a
+        return f.l1_norm ** 2 * math.exp(-c * hi * hi) / (c * hi)
+
+    def lp_moment(self, p: float, tol: float) -> MomentResult:
+        """The closed form sqrt(a/(pi p)), cross-checked against quadrature."""
+        if p < 1:
+            raise ValueError(f"need p >= 1 for the Gaussian weight (got p={p})")
+        closed = math.sqrt(self.a / (math.pi * p))
+        hi = math.sqrt(40.0 * self.a / (math.pi ** 2 * p))
+        num, e = integrate.quad(lambda x: math.exp(-math.pi ** 2 * p * x * x / self.a),
+                                0, hi, epsabs=1e-13, limit=200)
+        num *= 2.0
+        if abs(num - closed) > max(tol, 1e-10 * closed):
+            raise RuntimeError(
+                f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")
+        return MomentResult(closed, max(e, 1e-15 * closed))
+
+    def correlation_integral(self, corr: Correlation) -> float:
+        """int (f*f) w over [-R, R], R = sqrt(46/a), outside which w < 1e-20."""
+        return corr.weighted_integral(self.density, halfrange=math.sqrt(46.0 / self.a))
 
 
 Weight = Union[IntervalWeight, GaussianWeight]
@@ -133,13 +185,6 @@ def fourier(f: GridFunction, xi):
     """Midpoint-rule transform of a grid function at real xi (scalar or array)."""
     arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     vals = _midpoint_transform(f, arr)
-    return complex(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
-
-
-def fourier_piecewise(f: GridFunction, xi):
-    """Exact transform of the cell model: midpoint sum times sinc(h xi)."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    vals = _midpoint_transform(f, arr) * sinc(f.spacing * arr)
     return complex(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
 
 
@@ -231,24 +276,7 @@ def weight_lp_moment(w: Weight, p: float, tol: float = 1e-9) -> MomentResult:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if isinstance(w, IntervalWeight):
-        if p <= 1:
-            raise ValueError(f"int |sinc|^p diverges for p <= 1 (got p={p})")
-        value, err = _interval_lp_moment(float(p), float(tol))
-        return MomentResult(value, err)
-    if isinstance(w, GaussianWeight):
-        if p < 1:
-            raise ValueError(f"need p >= 1 for the Gaussian weight (got p={p})")
-        closed = math.sqrt(w.a / (math.pi * p))
-        hi = math.sqrt(40.0 * w.a / (math.pi ** 2 * p))
-        num, e = integrate.quad(lambda x: math.exp(-math.pi ** 2 * p * x * x / w.a),
-                                0, hi, epsabs=1e-13, limit=200)
-        num *= 2.0
-        if abs(num - closed) > max(tol, 1e-10 * closed):
-            raise RuntimeError(
-                f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")
-        return MomentResult(closed, max(e, 1e-15 * closed))
-    raise TypeError(f"unknown weight type {type(w)!r}")
+    return w.lp_moment(p, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +363,11 @@ def mean_functional_fourier(f: GridFunction, w: Optional[Weight],
         value = float((v.real ** 2 + v.imag ** 2).sum() / (h * M))
         return MomentResult(value, 1e-12 * max(value, 1.0))
 
-    V = f.total_variation
-    if isinstance(w, IntervalWeight):
-        # tail: 2 int_Xi (V/(2 pi xi))^2 (1/(pi xi)) = V^2/(4 pi^3 Xi^2)
-        hi = max(64.0, V * math.sqrt(1.0 / (2.0 * math.pi ** 3 * tol)))
-        hi = min(hi, 2.0e5)
-        tail = V * V / (4.0 * math.pi ** 3 * hi * hi)
-        wt_hat = w.hat
-    elif isinstance(w, GaussianWeight):
-        a = w.a
-        l1sq = f.l1_norm ** 2
-        hi = 1.0
-        while True:
-            c = math.pi ** 2 / a
-            bound = l1sq * math.exp(-c * hi * hi) / (c * hi)
-            if bound <= tol / 2 or hi > 1e4:
-                break
-            hi += 1.0
-        tail = l1sq * math.exp(-(math.pi ** 2 / a) * hi * hi) / ((math.pi ** 2 / a) * hi)
-        wt_hat = w.hat
-    else:
-        raise TypeError(f"unknown weight type {type(w)!r}")
-
+    hi = w.cutoff(f, tol)
+    tail = w.tail_bound(f, hi)
     nodes = max(20, int(3.0 * f.width) + 12)
-    coarse = _composite(f, wt_hat, hi, nodes)
-    fine = _composite(f, wt_hat, hi, nodes + 8)
+    coarse = _composite(f, w.hat, hi, nodes)
+    fine = _composite(f, w.hat, hi, nodes + 8)
     value = 2.0 * fine
     quad_err = 2.0 * abs(fine - coarse)
     return MomentResult(value, quad_err + tail)

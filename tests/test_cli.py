@@ -79,6 +79,16 @@ class TestEvaluate:
     def test_missing_family(self, tmp_path):
         assert main(["evaluate", "--functional", "mean", "--out", str(tmp_path)]) == 2
 
+    def test_indicator_halfwidth_from_s(self, tmp_path):
+        # --s is the indicator halfwidth; --a (the Gaussian weight) leaves it alone
+        values = []
+        for extra in (["--s", "0.75"], ["--s", "0.75", "--a", "1.0"]):
+            assert main(["evaluate", "--family", "indicator", "--functional", "min12",
+                         *extra, "--out", str(tmp_path)]) == 0
+            values.append(_load(tmp_path / "evaluate_report.json")["results"][0]["value"])
+        assert values[0] == pytest.approx(0.5443, abs=1e-3)
+        assert values[1] == values[0]
+
 
 class TestSearch:
     def test_record_and_trace(self, tmp_path):
@@ -157,6 +167,12 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"command": "roots", "sigma": 2}))
+        assert main(["--config", str(cfg)]) == 2
+
+    def test_json_path_key_rejected(self, tmp_path):
+        # the config key is "json", like the flag; the field name is not a key
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "roots", "json_path": "x.json"}))
         assert main(["--config", str(cfg)]) == 2
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):

@@ -18,10 +18,10 @@ from autocorr import (
     convolution_structure,
     dilate,
     dilate_mollify,
-    measure_autocorrelate,
     periodize,
     sample,
 )
+from autocorr.correlate import measure_correlation
 
 PI = math.pi
 
@@ -83,6 +83,17 @@ class TestAutocorrelate:
         # int over [-1/2, 1/2] of the unit triangle
         assert c.integral_window(-0.5, 0.5) == pytest.approx(0.75, abs=1e-14)
         assert c.integral_window(-2, 2) == pytest.approx(1.0, abs=1e-14)
+
+    def test_integral_window_array_matches_scalar_loop(self, random_windows):
+        rng = np.random.default_rng(12)
+        for seed in range(10):
+            c = autocorrelate(random_grid(seed))
+            W = c.halfwidth
+            lo, hi = random_windows(rng, (-W, W))
+            scalar = np.array([c.integral_window(float(a), float(b))
+                               for a, b in zip(lo, hi)])
+            assert np.array_equal(c.integral_window(lo, hi), scalar)
+            assert isinstance(c.integral_window(-0.5, 0.5), float)
 
     def test_min_on(self):
         f = sample(Indicator(0.75), cells=96)
@@ -189,7 +200,18 @@ class TestMeasureAutocorrelate:
     def test_single_atom(self):
         mu = MixedMeasure(atoms=((0.0, 1.0),))
         for eps in (0.01, 0.5, 3.0):
-            assert measure_autocorrelate(mu, -eps, eps) == 1.0
+            assert measure_correlation(mu).interval_mass(-eps, eps) == 1.0
+
+    def test_interval_mass_array_matches_scalar_loop(self, random_windows):
+        rng = np.random.default_rng(13)
+        for seed in range(10):
+            d = random_grid(seed)
+            atoms = tuple(zip(rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3)))
+            mc = measure_correlation(MixedMeasure(atoms=atoms, density=d))
+            lo, hi = random_windows(rng, (-2.0, 2.0))
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # lo > hi is rejected
+            scalar = np.array([mc.interval_mass(float(a), float(b)) for a, b in zip(lo, hi)])
+            assert np.array_equal(mc.interval_mass(lo, hi), scalar)
 
     def test_two_atoms_sumset(self):
         mu = MixedMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
@@ -200,7 +222,8 @@ class TestMeasureAutocorrelate:
     def test_lebesgue_differentiation(self):
         mu = MixedMeasure(density=sample(Indicator(0.5), cells=256))
         t = 0.3
-        vals = [measure_autocorrelate(mu, t - eps, t) / eps for eps in (0.1, 0.01, 0.001)]
+        mc = measure_correlation(mu)
+        vals = [mc.interval_mass(t - eps, t) / eps for eps in (0.1, 0.01, 0.001)]
         errs = [abs(v - 0.7) for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
@@ -209,8 +232,9 @@ class TestMeasureAutocorrelate:
         d = sample(Indicator(0.4), cells=64)
         mu = MixedMeasure(atoms=((0.3, 0.7),), density=d)
         a, b = 0.2, 0.9
-        left = measure_autocorrelate(mu, a, b)
-        right = measure_autocorrelate(mu, -b, -a)
+        mc = measure_correlation(mu)
+        left = mc.interval_mass(a, b)
+        right = mc.interval_mass(-b, -a)
         assert left == pytest.approx(right, rel=1e-12)
         assert left >= 0
 

@@ -17,7 +17,6 @@ from autocorr import (
     dual_mass_report,
     negative_part_bound_check,
     nu_spectrum_check,
-    positive_part_mass,
     sample,
     sinc_min_roots,
 )
@@ -144,9 +143,6 @@ class TestPositivePartMass:
         assert exact.size >= 6 and exact[0] == max(start + 0.5, 1.0)
         assert np.all(np.diff(exact) == 0.5)
         assert np.max(np.abs(roots - exact)) <= tol
-
-    def test_positive_part_mass_shortcut(self):
-        assert positive_part_mass(CosineBump()) == pytest.approx(1.0204507, abs=1e-5)
 
     def test_density_below_abs_mass(self):
         # phi(x) <= ||phihat||_1 pointwise

@@ -17,7 +17,6 @@ from autocorr import (
     PiecewiseConstant,
     bs_l1,
     family_from_spec,
-    norms,
     sample,
 )
 
@@ -57,6 +56,16 @@ class TestGridFunction:
         assert f.integral(-1.0, 1.0) == pytest.approx(f.l1_norm, abs=0)
         assert f.integral(-0.75, -0.5) == pytest.approx(0.25)
         assert f.integral(2.0, 3.0) == 0.0
+
+    def test_integral_array_matches_scalar_loop(self, random_windows):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            f = GridFunction(rng.uniform(-1, 1), rng.uniform(0.01, 0.2),
+                             rng.uniform(0, 2, rng.integers(1, 60)))
+            lo, hi = random_windows(rng, f.support)
+            scalar = np.array([f.integral(float(a), float(b)) for a, b in zip(lo, hi)])
+            assert np.array_equal(f.integral(lo, hi), scalar)
+            assert isinstance(f.integral(float(lo[0]), float(hi[0])), float)
 
     def test_immutable(self):
         f = GridFunction(0.0, 1.0, [1.0])
@@ -113,10 +122,6 @@ class TestSampling:
             PiecewiseConstant(0.0, [1.0])
         with pytest.raises(ValueError):
             sample(Indicator(1.0), cells=1)
-
-    def test_norms_tuple(self):
-        f = sample(Indicator(0.5), cells=16)
-        assert norms(f) == (f.l1_norm, f.l2_norm)
 
     @pytest.mark.parametrize("family,exact_l1,exact_l2", [
         (Gaussian(1.0), math.sqrt(math.pi), (math.pi / 2) ** 0.25),

@@ -1,5 +1,6 @@
 """Search tests: determinism, soundness, floors, record invariants."""
 
+import importlib
 import math
 
 import pytest
@@ -76,6 +77,25 @@ class TestFloorsAndSoundness:
         assert rec.best_value >= 0.375
         assert rec.best_value == pytest.approx(144.0 / (121.0 * PI), abs=1e-6)
 
+    def test_bs_example_is_one_evaluation(self, monkeypatch):
+        # no free parameter: one evaluation plus the re-evaluation check
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+
+        calls = []
+        real = search_mod.q_min_01_bs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search_mod, "q_min_01_bs", counted)
+        rec = search("min01", "bs-example", seed=3)
+        assert rec.evaluations == 1
+        assert rec.trace == ((1, rec.best_value),)
+        assert rec.dimension == 0 and rec.best_params == ()
+        assert rec.best_value == pytest.approx(144.0 / (121.0 * PI), abs=1e-6)
+        assert len(calls) == 2
+
     def test_piecewise_min01_is_zero_on_unit_support(self):
         # any bounded function supported in [-1/2, 1/2] has a continuous
         # correlation vanishing at t = 1, so the [0,1] minimum is exactly 0
@@ -116,15 +136,6 @@ class TestBaseline:
     def test_no_baseline_for_piecewise(self):
         with pytest.raises(ValueError):
             baseline("min12", "piecewise")
-
-
-class TestThreadedRestarts:
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        rec1 = search("min12", "indicator", budget=400, seed=8)
-        monkeypatch.setenv("AUTOCORR_THREADS", "4")
-        rec2 = search("min12", "indicator", budget=400, seed=8)
-        assert rec1.trace == rec2.trace
-        assert rec1.best_value == rec2.best_value
 
 
 class TestEvaluationFailure:

@@ -119,6 +119,18 @@ class TestWeightLpMoment:
             assert abs(m1.value - m2.value) <= m1.error_bound
 
 
+class TestWeightTails:
+    @pytest.mark.parametrize("w", [IntervalWeight(), GaussianWeight(2 * PI), GaussianWeight(0.5)],
+                             ids=["interval", "gauss-2pi", "gauss-0.5"])
+    def test_cutoff_meets_half_tolerance(self, w):
+        # mean_functional_fourier charges tail_bound(f, cutoff(f, tol)) to its error
+        f = sample(Gaussian(3.0), cells=256)
+        for tol in (1e-6, 1e-9):
+            hi = w.cutoff(f, tol)
+            assert w.tail_bound(f, hi) <= 0.5 * tol * (1 + 1e-12)
+            assert w.tail_bound(f, 2 * hi) < w.tail_bound(f, hi)
+
+
 class TestMeanFunctionalFourier:
     def test_indicator_interval_weight(self):
         # time side: int_{-1/2}^{1/2} (1 - |t|) dt = 3/4

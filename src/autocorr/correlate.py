@@ -6,8 +6,10 @@ lattice values are exactly h * sum_k s_k s_{k+m}.  Everything downstream
 (window integrals, minima, weighted means) is therefore computed exactly from
 the lattice values; linear interpolation between them is not an approximation.
 
-The singular BS example is handled separately through substitution-based
-adaptive quadrature that absorbs the inverse-square-root endpoint blowup.
+The singular BS example is handled separately: its correlation is a sum of
+incomplete elliptic integrals of the first kind, evaluated in closed form
+through Carlson's R_F (no quadrature; only its L1 norm, ``bs_l1``, is still
+a quadrature, kept as an independent check of 11 pi/24).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .funcspace import BSExample, GridFunction, MixedMeasure
 from .spectral import _leggauss
@@ -182,42 +184,59 @@ def autocorrelate(f: GridFunction, method: str = "fft") -> Correlation:
 # ---------------------------------------------------------------------------
 
 
-def autocorrelate_singular(f: BSExample, t: float, tol: float = 1e-8) -> float:
-    """f*f(t) for the BS example by singularity-absorbing quadrature.
+_RF_SCALE = 2.0 ** 100
 
-    Over the overlap [a, b] = [-1/2, 1/2 - |t|] the integrand factors as
-    (1/4) [(x-a)(b-x)]^(-1/2) G(x) with bounded G; the substitution
-    x = (a+b)/2 + ((b-a)/2) sin(theta) absorbs both endpoint singularities and
-    extends continuously to t = 1 (value pi/4).  At t = 0 the self-overlap
-    diverges (the example is not in L^2) and +inf is returned.
+
+def autocorrelate_singular(f: BSExample, t):
+    """f*f(t) for the BS example in closed form, vectorized over t.
+
+    f*f is even, so write t for |t|.  With y = x + t/2, A = (1+t)/2 and
+    B = (1-t)/2 the overlap is |y| <= B, where
+    f(x) f(x+t) = m(y-t/2) m(y+t/2) / (4 sqrt((A^2-y^2)(B^2-y^2))).  The
+    antiderivative of the square-root factor is an incomplete elliptic
+    integral of the first kind (Byrd & Friedman 219.00), in Carlson's form
+
+        P(Y) = Y R_F(A^2 (B-Y)(B+Y), B^2 (A-Y)(A+Y), A^2 B^2),
+
+    odd in Y.  Expanding m(u) m(v) = (1 - 1_U/4)(1 - 1_V/4) over the windows
+    U = [t/2-1/4, t/2+1/4] and V = -U gives, for 0 < t < 1,
+
+        f*f(t) = P(B)/2 - [P(min(t/2+1/4, B)) + P(1/4-t/2)]/8   (t <= 3/4)
+                        + P(1/4-t/2)/32                          (t <= 1/2).
+
+    Each factor B-Y, A+Y, ... is formed as c + k t with c a multiple of 1/4,
+    so no argument of R_F cancels (the parameter 1 - k^2 = t/A^2 is never
+    formed as a difference).  The value extends continuously to pi/4 at
+    t = 1 and diverges at t = 0 (the example is not in L^2), where +inf is
+    returned.  A scalar t gives a float.
     """
-    t = float(t)
-    if not np.isfinite(t) or abs(t) > 1.0:
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)) or np.any(np.abs(t) > 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t}")
-    t = abs(t)
-    if t == 0.0:
-        return math.inf
-    a, b = -0.5, 0.5 - t
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    bs = BSExample()
-
-    def g(theta: float) -> float:
-        x = mid + rad * math.sin(theta)
-        bounded = (0.5 - x) * (x + t + 0.5)
-        return 0.25 / math.sqrt(bounded) * float(bs.multiplier(x)) * float(bs.multiplier(x + t))
-
-    pts = []
-    if rad > 0:
-        for xc in (-0.25, 0.25, -0.25 - t, 0.25 - t):
-            if a < xc < b:
-                pts.append(math.asin((xc - mid) / rad))
-    val, err = integrate.quad(
-        g, -math.pi / 2, math.pi / 2, points=sorted(pts) or None,
-        epsabs=tol, epsrel=tol, limit=300,
-    )
-    if err > max(100 * tol, 1e-6):
-        raise RuntimeError(f"singular correlation quadrature failed at t={t} (err={err:.2e})")
-    return val
+    a = np.abs(t)
+    A, B = 0.5 * (1.0 + a), 0.5 * (1.0 - a)
+    A2, B2 = A * A, B * B
+    low, mid = a <= 0.25, a <= 0.75
+    # rows: Y = B, Y = t/2 + 1/4 (t <= 1/4), Y = 1/4 - t/2 (t <= 3/4); rows
+    # outside their range get the harmless arguments (1, 1, 1).  Row 0 is
+    # R_F(0, t, A^2) scaled by 2^100 (exact), so a subnormal t stays finite.
+    x = np.stack([np.zeros_like(a),
+                  np.where(low, A2 * (0.25 - a) * 0.75, 1.0),
+                  np.where(mid, A2 * 0.25 * (0.75 - a), 1.0)])
+    y = np.stack([_RF_SCALE * a,
+                  np.where(low, B2 * 0.25 * (0.75 + a), 1.0),
+                  np.where(mid, B2 * (0.25 + a) * 0.75, 1.0)])
+    z = np.stack([_RF_SCALE * A2, np.where(low, A2 * B2, 1.0), np.where(mid, A2 * B2, 1.0)])
+    rf = special.elliprf(x, y, z)
+    p_b = math.sqrt(_RF_SCALE) * rf[0]
+    p_up = np.where(low, (0.5 * a + 0.25) * rf[1], p_b)
+    p_in = (0.25 - 0.5 * a) * rf[2]
+    out = 0.5 * p_b - np.where(mid, 0.125 * (p_up + p_in), 0.0) \
+        + np.where(a <= 0.5, p_in / 32.0, 0.0)
+    out = np.where(a == 1.0, math.pi / 4.0, np.where(a == 0.0, math.inf, out))
+    if not np.all(np.isfinite(out) | (a == 0.0)):
+        raise RuntimeError("singular correlation is not finite at some t in (0, 1]")
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +371,12 @@ class MeasureCorrelation:
     def _atom_pair_mass(self, lo, hi) -> np.ndarray:
         i = np.searchsorted(self._pair_locs, lo, side="left")
         j = np.searchsorted(self._pair_locs, hi, side="right")
-        return self._pair_cum[j] - self._pair_cum[i]
+        return self._pair_cum[np.maximum(i, j)] - self._pair_cum[i]  # 0 when hi < lo
 
     def interval_mass(self, lo, hi) -> np.ndarray:
+        """mu*mu([lo, hi]); 0 where hi < lo, the point mass mu*mu({lo}) where hi == lo."""
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        if np.any(hi < lo):
-            raise ValueError("interval endpoints must satisfy lo <= hi")
         total = self._atom_pair_mass(lo, hi).astype(np.float64)
         mu = self.mu
         if mu.density is not None:

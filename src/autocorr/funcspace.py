@@ -271,10 +271,10 @@ class BSExample:
 
     f(x) = 1_[-1/2,1/2](x)/sqrt(1-4x^2) - 1_[-1/4,1/4](x)/(4 sqrt(1-4x^2)),
     nonnegative on [-1/2, 1/2], zero outside, with inverse-square-root blowup
-    at |x| = 1/2.  Not square integrable.  Certified integrals against it go
-    through substitution-based quadrature (see :func:`bs_l1` and the singular
-    autocorrelation in :mod:`autocorr.correlate`); grid sampling is for
-    plotting only.
+    at |x| = 1/2.  Not square integrable.  Its autocorrelation has a closed
+    form through Carlson's R_F (see ``autocorrelate_singular`` in
+    :mod:`autocorr.correlate`); its L1 norm is a substitution-based
+    quadrature (:func:`bs_l1`).  Grid sampling is for plotting only.
     """
 
     singular: bool = True

@@ -167,12 +167,8 @@ def criterion_4(fault: bool = False) -> CriterionResult:
 def criterion_5(fault: bool = False) -> CriterionResult:
     """BS example: correlation floor pi/4, L1 norm, min01 ratio."""
     res = CriterionResult(5, "BS example floor and norms")
-    bs = BSExample()
-    worst = math.inf
-    for t in np.linspace(0.0, 1.0, 101):
-        v = corr.autocorrelate_singular(bs, float(t))
-        if math.isfinite(v):
-            worst = min(worst, v)
+    vals = corr.autocorrelate_singular(BSExample(), np.linspace(0.0, 1.0, 101))
+    worst = float(vals[np.isfinite(vals)].min())
     if fault:
         worst -= 0.01
     res.checks.append(Check("min f*f on [0,1] grid", worst, math.pi / 4, 1e-4, "ge"))

@@ -125,6 +125,54 @@ class TestSingularBS:
         with pytest.raises(ValueError):
             autocorrelate_singular(BSExample(), 1.2)
 
+    @pytest.mark.parametrize("t", [1e-3, 1 / 512, 0.01, 0.1, 0.25, 0.3, 0.5, 0.51,
+                                   0.75, 0.9, 0.999])
+    def test_closed_form_against_mpmath(self, t):
+        # oracle: the theta-substituted integrand x = mid + rad sin(theta),
+        # bounded, integrated at 30 digits piecewise between its jump points
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            tm = mpmath.mpf(t)
+            a, b = mpmath.mpf(-0.5), mpmath.mpf(0.5) - tm
+            mid, rad = (a + b) / 2, (b - a) / 2
+
+            def m(x):
+                return mpmath.mpf(0.75) if abs(x) <= 0.25 else mpmath.mpf(1)
+
+            def g(theta):
+                x = mid + rad * mpmath.sin(theta)
+                return m(x) * m(x + tm) / (4 * mpmath.sqrt((0.5 - x) * (x + tm + 0.5)))
+
+            jumps = sorted(mpmath.asin((xc - mid) / rad)
+                           for xc in (-0.25, 0.25, -0.25 - tm, 0.25 - tm) if a < xc < b)
+            ref = float(mpmath.quad(g, [-mpmath.pi / 2, *jumps, mpmath.pi / 2]))
+        assert autocorrelate_singular(BSExample(), t) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_array_matches_scalar_loop(self):
+        bs = BSExample()
+        ts = np.linspace(-1.0, 1.0, 513)
+        scalar = np.array([autocorrelate_singular(bs, float(t)) for t in ts])
+        assert np.array_equal(autocorrelate_singular(bs, ts), scalar)
+        assert autocorrelate_singular(bs, ts.reshape(27, 19)).shape == (27, 19)
+        assert isinstance(autocorrelate_singular(bs, 0.3), float)
+
+    def test_endpoint_exact(self):
+        assert autocorrelate_singular(BSExample(), 1.0) == math.pi / 4
+        assert autocorrelate_singular(BSExample(), -1.0) == math.pi / 4
+
+    def test_subnormal_t_is_finite(self):
+        # R_F(0, t, A^2) is evaluated at 2^100 scale; unscaled, scipy returns
+        # inf once its second argument is subnormal
+        v = autocorrelate_singular(BSExample(), 5e-324)
+        assert math.isfinite(v)
+        assert v > autocorrelate_singular(BSExample(), 1e-300)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            autocorrelate_singular(BSExample(), math.nan)
+        with pytest.raises(ValueError):
+            autocorrelate_singular(BSExample(), np.array([0.5, math.nan]))
+
 
 class TestPeriodize:
     def test_indicator(self):
@@ -209,9 +257,19 @@ class TestMeasureAutocorrelate:
             atoms = tuple(zip(rng.uniform(-1, 1, 3), rng.uniform(0, 1, 3)))
             mc = measure_correlation(MixedMeasure(atoms=atoms, density=d))
             lo, hi = random_windows(rng, (-2.0, 2.0))
-            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)  # lo > hi is rejected
             scalar = np.array([mc.interval_mass(float(a), float(b)) for a, b in zip(lo, hi)])
             assert np.array_equal(mc.interval_mass(lo, hi), scalar)
+
+    def test_reversed_window_is_empty(self):
+        d = sample(Indicator(0.4), cells=64)
+        mc = measure_correlation(MixedMeasure(atoms=((0.0, 0.6), (0.3, 0.4)), density=d))
+        assert mc.interval_mass(0.5, -0.5) == 0.0
+        assert mc.interval_mass(0.3, 0.29) == 0.0  # atom pair at 0.3 lies in neither order
+        lo = np.array([0.5, 0.3, 2.0, -0.1])
+        hi = np.array([-0.5, -0.3, 1.0, -0.2])
+        assert np.array_equal(mc.interval_mass(lo, hi), np.zeros(4))
+        # a point window keeps its atom mass mu*mu({0}) = 0.6^2 + 0.4^2
+        assert mc.interval_mass(0.0, 0.0) == pytest.approx(0.52, rel=1e-12)
 
     def test_two_atoms_sumset(self):
         mu = MixedMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))

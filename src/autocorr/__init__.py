@@ -24,13 +24,10 @@ from .constants import (
 )
 from .correlate import (
     Correlation,
-    ConvolutionStructure,
     autocorrelate,
     autocorrelate_singular,
-    convolution_structure,
     dilate,
     dilate_mollify,
-    mollify,
     periodize,
 )
 from .dualcheck import (
@@ -70,7 +67,6 @@ from .spectral import (
     GaussianWeight,
     IntervalWeight,
     MomentResult,
-    fourier,
     fourier_measure,
     mean_functional_fourier,
     weight_lp_moment,

@@ -225,9 +225,9 @@ def _cmd_evaluate(cfg: RunConfig, outdir: Path) -> int:
         f = sample(family, support=support, cells=cfg.cells)
         window = list(f.support)
         if cfg.functional == "mean":
-            ratio = fun.q_mean(f)
+            ratio = fun.q_mean(f, tol=cfg.tol)
         elif cfg.functional == "gauss":
-            ratio = fun.q_gauss(f, cfg.a)
+            ratio = fun.q_gauss(f, cfg.a, tol=cfg.tol)
         elif cfg.functional == "min12":
             ratio = fun.q_min_12(f)
         else:
@@ -417,8 +417,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     outdir = Path(cfg.out)
     try:
         return _RUNNERS[cfg.command](cfg, outdir)
-    # NormalizationError subclasses ValueError, so it must be caught first
-    except (fun.InvariantViolation, dual.NormalizationError, RuntimeError) as exc:
+    except (fun.InvariantViolation, RuntimeError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError) as exc:

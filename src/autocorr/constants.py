@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _KINDS = ("upper-bound", "lower-bound", "root")
+_QUAD_TOL = 1e-9  # tolerance of every sinc-power moment behind a constant
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ def gaussian_closed_form(p: float, a: float, parse: str = "paper-consistent") ->
     return (num / den) ** (1.0 / (4.0 * (p - 1.0)))
 
 
-def _pipeline_constant(w: Weight, p: float, tol: float) -> tuple[float, dict[str, float]]:
+def _pipeline_constant(w: Weight, p: float) -> tuple[float, dict[str, float]]:
     K_p = hy_coefficient(p)
-    moment = weight_lp_moment(w, p, tol=tol)
+    moment = weight_lp_moment(w, p, tol=_QUAD_TOL)
     value = (K_p * moment.value ** (1 / p)) ** (p / (2 * (p - 1)))
     ingredients = {
         "p": float(p),
@@ -94,17 +95,17 @@ def _pipeline_constant(w: Weight, p: float, tol: float) -> tuple[float, dict[str
     return value, ingredients
 
 
-def mean_upper_constant(w: Weight, p: float, tol: float = 1e-9) -> BoundReport:
-    """C_p(w) = (K_p I_w(p)^(1/p))^(p/(2(p-1))) for p >= 2."""
+def mean_upper_constant(w: Weight, p: float) -> BoundReport:
+    """C_p(w) = (K_p I_w(p)^(1/p))^(p/(2(p-1))) for p >= 2, moments at tolerance 1e-9."""
     if not p >= 2:
         raise ValueError(f"the mean bound needs p >= 2, got {p}")
-    value, ingredients = _pipeline_constant(w, p, tol)
+    value, ingredients = _pipeline_constant(w, p)
     if isinstance(w, GaussianWeight):
         for parse in ("paper-consistent", "literal", "grouped"):
             ingredients[f"closed_form_{parse.replace('-', '_')}"] = \
                 gaussian_closed_form(p, w.a, parse)
     return BoundReport(name=f"mean-upper[{w.label}]", value=value, kind="upper-bound",
-                       ingredients=ingredients, tolerance=tol)
+                       ingredients=ingredients, tolerance=_QUAD_TOL)
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -126,18 +127,18 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0),
-                    tol: float = 1e-6, quad_tol: float = 1e-9) -> BoundReport:
-    """inf over p in ``p_range`` of C_p(w): coarse grid then golden section."""
+def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> BoundReport:
+    """inf over p in ``p_range`` of C_p(w): coarse grid then golden section to 1e-6."""
+    tol = 1e-6
     lo, hi = float(p_range[0]), float(p_range[1])
     if lo < 2.0 or hi < lo or not np.isfinite(hi):
         raise ValueError(f"p range must satisfy 2 <= lo <= hi < inf, got {p_range}")
 
     def cp(p: float) -> float:
-        return _pipeline_constant(w, p, quad_tol)[0]
+        return _pipeline_constant(w, p)[0]
 
     if hi == lo:
-        value, ingredients = _pipeline_constant(w, lo, quad_tol)
+        value, ingredients = _pipeline_constant(w, lo)
         ingredients["p_star"] = lo
         return BoundReport(name=f"mean-upper-inf[{w.label}]", value=value,
                            kind="upper-bound", ingredients=ingredients, tolerance=tol)
@@ -152,7 +153,7 @@ def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0),
         p_star, v_star = grid[i], vals[i]
     else:
         p_star, v_star = _golden_min(cp, left, right, tol)
-    value, ingredients = _pipeline_constant(w, p_star, quad_tol)
+    value, ingredients = _pipeline_constant(w, p_star)
     ingredients["p_star"] = p_star
     ingredients["grid_best_p"] = float(grid[i])
     ingredients["grid_best_value"] = float(vals[i])
@@ -209,7 +210,7 @@ def min_l1_constant() -> tuple[BoundReport, BoundReport]:
     return window2, window1
 
 
-def min_mixed_constant(quad_tol: float = 1e-9) -> BoundReport:
+def min_mixed_constant() -> BoundReport:
     """Interpolated mixed-norm minimum constant (~0.829604).
 
     C_pi = K_pi I(pi)^(1/pi) is the bare mixed-norm coefficient (exponent
@@ -219,7 +220,7 @@ def min_mixed_constant(quad_tol: float = 1e-9) -> BoundReport:
     """
     p = math.pi
     K_p = hy_coefficient(p)
-    moment = weight_lp_moment(IntervalWeight(), p, tol=quad_tol)
+    moment = weight_lp_moment(IntervalWeight(), p, tol=_QUAD_TOL)
     c_pi = K_p * moment.value ** (1.0 / p)
     L = 1.0 / (1.0 + sinc_min_roots().theta0)
     alpha = (p / 2.0 - 1.0) / (p - 1.0)
@@ -228,7 +229,7 @@ def min_mixed_constant(quad_tol: float = 1e-9) -> BoundReport:
                    "I_w_p_error": moment.error_bound,
                    "C_pi": c_pi, "stefan": L, "alpha": alpha}
     return BoundReport(name="min-mixed[-1/2,1/2]", value=value, kind="upper-bound",
-                       ingredients=ingredients, tolerance=quad_tol)
+                       ingredients=ingredients, tolerance=_QUAD_TOL)
 
 
 def indicator_min_lower() -> BoundReport:
@@ -241,11 +242,11 @@ def indicator_min_lower() -> BoundReport:
                        ingredients={"A_star": 0.75, "u_star": 1.5})
 
 
-def gaussian_mean_lower(a: float, scan_points: int = 801) -> BoundReport:
+def gaussian_mean_lower(a: float) -> BoundReport:
     """Best pure-Gaussian lower bound a^(1/4)/(pi^(1/4) sqrt(2)) at b = 2a.
 
     The closed-form ratio R(b) = 2^(1/4) / (b^(1/4) pi^(1/4) (2/b + 1/a)^(1/2))
-    is scanned over b in [0.1a, 10a] to confirm the maximizer.
+    is scanned at 801 points over b in [0.1a, 10a] to confirm the maximizer.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
@@ -254,12 +255,12 @@ def gaussian_mean_lower(a: float, scan_points: int = 801) -> BoundReport:
     def ratio(b):
         return 2.0 ** 0.25 / (b ** 0.25 * math.pi ** 0.25 * np.sqrt(2.0 / b + 1.0 / a))
 
-    bs = np.geomspace(0.1 * a, 10.0 * a, scan_points)
+    bs = np.geomspace(0.1 * a, 10.0 * a, 801)
     i = int(np.argmax(ratio(bs)))
     # golden refinement between the neighbors of the grid argmax
     scan_b, neg = _golden_min(lambda b: -ratio(b),
                               float(bs[max(i - 1, 0)]),
-                              float(bs[min(i + 1, scan_points - 1)]), 1e-10 * a)
+                              float(bs[min(i + 1, bs.size - 1)]), 1e-10 * a)
     scan_v = -neg
     if abs(scan_v - value) > 1e-6 * value:
         raise RuntimeError(

@@ -1,10 +1,12 @@
 """Autocorrelation engines.
 
-For a grid function the correlation g(t) = int f(x) f(x+t) dx of the cell
-model is piecewise linear with breakpoints on the lattice {k*h}, and its
-lattice values are exactly h * sum_k s_k s_{k+m}.  Everything downstream
-(window integrals, minima, weighted means) is therefore computed exactly from
-the lattice values; linear interpolation between them is not an approximation.
+For a grid function f with n cells of width h, the correlation
+g(t) = int f(x) f(x+t) dx of the cell model is piecewise linear with
+breakpoints on the lattice t_k = (k - n) h, k = 0..2n, and its lattice values
+are exactly h * sum_j s_j s_{j+m}.  :class:`Correlation` holds these 2n + 1
+values, so everything downstream (window integrals, minima, weighted means)
+reads them off the lattice; linear interpolation between them is not an
+approximation.
 
 The singular BS example is handled separately: its correlation is a sum of
 incomplete elliptic integrals of the first kind, evaluated in closed form
@@ -14,14 +16,15 @@ a quadrature, kept as an independent check of 11 pi/24).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
 
-from .funcspace import BSExample, GridFunction, MixedMeasure
+from .funcspace import BSExample, GridFunction, MixedMeasure, _readonly
 from .spectral import _leggauss
 
 __all__ = [
@@ -31,58 +34,56 @@ __all__ = [
     "periodize",
     "dilate",
     "dilate_mollify",
-    "mollify",
     "MeasureCorrelation",
     "measure_correlation",
-    "ConvolutionStructure",
-    "convolution_structure",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Correlation:
-    """Sampled autocorrelation f*f on the symmetric window [-W, W].
+    """Lattice values of the autocorrelation f*f.
 
-    ``grid`` stores the lattice values c_m = (f*f)(m h) as a cell-centered
-    GridFunction (cell midpoints sit on the lattice), so ``grid.l1_norm``
-    equals the Fubini mass ||f||_1^2 exactly.  ``value`` interpolates
-    linearly, which reproduces the cell-model correlation exactly.
+    ``values[k]`` is (f*f)(t_k) on the lattice t_k = (k - n) h, k = 0..2n,
+    with h = ``spacing`` and n h the support length of f, so the two end
+    values are the exact zeros at t = +-n h.  The values are read-only and
+    clamped at 0.  Between lattice points the cell-model correlation is
+    linear, which ``value``, ``integral_window`` and ``min_on`` reproduce
+    exactly.
     """
 
-    grid: GridFunction
+    spacing: float
+    values: np.ndarray
 
-    @property
-    def spacing(self) -> float:
-        return self.grid.spacing
+    def __post_init__(self):
+        c = np.asarray(self.values, dtype=np.float64)
+        if c.ndim != 1 or c.size < 3 or c.size % 2 == 0:
+            raise ValueError("values must be a 1-D array of odd length >= 3")
+        object.__setattr__(self, "values", _readonly(np.where(c < 0.0, 0.0, c)))
+        object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
     def halfwidth(self) -> float:
-        # largest lattice point; correlation vanishes there
-        return self.grid.origin + self.grid.width - 0.5 * self.grid.spacing
+        """n h, the largest lattice point; the correlation vanishes there."""
+        return self.values.size // 2 * self.spacing
 
     @property
     def lattice(self) -> np.ndarray:
-        return self.grid.midpoints
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid.samples
+        n = self.values.size // 2
+        return (np.arange(2 * n + 1) - n) * self.spacing
 
     @property
     def mass(self) -> float:
         """int f*f = ||f||_1^2 (lattice trapezoid; endpoints vanish)."""
-        return self.grid.l1_norm
+        return float(self.spacing * self.values.sum())
 
     def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        W, h = self.halfwidth, self.spacing
-        u = (np.abs(t) + W) / h  # evenness; position in lattice coordinates
-        k = np.minimum(np.floor(u).astype(np.int64), self.values.size - 2)
-        k = np.maximum(k, 0)
-        frac = u - k
+        """The linear interpolant at t, read at |t| on the nonnegative half."""
         c = self.values
-        out = c[k] * (1.0 - frac) + c[k + 1] * frac
-        out = np.where(np.abs(t) > W, 0.0, out)
+        n = c.size // 2
+        u = np.abs(np.asarray(t, dtype=np.float64)) / self.spacing
+        k = np.minimum(u, n - 1).astype(np.int64)
+        frac = u - k
+        out = np.where(u > n, 0.0, c[n + k] * (1.0 - frac) + c[n + k + 1] * frac)
         return out if out.ndim else float(out)
 
     def min_on(self, lo: float, hi: float) -> float:
@@ -111,42 +112,36 @@ class Correlation:
 
     def _antiderivative(self, x: np.ndarray) -> np.ndarray:
         c, h = self.values, self.spacing
-        n = c.size
+        n = c.size // 2
         trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (c[:-1] + c[1:]))))
-        u = (x - (self.grid.origin + 0.5 * h)) / h  # from the leftmost lattice point -W
-        k = np.minimum(np.clip(u, 0.0, None).astype(np.int64), n - 2)
+        u = np.clip(x / h + n, 0.0, 2.0 * n)  # position k of x = t_k = (k - n) h
+        k = np.minimum(u.astype(np.int64), 2 * n - 1)
         frac = u - k
         ck = c[k] * (1 - frac) + c[k + 1] * frac
-        inner = trap[k] + 0.5 * frac * h * (c[k] + ck)
-        return np.where(u <= 0.0, 0.0, np.where(u >= n - 1, trap[-1], inner))
+        return trap[k] + 0.5 * frac * h * (c[k] + ck)
 
     def weighted_integral(self, weight: Callable[[np.ndarray], np.ndarray],
-                          halfrange: Optional[float] = None, nodes: int = 8) -> float:
-        """int (f*f)(t) w(t) dt by per-cell Gauss rules on the linear model.
+                          halfrange: float) -> float:
+        """int_{-R}^{R} (f*f)(t) w(t) dt, R = ``halfrange``, by 8-point Gauss per cell.
 
-        ``halfrange`` restricts to [-R, R] (the caller certifies the weight is
-        negligible beyond); per-cell Gauss of (linear) x (smooth weight) at
-        ``nodes`` points is accurate to machine level for smooth weights.
+        The caller certifies that the weight is negligible beyond R.  Gauss
+        on (linear) x (smooth weight) is accurate to machine level for smooth
+        weights.
         """
-        ts = self.lattice
-        c = self.values
-        lo = -self.halfwidth if halfrange is None else max(-self.halfwidth, -halfrange)
-        hi = self.halfwidth if halfrange is None else min(self.halfwidth, halfrange)
-        if hi <= lo:
+        R = min(halfrange, self.halfwidth)
+        if not R > 0:
             return 0.0
-        x_gl, w_gl = _leggauss(nodes)
-        lefts = ts[:-1]
-        keep = (ts[1:] > lo) & (lefts < hi)
-        a = np.maximum(lefts[keep], lo)
-        b = np.minimum(ts[1:][keep], hi)
+        ts, c = self.lattice, self.values
+        x_gl, w_gl = _leggauss(8)
+        k = np.flatnonzero((ts[1:] > -R) & (ts[:-1] < R))
+        a = np.maximum(ts[k], -R)
+        b = np.minimum(ts[k + 1], R)
         mid = 0.5 * (a + b)[:, None]
         rad = 0.5 * (b - a)[:, None]
         pts = mid + rad * x_gl[None, :]
-        k = keep.nonzero()[0]
-        frac = (pts - lefts[keep][:, None]) / self.spacing
+        frac = (pts - ts[k][:, None]) / self.spacing
         vals = c[k][:, None] * (1 - frac) + c[k + 1][:, None] * frac
-        integ = (vals * weight(pts) * w_gl[None, :] * rad).sum()
-        return float(integ)
+        return float((vals * weight(pts) * w_gl[None, :] * rad).sum())
 
 
 def _next_pow2(n: int) -> int:
@@ -174,9 +169,7 @@ def autocorrelate(f: GridFunction, method: str = "fft") -> Correlation:
     else:
         raise ValueError(f"unknown method {method!r}; expected 'direct' or 'fft'")
     core = 0.5 * (core + core[::-1])  # exact evenness
-    vals = np.concatenate(([0.0], core, [0.0]))  # zeros at +-(n h)
-    grid = GridFunction(origin=-(n + 0.5) * h, spacing=h, samples=vals)
-    return Correlation(grid=grid)
+    return Correlation(spacing=h, values=np.concatenate(([0.0], core, [0.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +272,21 @@ def dilate(f: GridFunction, lam: float) -> GridFunction:
     return GridFunction(f.origin / lam, f.spacing / lam, f.samples)
 
 
+@functools.lru_cache(maxsize=1)
+def _bump_normalizer() -> float:
+    """Z = int exp(-1/(1-x^2)) over [-1, 1], the one normalizer of the bump."""
+    v, _ = integrate.quad(lambda x: math.exp(-1.0 / (1.0 - x * x)) if abs(x) < 1 else 0.0,
+                          -1, 1, epsabs=1e-14, limit=100)
+    return v
+
+
 def _bump_cdf_kernel(t: float, h: float) -> np.ndarray:
     """Cell-averaged mollifier weights W_m, sum exactly 1.
 
     W_m = (1/h) int (h-|w|) psi_t(m h + w) dw over |w| <= h, with psi_t the
     normalized bump exp(-1/(1-(x/t)^2))/ (t Z) on [-t, t].
     """
-    Z, _ = integrate.quad(lambda u: math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1 else 0.0,
-                          -1, 1, epsabs=1e-14, limit=100)
+    Z = _bump_normalizer()
 
     def psi(x: float) -> float:
         u = x / t
@@ -310,32 +310,24 @@ def _bump_cdf_kernel(t: float, h: float) -> np.ndarray:
     return W / total
 
 
-def mollify(f: GridFunction, t: float) -> GridFunction:
-    """Convolve with the normalized bump of width t, cell-averaged.
-
-    The discrete kernel is a probability vector, so nonnegativity and the L1
-    norm are preserved exactly.
-    """
-    if not t > 0:
-        raise ValueError("mollifier width must be positive")
-    W = _bump_cdf_kernel(t, f.spacing)
-    M = (W.size - 1) // 2
-    out = np.convolve(f.samples, W, mode="full")
-    return GridFunction(f.origin - M * f.spacing, f.spacing, out)
-
-
 def dilate_mollify(f: GridFunction, lam: float, t: float) -> GridFunction:
     """Dilation then mollification, f~ = f_lambda * psi_t.
 
     Requires 0 < lambda < 1 and t < (1/lambda - 1)/2 so that the smoothed
     minimum over [0, 1] dominates the dilated minimum over [0, 1/lambda].
+    The mollifier is cell-averaged into a probability vector, so
+    nonnegativity and the L1 norm are preserved exactly.
     """
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     bound = 0.5 * (1.0 / lam - 1.0)
     if not (0 < t < bound):
         raise ValueError(f"mollifier width must lie in (0, {bound:.6g}), got {t}")
-    return mollify(dilate(f, lam), t)
+    g = dilate(f, lam)
+    W = _bump_cdf_kernel(t, g.spacing)
+    M = (W.size - 1) // 2
+    return GridFunction(g.origin - M * g.spacing, g.spacing,
+                        np.convolve(g.samples, W, mode="full"))
 
 
 # ---------------------------------------------------------------------------
@@ -390,78 +382,3 @@ class MeasureCorrelation:
 
 def measure_correlation(mu: MixedMeasure) -> MeasureCorrelation:
     return MeasureCorrelation(mu)
-
-
-# ---------------------------------------------------------------------------
-# convolution structure (correlation convention)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ConvolutionStructure:
-    """Structural decomposition of mu*nu in the atoms-plus-density model."""
-
-    atoms: tuple[tuple[float, float], ...]
-    density: Optional[GridFunction]
-
-    @property
-    def has_atoms(self) -> bool:
-        return bool(self.atoms)
-
-    @property
-    def has_density(self) -> bool:
-        return self.density is not None
-
-
-def _accumulate(target: np.ndarray, origin: float, h: float,
-                contribution: GridFunction, weight: float) -> None:
-    reb = contribution.rebinned(origin, h, target.size)
-    target += weight * reb.samples
-
-
-def convolution_structure(mu: MixedMeasure, nu: MixedMeasure) -> ConvolutionStructure:
-    """Decompose mu*nu (correlation convention: locations x - y).
-
-    Atom part: products of atoms at {x_i - y_j}.  Density part: the two
-    atom-density cross terms (shifted / reflected copies, conservatively
-    rebinned) plus the density-density cross correlation.
-    """
-    atoms: dict[float, float] = {}
-    for x, m in mu.atoms:
-        for y, w in nu.atoms:
-            loc = x - y
-            atoms[loc] = atoms.get(loc, 0.0) + m * w
-    atom_tuple = tuple(sorted(atoms.items()))
-
-    pieces: list[tuple[GridFunction, float]] = []
-    if nu.density is not None:
-        refl = nu.density.reflected()
-        for x, m in mu.atoms:
-            pieces.append((refl.shifted(x), m))  # t -> d_nu(x - t)
-    if mu.density is not None:
-        for y, w in nu.atoms:
-            pieces.append((mu.density.shifted(-y), w))  # t -> d_mu(t + y)
-    if mu.density is not None and nu.density is not None:
-        a, b = mu.density, nu.density
-        if abs(a.spacing - b.spacing) > 1e-12 * min(a.spacing, b.spacing):
-            h = min(a.spacing, b.spacing)
-            a = a.rebinned(a.origin, h, int(math.ceil(a.width / h)) + 1)
-            b = b.rebinned(b.origin, h, int(math.ceil(b.width / h)) + 1)
-        h = a.spacing
-        # np.correlate(a, b, 'full')[i] = sum_n a[n+m] b[n] at m = i - (len(b)-1)
-        cross = np.correlate(a.samples, b.samples, mode="full") * h
-        # c(t) = int a(t+y) b(y) dy; lattice from a.origin - (b.origin + width_b)
-        t0 = a.origin - (b.origin + b.width)
-        pieces.append((GridFunction(t0 + 0.5 * h, h, np.maximum(cross, 0.0)), 1.0))
-
-    density = None
-    if pieces:
-        h = min(p.spacing for p, _ in pieces)
-        lo = min(p.support[0] for p, _ in pieces)
-        hi = max(p.support[1] for p, _ in pieces)
-        cells = int(math.ceil((hi - lo) / h)) + 1
-        acc = np.zeros(cells, dtype=np.float64)
-        for piece, wt in pieces:
-            _accumulate(acc, lo, h, piece, wt)
-        density = GridFunction(lo, h, acc)
-    return ConvolutionStructure(atoms=atom_tuple, density=density)

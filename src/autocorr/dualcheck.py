@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .constants import sinc_min_roots
-from .correlate import measure_correlation
+from .correlate import _bump_normalizer, measure_correlation
 from .funcspace import MixedMeasure
 from .spectral import _leggauss, fourier_measure, sinc
 
@@ -47,13 +47,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # bump families: even, nonnegative, supported in [-1, 1], integral 1
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=1)
-def _bump_normalizer() -> float:
-    v, _ = integrate.quad(lambda x: math.exp(-1.0 / (1.0 - x * x)) if abs(x) < 1 else 0.0,
-                          -1, 1, epsabs=1e-14, limit=100)
-    return v
 
 
 # Trapezoid rule for StandardBump.hat on [0, 1].  The density and all its
@@ -368,7 +361,7 @@ def negative_part_bound_check(phi: BumpFunction, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 
-class NormalizationError(ValueError):
+class NormalizationError(RuntimeError):
     """The window-ratio normalization precondition failed."""
 
     def __init__(self, message: str, interval: tuple[float, float]):
@@ -394,18 +387,18 @@ class NuSpectrumReport:
         return self.nu_hat_0 - self.nu_hat_xi0
 
 
-def nu_spectrum_check(mu: MixedMeasure, tol: float = 1e-6,
-                      window_points: int = 1025, dyadic_depth: int = 10) -> NuSpectrumReport:
+def nu_spectrum_check(mu: MixedMeasure) -> NuSpectrumReport:
     """Check nu = mu*mu - (1/2) Lebesgue|[-1,1] >= 0 and nuhat(xi0) >= theta0.
 
     Precondition (checked): the infimum of the window ratios
-    mu*mu([t-eps, t])/eps over the [0,1] window lattice equals 1/2 within
-    1e-6.  nu >= 0 is verified on closed dyadic intervals down to width
-    2^-dyadic_depth, and the transform values come from
-    nuhat(xi) = |muhat(xi)|^2 - sinc(2 xi).
+    mu*mu([t-eps, t])/eps over the 1025-point [0,1] window lattice equals 1/2
+    within 1e-6.  nu >= 0 is verified on closed dyadic intervals down to
+    width 2^-10, and the transform values come from
+    nuhat(xi) = |muhat(xi)|^2 - sinc(2 xi); each check allows 1e-6.
     """
+    tol = 1e-6
     mc = measure_correlation(mu)
-    ts = np.linspace(0.0, 1.0, window_points)
+    ts = np.linspace(0.0, 1.0, 1025)
     eps = ts[1] - ts[0]
     ratios = np.asarray(mc.interval_mass(ts[:-1], ts[1:])) / eps
     inf_ratio = float(ratios.min())
@@ -416,7 +409,7 @@ def nu_spectrum_check(mu: MixedMeasure, tol: float = 1e-6,
             (float(ts[i]), float(ts[i + 1])))
 
     nu_min = math.inf
-    for j in range(dyadic_depth + 1):
+    for j in range(11):
         w = 2.0 ** (-j)
         edges = np.arange(-1.0, 1.0 + w / 2, w)
         los, his = edges[:-1], edges[1:]
@@ -448,19 +441,19 @@ def nu_spectrum_check(mu: MixedMeasure, tol: float = 1e-6,
 # ---------------------------------------------------------------------------
 
 
-def case2bb_residual(a: float, lattice_points: int = 4001) -> float:
+def case2bb_residual(a: float) -> float:
     """Sup-norm residual of the two-atom candidate equation at b = a.
 
     Candidate: f0 = (1/(4a)) 1_[-1+alpha0, 1-alpha0], alpha0 = 1/(2 xi0).
     Residual(t) = | (1/2) 1_[-1,1](t) - 2a f0(t-alpha0) - 2a f0(t+alpha0)
-                    - (f0*f0)(t) | over a uniform lattice on [-1.2, 1.2]
-    chosen to avoid landing exactly on the jump points.
+                    - (f0*f0)(t) | over a uniform 4001-point lattice on
+    [-1.2, 1.2] chosen to avoid landing exactly on the jump points.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
     alpha0 = sinc_min_roots().alpha0
     w = 1.0 - alpha0
-    t = np.linspace(-1.2, 1.2, lattice_points)
+    t = np.linspace(-1.2, 1.2, 4001)
     lhs = np.where(np.abs(t) <= 1.0, 0.5, 0.0)
 
     def f0(x: np.ndarray) -> np.ndarray:
@@ -471,9 +464,8 @@ def case2bb_residual(a: float, lattice_points: int = 4001) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def case2bb_scan(a_min: float = 0.01, a_max: float = 100.0,
-                 count: int = 81) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals over a log grid in a; the infimum stays well above 0.01."""
-    grid = np.geomspace(a_min, a_max, count)
+def case2bb_scan() -> tuple[np.ndarray, np.ndarray]:
+    """Residuals over 81 log-spaced a in [0.01, 100]; the infimum stays well above 0.01."""
+    grid = np.geomspace(0.01, 100.0, 81)
     residuals = np.array([case2bb_residual(float(a)) for a in grid])
     return grid, residuals

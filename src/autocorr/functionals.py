@@ -168,19 +168,20 @@ def q_min_01(f: Union[GridFunction, BSExample]) -> RatioResult:
     return _window_min(f, 0.0, 1.0, "min01", min01_ceiling(), square_denominator=True)
 
 
-def q_min_01_bs(grid0: int = 129, max_refine: int = 3) -> RatioResult:
+def q_min_01_bs() -> RatioResult:
     """min01 ratio of the singular BS example on a refining t-grid.
 
     Each grid level is one array call of the closed-form (Carlson R_F)
-    correlation; the grid doubles until the minimum stabilizes.  The norm
+    correlation; the 129-point grid doubles, at most twice, until the
+    minimum stabilizes to 1e-6.  The norm
     ``bs_l1`` is a quadrature.  The limiting minimum over [0, 1] is pi/4
     (attained at t = 1), giving 144/(121 pi) ~ 0.3788.
     """
     bs = BSExample()
-    n = grid0
+    n = 129
     prev = None
     minimum = math.inf
-    for _ in range(max_refine):
+    for _ in range(3):
         vals = autocorrelate_singular(bs, np.linspace(0.0, 1.0, n))
         minimum = float(vals[np.isfinite(vals)].min())
         if prev is not None and abs(minimum - prev) < 1e-6:

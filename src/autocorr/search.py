@@ -194,15 +194,14 @@ def _evaluate(build: Callable, objective_fn: Callable, params: np.ndarray) -> fl
         raise SearchError(f"objective evaluation failed: {exc}", params) from exc
 
 
-def baseline(objective: str, family: str, a: Optional[float] = None,
-             halfwidth: float = 0.5) -> float:
+def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
     """Floor value for search acceptance: dense 1-D scan or fixed candidate."""
-    value, _ = _baseline_full(objective, family, a=a, halfwidth=halfwidth)
+    value, _ = _baseline_full(objective, family, a=a)
     return value
 
 
-def _baseline_full(objective: str, family: str, a: Optional[float] = None,
-                   halfwidth: float = 0.5) -> tuple[float, Optional[np.ndarray]]:
+def _baseline_full(objective: str, family: str,
+                   a: Optional[float] = None) -> tuple[float, Optional[np.ndarray]]:
     if family == "bs-example":
         if objective != "min01":
             raise ValueError("the BS example is evaluated through the min01 functional")
@@ -253,7 +252,7 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     obj_fn = _objective_fn(objective, a)
 
     try:
-        _, base_params = _baseline_full(objective, family, a=a, halfwidth=halfwidth)
+        _, base_params = _baseline_full(objective, family, a=a)
     except ValueError:
         base_params = None
     x_base = (np.abs(base_params) if base_params is not None

@@ -2,11 +2,12 @@
 
 Transform convention: fhat(xi) = int f(y) exp(-2 pi i xi y) dy.
 
-The public ``fourier`` is the midpoint-rule evaluation of that integral for a
-grid function (so |fhat| <= ||f||_1 and fhat(0) = ||f||_1 hold exactly).  The
-Fourier-side functionals internally use the exact transform of the cell model
-(midpoint sum times sinc(h xi)), whose 1/xi decay makes truncation tails
-certifiable through the total-variation majorant |fhat(xi)| <= V/(2 pi xi).
+``fourier_measure`` transforms an atoms-plus-density measure; its density
+part is the midpoint-rule evaluation of that integral for a grid function (so
+|fhat| <= ||f||_1 and fhat(0) = ||f||_1 hold exactly).  The Fourier-side
+functionals use the exact transform of the cell model (midpoint sum times
+sinc(h xi)), whose 1/xi decay makes truncation tails certifiable through the
+total-variation majorant |fhat(xi)| <= V/(2 pi xi).
 
 Arbitrary xi go through a dense phase matrix (xi-points x cells complex
 exps).  The Fourier-side functionals only need |fhat| on grid progressions
@@ -46,7 +47,6 @@ __all__ = [
     "GaussianWeight",
     "Weight",
     "weight_from_spec",
-    "fourier",
     "fourier_measure",
     "MomentResult",
     "weight_lp_moment",
@@ -179,13 +179,6 @@ def _midpoint_transform(f: GridFunction, xis: np.ndarray) -> np.ndarray:
         phase = np.exp(-2j * np.pi * chunk[:, None] * mids[None, :])
         out[i:i + _CHUNK] = phase @ s
     return f.spacing * out
-
-
-def fourier(f: GridFunction, xi):
-    """Midpoint-rule transform of a grid function at real xi (scalar or array)."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    vals = _midpoint_transform(f, arr)
-    return complex(vals[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else vals
 
 
 def fourier_measure(mu: MixedMeasure, xi):

@@ -72,6 +72,22 @@ class TestEvaluate:
         rep = _load(tmp_path / "evaluate_report.json")
         assert 0 < rep["results"][0]["value"] <= 0.8641 + 1e-4
 
+    @pytest.mark.parametrize("functional, name", [("mean", "q_mean"), ("gauss", "q_gauss")])
+    def test_tol_reaches_functional(self, tmp_path, monkeypatch, functional, name):
+        # the report echoes --tol, so the Fourier side must run at it
+        seen = []
+        orig = getattr(cli.fun, name)
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(cli.fun, name, recording)
+        assert main(["evaluate", "--family", "gaussian", "--functional", functional,
+                     "--cells", "256", "--tol", "1e-7", "--out", str(tmp_path)]) == 0
+        assert seen == [1e-7]
+        assert _load(tmp_path / "evaluate_report.json")["results"][0]["tolerance"] == 1e-7
+
     def test_bad_functional_family_combo(self, tmp_path):
         assert main(["evaluate", "--family", "bs-example", "--functional", "mean",
                      "--out", str(tmp_path)]) == 2

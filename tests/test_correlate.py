@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from autocorr import (
     BSExample,
+    Correlation,
     GridFunction,
     Indicator,
     Gaussian,
     MixedMeasure,
     autocorrelate,
     autocorrelate_singular,
-    convolution_structure,
     dilate,
     dilate_mollify,
     periodize,
@@ -94,6 +94,27 @@ class TestAutocorrelate:
                                for a, b in zip(lo, hi)])
             assert np.array_equal(c.integral_window(lo, hi), scalar)
             assert isinstance(c.integral_window(-0.5, 0.5), float)
+
+    def test_lattice(self):
+        for seed in range(5):
+            f = random_grid(seed)
+            c = autocorrelate(f)
+            n, h = f.cells, f.spacing
+            assert np.array_equal(c.lattice, (np.arange(2 * n + 1) - n) * h)
+            assert c.values[0] == c.values[-1] == 0.0
+            with pytest.raises(ValueError):
+                c.values[0] = 1.0
+        with pytest.raises(ValueError):
+            Correlation(0.1, np.ones(4))  # no lattice has an even number of points
+
+    def test_weighted_integral_of_one_is_window_integral(self):
+        rng = np.random.default_rng(14)
+        for seed in range(10):
+            c = autocorrelate(random_grid(seed))
+            for R in rng.uniform(0.0, 1.2 * c.halfwidth, 5):
+                ref = c.integral_window(-R, R)
+                got = c.weighted_integral(lambda t: np.ones_like(t), R)
+                assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_min_on(self):
         f = sample(Indicator(0.75), cells=96)
@@ -272,10 +293,12 @@ class TestMeasureAutocorrelate:
         assert mc.interval_mass(0.0, 0.0) == pytest.approx(0.52, rel=1e-12)
 
     def test_two_atoms_sumset(self):
-        mu = MixedMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
-        st = convolution_structure(mu, mu)
-        assert st.atoms == ((-1.0, 1.0), (0.0, 2.0), (1.0, 1.0))
-        assert st.density is None
+        mc = measure_correlation(MixedMeasure(atoms=((0.0, 1.0), (1.0, 1.0))))
+        # pair masses 1, 2, 1 at -1, 0, 1 and nothing in between
+        assert mc.interval_mass(np.array([-1.0, 0.0, 1.0]),
+                                np.array([-1.0, 0.0, 1.0])).tolist() == [1.0, 2.0, 1.0]
+        assert mc.interval_mass(-0.99, -0.01) == 0.0
+        assert mc.interval_mass(-2.0, 2.0) == 4.0
 
     def test_lebesgue_differentiation(self):
         mu = MixedMeasure(density=sample(Indicator(0.5), cells=256))
@@ -295,40 +318,3 @@ class TestMeasureAutocorrelate:
         right = mc.interval_mass(-b, -a)
         assert left == pytest.approx(right, rel=1e-12)
         assert left >= 0
-
-
-class TestConvolutionStructure:
-    def test_atom_free_kills_atoms(self):
-        d = sample(Indicator(0.5), cells=32)
-        mu = MixedMeasure(density=d)
-        nu = MixedMeasure(atoms=((0.0, 1.0), (2.0, 0.5)), density=d)
-        st = convolution_structure(mu, nu)
-        assert st.atoms == ()
-        assert st.has_density
-
-    def test_pure_density_is_ac(self):
-        d = sample(Indicator(0.5), cells=32)
-        st = convolution_structure(MixedMeasure(density=d),
-                                   MixedMeasure(atoms=((1.0, 2.0),)))
-        assert not st.has_atoms
-        assert st.has_density
-        # total mass of the product measure is preserved
-        assert st.density.l1_norm == pytest.approx(2.0 * d.l1_norm, rel=1e-9)
-
-    def test_identity_atom(self):
-        d = sample(Indicator(0.5), cells=64)
-        mu = MixedMeasure(atoms=((0.0, 1.0),), density=d)
-        nu = MixedMeasure(atoms=((0.0, 1.0),))
-        st = convolution_structure(mu, nu)
-        assert st.atoms == ((0.0, 1.0),)
-        assert st.density.l1_norm == pytest.approx(d.l1_norm, rel=1e-9)
-        # density is carried across unshifted
-        ts = np.linspace(-0.45, 0.45, 10)
-        assert np.allclose(st.density.value_at(ts), d.value_at(ts), atol=1e-9)
-
-    def test_shifted_atom_shifts_density(self):
-        d = sample(Indicator(0.25), cells=32)
-        mu = MixedMeasure(density=d)
-        nu = MixedMeasure(atoms=((1.0, 1.0),))
-        st = convolution_structure(mu, nu)  # density at t = x - 1
-        assert st.density.integral(-1.3, -0.7) == pytest.approx(d.l1_norm, rel=1e-9)

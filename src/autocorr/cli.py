@@ -20,7 +20,7 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -74,6 +74,21 @@ class ConfigError(ValueError):
     pass
 
 
+# the Python types a config value may have, by RunConfig annotation (bool is
+# an int subclass, and is refused separately)
+_ACCEPTS = {str: str, int: int, float: (int, float), list: list}
+
+
+def _check_type(name: str, value) -> None:
+    hint = get_type_hints(RunConfig)[name]
+    args = get_args(hint)                 # Optional[X] is Union[X, None]
+    if value is None and type(None) in args:
+        return
+    base = args[0] if args else hint
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[base]):
+        raise ConfigError(f"config key {name!r} must be {base.__name__}, got {value!r}")
+
+
 def _config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
@@ -85,6 +100,8 @@ def _config_from_dict(data: dict) -> RunConfig:
     kwargs = dict(data)
     if "json" in kwargs:
         kwargs["json_path"] = kwargs.pop("json")
+    for name, value in kwargs.items():
+        _check_type(name, value)
     return RunConfig(**kwargs)
 
 
@@ -221,7 +238,7 @@ def _cmd_evaluate(cfg: RunConfig, outdir: Path) -> int:
             raise ConfigError("the bs-example family supports only the min01 functional")
         ratio = fun.q_min_01_bs()
     else:
-        support = (-cfg.support, cfg.support) if cfg.support else None
+        support = (-cfg.support, cfg.support) if cfg.support is not None else None
         f = sample(family, support=support, cells=cfg.cells)
         window = list(f.support)
         if cfg.functional == "mean":

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .spectral import GaussianWeight, IntervalWeight, Weight, weight_lp_moment
 
@@ -185,10 +184,12 @@ class SincRoots:
 def sinc_min_roots() -> SincRoots:
     """Solve y cos y = sin y on (pi, 3pi/2); derive theta0, xi0, alpha0.
 
-    The bracketed form avoids the tangent singularity of tan(y) = y.
+    This form avoids the tangent singularity of tan(y) = y.  Newton's method
+    from 4.5 reaches the root to the last bit in three of its six steps.
     """
-    y0 = optimize.brentq(lambda y: y * math.cos(y) - math.sin(y),
-                         math.pi, 1.5 * math.pi, xtol=1e-14, rtol=8.9e-16)
+    y0 = 4.5
+    for _ in range(6):
+        y0 += (y0 * math.cos(y0) - math.sin(y0)) / (y0 * math.sin(y0))
     theta0 = -math.sin(y0) / y0
     xi0 = y0 / (2 * math.pi)
     alpha0 = 1.0 / (2 * xi0)

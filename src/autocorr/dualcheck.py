@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .constants import sinc_min_roots
-from .correlate import _bump_normalizer, measure_correlation
-from .funcspace import MixedMeasure
-from .spectral import _leggauss, fourier_measure, sinc
+from .correlate import _bump, measure_correlation
+from .funcspace import MixedMeasure, _leggauss
+from .spectral import fourier_measure, sinc
 
 __all__ = [
     "StandardBump",
@@ -49,21 +49,30 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# Trapezoid rule for StandardBump.hat on [0, 1].  The density and all its
-# derivatives vanish at x = 1, so the rule's only error is the aliasing sum of
-# phihat(xi +- k N).  phihat decays like exp(-sqrt(2 pi xi)), so for xi <= 70
-# (the cutoff 64 plus the tail samples) that sum is below 1e-33.
 _TRAPEZOID_N = 1024
 _XI_BLOCK = 64           # xi per cosine matrix: 64 x 1025 doubles, 0.5 MB
 
 
-@functools.lru_cache(maxsize=1)
-def _bump_cos_weights() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_j = j/N and weights c_j with phihat(xi) = sum_j c_j cos(2 pi xi x_j)."""
+def _half_trapezoid() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_j = j/N and weights w_j with sum_j w_j g(x_j) ~ int_{-1}^1 g, g even.
+
+    The trapezoid rule on [0, 1], doubled.  When g and all its derivatives
+    vanish at x = 1, as for the standard bump, its only error is aliasing: for
+    g = phi cos(2 pi xi x) the sum of phihat(xi +- k N).  phihat decays like
+    exp(-sqrt(2 pi xi)), so for xi <= 70 (the cutoff 64 plus the tail samples)
+    that sum is below 1e-33.
+    """
     x = np.arange(_TRAPEZOID_N + 1) / _TRAPEZOID_N
-    c = 2.0 / _TRAPEZOID_N * StandardBump().density(x)   # 2 from evenness
-    c[0] *= 0.5                                          # trapezoid end weight
-    return x, c
+    w = np.full(x.size, 2.0 / _TRAPEZOID_N)
+    w[[0, -1]] = 1.0 / _TRAPEZOID_N
+    return x, w
+
+
+@functools.lru_cache(maxsize=1)
+def _bump_normalizer() -> float:
+    """Z = int exp(-1/(1-x^2)) over [-1, 1], the one normalizer of the bump."""
+    x, w = _half_trapezoid()
+    return float(w @ _bump(x))
 
 
 @dataclass(frozen=True)
@@ -75,16 +84,14 @@ class StandardBump:
     label: str = "standard-bump"
 
     def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        xi = x[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - xi * xi)) / _bump_normalizer()
+        out = _bump(x) / _bump_normalizer()
         return out if out.ndim else float(out)
 
     def hat(self, xi) -> np.ndarray:
+        # phihat(xi) = sum_j w_j phi(x_j) cos(2 pi xi x_j) on the half trapezoid
         arr = np.ravel(np.asarray(xi, dtype=np.float64))
-        nodes, weights = _bump_cos_weights()
+        nodes, weights = _half_trapezoid()
+        weights = weights * self.density(nodes)
         out = np.empty_like(arr)
         for s in range(0, arr.size, _XI_BLOCK):
             phase = np.multiply.outer(2.0 * math.pi * arr[s:s + _XI_BLOCK], nodes)
@@ -218,7 +225,7 @@ _BRACKET_RTOL = 4.0 * np.finfo(np.float64).eps
 def _bisect_roots(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """Roots of f in the sign-change brackets [a, b] (fa = f(a)), all at once.
 
-    A bracket stops on brentq's rule b - a <= xtol + 4 eps |b|: near xi = 3000
+    A bracket stops when b - a <= xtol + 4 eps |b|: near xi = 3000
     one ulp is 4.5e-13, so a bare b - a <= 1e-13 would never be met.
     """
     a, b, fa = a.copy(), b.copy(), fa.copy()
@@ -347,8 +354,8 @@ def negative_part_bound_check(phi: BumpFunction, tol: float = 1e-8,
         raise ValueError(f"report is for {report.bump!r}, not {phi.label!r}")
     phi0 = float(phi.density(0.0))
     lhs = 1.0 - 2.0 * phi0
-    body, _ = integrate.quad(lambda x: float(phi.density(x)) - phi0, -1, 1,
-                             epsabs=1e-12, limit=200)
+    x, w = _half_trapezoid()
+    body = float(w @ (phi.density(x) - phi0))
     rep = report if report is not None else dual_mass_report(phi, tol)
     roots = sinc_min_roots()
     return NegativePartReport(bump=phi.label, value0=phi0, identity_lhs=lhs,

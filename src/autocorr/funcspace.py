@@ -12,13 +12,13 @@ part.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "GridFunction",
@@ -41,6 +41,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: the one node cache.
+
+    It sits at the bottom of the import graph so that every module can share
+    it.  The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    return _readonly(x), _readonly(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +267,9 @@ class BSExample:
     nonnegative on [-1/2, 1/2], zero outside, with inverse-square-root blowup
     at |x| = 1/2.  Not square integrable.  Its autocorrelation has a closed
     form through Carlson's R_F (see ``autocorrelate_singular`` in
-    :mod:`autocorr.correlate`); its L1 norm is a substitution-based
-    quadrature (:func:`bs_l1`).  Grid sampling is for plotting only.
+    :mod:`autocorr.correlate`); its L1 norm 11 pi/24 is checked by
+    Gauss-Legendre on three pieces (:func:`bs_l1`).  Grid sampling is for
+    plotting only.
     """
 
     singular: bool = True
@@ -291,22 +303,14 @@ def bs_l1() -> float:
     """L1 norm of the BS example by singularity-absorbing quadrature.
 
     With x = sin(u)/2 the integrand becomes m(sin(u)/2)/2, bounded with two
-    jump points at u = +-pi/6; the result should match 11*pi/24.  The
-    quadrature runs at tolerance 1e-12 and fails beyond 100 times that.
+    jump points at u = +-pi/6; 8-point Gauss-Legendre on each of the three
+    pieces between -pi/2, -pi/6, pi/6 and pi/2 should give 11*pi/24.
     """
-    tol = 1e-12
-    bs = BSExample()
-
-    def g(u: float) -> float:
-        return 0.5 * float(bs.multiplier(math.sin(u) / 2.0))
-
-    val, err = integrate.quad(
-        g, -math.pi / 2, math.pi / 2, points=[-math.pi / 6, math.pi / 6],
-        epsabs=tol, epsrel=tol, limit=200,
-    )
-    if err > 100 * tol:
-        raise RuntimeError(f"bs_l1 quadrature failed to converge (err={err:.2e})")
-    return val
+    x, w = _leggauss(8)
+    edges = np.array([-math.pi / 2, -math.pi / 6, math.pi / 6, math.pi / 2])
+    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    u = mid[:, None] + rad[:, None] * x
+    return float((0.5 * BSExample().multiplier(np.sin(u) / 2.0) @ w) @ rad)
 
 
 def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None,

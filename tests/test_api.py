@@ -4,6 +4,8 @@ and every name the benchmark's tracer wraps resolves."""
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,31 @@ def test_module_exports_exist(name):
 
 def test_package_exports_exist():
     assert [n for n in autocorr.__all__ if not hasattr(autocorr, n)] == []
+
+
+# Runs the report commands and the BS example in a fresh interpreter, then
+# lists the scipy modules that must not have been imported: QUADPACK and
+# brentq live in scipy.integrate and scipy.optimize, and scipy.linalg alone
+# costs about 70 ms of import time.
+_IMPORT_GUARD = """
+import sys, tempfile
+from autocorr import cli, verification
+from autocorr.functionals import q_min_01_bs
+with tempfile.TemporaryDirectory() as out:
+    for command in ("constants", "roots", "dual"):
+        assert cli.main([command, "--out", out]) == 0
+q_min_01_bs()
+assert verification.criterion_5().passed
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+             if m in sys.modules))
+"""
+
+
+def test_no_quadpack_optimize_or_linalg_import():
+    src = Path(autocorr.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_tracer_targets_resolve():

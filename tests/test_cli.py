@@ -95,6 +95,13 @@ class TestEvaluate:
     def test_missing_family(self, tmp_path):
         assert main(["evaluate", "--functional", "mean", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("support", ["0", "-1"])
+    def test_empty_support_rejected(self, tmp_path, support):
+        # --support 0 is the empty window [0, 0], not the default window
+        assert main(["evaluate", "--family", "gaussian", "--functional", "min12",
+                     "--support", support, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "evaluate_report.json").exists()
+
     def test_indicator_halfwidth_from_s(self, tmp_path):
         # --s is the indicator halfwidth; --a (the Gaussian weight) leaves it alone
         values = []
@@ -201,6 +208,25 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"weight": "interval"}))
         assert main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("cells", "abc"), ("cells", 2048.0),
+                                            ("cells", True), ("support", "2"),
+                                            ("family", 3), ("values", 1.0)])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key, value):
+        record = {"command": "evaluate", "family": "gaussian", "functional": "min12",
+                  "out": str(tmp_path), key: value}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(record))
+        assert main(["--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_int_accepted_for_float(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "evaluate", "family": "gaussian",
+                                   "functional": "min12", "support": 3, "b": 1,
+                                   "cells": 256, "out": str(tmp_path)}))
+        assert main(["--config", str(cfg)]) == 0
+        assert _load(tmp_path / "evaluate_report.json")["results"][0]["support_window"] == [-3, 3]
 
 
 class TestVerifyFaultInjection:

@@ -40,6 +40,13 @@ class TestBumpFamilies:
         assert np.allclose(dens, bump.density(-xs))  # evenness
         assert float(bump.hat(0.0)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_bump_normalizer_oracle(self):
+        # int exp(-1/(1-x^2)) over [-1, 1] from 25-digit mpmath
+        from autocorr.dualcheck import _bump_normalizer
+
+        exact = 0.443993816168079437823
+        assert abs(_bump_normalizer() - exact) <= 2e-16 * exact
+
     def test_hat_against_direct_quadrature(self):
         for bump in (CosineBump(), BetaPowerBump(2)):
             for xi in (0.31, 0.8, 2.7):

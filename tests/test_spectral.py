@@ -105,6 +105,23 @@ class TestWeightLpMoment:
         assert abs(m.value - brute) <= 1e-8 + tail
         assert m.value == pytest.approx(I_SINC_PI, abs=5e-9)
 
+    # I(2) = 1 (Plancherel) and I(4) = 2/3 exactly; the other two from 25-digit
+    # mpmath on the same head / Hurwitz-zeta split
+    @pytest.mark.parametrize("p, exact", [(2.0, 1.0), (4.0, 2.0 / 3.0),
+                                          (2.407, 0.8733735107886480028),
+                                          (PI, 0.7510464312546704505)])
+    def test_interval_oracle(self, p, exact):
+        m = weight_lp_moment(IntervalWeight(), p)
+        assert abs(m.value - exact) <= 5e-15 * exact
+        assert abs(m.value - exact) <= m.error_bound
+
+    @pytest.mark.parametrize("p, tol", [(2.5, 1e-17), (600.0, 1e-9)])
+    def test_uncertified_moment_rejected(self, p, tol):
+        # the fixed rule's error bound exceeds tol; at p = 600 the rule also
+        # overflows, which must still end in this error, not a NaN value
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError):
+            weight_lp_moment(IntervalWeight(), p, tol=tol)
+
     def test_divergent_p_rejected(self):
         with pytest.raises(ValueError):
             weight_lp_moment(IntervalWeight(), 1.0)

@@ -31,7 +31,7 @@ from . import functionals as fun
 from . import verification
 from .search import DEFAULT_BUDGET, search as run_search
 from .funcspace import BSExample, family_from_spec, sample
-from .spectral import GaussianWeight, weight_from_spec
+from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, weight_from_spec
 
 SCHEMA = 1
 
@@ -102,7 +102,13 @@ def _config_from_dict(data: dict) -> RunConfig:
         kwargs["json_path"] = kwargs.pop("json")
     for name, value in kwargs.items():
         _check_type(name, value)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    # the mean bound needs p >= 2; the sinc-power moments are certified up to
+    # INTERVAL_MOMENT_P_MAX
+    if not 2.0 <= cfg.p_min <= cfg.p_max <= INTERVAL_MOMENT_P_MAX:
+        raise ConfigError(f"need 2 <= p_min <= p_max <= {INTERVAL_MOMENT_P_MAX:g}, "
+                          f"got p_min={cfg.p_min}, p_max={cfg.p_max}")
+    return cfg
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -6,7 +6,9 @@ breakpoints on the lattice t_k = (k - n) h, k = 0..2n, and its lattice values
 are exactly h * sum_j s_j s_{j+m}.  :class:`Correlation` holds these 2n + 1
 values, so everything downstream (window integrals, minima, weighted means)
 reads them off the lattice; linear interpolation between them is not an
-approximation.
+approximation.  The arithmetic lives in module-level kernels on the raw
+lattice array (``lattice_*``); the :class:`Correlation` methods and the
+functionals' array cores both call them, so there is one implementation.
 
 The singular BS example is handled separately: its correlation is a sum of
 incomplete elliptic integrals of the first kind, evaluated in closed form
@@ -28,6 +30,11 @@ from .funcspace import BSExample, GridFunction, MixedMeasure, _leggauss, _readon
 __all__ = [
     "Correlation",
     "autocorrelate",
+    "lattice_autocorrelation",
+    "lattice_value",
+    "lattice_min",
+    "lattice_window_integral",
+    "lattice_weighted_integral",
     "autocorrelate_singular",
     "periodize",
     "dilate",
@@ -35,6 +42,120 @@ __all__ = [
     "MeasureCorrelation",
     "measure_correlation",
 ]
+
+
+# ---------------------------------------------------------------------------
+# lattice kernels: arrays in, arrays or floats out
+#
+# ``c`` holds the 2n + 1 lattice values of f*f at t_k = (k - n) h, k = 0..2n,
+# clamped at 0, as ``lattice_autocorrelation`` returns them; the functions
+# below read the piecewise-linear correlation off them exactly.  They do no
+# validation: :class:`Correlation` and the functionals check their inputs
+# once, at the boundary, and call these.
+# ---------------------------------------------------------------------------
+
+
+def _next_pow2(n: int) -> int:
+    return 1 << (int(n - 1).bit_length())
+
+
+def _even_lattice(core: np.ndarray) -> np.ndarray:
+    """Symmetrize the 2n - 1 interior values, pad the end zeros, clamp at 0."""
+    core = 0.5 * (core + core[::-1])  # exact evenness
+    c = np.concatenate(([0.0], core, [0.0]))
+    return np.where(c < 0.0, 0.0, c)
+
+
+def lattice_autocorrelation(samples: np.ndarray, spacing: float) -> np.ndarray:
+    """Lattice values of f*f for cell values ``samples``, by zero-padded FFT."""
+    n = samples.size
+    L = _next_pow2(2 * n)
+    S = np.fft.rfft(samples, L)
+    pos = np.fft.irfft(S * np.conj(S), L)[:n] * spacing  # lags 0 .. n-1
+    return _even_lattice(np.concatenate((pos[:0:-1], pos)))
+
+
+def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:
+    n = c.size // 2
+    return (np.arange(2 * n + 1) - n) * spacing
+
+
+def lattice_value(c: np.ndarray, spacing: float, t):
+    """The linear interpolant at t, read at |t| on the nonnegative half."""
+    n = c.size // 2
+    u = np.abs(np.asarray(t, dtype=np.float64)) / spacing
+    k = np.minimum(u, n - 1).astype(np.int64)
+    frac = u - k
+    out = np.where(u > n, 0.0, c[n + k] * (1.0 - frac) + c[n + k + 1] * frac)
+    return out if out.ndim else float(out)
+
+
+def lattice_min(c: np.ndarray, spacing: float, lo: float, hi: float) -> float:
+    """Exact minimum of the piecewise-linear correlation over [lo, hi]."""
+    if hi < lo:
+        raise ValueError("empty window")
+    W = c.size // 2 * spacing
+    cands = lattice_value(c, spacing, np.array([lo, hi], dtype=np.float64)).tolist()
+    if lo < -W or hi > W:
+        cands.append(0.0)  # window sticks out of the support
+    ts = _lattice_points(c, spacing)
+    inside = (ts >= lo) & (ts <= hi)
+    if inside.any():
+        cands.append(float(c[inside].min()))
+    return min(cands)
+
+
+def _lattice_antiderivative(c: np.ndarray, spacing: float, x: np.ndarray) -> np.ndarray:
+    h = spacing
+    n = c.size // 2
+    trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (c[:-1] + c[1:]))))
+    u = np.clip(x / h + n, 0.0, 2.0 * n)  # position k of x = t_k = (k - n) h
+    k = np.minimum(u.astype(np.int64), 2 * n - 1)
+    frac = u - k
+    ck = c[k] * (1 - frac) + c[k + 1] * frac
+    return trap[k] + 0.5 * frac * h * (c[k] + ck)
+
+
+def lattice_window_integral(c: np.ndarray, spacing: float, lo, hi):
+    """Exact integral of the piecewise-linear correlation over [lo, hi], 0 where hi <= lo."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.float64),
+                                 np.asarray(hi, dtype=np.float64))
+    F = _lattice_antiderivative(c, spacing, np.stack((hi, lo)))  # one cumulative sum
+    out = np.where(hi > lo, F[0] - F[1], 0.0)
+    return out if out.ndim else float(out)
+
+
+def lattice_weighted_integral(c: np.ndarray, spacing: float,
+                              weight: Callable[[np.ndarray], np.ndarray],
+                              halfrange: float) -> float:
+    """int_{-R}^{R} (f*f)(t) w(t) dt, R = ``halfrange``, by 8-point Gauss per cell.
+
+    The caller certifies that the weight is negligible beyond R.  Gauss
+    on (linear) x (smooth weight) is accurate to machine level for smooth
+    weights.  The (node, cell) arrays are laid out node-major, so every
+    elementwise loop runs over the cells; the products are transposed back
+    to cell-major before the sum, which fixes the summation order.
+    """
+    R = min(halfrange, c.size // 2 * spacing)
+    if not R > 0:
+        return 0.0
+    ts = _lattice_points(c, spacing)
+    x_gl, w_gl = _leggauss(8)
+    k = np.flatnonzero((ts[1:] > -R) & (ts[:-1] < R))
+    tk = ts[k]
+    a = np.maximum(tk, -R)
+    b = np.minimum(ts[k + 1], R)
+    mid = 0.5 * (a + b)
+    rad = 0.5 * (b - a)
+    pts = mid + rad * x_gl[:, None]
+    frac = (pts - tk) / spacing
+    vals = c[k] * (1 - frac) + c[k + 1] * frac
+    return float((vals * weight(pts) * w_gl[:, None] * rad).T.copy().sum())
+
+
+# ---------------------------------------------------------------------------
+# the lattice type
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +167,7 @@ class Correlation:
     values are the exact zeros at t = +-n h.  The values are read-only and
     clamped at 0.  Between lattice points the cell-model correlation is
     linear, which ``value``, ``integral_window`` and ``min_on`` reproduce
-    exactly.
+    exactly.  Each method delegates to its lattice kernel above.
     """
 
     spacing: float
@@ -66,8 +187,7 @@ class Correlation:
 
     @property
     def lattice(self) -> np.ndarray:
-        n = self.values.size // 2
-        return (np.arange(2 * n + 1) - n) * self.spacing
+        return _lattice_points(self.values, self.spacing)
 
     @property
     def mass(self) -> float:
@@ -76,98 +196,40 @@ class Correlation:
 
     def value(self, t) -> np.ndarray:
         """The linear interpolant at t, read at |t| on the nonnegative half."""
-        c = self.values
-        n = c.size // 2
-        u = np.abs(np.asarray(t, dtype=np.float64)) / self.spacing
-        k = np.minimum(u, n - 1).astype(np.int64)
-        frac = u - k
-        out = np.where(u > n, 0.0, c[n + k] * (1.0 - frac) + c[n + k + 1] * frac)
-        return out if out.ndim else float(out)
+        return lattice_value(self.values, self.spacing, t)
 
     def min_on(self, lo: float, hi: float) -> float:
         """Exact minimum of the piecewise-linear correlation over [lo, hi]."""
-        if hi < lo:
-            raise ValueError("empty window")
-        W = self.halfwidth
-        cands = [float(self.value(lo)), float(self.value(hi))]
-        if lo < -W or hi > W:
-            cands.append(0.0)  # window sticks out of the support
-        ts = self.lattice
-        inside = (ts >= lo) & (ts <= hi)
-        if inside.any():
-            cands.append(float(self.values[inside].min()))
-        return min(cands)
+        return lattice_min(self.values, self.spacing, lo, hi)
 
     def integral_window(self, lo, hi):
         """Exact integral of the piecewise-linear correlation over [lo, hi].
 
         Takes scalars or broadcastable arrays like ``GridFunction.integral``.
         """
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        out = np.where(hi > lo, self._antiderivative(hi) - self._antiderivative(lo), 0.0)
-        return out if out.ndim else float(out)
-
-    def _antiderivative(self, x: np.ndarray) -> np.ndarray:
-        c, h = self.values, self.spacing
-        n = c.size // 2
-        trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (c[:-1] + c[1:]))))
-        u = np.clip(x / h + n, 0.0, 2.0 * n)  # position k of x = t_k = (k - n) h
-        k = np.minimum(u.astype(np.int64), 2 * n - 1)
-        frac = u - k
-        ck = c[k] * (1 - frac) + c[k + 1] * frac
-        return trap[k] + 0.5 * frac * h * (c[k] + ck)
+        return lattice_window_integral(self.values, self.spacing, lo, hi)
 
     def weighted_integral(self, weight: Callable[[np.ndarray], np.ndarray],
                           halfrange: float) -> float:
-        """int_{-R}^{R} (f*f)(t) w(t) dt, R = ``halfrange``, by 8-point Gauss per cell.
-
-        The caller certifies that the weight is negligible beyond R.  Gauss
-        on (linear) x (smooth weight) is accurate to machine level for smooth
-        weights.
-        """
-        R = min(halfrange, self.halfwidth)
-        if not R > 0:
-            return 0.0
-        ts, c = self.lattice, self.values
-        x_gl, w_gl = _leggauss(8)
-        k = np.flatnonzero((ts[1:] > -R) & (ts[:-1] < R))
-        a = np.maximum(ts[k], -R)
-        b = np.minimum(ts[k + 1], R)
-        mid = 0.5 * (a + b)[:, None]
-        rad = 0.5 * (b - a)[:, None]
-        pts = mid + rad * x_gl[None, :]
-        frac = (pts - ts[k][:, None]) / self.spacing
-        vals = c[k][:, None] * (1 - frac) + c[k + 1][:, None] * frac
-        return float((vals * weight(pts) * w_gl[None, :] * rad).sum())
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1).bit_length())
+        """int_{-R}^{R} (f*f)(t) w(t) dt, R = ``halfrange`` (see the lattice kernel)."""
+        return lattice_weighted_integral(self.values, self.spacing, weight, halfrange)
 
 
 def autocorrelate(f: GridFunction, method: str = "fft") -> Correlation:
     """Autocorrelation of a grid function, exact on the lattice {k*h}.
 
     ``direct`` is the O(n^2) reference summation; ``fft`` is zero-padded fast
-    correlation.  Both return lattice values padded with the exact zeros at
-    t = +-(support length).
+    correlation (:func:`lattice_autocorrelation`).  Both return lattice values
+    padded with the exact zeros at t = +-(support length).
     """
-    s = f.samples
-    h = f.spacing
-    n = s.size
+    s, h = f.samples, f.spacing
     if method == "direct":
-        core = np.correlate(s, s, mode="full") * h
+        values = _even_lattice(np.correlate(s, s, mode="full") * h)
     elif method == "fft":
-        L = _next_pow2(2 * n)
-        S = np.fft.rfft(s, L)
-        c = np.fft.irfft(S * np.conj(S), L)
-        pos = c[:n] * h  # lags 0 .. n-1
-        core = np.concatenate((pos[:0:-1], pos))
+        values = lattice_autocorrelation(s, h)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'direct' or 'fft'")
-    core = 0.5 * (core + core[::-1])  # exact evenness
-    return Correlation(spacing=h, values=np.concatenate(([0.0], core, [0.0])))
+    return Correlation(spacing=h, values=values)
 
 
 # ---------------------------------------------------------------------------

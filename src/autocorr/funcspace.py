@@ -54,6 +54,20 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(x), _readonly(w)
 
 
+def _cell_midpoints(origin: float, spacing: float, cells: int) -> np.ndarray:
+    return origin + (np.arange(cells) + 0.5) * spacing
+
+
+def _l1_norm(samples: np.ndarray, spacing: float) -> float:
+    """||f||_1 of the cell model with these samples and cell width."""
+    return float(spacing * samples.sum())
+
+
+def _l2_norm(samples: np.ndarray, spacing: float) -> float:
+    """||f||_2 of the cell model with these samples and cell width."""
+    return math.sqrt(spacing * float(np.dot(samples, samples)))
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Nonnegative piecewise-constant function on a uniform grid.
@@ -108,17 +122,17 @@ class GridFunction:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return self.origin + (np.arange(self.cells) + 0.5) * self.spacing
+        return _cell_midpoints(self.origin, self.spacing, self.cells)
 
     # -- norms ---------------------------------------------------------------
 
     @property
     def l1_norm(self) -> float:
-        return float(self.spacing * self.samples.sum())
+        return _l1_norm(self.samples, self.spacing)
 
     @property
     def l2_norm(self) -> float:
-        return float(math.sqrt(self.spacing * float(np.dot(self.samples, self.samples))))
+        return _l2_norm(self.samples, self.spacing)
 
     @property
     def total_variation(self) -> float:
@@ -329,10 +343,19 @@ def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None
         raise ValueError(f"support must be a nonempty interval, got {support}")
     if isinstance(family, BSExample) and not (lo <= -0.5 and hi >= 0.5):
         raise ValueError("BSExample support must contain [-1/2, 1/2]")
-    h = (hi - lo) / cells
-    mids = lo + (np.arange(cells) + 0.5) * h
-    vals = np.asarray(family(mids), dtype=np.float64)
+    vals, h = _midpoint_samples(family, lo, hi, cells)
     return GridFunction(lo, h, vals)
+
+
+def _midpoint_samples(family: AnalyticFamily, lo: float, hi: float,
+                      cells: int) -> tuple[np.ndarray, float]:
+    """The cell-midpoint values of ``family`` on [lo, hi] and the cell width.
+
+    The arithmetic of :func:`sample`, without its validation or the
+    :class:`GridFunction`; callers that skip ``sample`` check the values.
+    """
+    h = (hi - lo) / cells
+    return np.asarray(family(_cell_midpoints(lo, h, cells)), dtype=np.float64), h
 
 
 _FAMILY_KEYS = {

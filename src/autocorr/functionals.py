@@ -7,19 +7,24 @@ minima are exact because the cell-model correlation is piecewise linear.
 
 Every result is checked against its proven theorem ceiling; a breach raises
 :class:`InvariantViolation` since it can only come from a numerics bug.
+
+Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
+``min12_ratio``, ``min01_ratio``) on cell values and cell width: norms,
+zero-function check, numerator and ceiling check.  The ``q_*`` functions
+wrap it in a :class:`RatioResult`; the search calls it directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .constants import sinc_min_roots
-from .correlate import autocorrelate, autocorrelate_singular
-from .funcspace import BSExample, GridFunction, bs_l1
+from .correlate import autocorrelate_singular, lattice_autocorrelation, lattice_min
+from .funcspace import BSExample, GridFunction, _l1_norm, _l2_norm, bs_l1
 from .spectral import GaussianWeight, IntervalWeight, Weight, mean_functional_fourier
 
 __all__ = [
@@ -31,6 +36,10 @@ __all__ = [
     "q_min_12",
     "q_min_01",
     "q_min_01_bs",
+    "mean_ratio",
+    "gauss_ratio",
+    "min12_ratio",
+    "min01_ratio",
     "mean_ceiling",
     "gauss_ceiling",
     "min12_ceiling",
@@ -101,8 +110,8 @@ class RatioResult:
             raise ValueError("value is not numerator/denominator")
 
 
-def _norms_or_raise(f: GridFunction) -> tuple[float, float]:
-    l1, l2 = f.l1_norm, f.l2_norm
+def _norms_or_raise(samples: np.ndarray, spacing: float) -> tuple[float, float]:
+    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
     if l1 == 0.0 or l2 == 0.0:
         raise ZeroFunctionError("functional undefined for the zero function")
     return l1, l2
@@ -114,58 +123,108 @@ def _ceiling_check(functional: str, value: float, ceiling: float, err: float) ->
             f"{functional} ratio {value!r} exceeds the proven ceiling {ceiling!r}")
 
 
-def _weighted_mean(f: GridFunction, w: Weight, label: str, ceiling: float,
-                   method: str, tol: float) -> RatioResult:
-    if method not in ("both", "time"):
-        raise ValueError(f"method must be 'both' or 'time', got {method!r}")
-    l1, l2 = _norms_or_raise(f)
-    num = w.correlation_integral(autocorrelate(f))
+# ---------------------------------------------------------------------------
+# array cores
+#
+# Each core takes the cell values and the cell width of a grid function that
+# the caller has already checked (finite, nonnegative samples, positive
+# spacing: a GridFunction, or the search's family builders) and returns the
+# fields of a RatioResult after ``functional`` and ``method``:
+# (value, numerator, l1, l2, error_estimate[, fourier_numerator]).  It raises
+# ZeroFunctionError for the zero function and InvariantViolation on a ceiling
+# breach.  The q_* functions wrap the same cores.
+# ---------------------------------------------------------------------------
+
+# Fourier side of a weighted mean: (weight, l1 * l2) -> its numerator
+_FourierSide = Callable[[Weight, float], float]
+
+
+def _weighted_mean(samples: np.ndarray, spacing: float, w: Weight, label: str,
+                   ceiling: float, fourier: Optional[_FourierSide]) -> tuple:
+    l1, l2 = _norms_or_raise(samples, spacing)
+    num = w.correlation_integral(lattice_autocorrelation(samples, spacing), spacing)
     err = 1e-13 * l1 * l1  # time side is exact up to rounding
     fourier_num = None
-    if method == "both":
-        fres = mean_functional_fourier(f, w, tol=tol * l1 * l2)
-        fourier_num = fres.value
-        err = max(err, abs(num - fres.value))
+    if fourier is not None:
+        fourier_num = fourier(w, l1 * l2)
+        err = max(err, abs(num - fourier_num))
     value = num / (l1 * l2)
     _ceiling_check(label, value, ceiling, err / (l1 * l2))
-    return RatioResult(functional=label, method=method, value=value, numerator=num,
-                       l1=l1, l2=l2, error_estimate=err, fourier_numerator=fourier_num)
+    return value, num, l1, l2, err, fourier_num
+
+
+def mean_ratio(samples: np.ndarray, spacing: float,
+               fourier: Optional[_FourierSide] = None) -> tuple:
+    """Array core of :func:`q_mean`."""
+    return _weighted_mean(samples, spacing, IntervalWeight(), "mean", MEAN_CEILING, fourier)
+
+
+def gauss_ratio(samples: np.ndarray, spacing: float, a: float,
+                fourier: Optional[_FourierSide] = None) -> tuple:
+    """Array core of :func:`q_gauss`."""
+    return _weighted_mean(samples, spacing, GaussianWeight(a), "gauss", gauss_ceiling(a),
+                          fourier)
+
+
+def _window_min(samples: np.ndarray, spacing: float, lo: float, hi: float, label: str,
+                ceiling: float, square_denominator: bool) -> tuple:
+    l1, l2 = _norms_or_raise(samples, spacing)
+    num = lattice_min(lattice_autocorrelation(samples, spacing), spacing, lo, hi)
+    denom = l1 * l1 if square_denominator else l1 * l2
+    value = num / denom
+    err = 1e-13  # lattice minimum of the cell model is exact
+    _ceiling_check(label, value, ceiling, err)
+    return value, num, l1, l2, err
+
+
+def min12_ratio(samples: np.ndarray, spacing: float) -> tuple:
+    """Array core of :func:`q_min_12`."""
+    return _window_min(samples, spacing, -0.5, 0.5, "min12", MIN12_CEILING,
+                       square_denominator=False)
+
+
+def min01_ratio(samples: np.ndarray, spacing: float) -> tuple:
+    """Array core of :func:`q_min_01` on a grid function."""
+    return _window_min(samples, spacing, 0.0, 1.0, "min01", min01_ceiling(),
+                       square_denominator=True)
+
+
+# ---------------------------------------------------------------------------
+# the typed functionals
+# ---------------------------------------------------------------------------
+
+
+def _fourier_side(f: GridFunction, method: str, tol: float) -> Optional[_FourierSide]:
+    if method not in ("both", "time"):
+        raise ValueError(f"method must be 'both' or 'time', got {method!r}")
+    if method == "time":
+        return None
+    return lambda w, scale: mean_functional_fourier(f, w, tol=tol * scale).value
 
 
 def q_mean(f: GridFunction, method: str = "both", tol: float = 1e-6) -> RatioResult:
     """int_{-1/2}^{1/2} f*f / (||f||_1 ||f||_2); bounded by 0.8641."""
-    return _weighted_mean(f, IntervalWeight(), "mean", MEAN_CEILING, method, tol)
+    parts = mean_ratio(f.samples, f.spacing, _fourier_side(f, method, tol))
+    return RatioResult("mean", method, *parts)
 
 
 def q_gauss(f: GridFunction, a: float, method: str = "both",
             tol: float = 1e-6) -> RatioResult:
     """sqrt(a/pi) iint f f e^(-a t^2) / (||f||_1 ||f||_2); bounded by g_2(a)."""
-    return _weighted_mean(f, GaussianWeight(a), "gauss", gauss_ceiling(a), method, tol)
-
-
-def _window_min(f: GridFunction, lo: float, hi: float, label: str,
-                ceiling: float, square_denominator: bool) -> RatioResult:
-    l1, l2 = _norms_or_raise(f)
-    corr = autocorrelate(f)
-    num = corr.min_on(lo, hi)
-    denom = l1 * l1 if square_denominator else l1 * l2
-    value = num / denom
-    err = 1e-13  # lattice minimum of the cell model is exact
-    _ceiling_check(label, value, ceiling, err)
-    return RatioResult(functional=label, method="lattice-exact", value=value,
-                       numerator=num, l1=l1, l2=l2, error_estimate=err)
+    parts = gauss_ratio(f.samples, f.spacing, a, _fourier_side(f, method, tol))
+    return RatioResult("gauss", method, *parts)
 
 
 def q_min_12(f: GridFunction) -> RatioResult:
     """min over [-1/2,1/2] of f*f over ||f||_1 ||f||_2; bounded by 0.829604."""
-    return _window_min(f, -0.5, 0.5, "min12", MIN12_CEILING, square_denominator=False)
+    return RatioResult("min12", "lattice-exact", *min12_ratio(f.samples, f.spacing))
 
 
 def q_min_01(f: Union[GridFunction, BSExample]) -> RatioResult:
     """min over [0,1] of f*f over ||f||_1^2; bounded by 1/(2(1+theta0))."""
     if isinstance(f, BSExample):
         return q_min_01_bs()
-    return _window_min(f, 0.0, 1.0, "min01", min01_ceiling(), square_denominator=True)
+    return RatioResult("min01", "lattice-exact", *min01_ratio(f.samples, f.spacing))
 
 
 def q_min_01_bs() -> RatioResult:

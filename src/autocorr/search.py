@@ -3,10 +3,22 @@
 A seeded multi-restart Nelder-Mead simplex (reflection / expansion /
 contraction / shrink) runs on unconstrained parameters; nonnegativity is
 enforced by squaring (cell value or family parameter = theta^2), which keeps
-the landscape smooth instead of projecting onto a boundary.  Restarts run in
-restart-index order; their traces are concatenated in that order and the
-winner is the best value with ties broken by the lowest restart index.  The
-BS example has no free parameter, so its record is a single evaluation.
+the landscape smooth instead of projecting onto a boundary.  The simplex is
+one (dim + 1, dim) array.  Restarts run in restart-index order; their traces
+are concatenated in that order and the winner is the best value with ties
+broken by the lowest restart index.  The BS example has no free parameter, so
+its record is a single evaluation.
+
+Evaluations run at array speed.  A family builder turns the parameters into
+the cell values and cell width of a grid function (the midpoint arithmetic
+of ``funcspace.sample``), ``_evaluate`` checks them once (finite,
+nonnegative values, positive width), and the objective kernel calls the
+ratio's array core in :mod:`autocorr.functionals`, which is the lattice code
+the ``q_*`` functions wrap.  No GridFunction, Correlation or RatioResult is
+built per evaluation, yet every evaluation still raises ZeroFunctionError or
+the proven-ceiling InvariantViolation, wrapped in :class:`SearchError` with
+the parameters.  The winner is re-evaluated through GridFunction and the
+public ``q_*``, and must agree to 1e-10.
 """
 
 from __future__ import annotations
@@ -17,8 +29,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .funcspace import GridFunction, Indicator, sample
-from .functionals import q_gauss, q_mean, q_min_01, q_min_01_bs, q_min_12
+from .funcspace import Gaussian, GridFunction, Indicator, _midpoint_samples
+from .functionals import (
+    gauss_ratio,
+    mean_ratio,
+    min01_ratio,
+    min12_ratio,
+    q_gauss,
+    q_mean,
+    q_min_01,
+    q_min_01_bs,
+    q_min_12,
+)
 
 __all__ = [
     "SearchRecord",
@@ -39,7 +61,7 @@ class SearchError(RuntimeError):
 
     def __init__(self, message: str, params: np.ndarray):
         super().__init__(message)
-        self.params = np.asarray(params, dtype=np.float64)
+        self.params = np.array(params, dtype=np.float64)  # a copy: simplex rows are views
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,40 +80,55 @@ class SearchRecord:
 
 # ---------------------------------------------------------------------------
 # families and objectives
+#
+# A family builder maps a parameter vector to the (samples, spacing) of a grid
+# function; an objective kernel maps those arrays to the ratio through the
+# functionals' array cores.  _evaluate checks the builder's output once per
+# evaluation, so no GridFunction, Correlation or RatioResult is built.
 # ---------------------------------------------------------------------------
 
-
-def _build_indicator(params: np.ndarray) -> GridFunction:
-    A = float(params[0]) ** 2
-    A = max(A, 1e-6)
-    return sample(Indicator(A), cells=512)
+_Samples = tuple[np.ndarray, float]
+_Kernel = Callable[[np.ndarray, float], float]
 
 
-def _build_gaussian(params: np.ndarray, cells: int = 1024) -> GridFunction:
-    from .funcspace import Gaussian
-
-    b = float(params[0]) ** 2
-    b = min(max(b, 1e-4), 1e6)
-    return sample(Gaussian(b), cells=cells)
+def _build_indicator(params: np.ndarray) -> _Samples:
+    A = max(float(params[0]) ** 2, 1e-6)
+    return _midpoint_samples(Indicator(A), -A, A, 512)
 
 
-def _build_piecewise(params: np.ndarray, halfwidth: float) -> GridFunction:
+def _build_gaussian(params: np.ndarray) -> _Samples:
+    b = min(max(float(params[0]) ** 2, 1e-4), 1e6)
+    family = Gaussian(b)
+    return _midpoint_samples(family, *family.default_support(), 1024)
+
+
+def _build_piecewise(params: np.ndarray, halfwidth: float) -> _Samples:
     vals = np.asarray(params, dtype=np.float64) ** 2
-    h = 2.0 * halfwidth / vals.size
-    return GridFunction(-halfwidth, h, vals)
+    return vals, 2.0 * halfwidth / vals.size
 
 
-def _objective_fn(objective: str, a: Optional[float]) -> Callable:
+def _grid(samples: np.ndarray, spacing: float) -> GridFunction:
+    return GridFunction(-0.5 * samples.size * spacing, spacing, samples)
+
+
+def _objective_kernels(objective: str, a: Optional[float]) -> tuple[_Kernel, _Kernel]:
+    """The ratio of (samples, spacing) twice: through the functionals' array
+    core, and through GridFunction and the public ``q_*`` for the winner's
+    re-evaluation."""
     if objective == "mean":
-        return lambda f: q_mean(f, method="time").value
+        return (lambda s, h: mean_ratio(s, h)[0],
+                lambda s, h: q_mean(_grid(s, h), method="time").value)
     if objective == "gauss":
         if a is None or not a > 0:
             raise ValueError("the gauss objective needs a > 0")
-        return lambda f: q_gauss(f, a, method="time").value
+        return (lambda s, h: gauss_ratio(s, h, a)[0],
+                lambda s, h: q_gauss(_grid(s, h), a, method="time").value)
     if objective == "min12":
-        return lambda f: q_min_12(f).value
+        return (lambda s, h: min12_ratio(s, h)[0],
+                lambda s, h: q_min_12(_grid(s, h)).value)
     if objective == "min01":
-        return lambda f: q_min_01(f).value
+        return (lambda s, h: min01_ratio(s, h)[0],
+                lambda s, h: q_min_01(_grid(s, h)).value)
     raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
@@ -106,6 +143,24 @@ def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Call
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _check_samples(samples: np.ndarray, spacing: float) -> None:
+    """The one check of a builder's output: finite, nonnegative samples, positive spacing."""
+    if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
+        raise ValueError("samples must be finite and nonnegative")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be positive, got {spacing}")
+
+
+def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
+              params: np.ndarray) -> float:
+    try:
+        samples, spacing = build(params)
+        _check_samples(samples, spacing)
+        return kernel(samples, spacing)
+    except Exception as exc:  # noqa: BLE001 - abort with the failing vector
+        raise SearchError(f"objective evaluation failed: {exc}", params) from exc
+
+
 # ---------------------------------------------------------------------------
 # simplex core
 # ---------------------------------------------------------------------------
@@ -115,13 +170,15 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: i
                  record: Callable[[float], None], step: float = 0.25) -> tuple[np.ndarray, float]:
     """Minimize fn from x0 under an evaluation budget, reporting every eval.
 
-    The running best is tracked at every evaluation, so the returned pair is
+    The simplex is one (dim + 1, dim) array, kept sorted by score.  The
+    running best is tracked at every evaluation, so the returned pair is
     consistent no matter where the budget runs out.
     """
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=np.float64)
     dim = x0.size
     evals = 0
-    best_x: np.ndarray = np.asarray(x0, dtype=np.float64)
+    best_x: np.ndarray = x0
     best_f = math.inf
 
     def call(x: np.ndarray) -> float:
@@ -135,19 +192,17 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: i
             best_x, best_f = x.copy(), v
         return v
 
-    simplex = [np.asarray(x0, dtype=np.float64)]
+    simplex = np.tile(x0, (dim + 1, 1))
     for i in range(dim):
-        x = x0.copy()
-        x[i] += step * (abs(x[i]) if x[i] != 0 else 1.0)
-        simplex.append(x)
+        simplex[i + 1, i] += step * (abs(x0[i]) if x0[i] != 0 else 1.0)
+    scores = np.empty(dim + 1)
     try:
-        scores = [call(x) for x in simplex]
+        for i in range(dim + 1):
+            scores[i] = call(simplex[i])
         while True:
             order = np.argsort(scores)
-            simplex = [simplex[i] for i in order]
-            scores = [scores[i] for i in order]
-            spread = max(np.max(np.abs(s - simplex[0])) for s in simplex[1:])
-            if spread < 1e-10:
+            simplex, scores = simplex[order], scores[order]
+            if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
                 break
             centroid = np.mean(simplex[:-1], axis=0)
             xr = centroid + alpha * (centroid - simplex[-1])
@@ -168,9 +223,9 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: i
             if fc < scores[-1]:
                 simplex[-1], scores[-1] = xc, fc
                 continue
-            best = simplex[0]
-            simplex = [best] + [best + sigma * (x - best) for x in simplex[1:]]
-            scores = [scores[0]] + [call(x) for x in simplex[1:]]
+            simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
+            for i in range(1, dim + 1):
+                scores[i] = call(simplex[i])
     except _BudgetExhausted:
         pass
     if not math.isfinite(best_f):
@@ -187,13 +242,6 @@ class _BudgetExhausted(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(build: Callable, objective_fn: Callable, params: np.ndarray) -> float:
-    try:
-        return objective_fn(build(params))
-    except Exception as exc:  # noqa: BLE001 - abort with the failing vector
-        raise SearchError(f"objective evaluation failed: {exc}", params) from exc
-
-
 def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
     """Floor value for search acceptance: dense 1-D scan or fixed candidate."""
     value, _ = _baseline_full(objective, family, a=a)
@@ -206,7 +254,7 @@ def _baseline_full(objective: str, family: str,
         if objective != "min01":
             raise ValueError("the BS example is evaluated through the min01 functional")
         return q_min_01_bs().value, None  # no free parameter
-    obj = _objective_fn(objective, a)
+    kernel, _ = _objective_kernels(objective, a)
     if family == "indicator":
         grid = np.linspace(0.26, 6.0, 288)
         build = _build_indicator
@@ -218,17 +266,17 @@ def _baseline_full(objective: str, family: str,
     best_v, best_p = -math.inf, None
     for g in grid:
         params = np.array([math.sqrt(g)])
-        v = _evaluate(build, obj, params)
+        v = _evaluate(build, kernel, params)
         if v > best_v:
             best_v, best_p = v, params
     return best_v, best_p
 
 
-def _run_restart(build, obj_fn, x0: np.ndarray, max_evals: int) -> tuple[list[float], np.ndarray, float]:
+def _run_restart(build, kernel, x0: np.ndarray, max_evals: int) -> tuple[list[float], np.ndarray, float]:
     values: list[float] = []
 
     def g(x: np.ndarray) -> float:
-        return -_evaluate(build, obj_fn, x)
+        return -_evaluate(build, kernel, x)
 
     best_x, best_neg = _nelder_mead(g, x0, max_evals, record=lambda v: values.append(-v))
     return values, best_x, -best_neg
@@ -249,7 +297,7 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     if family == "bs-example":
         return _search_bs(objective, label, seed)
     build, dim = _family_builder(family, dimension, halfwidth)
-    obj_fn = _objective_fn(objective, a)
+    kernel, typed = _objective_kernels(objective, a)
 
     try:
         _, base_params = _baseline_full(objective, family, a=a)
@@ -272,14 +320,14 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         else:
             rng = np.random.default_rng([seed, r])
             x0 = x_base * np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
-        values, bx, bv = _run_restart(build, obj_fn, x0, per_restart)
+        values, bx, bv = _run_restart(build, kernel, x0, per_restart)
         for v in values:
             best_so_far = max(best_so_far, v)
             trace.append((len(trace) + 1, best_so_far))
         if bv > best_value:
             best_value, best_params = bv, bx
 
-    _check_reevaluation(best_value, _evaluate(build, obj_fn, best_params), best_params)
+    _check_reevaluation(best_value, _evaluate(build, typed, best_params), best_params)
     return SearchRecord(objective=label, family=family, dimension=dim,
                         best_params=tuple(float(x) for x in best_params),
                         best_value=float(best_value), evaluations=len(trace), seed=seed,

@@ -31,15 +31,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import special
 
+from .correlate import lattice_weighted_integral, lattice_window_integral
 from .funcspace import GridFunction, MixedMeasure, _leggauss
-
-if TYPE_CHECKING:
-    from .correlate import Correlation
 
 __all__ = [
     "sinc",
@@ -51,6 +49,7 @@ __all__ = [
     "MomentResult",
     "weight_lp_moment",
     "mean_functional_fourier",
+    "INTERVAL_MOMENT_P_MAX",
 ]
 
 _CHUNK = 4096
@@ -93,9 +92,10 @@ class IntervalWeight:
             raise RuntimeError(f"int |sinc|^p at p={p} is certified to {err:.1e} > tol={tol:.1e}")
         return MomentResult(value, err)
 
-    def correlation_integral(self, corr: Correlation) -> float:
-        """int (f*f) w, exact on the piecewise-linear correlation."""
-        return corr.integral_window(-0.5, 0.5)
+    def correlation_integral(self, values: np.ndarray, spacing: float) -> float:
+        """int (f*f) w from the correlation's lattice values, exact on the
+        piecewise-linear correlation."""
+        return lattice_window_integral(values, spacing, -0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,11 @@ class GaussianWeight:
                 f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")
         return MomentResult(closed, 1e-15 * closed)
 
-    def correlation_integral(self, corr: Correlation) -> float:
-        """int (f*f) w over [-R, R], R = sqrt(46/a), outside which w < 1e-20."""
-        return corr.weighted_integral(self.density, halfrange=math.sqrt(46.0 / self.a))
+    def correlation_integral(self, values: np.ndarray, spacing: float) -> float:
+        """int (f*f) w from the correlation's lattice values, over [-R, R],
+        R = sqrt(46/a), outside which w < 1e-20."""
+        return lattice_weighted_integral(values, spacing, self.density,
+                                         halfrange=math.sqrt(46.0 / self.a))
 
 
 Weight = Union[IntervalWeight, GaussianWeight]
@@ -229,6 +231,12 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray, n
     off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x), special.beta(a + 1.0, b + 1.0) * v[0] ** 2
+
+
+#: Largest p at which ``_interval_lp_moment`` certifies 1e-9 (p > 1 is the
+#: other end).  Its error bound is 2.6e-11 at p = 300 and passes 1e-9 between
+#: p = 340 and 350, where the fixed 16/24-node rules stop converging.
+INTERVAL_MOMENT_P_MAX = 300.0
 
 
 @functools.lru_cache(maxsize=512)

@@ -58,6 +58,22 @@ class TestConstants:
         assert "gaussian-mean-lower" in names
 
 
+    @pytest.mark.parametrize("flags", [["--p-max", "400"], ["--p-min", "1.5"],
+                                       ["--p-min", "5", "--p-max", "4"]],
+                             ids=["above-certified", "below-two", "reversed"])
+    def test_p_range_outside_certified_rejected(self, tmp_path, capsys, flags):
+        # --p-max 400 used to work through ~1,300 sweep moments, then exit 1
+        assert main(["constants", *flags, "--out", str(tmp_path)]) == 2
+        assert "p_max" in capsys.readouterr().err
+        assert not (tmp_path / "constants_report.json").exists()
+
+    def test_p_range_checked_in_config_file(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "constants", "p_max": 301,
+                                   "out": str(tmp_path)}))
+        assert main(["--config", str(cfg)]) == 2
+
+
 class TestEvaluate:
     def test_bs_min01(self, tmp_path):
         assert main(["evaluate", "--family", "bs-example", "--functional", "min01",

@@ -1,12 +1,36 @@
 """Search tests: determinism, soundness, floors, record invariants."""
 
+import hashlib
 import importlib
 import math
 
+import numpy as np
 import pytest
 
-from autocorr import baseline, search
+from autocorr import (
+    Gaussian,
+    Indicator,
+    InvariantViolation,
+    PiecewiseConstant,
+    ZeroFunctionError,
+    baseline,
+    q_gauss,
+    q_mean,
+    q_min_01,
+    q_min_12,
+    sample,
+    search,
+)
 from autocorr.functionals import gauss_ceiling, min01_ceiling
+from autocorr.search import (
+    OBJECTIVES,
+    SearchError,
+    _evaluate,
+    _family_builder,
+    _objective_kernels,
+)
+
+functionals = importlib.import_module("autocorr.functionals")
 
 PI = math.pi
 
@@ -140,14 +164,104 @@ class TestBaseline:
 
 class TestEvaluationFailure:
     def test_aborts_with_failing_params(self):
-        import numpy as np
-
-        from autocorr.search import SearchError, _evaluate
-
         def broken_build(params):
             raise ArithmeticError("boom")
 
         params = np.array([1.0, 2.0])
         with pytest.raises(SearchError) as err:
-            _evaluate(broken_build, lambda f: 0.0, params)
+            _evaluate(broken_build, lambda s, h: 0.0, params)
         assert np.array_equal(err.value.params, params)
+
+    def test_zero_piecewise_vector_carries_params(self):
+        params = np.zeros(16)
+        build, _ = _family_builder("piecewise", 16, 0.5)
+        kernel, _ = _objective_kernels("min12", None)
+        with pytest.raises(SearchError) as err:
+            _evaluate(build, kernel, params)
+        assert isinstance(err.value.__cause__, ZeroFunctionError)
+        assert np.array_equal(err.value.params, params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        build, _ = _family_builder("piecewise", 4, 0.5)
+        kernel, _ = _objective_kernels("mean", None)
+        params = np.array([1.0, bad, 1.0, 1.0])
+        with pytest.raises(SearchError) as err:
+            _evaluate(build, kernel, params)
+        assert np.array_equal(err.value.params, params, equal_nan=True)
+
+    def test_ceiling_breach_surfaces_as_search_error(self, monkeypatch):
+        # every evaluation runs the proven-ceiling check; a lowered ceiling
+        # stands in for a numerics bug that pushes a ratio past it
+        monkeypatch.setattr(functionals, "MIN12_CEILING", 0.1)
+        with pytest.raises(SearchError) as err:
+            search("min12", "indicator", budget=200, seed=0)
+        assert isinstance(err.value.__cause__, InvariantViolation)
+        assert err.value.params.shape == (1,)
+
+
+# The public path that the kernels must reproduce bit for bit: the family
+# sampled through ``sample`` / ``PiecewiseConstant`` into a GridFunction, then
+# the q_* functional, with the builders' parameter clamps.
+_PUBLIC_FAMILIES = {
+    "indicator": (1, lambda p: sample(Indicator(max(float(p[0]) ** 2, 1e-6)), cells=512)),
+    "gaussian": (1, lambda p: sample(Gaussian(min(max(float(p[0]) ** 2, 1e-4), 1e6)),
+                                     cells=1024)),
+    "piecewise": (16, lambda p: PiecewiseConstant(0.5, p ** 2).as_grid()),
+}
+_PUBLIC_OBJECTIVES = {
+    "mean": lambda f: q_mean(f, method="time").value,
+    "gauss": lambda f: q_gauss(f, 2 * PI, method="time").value,
+    "min12": lambda f: q_min_12(f).value,
+    "min01": lambda f: q_min_01(f).value,
+}
+# parameters at and beyond the clamps: A = 1e-6, b = 1e-4 and b = 1e6
+_EDGE_PARAMS = {
+    "indicator": [[0.0], [1e-3], [1e-4]],
+    "gaussian": [[0.0], [1e-2], [1e3], [1e4]],
+    "piecewise": [[1.0] * 8 + [0.0] * 8, [1e-3] * 16],
+}
+
+
+class TestKernelsMatchPublicPath:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("family", ["indicator", "gaussian", "piecewise"])
+    def test_kernel_equals_q_value(self, family, objective):
+        dim, public_build = _PUBLIC_FAMILIES[family]
+        build, _ = _family_builder(family, dim, 0.5)
+        a = 2 * PI if objective == "gauss" else None
+        kernel, typed = _objective_kernels(objective, a)
+        rng = np.random.default_rng([7, dim, len(objective)])
+        cases = [np.array(p) for p in _EDGE_PARAMS[family]]
+        cases += [rng.uniform(-3.0, 3.0, dim) for _ in range(6)]
+        for params in cases:
+            expected = _PUBLIC_OBJECTIVES[objective](public_build(params))
+            assert _evaluate(build, kernel, params) == expected, params
+            assert _evaluate(build, typed, params) == expected, params
+
+
+# Pinned at the commit before the array kernels: any drift in the arithmetic
+# of the search path changes these.  They hold for the numpy build they were
+# taken with; another build may round the FFT or exp in the last place.
+_PIN_NUMPY = "2.4.6"
+_PINNED = [
+    ("min12", "piecewise", {"dimension": 16}, 0, "0x1.1c553636ee990p-1", 2000,
+     "a7d1d1bf2a9a505389dda1c399b560539fce054c1b319d8fec476a0cdfcb10a4"),
+    ("min12", "piecewise", {"dimension": 16}, 1, "0x1.0a60039a79cfbp-1", 2000,
+     "6bacd1eee385d4e59a90222ff39e7b1fd197b13bb38d27047e2f67e61bfbae55"),
+    ("gauss", "gaussian", {"a": 2 * PI}, 0, "0x1.ae898977574f5p-1", 326,
+     "6a9b5b1d24c0e9866de4e5d96c20264e14e24063c52b767e9917bb46c33a6dec"),
+    ("gauss", "gaussian", {"a": 2 * PI}, 1, "0x1.ae898977574f5p-1", 319,
+     "33e7623bed2e04cefd4cac55b4e83720a5610cc619c4e726f36679014188d652"),
+]
+
+
+@pytest.mark.skipif(np.__version__ != _PIN_NUMPY,
+                    reason=f"records pinned with numpy {_PIN_NUMPY}")
+@pytest.mark.parametrize("objective, family, kwargs, seed, best, evaluations, trace_sha",
+                         _PINNED, ids=[f"{p[0]}-{p[1]}-{p[3]}" for p in _PINNED])
+def test_pinned_record(objective, family, kwargs, seed, best, evaluations, trace_sha):
+    rec = search(objective, family, seed=seed, **kwargs)
+    assert rec.best_value == float.fromhex(best)
+    assert rec.evaluations == evaluations
+    assert hashlib.sha256(repr(rec.trace).encode()).hexdigest() == trace_sha

@@ -18,6 +18,7 @@ from autocorr import (
     sample,
     weight_lp_moment,
 )
+from autocorr.spectral import INTERVAL_MOMENT_P_MAX
 
 PI = math.pi
 
@@ -121,6 +122,11 @@ class TestWeightLpMoment:
         # overflows, which must still end in this error, not a NaN value
         with np.errstate(all="ignore"), pytest.raises(RuntimeError):
             weight_lp_moment(IntervalWeight(), p, tol=tol)
+
+    def test_certified_at_p_max(self):
+        # the CLI accepts p up to this constant, so the default tol must hold there
+        m = weight_lp_moment(IntervalWeight(), INTERVAL_MOMENT_P_MAX, tol=1e-9)
+        assert 0.0 < m.error_bound <= 1e-9
 
     def test_divergent_p_rejected(self):
         with pytest.raises(ValueError):

@@ -49,7 +49,6 @@ from .funcspace import (
     MixedMeasure,
     PiecewiseConstant,
     bs_l1,
-    family_from_spec,
     sample,
 )
 from .functionals import (

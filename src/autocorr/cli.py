@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Subcommands: ``constants``, ``roots``, ``evaluate``, ``search``, ``dual``,
-``verify``.  Every run writes a versioned JSON report (schema 1) with the
-effective configuration echoed, plus CSV tables where applicable.  Exit
-status: 0 success, 1 numeric invariant breach or failed verification,
-2 malformed input.
+``verify``.  Each subcommand takes only the flags (and config keys) that it
+reads; any other is malformed input.  Every run writes a versioned JSON report
+(schema 1) with the effective configuration echoed, plus CSV tables where
+applicable.  Exit status: 0 success, 1 numeric invariant breach or failed
+verification, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from . import dualcheck as dual
 from . import functionals as fun
 from . import verification
 from .search import DEFAULT_BUDGET, search as run_search
-from .funcspace import BSExample, family_from_spec, sample
-from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, weight_from_spec
+from .funcspace import BSExample, Gaussian, Indicator, PiecewiseConstant, sample
+from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, IntervalWeight
 
 SCHEMA = 1
 
-_COMMANDS = ("constants", "roots", "evaluate", "search", "dual", "verify")
 
 @dataclasses.dataclass
 class RunConfig:
+    """Every setting of a run and its one default; the report echoes it."""
+
     command: str
     weight: str = "interval"
     a: float = 2 * math.pi
@@ -65,13 +67,49 @@ class RunConfig:
         return d
 
 
-# config keys mirror the flags: the --json flag fills json_path
-_CONFIG_KEYS = {"json" if f.name == "json_path" else f.name
-                for f in dataclasses.fields(RunConfig)}
+# The config keys each subcommand reads.  Each key is also a flag of that
+# subcommand (``p_min`` is ``--p-min``), except ``values``, a list, which only
+# a config file can give.  The key ``json`` fills the field ``json_path``.
+_OPTIONS = {
+    "constants": ("weight", "a", "p_min", "p_max", "out"),
+    "roots": ("out",),
+    "evaluate": ("family", "functional", "a", "b", "s", "values", "cells", "support",
+                 "tol", "out"),
+    "search": ("family", "functional", "a", "budget", "seed", "dimension", "out"),
+    "dual": ("tol", "out"),
+    "verify": ("json", "fault_inject"),
+}
+_CHOICES = {
+    "weight": ("interval", "gaussian"),
+    "family": ("gaussian", "indicator", "piecewise-constant", "bs-example"),
+    "functional": ("mean", "gauss", "min12", "min01"),
+}
+
+_HELP = {
+    "a": "Gaussian weight parameter",
+    "b": "Gaussian family parameter (default 1)",
+    "s": "indicator / piecewise-constant halfwidth (default 0.5)",
+    "support": "half-width S of the sampling window [-S, S]",
+    "fault_inject": "test mode: corrupt one criterion as a negative control",
+}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _field(key: str) -> str:
+    return "json_path" if key == "json" else key
+
+
+_HINTS = get_type_hints(RunConfig)
+
+
+def _field_type(key: str) -> tuple[type, bool]:
+    """The type of a key's RunConfig field, and whether it may be None."""
+    hint = _HINTS[_field(key)]
+    args = get_args(hint)                 # Optional[X] is Union[X, None]
+    return (args[0], True) if args else (hint, False)
 
 
 # the Python types a config value may have, by RunConfig annotation (bool is
@@ -79,29 +117,31 @@ class ConfigError(ValueError):
 _ACCEPTS = {str: str, int: int, float: (int, float), list: list}
 
 
-def _check_type(name: str, value) -> None:
-    hint = get_type_hints(RunConfig)[name]
-    args = get_args(hint)                 # Optional[X] is Union[X, None]
-    if value is None and type(None) in args:
+def _check_value(key: str, value) -> None:
+    base, optional = _field_type(key)
+    if value is None and optional:
         return
-    base = args[0] if args else hint
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[base]):
-        raise ConfigError(f"config key {name!r} must be {base.__name__}, got {value!r}")
+        raise ConfigError(f"{key!r} must be {base.__name__}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"{key!r} must be one of {_CHOICES[key]}, got {value!r}")
 
 
 def _config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - _CONFIG_KEYS
+    """The one check of a run's input, from flags or a config file alike."""
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    command = data.get("command")
+    if not isinstance(command, str) or command not in _OPTIONS:
+        raise ConfigError(f"config must name a command in {tuple(_OPTIONS)}, got {command!r}")
+    unknown = set(data) - {"command", *_OPTIONS[command]}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "command" not in data:
-        raise ConfigError("config must name a 'command'")
-    if data["command"] not in _COMMANDS:
-        raise ConfigError(f"unknown command {data['command']!r}; expected {_COMMANDS}")
-    kwargs = dict(data)
-    if "json" in kwargs:
-        kwargs["json_path"] = kwargs.pop("json")
-    for name, value in kwargs.items():
-        _check_type(name, value)
+        raise ConfigError(f"{command} does not read the keys {sorted(unknown)}")
+    kwargs = {}
+    for key, value in data.items():
+        if key != "command":
+            _check_value(key, value)
+        kwargs[_field(key)] = value
     cfg = RunConfig(**kwargs)
     # the mean bound needs p >= 2; the sinc-power moments are certified up to
     # INTERVAL_MOMENT_P_MAX
@@ -158,10 +198,7 @@ def _bound_report_dict(rep: C.BoundReport, module: str) -> dict:
 
 
 def _weight_of(cfg: RunConfig):
-    spec = {"weight": cfg.weight}
-    if cfg.weight == "gaussian":
-        spec["a"] = cfg.a
-    return weight_from_spec(spec)
+    return GaussianWeight(float(cfg.a)) if cfg.weight == "gaussian" else IntervalWeight()
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +255,21 @@ def _cmd_roots(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _family_of(cfg: RunConfig):
-    if cfg.family is None:
-        raise ConfigError("evaluate needs --family")
-    spec = {"family": cfg.family}
-    halfwidth = cfg.s if cfg.s is not None else 0.5
+    halfwidth = float(cfg.s) if cfg.s is not None else 0.5
     if cfg.family == "gaussian":
-        spec["b"] = cfg.b if cfg.b is not None else 1.0
-    elif cfg.family == "indicator":
-        spec["a"] = halfwidth
-    elif cfg.family == "piecewise-constant":
-        spec["s"] = halfwidth
+        return Gaussian(float(cfg.b) if cfg.b is not None else 1.0)
+    if cfg.family == "indicator":
+        return Indicator(halfwidth)
+    if cfg.family == "piecewise-constant":
         if cfg.values is None:
             raise ConfigError("piecewise-constant needs 'values'")
-        spec["values"] = cfg.values
-    return family_from_spec(spec)
+        return PiecewiseConstant(halfwidth, np.asarray(cfg.values, dtype=np.float64))
+    return BSExample()
 
 
 def _cmd_evaluate(cfg: RunConfig, outdir: Path) -> int:
-    if cfg.functional not in ("mean", "gauss", "min12", "min01"):
-        raise ConfigError(f"unknown functional {cfg.functional!r}")
+    if cfg.family is None or cfg.functional is None:
+        raise ConfigError("evaluate needs --family and --functional")
     family = _family_of(cfg)
     window = None
     if isinstance(family, BSExample):
@@ -303,7 +336,7 @@ def _cmd_search(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_dual(cfg: RunConfig, outdir: Path) -> int:
     results = []
     rows = []
-    for bump in (dual.StandardBump(), dual.CosineBump(), dual.BetaPowerBump(2)):
+    for bump in dual.BUMPS:
         rep = dual.dual_mass_report(bump, tol=cfg.tol)
         neg = dual.negative_part_bound_check(bump, tol=cfg.tol, report=rep)
         results.append({
@@ -366,39 +399,28 @@ def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, with a flag for each key in ``_OPTIONS``.
+
+    A flag takes its type from the RunConfig field and has no default of its
+    own: an absent flag is absent from the parsed arguments, so the defaults
+    and the checks stay with RunConfig and ``_config_from_dict``.
+    """
     ap = argparse.ArgumentParser(
         prog="autocorr",
         description="Sharp autocorrelation inequality toolkit: constants, "
                     "functional evaluation, lower-bound search, dual checks.")
     ap.add_argument("--config", type=str, default=None,
-                    help="JSON config file; keys mirror the flags")
+                    help="JSON config file; its keys are the flags of its command")
     sub = ap.add_subparsers(dest="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--weight", choices=["interval", "gaussian"], default="interval")
-        p.add_argument("--a", type=float, default=2 * math.pi,
-                       help="gaussian weight parameter")
-        p.add_argument("--b", type=float, default=None, help="gaussian family parameter")
-        p.add_argument("--s", type=float, default=None,
-                       help="indicator / piecewise-constant halfwidth (default 0.5)")
-        p.add_argument("--p-min", dest="p_min", type=float, default=2.0)
-        p.add_argument("--p-max", dest="p_max", type=float, default=12.0)
-        p.add_argument("--family", type=str, default=None,
-                       choices=["gaussian", "indicator", "piecewise-constant", "bs-example"])
-        p.add_argument("--functional", type=str, default=None,
-                       choices=["mean", "gauss", "min12", "min01"])
-        p.add_argument("--cells", type=int, default=2048)
-        p.add_argument("--support", type=float, default=None,
-                       help="half-width S of the sampling window [-S, S]")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dimension", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--out", type=str, default=".")
-        p.add_argument("--json", dest="json_path", type=str, default=None)
-        if name == "verify":
-            p.add_argument("--fault-inject", dest="fault_inject", type=int, default=None,
-                           help="test mode: corrupt one criterion as a negative control")
+    for command, keys in _OPTIONS.items():
+        p = sub.add_parser(command)
+        for key in keys:
+            if key == "values":
+                continue
+            choices = _CHOICES.get(key)
+            p.add_argument("--" + key.replace("_", "-"), type=_field_type(key)[0],
+                           default=argparse.SUPPRESS, help=_HELP.get(key),
+                           metavar="{%s}" % ",".join(choices) if choices else None)
     return ap
 
 
@@ -414,36 +436,31 @@ _RUNNERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = vars(ap.parse_args(argv))
+    config = args.pop("config")
     try:
-        if args.config:
+        if config:
             try:
-                with open(args.config, encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"bad config {args.config}: line {exc.lineno}: {exc.msg}",
-                      file=sys.stderr)
+                with open(config, encoding="utf-8") as fh:
+                    args = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:  # unreadable or not JSON
+                print(f"bad config {config}: {exc}", file=sys.stderr)
                 return 2
-            cfg = _config_from_dict(data)
-        else:
-            if not args.command:
-                ap.print_help()
-                return 2
-            d = {k: v for k, v in vars(args).items() if k not in ("config",)}
-            d["json"] = d.pop("json_path", None)
-            d = {k: v for k, v in d.items() if v is not None}
-            cfg = _config_from_dict(d)
-    except (ConfigError, TypeError, ValueError) as exc:
+        elif not args["command"]:
+            ap.print_help()
+            return 2
+        cfg = _config_from_dict(args)
+    except ConfigError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
     outdir = Path(cfg.out)
     try:
         return _RUNNERS[cfg.command](cfg, outdir)
-    except (fun.InvariantViolation, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

@@ -67,18 +67,19 @@ def gaussian_closed_form(p: float, a: float, parse: str = "paper-consistent") ->
 
     ``paper-consistent``: (4 a p (p-1)^(p-1) / (pi (p+1)^(p+1)))^(1/(4(p-1))),
     the parse that reproduces (8a/(27 pi))^(1/4) at p = 2.  The two literal
-    parses of the printed denominator are kept for the audit trail.
+    parses of the printed denominator are kept for the audit trail.  All three
+    are evaluated in logs: the powers themselves overflow from p = 119.
     """
-    num = 4.0 * a * p * (p - 1.0) ** (p - 1.0)
+    log_num = math.log(4.0 * a * p) + (p - 1.0) * math.log(p - 1.0)
     if parse == "paper-consistent":
-        den = math.pi * (p + 1.0) ** (p + 1.0)
+        log_den = math.log(math.pi) + (p + 1.0) * math.log(p + 1.0)
     elif parse == "literal":
-        den = (math.pi * p + 1.0) ** (p + 1.0)
+        log_den = (p + 1.0) * math.log(math.pi * p + 1.0)
     elif parse == "grouped":
-        den = (math.pi * (p + 1.0)) ** (p + 1.0)
+        log_den = (p + 1.0) * math.log(math.pi * (p + 1.0))
     else:
         raise ValueError(f"unknown parse {parse!r}")
-    return (num / den) ** (1.0 / (4.0 * (p - 1.0)))
+    return math.exp((log_num - log_den) / (4.0 * (p - 1.0)))
 
 
 def _pipeline_constant(w: Weight, p: float) -> tuple[float, dict[str, float]]:

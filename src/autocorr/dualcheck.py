@@ -31,7 +31,7 @@ __all__ = [
     "CosineBump",
     "BetaPowerBump",
     "BumpFunction",
-    "bump_from_name",
+    "BUMPS",
     "DualMassReport",
     "dual_mass_report",
     "NegativePartReport",
@@ -197,19 +197,8 @@ class BetaPowerBump:
 
 BumpFunction = Union[StandardBump, CosineBump, BetaPowerBump]
 
-_BUMPS = {
-    "standard-bump": StandardBump,
-    "cosine": CosineBump,
-    "beta-power": BetaPowerBump,
-}
-
-
-def bump_from_name(name: str, k: int = 2) -> BumpFunction:
-    if name not in _BUMPS:
-        raise ValueError(f"unknown bump {name!r}; expected one of {sorted(_BUMPS)}")
-    if name == "beta-power":
-        return BetaPowerBump(k=k)
-    return _BUMPS[name]()
+#: The three bumps whose dual masses ``autocorr dual`` and criterion 7 report.
+BUMPS = (StandardBump(), CosineBump(), BetaPowerBump(2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ The workhorse type is :class:`GridFunction`, a nonnegative piecewise-constant
 function on a uniform grid (samples are cell-midpoint values, which for the
 cell model are also the cell values).  Analytic families (Gaussian, interval
 indicator, piecewise-constant, and the singular boundary-blowup
-counterexample :class:`BSExample`) carry exact norms where closed forms exist
-and can be sampled onto grids.  :class:`MixedMeasure` represents a finite
-nonnegative measure as an atom list plus an optional absolutely continuous
-part.
+counterexample :class:`BSExample`) can be sampled onto grids.
+:class:`MixedMeasure` represents a finite nonnegative measure as an atom list
+plus an optional absolutely continuous part.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "AnalyticFamily",
     "MixedMeasure",
     "sample",
-    "family_from_spec",
     "bs_l1",
 ]
 
@@ -184,21 +182,13 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """f(x) = exp(-b x^2), b > 0.  Exact norms sqrt(pi/b), (pi/(2b))^(1/4)."""
+    """f(x) = exp(-b x^2), b > 0."""
 
     b: float
 
     def __post_init__(self):
         if not (np.isfinite(self.b) and self.b > 0):
             raise ValueError(f"Gaussian width parameter must be positive, got {self.b}")
-
-    @property
-    def exact_l1(self) -> float:
-        return math.sqrt(math.pi / self.b)
-
-    @property
-    def exact_l2(self) -> float:
-        return (math.pi / (2 * self.b)) ** 0.25
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -212,21 +202,13 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class Indicator:
-    """f = 1_[-A, A], A > 0.  Exact norms 2A and sqrt(2A)."""
+    """f = 1_[-A, A], A > 0."""
 
     halfwidth: float
 
     def __post_init__(self):
         if not (np.isfinite(self.halfwidth) and self.halfwidth > 0):
             raise ValueError(f"Indicator halfwidth must be positive, got {self.halfwidth}")
-
-    @property
-    def exact_l1(self) -> float:
-        return 2.0 * self.halfwidth
-
-    @property
-    def exact_l2(self) -> float:
-        return math.sqrt(2.0 * self.halfwidth)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -258,14 +240,6 @@ class PiecewiseConstant:
         h = 2.0 * self.halfwidth / self.values.size
         return GridFunction(-self.halfwidth, h, self.values)
 
-    @property
-    def exact_l1(self) -> float:
-        return self.as_grid().l1_norm
-
-    @property
-    def exact_l2(self) -> float:
-        return self.as_grid().l2_norm
-
     def __call__(self, x) -> np.ndarray:
         return self.as_grid().value_at(x)
 
@@ -286,8 +260,6 @@ class BSExample:
     plotting only.
     """
 
-    singular: bool = True
-
     def multiplier(self, x) -> np.ndarray:
         """The bounded factor m(x) = 1 - (1/4) 1_[-1/4,1/4](x)."""
         x = np.asarray(x, dtype=np.float64)
@@ -300,11 +272,6 @@ class BSExample:
         xs = x[inside]
         out[inside] = self.multiplier(xs) / np.sqrt(1.0 - 4.0 * xs * xs)
         return out if out.ndim else float(out)
-
-    @property
-    def exact_l1(self) -> float:
-        # pi/2 - pi/24, via the substitution x = sin(u)/2
-        return 11.0 * math.pi / 24.0
 
     def default_support(self) -> tuple[float, float]:
         return (-0.5, 0.5)
@@ -358,34 +325,6 @@ def _midpoint_samples(family: AnalyticFamily, lo: float, hi: float,
     return np.asarray(family(_cell_midpoints(lo, h, cells)), dtype=np.float64), h
 
 
-_FAMILY_KEYS = {
-    "gaussian": {"b"},
-    "indicator": {"a"},
-    "piecewise-constant": {"s", "values"},
-    "bs-example": set(),
-}
-
-
-def family_from_spec(spec: dict) -> AnalyticFamily:
-    """Build a family from a CLI/config record like {"family": "gaussian", "b": 2.0}."""
-    if "family" not in spec:
-        raise ValueError("family record is missing the 'family' key")
-    name = spec["family"]
-    if name not in _FAMILY_KEYS:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(_FAMILY_KEYS)}")
-    extra = set(spec) - {"family"} - _FAMILY_KEYS[name]
-    if extra:
-        raise ValueError(f"unknown keys for family {name!r}: {sorted(extra)}")
-    if name == "gaussian":
-        return Gaussian(b=float(spec["b"]))
-    if name == "indicator":
-        return Indicator(halfwidth=float(spec["a"]))
-    if name == "piecewise-constant":
-        return PiecewiseConstant(halfwidth=float(spec["s"]),
-                                 values=np.asarray(spec["values"], dtype=np.float64))
-    return BSExample()
-
-
 # ---------------------------------------------------------------------------
 # mixed measures
 # ---------------------------------------------------------------------------
@@ -428,7 +367,3 @@ class MixedMeasure:
         if self.density is not None:
             tv += self.density.l1_norm
         return tv
-
-    @property
-    def is_atomic_free(self) -> bool:
-        return not self.atoms

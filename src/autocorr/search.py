@@ -23,6 +23,7 @@ public ``q_*``, and must agree to 1e-10.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -248,8 +249,12 @@ def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _baseline_full(objective: str, family: str,
-                   a: Optional[float] = None) -> tuple[float, Optional[np.ndarray]]:
+                   a: Optional[float] = None) -> tuple[float, Optional[tuple[float, ...]]]:
+    """The floor value and its parameters.  The 288-point scans are cached, so
+    a search's restart 0 reuses a scan that a floor or an earlier search made;
+    the parameters are a tuple, so no caller can change the shared value."""
     if family == "bs-example":
         if objective != "min01":
             raise ValueError("the BS example is evaluated through the min01 functional")
@@ -269,7 +274,7 @@ def _baseline_full(objective: str, family: str,
         v = _evaluate(build, kernel, params)
         if v > best_v:
             best_v, best_p = v, params
-    return best_v, best_p
+    return best_v, tuple(best_p)
 
 
 def _run_restart(build, kernel, x0: np.ndarray, max_evals: int) -> tuple[list[float], np.ndarray, float]:

@@ -44,7 +44,6 @@ __all__ = [
     "IntervalWeight",
     "GaussianWeight",
     "Weight",
-    "weight_from_spec",
     "fourier_measure",
     "MomentResult",
     "weight_lp_moment",
@@ -154,23 +153,6 @@ class GaussianWeight:
 
 
 Weight = Union[IntervalWeight, GaussianWeight]
-
-
-def weight_from_spec(spec: dict) -> Weight:
-    if "weight" not in spec:
-        raise ValueError("weight record is missing the 'weight' key")
-    name = spec["weight"]
-    if name == "interval":
-        extra = set(spec) - {"weight"}
-        if extra:
-            raise ValueError(f"unknown keys for interval weight: {sorted(extra)}")
-        return IntervalWeight()
-    if name == "gaussian":
-        extra = set(spec) - {"weight", "a"}
-        if extra:
-            raise ValueError(f"unknown keys for gaussian weight: {sorted(extra)}")
-        return GaussianWeight(a=float(spec.get("a", 2 * math.pi)))
-    raise ValueError(f"unknown weight {name!r}; expected 'interval' or 'gaussian'")
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def criterion_7(fault: bool = False) -> CriterionResult:
     """Dual bound on the positive Fourier mass for all three bump families."""
     res = CriterionResult(7, "dual positive-mass bound")
     lb = fun.min01_ceiling()
-    for bump in (dual.StandardBump(), dual.CosineBump(), dual.BetaPowerBump(2)):
+    for bump in dual.BUMPS:
         rep = dual.dual_mass_report(bump)
         pos = rep.positive_mass - (0.05 if fault else 0.0)
         res.checks.append(Check(f"{rep.bump}: pos mass", pos, lb, 1e-4, "ge"))

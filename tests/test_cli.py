@@ -1,13 +1,17 @@
 """CLI tests: subcommands, exit codes, report reproducibility, CSV formats."""
 
+import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from autocorr import cli
+from autocorr import PiecewiseConstant, cli, q_min_12, sample
 from autocorr import dualcheck as dual
 from autocorr.cli import main
+from autocorr.functionals import InvariantViolation, ZeroFunctionError
+from autocorr.search import SearchError
 
 
 def _load(path):
@@ -57,6 +61,13 @@ class TestConstants:
         names = {r["name"] for r in rep["results"]}
         assert "gaussian-mean-lower" in names
 
+    def test_gaussian_to_certified_p_max(self, tmp_path):
+        # the Gaussian closed forms used to overflow from p = 119
+        assert main(["constants", "--weight", "gaussian", "--p-min", "299",
+                     "--p-max", "300", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "constants_sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[-1][0] == "300"
 
     @pytest.mark.parametrize("flags", [["--p-max", "400"], ["--p-min", "1.5"],
                                        ["--p-min", "5", "--p-max", "4"]],
@@ -110,6 +121,26 @@ class TestEvaluate:
 
     def test_missing_family(self, tmp_path):
         assert main(["evaluate", "--functional", "mean", "--out", str(tmp_path)]) == 2
+
+    def test_missing_functional(self, tmp_path):
+        assert main(["evaluate", "--family", "gaussian", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "evaluate_report.json").exists()
+
+    def test_piecewise_constant_from_config(self, tmp_path):
+        values = [1, 2, 3, 2, 1]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "evaluate", "family": "piecewise-constant",
+                                   "functional": "min12", "s": 0.75, "values": values,
+                                   "cells": 600, "out": str(tmp_path)}))
+        assert main(["--config", str(cfg)]) == 0
+        res = _load(tmp_path / "evaluate_report.json")["results"][0]
+        f = sample(PiecewiseConstant(0.75, np.array(values, dtype=float)), cells=600)
+        assert res["value"] == q_min_12(f).value
+        assert res["support_window"] == [-0.75, 0.75]
+
+    def test_piecewise_constant_needs_values(self, tmp_path):
+        assert main(["evaluate", "--family", "piecewise-constant", "--functional", "min12",
+                     "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("support", ["0", "-1"])
     def test_empty_support_rejected(self, tmp_path, support):
@@ -186,14 +217,93 @@ class TestDual:
 class TestExitCodes:
     @pytest.mark.parametrize("exc, code", [
         (dual.NormalizationError("window ratio off", (0.0, 0.1)), 1),
+        (InvariantViolation("ceiling breached"), 1),
+        (SearchError("evaluation failed", np.zeros(2)), 1),
         (ValueError("bad value"), 2),
-    ], ids=["normalization-error", "value-error"])
+        (ZeroFunctionError("zero function"), 2),
+        (cli.ConfigError("bad key"), 2),
+    ], ids=["normalization-error", "invariant-violation", "search-error", "value-error",
+            "zero-function-error", "config-error"])
     def test_runner_exception(self, tmp_path, monkeypatch, exc, code):
         def runner(cfg, outdir):
             raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "roots", runner)
         assert main(["roots", "--out", str(tmp_path)]) == code
+
+
+def _subcommand_flags():
+    ap = cli._build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+class TestOptionTable:
+    # one flag and one config key that each subcommand does not read
+    NOT_READ = {
+        "constants": (["--budget", "5"], {"family": "gaussian"}),
+        "roots": (["--budget", "5"], {"weight": "gaussian"}),
+        "evaluate": (["--weight", "gaussian"], {"seed": 1}),
+        "search": (["--tol", "1e-3"], {"values": [1.0, 2.0]}),
+        "dual": (["--seed", "1"], {"cells": 256}),
+        "verify": (["--out", "x"], {"tol": 1e-3}),
+    }
+    NEEDS = {"evaluate": ["--family", "gaussian", "--functional", "min12"],
+             "search": ["--family", "indicator", "--functional", "min12"]}
+
+    def test_flags_are_the_table(self):
+        flags = _subcommand_flags()
+        assert sum(len(v) for v in flags.values()) == 26
+        for command, actions in flags.items():
+            assert {a.dest for a in actions} == set(cli._OPTIONS[command]) - {"values"}
+            assert all(a.default is argparse.SUPPRESS for a in actions)
+
+    @pytest.mark.parametrize("command", sorted(NOT_READ))
+    def test_flag_not_read_is_usage_error(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        flag, _ = self.NOT_READ[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.NEEDS.get(command, []), *flag])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(NOT_READ))
+    def test_key_not_read_rejected(self, tmp_path, monkeypatch, capsys, command):
+        cfg = tmp_path / "run.json"
+        _, extra = self.NOT_READ[command]
+        record = {"command": command, **extra}
+        if command in self.NEEDS:
+            record.update(family="gaussian", functional="min12")
+        cfg.write_text(json.dumps(record))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["--config", str(cfg)]) == 2
+        (key,) = extra
+        assert repr(key) in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("key, command", [("weight", "constants"),
+                                              ("family", "evaluate"),
+                                              ("functional", "search")])
+    def test_unknown_name_rejected(self, tmp_path, capsys, key, command):
+        record = {"command": command, "out": str(tmp_path), key: "nonesuch"}
+        if command != "constants":
+            record.update({k: v for k, v in (("family", "gaussian"), ("functional", "min12"))
+                           if k != key})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(record))
+        with pytest.raises(cli.ConfigError, match=repr(key)):
+            cli._config_from_dict(record)
+        assert main(["--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_unknown_flag_choice_rejected(self, tmp_path, capsys):
+        assert main(["constants", "--weight", "nonesuch", "--out", str(tmp_path)]) == 2
+        assert "'weight'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -219,6 +329,16 @@ class TestConfigFile:
         cfg.write_text('{"command": "roots",\n  "bad"\n}')
         assert main(["--config", str(cfg)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [["roots"], "roots", 5])
+    def test_not_an_object(self, tmp_path, record):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(record))
+        assert main(["--config", str(cfg)]) == 2
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "absent.json")]) == 2
+        assert "absent.json" in capsys.readouterr().err
 
     def test_missing_command(self, tmp_path):
         cfg = tmp_path / "run.json"

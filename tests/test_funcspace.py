@@ -16,7 +16,6 @@ from autocorr import (
     MixedMeasure,
     PiecewiseConstant,
     bs_l1,
-    family_from_spec,
     sample,
 )
 
@@ -132,18 +131,6 @@ class TestSampling:
         for a, b in zip(errs, errs[1:]):
             assert b <= 1.1 * a + 1e-12 * exact_l1
 
-    def test_family_from_spec(self):
-        assert isinstance(family_from_spec({"family": "gaussian", "b": 2.0}), Gaussian)
-        assert isinstance(family_from_spec({"family": "indicator", "a": 0.5}), Indicator)
-        assert isinstance(family_from_spec({"family": "bs-example"}), BSExample)
-        pc = family_from_spec({"family": "piecewise-constant", "s": 0.5,
-                               "values": [1.0, 2.0]})
-        assert isinstance(pc, PiecewiseConstant)
-        with pytest.raises(ValueError):
-            family_from_spec({"family": "gaussian", "b": 2.0, "junk": 1})
-        with pytest.raises(ValueError):
-            family_from_spec({"family": "unknown"})
-
 
 class TestMixedMeasure:
     def test_canonical_form(self):
@@ -160,7 +147,3 @@ class TestMixedMeasure:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             MixedMeasure(atoms=((0.0, -1.0),))
-
-    def test_flags(self):
-        assert MixedMeasure(density=sample(Indicator(1.0), cells=8)).is_atomic_free
-        assert not MixedMeasure(atoms=((0.0, 1.0),)).is_atomic_free

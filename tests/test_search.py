@@ -25,6 +25,7 @@ from autocorr.functionals import gauss_ceiling, min01_ceiling
 from autocorr.search import (
     OBJECTIVES,
     SearchError,
+    _baseline_full,
     _evaluate,
     _family_builder,
     _objective_kernels,
@@ -160,6 +161,15 @@ class TestBaseline:
     def test_no_baseline_for_piecewise(self):
         with pytest.raises(ValueError):
             baseline("min12", "piecewise")
+
+    def test_scan_cached_read_only(self, monkeypatch):
+        # the search seeds restart 0 from the floor's scan instead of repeating it
+        value, params = _baseline_full("min12", "indicator")
+        assert isinstance(params, tuple)
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # no evaluation may run
+        assert _baseline_full("min12", "indicator") == (value, params)
+        assert baseline("min12", "indicator") == value
 
 
 class TestEvaluationFailure:

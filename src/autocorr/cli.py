@@ -440,6 +440,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = args.pop("config")
     try:
         if config:
+            if args["command"]:
+                # the file holds the command and its keys; flags after a
+                # subcommand would otherwise be dropped without a word
+                raise ConfigError(f"--config takes no subcommand, got {args['command']!r}; "
+                                  "put the command and its keys in the file")
             try:
                 with open(config, encoding="utf-8") as fh:
                     args = json.load(fh)

@@ -12,8 +12,8 @@ functionals' array cores both call them, so there is one implementation.
 
 The singular BS example is handled separately: its correlation is a sum of
 incomplete elliptic integrals of the first kind, evaluated in closed form
-through Carlson's R_F, with no quadrature.  (Its L1 norm 11 pi/24 is checked
-by Gauss-Legendre, ``bs_l1``.)
+through Carlson's R_F (``_carlson_rf``), with no quadrature.  (Its L1 norm
+11 pi/24 is checked by Gauss-Legendre, ``bs_l1``.)
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
+import numpy.fft
 
 from .funcspace import BSExample, GridFunction, MixedMeasure, _leggauss, _readonly
 
@@ -53,6 +53,17 @@ __all__ = [
 # validation: :class:`Correlation` and the functionals check their inputs
 # once, at the boundary, and call these.
 # ---------------------------------------------------------------------------
+
+
+# glibc's malloc hands the top of its heap back to the system whenever more
+# than twice its mmap threshold is free there; the threshold starts at
+# 128 KiB and rises to the size of the largest mmap-served block freed so far.
+# ``lattice_weighted_integral`` makes and frees several (node, cell) arrays a
+# call, 1 MiB each at 8 nodes x 16384 cells, so from a fresh heap every call
+# trimmed it and paged it back in: 145,000 page faults over four gauss
+# searches, 40% of their time.  Freeing one such block here, at import,
+# raises the threshold once.  (Other allocators ignore it.)
+np.empty(8 * 16384)
 
 
 def _next_pow2(n: int) -> int:
@@ -238,6 +249,54 @@ def autocorrelate(f: GridFunction, method: str = "fft") -> Correlation:
 
 
 _RF_SCALE = 2.0 ** 100
+# Carlson's (1995) stopping rule for a relative truncation error below r = 2^-53
+_RF_Q = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), vectorized.
+
+    For x, y, z >= 0 with at most one of them zero; two zeros give +inf, a
+    NaN, infinite or negative argument NaN.  Duplication theorem and
+    fifth-order series as in Carlson (1995), Numer. Algorithms 10, 13-26:
+    with A_0 the mean of the arguments and Q = (3r)^(-1/6) max|A_0 - x|,
+    iterate lambda = sqrt(x y) + sqrt(x z) + sqrt(y z), (x, y, z, A) <-
+    (x, y, z, A) + lambda, all divided by 4, until 4^-m Q < |A_m|; then with
+    X = (A_0 - x)/(4^m A_m), Y likewise and Z = -X - Y,
+
+        R_F ~ A_m^(-1/2) (1 - E2/10 + E3/14 + E2^2/24 - 3 E2 E3/44),
+
+    E2 = XY - Z^2, E3 = XYZ.  Each element stops on its own rule (the others
+    are masked out), and only +, *, / and sqrt are used, so an element's
+    value does not depend on the array it sits in.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, z)))
+    a0 = (x + y + z) / 3.0
+    q = _RF_Q * np.maximum(np.maximum(np.abs(a0 - x), np.abs(a0 - y)), np.abs(a0 - z))
+    xm, ym, zm, am = (v.flatten() for v in (x, y, z, a0))
+    q, scale = q.ravel(), np.ones(q.size)           # 4^-m Q and 4^-m
+    # two zero arguments never meet the rule (inf); a NaN never fails it
+    poles = (xm == 0.0) * 1 + (ym == 0.0) + (zm == 0.0) >= 2
+    live = np.flatnonzero((q >= np.abs(am)) & ~poles)
+    while live.size:
+        sx, sy, sz = np.sqrt(xm[live]), np.sqrt(ym[live]), np.sqrt(zm[live])
+        lam = sx * sy + sx * sz + sy * sz
+        xm[live] = 0.25 * (xm[live] + lam)
+        ym[live] = 0.25 * (ym[live] + lam)
+        zm[live] = 0.25 * (zm[live] + lam)
+        am[live] = 0.25 * (am[live] + lam)
+        q[live] *= 0.25
+        scale[live] *= 0.25
+        live = live[q[live] >= np.abs(am[live])]
+    t = am / scale                                   # 4^m A_m, exact
+    X = (a0.ravel() - x.ravel()) / t
+    Y = (a0.ravel() - y.ravel()) / t
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(am)
+    rf[poles] = np.inf
+    rf = rf.reshape(x.shape)
+    return rf if rf.ndim else float(rf)
 
 
 def autocorrelate_singular(f: BSExample, t):
@@ -280,7 +339,7 @@ def autocorrelate_singular(f: BSExample, t):
                   np.where(low, B2 * 0.25 * (0.75 + a), 1.0),
                   np.where(mid, B2 * (0.25 + a) * 0.75, 1.0)])
     z = np.stack([_RF_SCALE * A2, np.where(low, A2 * B2, 1.0), np.where(mid, A2 * B2, 1.0)])
-    rf = special.elliprf(x, y, z)
+    rf = _carlson_rf(x, y, z)
     p_b = math.sqrt(_RF_SCALE) * rf[0]
     p_up = np.where(low, (0.5 * a + 0.25) * rf[1], p_b)
     p_in = (0.25 - 0.5 * a) * rf[2]

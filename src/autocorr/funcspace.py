@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+import numpy.polynomial.legendre
 
 __all__ = [
     "GridFunction",

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random
 
 from .funcspace import Gaussian, GridFunction, Indicator, _midpoint_samples
 from .functionals import (

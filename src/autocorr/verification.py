@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random
 
 from . import constants as C
 from . import correlate as corr

@@ -313,6 +313,16 @@ class TestConfigFile:
         assert main(["--config", str(cfg)]) == 0
         assert (tmp_path / "roots_report.json").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--out", "flagged"]])
+    def test_subcommand_with_config_rejected(self, tmp_path, monkeypatch, capsys, flags):
+        # the file would win whole, and the flags after the subcommand vanish
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "roots", "out": str(tmp_path / "file")}))
+        assert main(["--config", str(cfg), "roots"] + flags) == 2
+        assert "--config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"command": "roots", "sigma": 2}))

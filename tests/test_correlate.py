@@ -21,7 +21,7 @@ from autocorr import (
     periodize,
     sample,
 )
-from autocorr.correlate import lattice_autocorrelation, measure_correlation
+from autocorr.correlate import _carlson_rf, lattice_autocorrelation, measure_correlation
 
 PI = math.pi
 
@@ -204,6 +204,44 @@ class TestSingularBS:
             autocorrelate_singular(BSExample(), math.nan)
         with pytest.raises(ValueError):
             autocorrelate_singular(BSExample(), np.array([0.5, math.nan]))
+
+
+def _rf_arguments():
+    # seeded (x, y, z): x = 0 in a fifth of the rows, x/y up to 1e300 either
+    # way, and the scaled subnormal row the BS correlation forms at t = 5e-324
+    rng = np.random.default_rng(20)
+    n = 400
+    x = np.exp(rng.uniform(-690.0, 690.0, n)) * (rng.uniform(size=n) < 0.8)
+    y = np.exp(rng.uniform(-690.0, 690.0, n))
+    z = np.exp(rng.uniform(-3.0, 3.0, n))
+    x = np.concatenate([x, [0.0, 0.0, 1.0, 0.0]])
+    y = np.concatenate([y, [5e-324 * 2.0 ** 100, 1.0, 1.0, 1e-300]])
+    z = np.concatenate([z, [0.25 * 2.0 ** 100, 1.0, 1.0, 1e300]])
+    return x, y, z
+
+
+class TestCarlsonRF:
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x, y, z = _rf_arguments()
+        got = _carlson_rf(x, y, z)
+        with mpmath.workdps(40):
+            rel = [abs(mpmath.mpf(g) / mpmath.elliprf(a, b, c) - 1)
+                   for a, b, c, g in zip(x, y, z, got)]
+        assert float(max(rel)) <= 1e-15
+
+    def test_scalar_matches_array(self):
+        x, y, z = _rf_arguments()
+        got = _carlson_rf(x, y, z)
+        assert np.array_equal(got, [_carlson_rf(a, b, c) for a, b, c in zip(x, y, z)])
+        assert isinstance(_carlson_rf(0.0, 1.0, 2.0), float)
+
+    def test_special_values(self):
+        assert _carlson_rf(1.0, 1.0, 1.0) == 1.0
+        assert _carlson_rf(0.0, 0.0, 1.0) == math.inf
+        assert math.isnan(_carlson_rf(math.nan, 1.0, 1.0))
+        # R_F(0, 1, 1) = pi/2
+        assert _carlson_rf(0.0, 1.0, 1.0) == pytest.approx(PI / 2, rel=4e-16)
 
 
 class TestPeriodize:

@@ -92,6 +92,35 @@ class TestBumpFamilies:
         assert np.max(np.abs(CosineBump().hat(near) - near_ref)) <= 1e-15
         assert CosineBump().hat(far.reshape(2, 111)).shape == (2, 111)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_beta_power_hat_against_mpmath(self, k):
+        # (2k+1)!! j_k(z)/z^k through J_(k+1/2) at 40 digits, on both sides of
+        # the series/recurrence crossover z = k + 2, i.e. xi = (k+2)/(2 pi)
+        mpmath = pytest.importorskip("mpmath")
+        cross = (k + 2) / (2 * PI)
+        xis = np.concatenate([np.linspace(0.0, 200.0, 1001), np.linspace(0.0, 2.0, 201),
+                              cross * (1 + np.array([-1e-12, 0.0, 1e-12]))])
+        scale = math.prod(range(1, 2 * k + 2, 2))
+        with mpmath.workdps(40):
+            def oracle(xi):
+                z = 2 * mpmath.pi * mpmath.mpf(float(xi))
+                if z == 0:
+                    return 1.0
+                return float(scale * mpmath.sqrt(mpmath.pi / (2 * z))
+                             * mpmath.besselj(k + mpmath.mpf(1) / 2, z) / z ** k)
+            ref = np.array([oracle(x) for x in xis])
+        got = BetaPowerBump(k).hat(xis)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert np.array_equal(got, [BetaPowerBump(k).hat(float(x)) for x in xis])
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", None])
+    def test_beta_power_needs_integer_k(self, k):
+        with pytest.raises(ValueError):
+            BetaPowerBump(k)
+
+    def test_beta_power_accepts_numpy_integer(self):
+        assert BetaPowerBump(np.int64(3)).hat(0.0) == BetaPowerBump(3).hat(0.0) == 1.0
+
 
 class TestPositivePartMass:
     # frozen from the sign-split quadrature, cross-checked against brute

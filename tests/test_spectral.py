@@ -139,11 +139,52 @@ class TestWeightLpMoment:
         vals = [weight_lp_moment(IntervalWeight(), float(p)).value for p in ps]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("a, b", [(3.0, 3.0), (3.407, 1.0), (44.5, 44.5), (86.0, 86.0),
+                                      (101.0, 101.0), (301.0, 301.0), (301.0, 1.0)])
+    def test_beta_within_its_rounding(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        from autocorr.spectral import _beta
+
+        value, rel = _beta(a, b)
+        with mpmath.workdps(40):
+            assert float(abs(value / mpmath.beta(a, b) - 1)) <= rel
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 50.0, 100.0, 300.0])
+    def test_rounding_never_below_1e14(self, p):
+        from autocorr.spectral import _interval_lp_moment
+
+        value, bound = _interval_lp_moment(p)
+        assert bound >= 1e-14 * value
+
     def test_tol_halving_stays_within_bound(self):
         for tol in (1e-6, 1e-8):
             m1 = weight_lp_moment(IntervalWeight(), 2.5, tol=tol)
             m2 = weight_lp_moment(IntervalWeight(), 2.5, tol=tol / 2)
             assert abs(m1.value - m2.value) <= m1.error_bound
+
+
+class TestHurwitzZeta:
+    def test_against_mpmath(self):
+        # mpmath's Hurwitz zeta needs the extra digits: at 40 it errs by 2e-12
+        # near s = 22
+        mpmath = pytest.importorskip("mpmath")
+        from autocorr.spectral import _hurwitz_zeta
+
+        rng = np.random.default_rng(31)
+        ss = np.concatenate([1.0 + np.exp(rng.uniform(math.log(1e-9), math.log(319.0), 300)),
+                             [1.0 + 2.0 ** -52, 2.0, 3.0, 22.0, 190.0, 320.0]])
+        worst = 0.0
+        with mpmath.workdps(80):
+            for s in ss:
+                ref = mpmath.zeta(float(s), 50)
+                if ref > mpmath.mpf(2.0) ** -1022:
+                    worst = max(worst, float(abs(_hurwitz_zeta(float(s), 50) / ref - 1)))
+        assert worst <= 2e-16
+
+    def test_underflow_is_zero(self):
+        from autocorr.spectral import _hurwitz_zeta
+
+        assert [_hurwitz_zeta(s, 50) for s in (320.0, 600.0, 1e5, 1e300)] == [0.0] * 4
 
 
 class TestWeightTails:

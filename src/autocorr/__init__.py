@@ -27,7 +27,6 @@ from .correlate import (
     autocorrelate,
     autocorrelate_singular,
     dilate,
-    dilate_mollify,
     periodize,
 )
 from .dualcheck import (
@@ -47,7 +46,6 @@ from .funcspace import (
     GridFunction,
     Indicator,
     MixedMeasure,
-    PiecewiseConstant,
     bs_l1,
     sample,
 )

@@ -31,7 +31,7 @@ from . import dualcheck as dual
 from . import functionals as fun
 from . import verification
 from .search import DEFAULT_BUDGET, search as run_search
-from .funcspace import BSExample, Gaussian, Indicator, PiecewiseConstant, sample
+from .funcspace import Gaussian, GridFunction, Indicator, sample
 from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, IntervalWeight
 
 SCHEMA = 1
@@ -89,7 +89,7 @@ _HELP = {
     "a": "Gaussian weight parameter",
     "b": "Gaussian family parameter (default 1)",
     "s": "indicator / piecewise-constant halfwidth (default 0.5)",
-    "support": "half-width S of the sampling window [-S, S]",
+    "support": "half-width S of the sampling window [-S, S] (not for piecewise-constant)",
     "fault_inject": "test mode: corrupt one criterion as a negative control",
 }
 
@@ -125,6 +125,11 @@ def _check_value(key: str, value) -> None:
         raise ConfigError(f"{key!r} must be {base.__name__}, got {value!r}")
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(f"{key!r} must be one of {_CHOICES[key]}, got {value!r}")
+    # NaN fails both comparisons; float max also refuses ints that no float holds
+    if key == "values" and not (value and all(type(v) in (int, float)
+                                              and 0 <= v <= sys.float_info.max for v in value)):
+        raise ConfigError(f"'values' must be a nonempty list of finite, nonnegative numbers, "
+                          f"got {value!r}")
 
 
 def _config_from_dict(data: dict) -> RunConfig:
@@ -148,6 +153,17 @@ def _config_from_dict(data: dict) -> RunConfig:
     if not 2.0 <= cfg.p_min <= cfg.p_max <= INTERVAL_MOMENT_P_MAX:
         raise ConfigError(f"need 2 <= p_min <= p_max <= {INTERVAL_MOMENT_P_MAX:g}, "
                           f"got p_min={cfg.p_min}, p_max={cfg.p_max}")
+    if not 0 < cfg.tol < math.inf:
+        raise ConfigError(f"'tol' must be finite and positive, got {cfg.tol!r}")
+    if cfg.command == "evaluate" and cfg.family == "piecewise-constant":
+        # the step function is evaluated on its own cells, spread over [-s, s]
+        if cfg.values is None:
+            raise ConfigError("piecewise-constant needs 'values'")
+        given = sorted({"cells", "support"} & set(data))
+        if given:
+            raise ConfigError(f"piecewise-constant is evaluated on its own cells and does "
+                              f"not read {given}")
+        cfg.cells = len(cfg.values)  # the echo names the cells evaluated
     return cfg
 
 
@@ -254,31 +270,27 @@ def _cmd_roots(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _family_of(cfg: RunConfig):
+def _function_of(cfg: RunConfig) -> GridFunction:
+    """The step function on its own cells over [-s, s], or the family sampled."""
     halfwidth = float(cfg.s) if cfg.s is not None else 0.5
-    if cfg.family == "gaussian":
-        return Gaussian(float(cfg.b) if cfg.b is not None else 1.0)
-    if cfg.family == "indicator":
-        return Indicator(halfwidth)
     if cfg.family == "piecewise-constant":
-        if cfg.values is None:
-            raise ConfigError("piecewise-constant needs 'values'")
-        return PiecewiseConstant(halfwidth, np.asarray(cfg.values, dtype=np.float64))
-    return BSExample()
+        return GridFunction(-halfwidth, 2.0 * halfwidth / len(cfg.values), cfg.values)
+    family = (Gaussian(float(cfg.b) if cfg.b is not None else 1.0) if cfg.family == "gaussian"
+              else Indicator(halfwidth))
+    support = (-cfg.support, cfg.support) if cfg.support is not None else None
+    return sample(family, support=support, cells=cfg.cells)
 
 
 def _cmd_evaluate(cfg: RunConfig, outdir: Path) -> int:
     if cfg.family is None or cfg.functional is None:
         raise ConfigError("evaluate needs --family and --functional")
-    family = _family_of(cfg)
     window = None
-    if isinstance(family, BSExample):
+    if cfg.family == "bs-example":
         if cfg.functional != "min01":
             raise ConfigError("the bs-example family supports only the min01 functional")
         ratio = fun.q_min_01_bs()
     else:
-        support = (-cfg.support, cfg.support) if cfg.support is not None else None
-        f = sample(family, support=support, cells=cfg.cells)
+        f = _function_of(cfg)
         window = list(f.support)
         if cfg.functional == "mean":
             ratio = fun.q_mean(f, tol=cfg.tol)

@@ -38,7 +38,6 @@ __all__ = [
     "autocorrelate_singular",
     "periodize",
     "dilate",
-    "dilate_mollify",
     "MeasureCorrelation",
     "measure_correlation",
 ]
@@ -226,21 +225,13 @@ class Correlation:
         return lattice_weighted_integral(self.values, self.spacing, weight, halfrange)
 
 
-def autocorrelate(f: GridFunction, method: str = "fft") -> Correlation:
+def autocorrelate(f: GridFunction) -> Correlation:
     """Autocorrelation of a grid function, exact on the lattice {k*h}.
 
-    ``direct`` is the O(n^2) reference summation; ``fft`` is zero-padded fast
-    correlation (:func:`lattice_autocorrelation`).  Both return lattice values
-    padded with the exact zeros at t = +-(support length).
+    Zero-padded fast correlation (:func:`lattice_autocorrelation`), with the
+    exact zeros at t = +-(support length) at the ends.
     """
-    s, h = f.samples, f.spacing
-    if method == "direct":
-        values = _even_lattice(np.correlate(s, s, mode="full") * h)
-    elif method == "fft":
-        values = lattice_autocorrelation(s, h)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'direct' or 'fft'")
-    return Correlation(spacing=h, values=values)
+    return Correlation(spacing=f.spacing, values=lattice_autocorrelation(f.samples, f.spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +343,7 @@ def autocorrelate_singular(f: BSExample, t):
 
 
 # ---------------------------------------------------------------------------
-# periodization and dilate-mollify
+# periodization and dilation
 # ---------------------------------------------------------------------------
 
 
@@ -389,57 +380,6 @@ def dilate(f: GridFunction, lam: float) -> GridFunction:
     if not lam > 0:
         raise ValueError("dilation factor must be positive")
     return GridFunction(f.origin / lam, f.spacing / lam, f.samples)
-
-
-def _bump(u) -> np.ndarray:
-    """exp(-1/(1-u^2)) on |u| < 1 and 0 elsewhere: the standard bump, unnormalized."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
-def _bump_cdf_kernel(t: float, h: float) -> np.ndarray:
-    """Cell-averaged mollifier weights W_m, sum exactly 1.
-
-    W_m is proportional to int (h-|w|) psi(m h + w) dw over |w| <= h, with psi
-    the bump exp(-1/(1-(x/t)^2)) on [-t, t].  Each half of [-h, h], where the
-    tent is linear, is clipped to the support of psi and gets 32-point
-    Gauss-Legendre (24 points miss 1e-9 when t < h).
-    """
-    M = int(math.ceil((t + h) / h)) + 1
-    c = np.arange(-M, M + 1)[:, None] * h
-    lo = np.maximum(-t - c, [-h, 0.0])
-    hi = np.minimum(t - c, [0.0, h])
-    rad = 0.5 * np.maximum(hi - lo, 0.0)   # 0 on a half outside the support
-    x, wgt = _leggauss(32)
-    w = 0.5 * (lo + hi)[..., None] + rad[..., None] * x
-    W = ((h - np.abs(w)) * _bump((c[..., None] + w) / t) @ wgt * rad).sum(axis=1)
-    total = W.sum()
-    if not total > 0:
-        raise ValueError(f"mollifier width {t} is unresolvable at spacing {h}")
-    return W / total
-
-
-def dilate_mollify(f: GridFunction, lam: float, t: float) -> GridFunction:
-    """Dilation then mollification, f~ = f_lambda * psi_t.
-
-    Requires 0 < lambda < 1 and t < (1/lambda - 1)/2 so that the smoothed
-    minimum over [0, 1] dominates the dilated minimum over [0, 1/lambda].
-    The mollifier is cell-averaged into a probability vector, so
-    nonnegativity and the L1 norm are preserved exactly.
-    """
-    if not (0 < lam < 1):
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    bound = 0.5 * (1.0 / lam - 1.0)
-    if not (0 < t < bound):
-        raise ValueError(f"mollifier width must lie in (0, {bound:.6g}), got {t}")
-    g = dilate(f, lam)
-    W = _bump_cdf_kernel(t, g.spacing)
-    M = (W.size - 1) // 2
-    return GridFunction(g.origin - M * g.spacing, g.spacing,
-                        np.convolve(g.samples, W, mode="full"))
 
 
 # ---------------------------------------------------------------------------

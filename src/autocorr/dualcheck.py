@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .constants import sinc_min_roots
-from .correlate import _bump, measure_correlation
+from .correlate import measure_correlation
 from .funcspace import MixedMeasure, _leggauss
 from .spectral import fourier_measure, sinc
 
@@ -66,6 +66,15 @@ def _half_trapezoid() -> tuple[np.ndarray, np.ndarray]:
     w = np.full(x.size, 2.0 / _TRAPEZOID_N)
     w[[0, -1]] = 1.0 / _TRAPEZOID_N
     return x, w
+
+
+def _bump(u) -> np.ndarray:
+    """exp(-1/(1-u^2)) on |u| < 1 and 0 elsewhere: the standard bump, unnormalized."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return out
 
 
 @functools.lru_cache(maxsize=1)

@@ -2,9 +2,10 @@
 
 The workhorse type is :class:`GridFunction`, a nonnegative piecewise-constant
 function on a uniform grid (samples are cell-midpoint values, which for the
-cell model are also the cell values).  Analytic families (Gaussian, interval
-indicator, piecewise-constant, and the singular boundary-blowup
-counterexample :class:`BSExample`) can be sampled onto grids.
+cell model are also the cell values); a step function with equal cells is a
+GridFunction as it stands.  Analytic families (Gaussian, interval indicator,
+and the singular boundary-blowup counterexample :class:`BSExample`) can be
+sampled onto grids.
 :class:`MixedMeasure` represents a finite nonnegative measure as an atom list
 plus an optional absolutely continuous part.
 """
@@ -24,7 +25,6 @@ __all__ = [
     "GridFunction",
     "Gaussian",
     "Indicator",
-    "PiecewiseConstant",
     "BSExample",
     "AnalyticFamily",
     "MixedMeasure",
@@ -139,16 +139,7 @@ class GridFunction:
         s = self.samples
         return float(s[0] + np.abs(np.diff(s)).sum() + s[-1])
 
-    # -- evaluation ----------------------------------------------------------
-
-    def value_at(self, x) -> np.ndarray:
-        """Piecewise-constant evaluation; 0 outside the support window."""
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.floor((x - self.origin) / self.spacing).astype(np.int64)
-        inside = (idx >= 0) & (idx < self.cells)
-        out = np.zeros_like(x, dtype=np.float64)
-        out[inside] = self.samples[idx[inside]]
-        return out if out.ndim else float(out)
+    # -- integrals -----------------------------------------------------------
 
     def _antiderivative(self, x: np.ndarray) -> np.ndarray:
         """int_{-inf}^x of the cell model, elementwise."""
@@ -219,35 +210,6 @@ class Indicator:
         return (-self.halfwidth, self.halfwidth)
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseConstant:
-    """Nonnegative piecewise-constant function on [-S, S] with equal cells."""
-
-    halfwidth: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.halfwidth) and self.halfwidth > 0):
-            raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ValueError("cell values must be finite and nonnegative")
-        object.__setattr__(self, "values", _readonly(v))
-
-    def as_grid(self) -> GridFunction:
-        """Exact grid representation (no sampling error)."""
-        h = 2.0 * self.halfwidth / self.values.size
-        return GridFunction(-self.halfwidth, h, self.values)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.as_grid().value_at(x)
-
-    def default_support(self) -> tuple[float, float]:
-        return (-self.halfwidth, self.halfwidth)
-
-
 @dataclass(frozen=True)
 class BSExample:
     """The singular compactly supported counterexample of the min problem.
@@ -278,7 +240,7 @@ class BSExample:
         return (-0.5, 0.5)
 
 
-AnalyticFamily = Union[Gaussian, Indicator, PiecewiseConstant, BSExample]
+AnalyticFamily = Union[Gaussian, Indicator, BSExample]
 
 
 def bs_l1() -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -220,10 +220,12 @@ def q_min_12(f: GridFunction) -> RatioResult:
     return RatioResult("min12", "lattice-exact", *min12_ratio(f.samples, f.spacing))
 
 
-def q_min_01(f: Union[GridFunction, BSExample]) -> RatioResult:
-    """min over [0,1] of f*f over ||f||_1^2; bounded by 1/(2(1+theta0))."""
-    if isinstance(f, BSExample):
-        return q_min_01_bs()
+def q_min_01(f: GridFunction) -> RatioResult:
+    """min over [0,1] of f*f over ||f||_1^2; bounded by 1/(2(1+theta0)).
+
+    The singular BS example is not a grid function; :func:`q_min_01_bs`
+    evaluates it.
+    """
     return RatioResult("min01", "lattice-exact", *min01_ratio(f.samples, f.spacing))
 
 

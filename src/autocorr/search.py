@@ -174,7 +174,8 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: i
 
     The simplex is one (dim + 1, dim) array, kept sorted by score.  The
     running best is tracked at every evaluation, so the returned pair is
-    consistent no matter where the budget runs out.
+    consistent no matter where the budget runs out.  ``max_evals`` must cover
+    the dim + 1 evaluations that seed the simplex (``search`` checks it).
     """
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     x0 = np.asarray(x0, dtype=np.float64)
@@ -230,8 +231,6 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: i
                 scores[i] = call(simplex[i])
     except _BudgetExhausted:
         pass
-    if not math.isfinite(best_f):
-        raise SearchError("evaluation budget too small to seed the simplex", x0)
     return best_x, best_f
 
 
@@ -295,15 +294,24 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
 
     Deterministic given (objective, family, budget, seed): restarts have
     independent seeded starting points, restart 0 starting from the family
-    baseline optimum when one is scannable.
+    baseline optimum when one is scannable.  ``dimension`` 0 means 16 cells
+    for the piecewise family; each of the max(4, dim) restarts must afford
+    the dim + 1 evaluations that seed its simplex.
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
+    if dimension < 0:
+        raise ValueError(f"dimension must be nonnegative, got {dimension}")
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
         return _search_bs(objective, label, seed)
     build, dim = _family_builder(family, dimension, halfwidth)
     kernel, typed = _objective_kernels(objective, a)
+    restarts = max(4, dim)
+    per_restart = budget // restarts
+    if per_restart < dim + 1:
+        raise ValueError(f"budget {budget} gives each of {restarts} restarts {per_restart} "
+                         f"evaluations; seeding a {dim}-dimensional simplex takes {dim + 1}")
 
     try:
         _, base_params = _baseline_full(objective, family, a=a)
@@ -314,8 +322,6 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     if x_base.size != dim:
         x_base = np.ones(dim, dtype=np.float64)
 
-    restarts = max(4, dim)
-    per_restart = budget // restarts
     # restarts run in index order; ties keep the lowest restart index
     trace: list[tuple[int, float]] = []
     best_so_far = -math.inf

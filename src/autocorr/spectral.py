@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class IntervalWeight:
     """w = 1_[-1/2,1/2]; what(xi) = sin(pi xi)/(pi xi)."""
 
     label: str = "interval"
-
-    def density(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return (np.abs(t) <= 0.5).astype(np.float64)
 
     def hat(self, xi) -> np.ndarray:
         return sinc(xi)
@@ -398,23 +394,10 @@ def _composite(f: GridFunction, wt_hat: Callable[[np.ndarray], np.ndarray],
     return float(vals @ wrep)
 
 
-def mean_functional_fourier(f: GridFunction, w: Optional[Weight],
-                            tol: float = 1e-8) -> MomentResult:
-    """int |fhat(xi)|^2 what(xi) d xi with a certified truncation tail.
-
-    ``w=None`` integrates |fhat|^2 alone over one full period of the midpoint
-    transform (a trapezoid sum that is exact for the trigonometric polynomial
-    involved), recovering ||f||_2^2 -- the Plancherel mass identity.
-    """
+def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> MomentResult:
+    """int |fhat(xi)|^2 what(xi) d xi with a certified truncation tail."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if w is None:
-        M = 2 * f.cells
-        h = f.spacing
-        v = _progression_transform(f, 1.0 / (M * h), M, np.array([-0.5 / h]))
-        value = float((v.real ** 2 + v.imag ** 2).sum() / (h * M))
-        return MomentResult(value, 1e-12 * max(value, 1.0))
-
     hi = w.cutoff(f, tol)
     tail = w.tail_bound(f, hi)
     nodes = max(20, int(3.0 * f.width) + 12)

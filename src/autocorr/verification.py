@@ -45,7 +45,7 @@ class Check:
     measured: float
     expected: float
     tolerance: float
-    comparison: str = "abs"  # 'abs': |m-e|<=tol ; 'ge': m >= e - tol ; 'le': m <= e + tol
+    comparison: str = "abs"  # 'abs': |m-e|<=tol ; 'ge': m >= e - tol
 
     @property
     def passed(self) -> bool:
@@ -55,8 +55,6 @@ class Check:
             return bool(abs(self.measured - self.expected) <= self.tolerance)
         if self.comparison == "ge":
             return bool(self.measured >= self.expected - self.tolerance)
-        if self.comparison == "le":
-            return bool(self.measured <= self.expected + self.tolerance)
         raise ValueError(self.comparison)
 
 
@@ -337,7 +335,7 @@ def format_table(results: list[CriterionResult]) -> str:
         lines.append(f"[{status}] criterion {r.index}: {r.title} ({r.elapsed:.1f}s)")
         for c in r.checks:
             mark = "ok " if c.passed else "BAD"
-            op = {"abs": "~", "ge": ">=", "le": "<="}[c.comparison]
+            op = {"abs": "~", "ge": ">="}[c.comparison]
             lines.append(f"    {mark} {c.name}: {c.measured:.10g} {op} "
                          f"{c.expected:.10g} (tol {c.tolerance:g})")
     n_pass = sum(r.passed for r in results)

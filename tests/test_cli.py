@@ -3,11 +3,12 @@
 import argparse
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from autocorr import PiecewiseConstant, cli, q_min_12, sample
+from autocorr import GridFunction, cli, q_min_12
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
@@ -127,16 +128,54 @@ class TestEvaluate:
         assert not (tmp_path / "evaluate_report.json").exists()
 
     def test_piecewise_constant_from_config(self, tmp_path):
+        # the step function itself, one cell per value, not a resampling of it
         values = [1, 2, 3, 2, 1]
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"command": "evaluate", "family": "piecewise-constant",
                                    "functional": "min12", "s": 0.75, "values": values,
-                                   "cells": 600, "out": str(tmp_path)}))
+                                   "out": str(tmp_path)}))
         assert main(["--config", str(cfg)]) == 0
         res = _load(tmp_path / "evaluate_report.json")["results"][0]
-        f = sample(PiecewiseConstant(0.75, np.array(values, dtype=float)), cells=600)
-        assert res["value"] == q_min_12(f).value
+        assert res["value"] == q_min_12(GridFunction(-0.75, 0.3, values)).value
         assert res["support_window"] == [-0.75, 0.75]
+
+    def test_piecewise_constant_is_exact(self, tmp_path):
+        # h = 1/3: f*f is 8/3 at t = 1/3 and 1 at t = 2/3, so the minimum over
+        # [-1/2, 1/2] is their mean 11/6; ||f||_1 = 2 and ||f||_2^2 = 14/3.
+        # Resampled at 2048 midpoints it read 0.42424407.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "evaluate", "family": "piecewise-constant",
+                                   "functional": "min12", "values": [1, 2, 3],
+                                   "out": str(tmp_path)}))
+        assert main(["--config", str(cfg)]) == 0
+        res = _load(tmp_path / "evaluate_report.json")["results"][0]
+        assert res["numerator"] == pytest.approx(11 / 6, rel=1e-14)
+        assert res["value"] == pytest.approx(11 / 6 / (2 * math.sqrt(14 / 3)), rel=1e-14)
+        assert round(res["value"], 10) == 0.4243342124
+        assert _load(tmp_path / "evaluate_report.json")["config"]["cells"] == 3
+
+    @pytest.mark.parametrize("extra", [{"cells": 600}, {"support": 1.0}])
+    def test_piecewise_constant_rejects_grid_keys(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "evaluate", "family": "piecewise-constant",
+                                   "functional": "min12", "values": [1, 2, 3],
+                                   "out": str(tmp_path / "out"), **extra}))
+        assert main(["--config", str(cfg)]) == 2
+        assert repr(*extra) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values", [[], [1.0, -0.5], [1.0, "2"], [True, 1.0], [10 ** 400],
+                                        "NaN", "Infinity"])
+    def test_piecewise_constant_bad_values(self, tmp_path, capsys, values):
+        # JSON's NaN and Infinity parse to floats; the strings stand for them
+        values = [float(values)] if isinstance(values, str) else values
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "evaluate", "family": "piecewise-constant",
+                                   "functional": "min12", "values": values,
+                                   "out": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "'values'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_piecewise_constant_needs_values(self, tmp_path):
         assert main(["evaluate", "--family", "piecewise-constant", "--functional", "min12",
@@ -160,6 +199,21 @@ class TestEvaluate:
         assert values[1] == values[0]
 
 
+class TestTolerance:
+    # --tol 0 used to end in a ZeroDivisionError traceback (dual) or pass
+    # unread (evaluate min12), and --tol nan exited 0
+    ARGV = {"dual": ["dual"],
+            "evaluate": ["evaluate", "--family", "indicator", "--functional", "min12"]}
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1e-8"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_tol_must_be_finite_positive(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        assert main([*self.ARGV[command], f"--tol={tol}", "--out", str(out)]) == 2
+        assert "'tol'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSearch:
     def test_record_and_trace(self, tmp_path):
         assert main(["search", "--functional", "min12", "--family", "indicator",
@@ -173,6 +227,17 @@ class TestSearch:
         assert len(rows) - 1 == res["evaluations"]
         vals = [float(r[1]) for r in rows[1:]]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("flags", [["--dimension", "-3"],
+                                       ["--dimension", "200", "--budget", "100"]],
+                             ids=["negative", "budget-too-small"])
+    def test_dimension_it_cannot_run(self, tmp_path, capsys, flags):
+        # -3 used to run 16 dimensions; 200 at budget 100 exited 1
+        out = tmp_path / "out"
+        assert main(["search", "--functional", "min12", "--family", "piecewise-constant",
+                     *flags, "--out", str(out)]) == 2
+        assert "dimension" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rfc4180_line_endings(self, tmp_path):
         assert main(["search", "--functional", "min12", "--family", "indicator",

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
 
 from autocorr import (
     BetaPowerBump,
@@ -31,6 +30,7 @@ ALL_BUMPS = [StandardBump(), CosineBump(), BetaPowerBump(2), BetaPowerBump(3)]
 class TestBumpFamilies:
     @pytest.mark.parametrize("bump", ALL_BUMPS, ids=lambda b: b.label + str(getattr(b, "k", "")))
     def test_probability_density(self, bump):
+        integrate = pytest.importorskip("scipy.integrate")
         total, _ = integrate.quad(lambda x: float(bump.density(x)), -1, 1,
                                   epsabs=1e-12, limit=200)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -48,6 +48,7 @@ class TestBumpFamilies:
         assert abs(_bump_normalizer() - exact) <= 2e-16 * exact
 
     def test_hat_against_direct_quadrature(self):
+        integrate = pytest.importorskip("scipy.integrate")
         for bump in (CosineBump(), BetaPowerBump(2)):
             for xi in (0.31, 0.8, 2.7):
                 direct, _ = integrate.quad(lambda x: float(bump.density(x)), 0, 1,
@@ -58,6 +59,7 @@ class TestBumpFamilies:
     def test_standard_bump_hat_against_qawo(self):
         # QUADPACK's oscillatory rule per xi, over the cutoff 64 and the
         # tail-bound samples above it
+        integrate = pytest.importorskip("scipy.integrate")
         from autocorr.dualcheck import _bump_normalizer
 
         z = _bump_normalizer()
@@ -207,6 +209,7 @@ class TestNegativePartBound:
 def _tuned_atom_density_measure():
     """Atom pair at +-1/2 plus a scaled unit-interval density, with the scale
     tuned so the 1025-point window-ratio lattice infimum is exactly 1/2."""
+    optimize = pytest.importorskip("scipy.optimize")
     from autocorr.correlate import measure_correlation
 
     def make(c):
@@ -236,6 +239,7 @@ class TestNuSpectrumCheck:
     def test_near_extremal_density(self):
         # renormalized pure density whose window infimum is 1/2: scaled
         # indicator of halfwidth 1, correlation triangle 2 - |t| on [0, 1]
+        optimize = pytest.importorskip("scipy.optimize")
         from autocorr.correlate import measure_correlation
 
         def make(c):
@@ -253,6 +257,7 @@ class TestNuSpectrumCheck:
     def test_renormalized_search_output(self):
         # a genuine min01 search output over [-1, 1], renormalized to the
         # window infimum 1/2, passes the full spectrum check
+        optimize = pytest.importorskip("scipy.optimize")
         from autocorr import search
         from autocorr.correlate import measure_correlation
         from autocorr.funcspace import GridFunction

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from autocorr import (
-    BSExample,
     Gaussian,
     GridFunction,
     Indicator,
@@ -120,9 +119,6 @@ class TestQMin01:
         assert r.value == pytest.approx(144.0 / (121.0 * PI), abs=1e-6)
         assert r.value >= 0.37  # exceeds the known floor
         assert r.method == "singular-quadrature"
-
-    def test_bs_dispatch(self):
-        assert q_min_01(BSExample()).value == pytest.approx(q_min_01_bs().value, abs=1e-9)
 
     def test_bs_correlation_needs_no_quadrature(self):
         # that no QUADPACK is loaded is checked by test_api's import guard

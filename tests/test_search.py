@@ -9,9 +9,9 @@ import pytest
 
 from autocorr import (
     Gaussian,
+    GridFunction,
     Indicator,
     InvariantViolation,
-    PiecewiseConstant,
     ZeroFunctionError,
     baseline,
     q_gauss,
@@ -72,6 +72,29 @@ class TestRecordInvariants:
     def test_small_budget_rejected(self):
         with pytest.raises(ValueError):
             search("min12", "indicator", budget=50, seed=0)
+
+    @pytest.mark.parametrize("objective, family", [("min12", "piecewise"),
+                                                   ("min12", "indicator"),
+                                                   ("min01", "bs-example")])
+    def test_negative_dimension_rejected(self, objective, family):
+        # -3 used to run the 16-cell default and record 16
+        with pytest.raises(ValueError, match="dimension"):
+            search(objective, family, dimension=-3)
+
+    @pytest.mark.parametrize("dimension, budget", [(200, 100), (16, 271)])
+    def test_budget_below_simplex_seeding_rejected(self, monkeypatch, dimension, budget):
+        # each of max(4, dim) restarts needs dim + 1 evaluations to seed its
+        # simplex; (200, 100) used to fail as an invariant violation, and
+        # (16, 271) ran 16 restarts that never finished seeding
+        search_mod = importlib.import_module("autocorr.search")
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
+        with pytest.raises(ValueError, match="simplex"):
+            search("min12", "piecewise", budget=budget, dimension=dimension)
+
+    def test_budget_that_seeds_every_simplex_runs(self):
+        rec = search("min12", "piecewise", budget=272, dimension=16)
+        assert rec.dimension == 16
+        assert rec.evaluations == 272
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
@@ -211,13 +234,14 @@ class TestEvaluationFailure:
 
 
 # The public path that the kernels must reproduce bit for bit: the family
-# sampled through ``sample`` / ``PiecewiseConstant`` into a GridFunction, then
-# the q_* functional, with the builders' parameter clamps.
+# sampled through ``sample`` (or the step function on [-1/2, 1/2], which is a
+# GridFunction as it stands), then the q_* functional, with the builders'
+# parameter clamps.
 _PUBLIC_FAMILIES = {
     "indicator": (1, lambda p: sample(Indicator(max(float(p[0]) ** 2, 1e-6)), cells=512)),
     "gaussian": (1, lambda p: sample(Gaussian(min(max(float(p[0]) ** 2, 1e-4), 1e6)),
                                      cells=1024)),
-    "piecewise": (16, lambda p: PiecewiseConstant(0.5, p ** 2).as_grid()),
+    "piecewise": (16, lambda p: GridFunction(-0.5, 1.0 / 16, p ** 2)),
 }
 _PUBLIC_OBJECTIVES = {
     "mean": lambda f: q_mean(f, method="time").value,

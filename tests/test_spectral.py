@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from autocorr import (
     Gaussian,
@@ -93,6 +92,7 @@ class TestWeightLpMoment:
     def test_interval_pi_dual_quadrature(self):
         # independent oracle: brute half-period summation to T = 2000 with the
         # crude (pi T)^(1-p) tail majorant (feasible because pi - 1 > 2)
+        integrate = pytest.importorskip("scipy.integrate")
         p = PI
         brute = 0.0
         for k in range(2000):
@@ -213,12 +213,19 @@ class TestMeanFunctionalFourier:
         assert abs(m.value - 0.25) < 1e-6
 
     def test_unit_weight_gives_plancherel_mass(self):
+        # |fhat|^2 of the midpoint sum is a trigonometric polynomial of period
+        # 1/h, so the trapezoid sum over one period at 2n points is exact
+        # (Plancherel): h^-1 (2n)^-1 sum |fhat|^2 = ||f||_2^2
+        from autocorr.spectral import _progression_transform
+
         rng = np.random.default_rng(3)
         for _ in range(5):
             n = int(rng.integers(4, 64))
             f = GridFunction(-0.4, float(rng.uniform(0.01, 0.1)), rng.uniform(0, 1, n))
-            m = mean_functional_fourier(f, None)
-            assert abs(m.value - f.l2_norm ** 2) <= 1e-8 * f.l2_norm ** 2
+            M, h = 2 * n, f.spacing
+            v = _progression_transform(f, 1.0 / (M * h), M, np.array([-0.5 / h]))
+            mass = float((v.real ** 2 + v.imag ** 2).sum() / (h * M))
+            assert abs(mass - f.l2_norm ** 2) <= 1e-8 * f.l2_norm ** 2
 
     def test_time_fourier_cross_check(self):
         from autocorr import autocorrelate

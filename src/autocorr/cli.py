@@ -79,6 +79,11 @@ _OPTIONS = {
     "dual": ("tol", "out"),
     "verify": ("json", "fault_inject"),
 }
+# The keys that only some families read, and those families; with any other
+# family (bs-example reads none) a key is malformed input.
+_FAMILY_KEYS = {"b": ("gaussian",), "s": ("indicator", "piecewise-constant"),
+                "values": ("piecewise-constant",), "dimension": ("piecewise-constant",),
+                "cells": ("gaussian", "indicator"), "support": ("gaussian", "indicator")}
 _CHOICES = {
     "weight": ("interval", "gaussian"),
     "family": ("gaussian", "indicator", "piecewise-constant", "bs-example"),
@@ -155,14 +160,13 @@ def _config_from_dict(data: dict) -> RunConfig:
                           f"got p_min={cfg.p_min}, p_max={cfg.p_max}")
     if not 0 < cfg.tol < math.inf:
         raise ConfigError(f"'tol' must be finite and positive, got {cfg.tol!r}")
-    if cfg.command == "evaluate" and cfg.family == "piecewise-constant":
+    unread = sorted(k for k in data.keys() & _FAMILY_KEYS if cfg.family not in _FAMILY_KEYS[k])
+    if unread:
+        raise ConfigError(f"the family {cfg.family!r} does not read the keys {unread}")
+    if cfg.family == "piecewise-constant" and cfg.command == "evaluate":
         # the step function is evaluated on its own cells, spread over [-s, s]
         if cfg.values is None:
             raise ConfigError("piecewise-constant needs 'values'")
-        given = sorted({"cells", "support"} & set(data))
-        if given:
-            raise ConfigError(f"piecewise-constant is evaluated on its own cells and does "
-                              f"not read {given}")
         cfg.cells = len(cfg.values)  # the echo names the cells evaluated
     return cfg
 

@@ -361,18 +361,9 @@ def periodize(g: GridFunction) -> GridFunction:
     r = (g.origin + 1.0) / h
     if abs(r - round(r)) > 1e-6:
         raise ValueError("periodize needs the grid origin on the [-1,1] lattice")
-    out = np.zeros(2 * k, dtype=np.float64)
-    glo, ghi = g.support
-    n_lo = math.floor(-1.0 - ghi) - 1
-    n_hi = math.ceil(1.0 - glo) + 1
-    for n in range(n_lo, n_hi + 1):
-        # source cell i maps to target cell j = i + off
-        off = round((g.origin + n + 1.0) / h)
-        i0 = max(0, -off)
-        i1 = min(g.cells, 2 * k - off)
-        if i1 > i0:
-            out[i0 + off:i1 + off] += g.samples[i0:i1]
-    return GridFunction(origin=-1.0, spacing=h, samples=out)
+    # source cell i lands on target cells j = round(r) + i + n k for every integer n
+    folded = np.bincount((round(r) + np.arange(g.cells)) % k, g.samples, minlength=k)
+    return GridFunction(origin=-1.0, spacing=h, samples=np.tile(folded, 2))
 
 
 def dilate(f: GridFunction, lam: float) -> GridFunction:

@@ -24,7 +24,7 @@ import numpy as np
 from .constants import sinc_min_roots
 from .correlate import measure_correlation
 from .funcspace import MixedMeasure, _leggauss
-from .spectral import fourier_measure, sinc
+from .spectral import _phase_sum, fourier_measure, sinc
 
 __all__ = [
     "StandardBump",
@@ -50,7 +50,6 @@ __all__ = [
 
 
 _TRAPEZOID_N = 1024
-_XI_BLOCK = 64           # xi per cosine matrix: 64 x 1025 doubles, 0.5 MB
 
 
 def _half_trapezoid() -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +85,12 @@ def _bump_normalizer() -> float:
 
 @dataclass(frozen=True)
 class StandardBump:
-    """exp(-1/(1-x^2)) on [-1,1], normalized. Its transform decays faster than
-    any power and is computed by a spectrally accurate trapezoid rule; the
-    integration cutoff is 64."""
+    """exp(-1/(1-x^2)) on [-1,1], normalized; the integration cutoff is 64.
+
+    Its transform decays faster than any power.  It is the spectrally accurate
+    half trapezoid sum_j w_j phi(x_j) cos(2 pi xi x_j), whose nodes j/N are the
+    progression of ``spectral._phase_sum`` shifted by 1/2:
+    phihat(xi) = Re(exp(-i pi xi) _phase_sum(w phi, 1/N, xi))."""
 
     label: str = "standard-bump"
 
@@ -97,14 +99,10 @@ class StandardBump:
         return out if out.ndim else float(out)
 
     def hat(self, xi) -> np.ndarray:
-        # phihat(xi) = sum_j w_j phi(x_j) cos(2 pi xi x_j) on the half trapezoid
         arr = np.ravel(np.asarray(xi, dtype=np.float64))
         nodes, weights = _half_trapezoid()
-        weights = weights * self.density(nodes)
-        out = np.empty_like(arr)
-        for s in range(0, arr.size, _XI_BLOCK):
-            phase = np.multiply.outer(2.0 * math.pi * arr[s:s + _XI_BLOCK], nodes)
-            out[s:s + _XI_BLOCK] = np.cos(phase, out=phase) @ weights
+        sums = _phase_sum(weights * self.density(nodes), 1.0 / _TRAPEZOID_N, arr)
+        out = (np.exp(-1j * np.pi * arr) * sums).real
         return out.reshape(np.shape(xi)) if np.ndim(xi) else float(out[0])
 
     def cutoff(self, tol: float) -> float:

@@ -53,10 +53,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(x), _readonly(w)
 
 
-def _cell_midpoints(origin: float, spacing: float, cells: int) -> np.ndarray:
-    return origin + (np.arange(cells) + 0.5) * spacing
-
-
 def _l1_norm(samples: np.ndarray, spacing: float) -> float:
     """||f||_1 of the cell model with these samples and cell width."""
     return float(spacing * samples.sum())
@@ -118,10 +114,6 @@ class GridFunction:
     @property
     def support(self) -> tuple[float, float]:
         return (self.origin, self.origin + self.width)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return _cell_midpoints(self.origin, self.spacing, self.cells)
 
     # -- norms ---------------------------------------------------------------
 
@@ -285,7 +277,7 @@ def _midpoint_samples(family: AnalyticFamily, lo: float, hi: float,
     :class:`GridFunction`; callers that skip ``sample`` check the values.
     """
     h = (hi - lo) / cells
-    return np.asarray(family(_cell_midpoints(lo, h, cells)), dtype=np.float64), h
+    return np.asarray(family(lo + (np.arange(cells) + 0.5) * h), dtype=np.float64), h
 
 
 # ---------------------------------------------------------------------------

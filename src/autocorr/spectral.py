@@ -9,21 +9,22 @@ functionals use the exact transform of the cell model (midpoint sum times
 sinc(h xi)), whose 1/xi decay makes truncation tails certifiable through the
 total-variation majorant |fhat(xi)| <= V/(2 pi xi).
 
-Arbitrary xi go through a dense phase matrix (xi-points x cells complex
-exps).  The Fourier-side functionals only need |fhat| on grid progressions
-xi = k*step + c_j, which ``_progression_transform`` evaluates from two small
-phase tables and one complex matrix product: with k = b*B + r,
-exp(-2 pi i xi y) = exp(-2 pi i b B step y) * exp(-2 pi i (r step + c_j) y).
-Each table row is itself a product of two short exp rows, because the cell
-midpoints y are a progression too.  That costs about
-4 (count * len(c) * cells)^(1/2) exps and one ZGEMM instead of
-count * len(c) * cells exps; on progressions of xi >= 0 no exp argument
-exceeds the dense path's, so the rounding of the phases is no worse.  (A
-chirp-z transform would need fewer operations, but scipy's builds its chirp as
-w**(k**2/2), whose phase error grows like k^2: 1e-6 relative at 2e5 points.)
+Every phase sum here runs over a centred node progression
+y_m = (m - (n-1)/2) h, and only ``_phases`` builds its phases: a coarse and a
+fine table of about sqrt(n) exps per xi.  ``_phase_sum`` evaluates
+sum_m w_m exp(-2 pi i xi y_m) at arbitrary xi from them, block by block, with
+no (xi, n) array; ``fourier_measure`` and the standard bump's transform in
+``dualcheck`` go through it.  The Fourier-side functionals only need |fhat| on
+grid progressions xi = k*step + c_j, which ``_progression_transform`` also
+factors in xi: with k = b*B + r,
+exp(-2 pi i xi y) = exp(-2 pi i b B step y) * exp(-2 pi i (r step + c_j) y),
+about 4 (count * len(c) * cells)^(1/2) exps and one ZGEMM instead of
+count * len(c) * cells.  (A chirp-z transform would need fewer operations, but
+scipy's builds its chirp as w**(k**2/2), whose phase error grows like k^2:
+1e-6 relative at 2e5 points.)
 
-Complex numbers stay inside this module; exported functionals are real with
-the imaginary residue asserted negligible.
+Exported functionals other than ``fourier_measure`` are real, with the
+imaginary residue asserted negligible.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
     "INTERVAL_MOMENT_P_MAX",
 ]
 
-_CHUNK = 4096
+_PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
 
 
 def sinc(u) -> np.ndarray:
@@ -155,27 +156,76 @@ Weight = Union[IntervalWeight, GaussianWeight]
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_transform(f: GridFunction, xis: np.ndarray) -> np.ndarray:
-    out = np.empty(xis.shape, dtype=np.complex128)
-    mids = f.midpoints
-    s = f.samples
-    for i in range(0, xis.size, _CHUNK):
-        chunk = xis[i:i + _CHUNK]
-        phase = np.exp(-2j * np.pi * chunk[:, None] * mids[None, :])
-        out[i:i + _CHUNK] = phase @ s
-    return f.spacing * out
+def _phases(xis: np.ndarray, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine phases of the centred progression y_m = (m - (n-1)/2) h.
+
+    With P ~ sqrt(n), exp(-2 pi i xi y_(pP+q)) = coarse[:, p] * fine[:, q]
+    for 0 <= p < ceil(n/P) and 0 <= q < P: one row of each per xi.
+    """
+    P = max(1, round(math.sqrt(n)))
+    y = (np.arange(0, n, P) - 0.5 * (n - 1)) * h
+    coarse = np.exp(-2j * np.pi * xis[:, None] * y[None, :])
+    fine = np.exp(-2j * np.pi * xis[:, None] * (np.arange(P) * h)[None, :])
+    return coarse, fine
+
+
+def _phase_sum(weights: np.ndarray, h: float, xis: np.ndarray) -> np.ndarray:
+    """sum_m w_m exp(-2 pi i xi y_m) on the centred progression y_m = (m - (n-1)/2) h.
+
+    Block by block, sum_p coarse[xi, p] (fine @ W)[xi, p] with
+    W[q, p] = w_(pP+q), zero past n; no (xi, n) array is built.  The real
+    products go through einsum, not BLAS: OpenBLAS threads even small complex
+    products, and its idle threads then spin on the other cores.
+    """
+    n = weights.size
+    out = np.empty(xis.size, dtype=np.complex128)
+    for s in range(0, xis.size, _PHASE_BLOCK):
+        coarse, fine = _phases(xis[s:s + _PHASE_BLOCK], n, h)
+        Q, P = coarse.shape[1], fine.shape[1]
+        W = np.pad(weights, (0, Q * P - n)).reshape(Q, P).T
+        re, im = np.einsum("cxq,qp->cxp", np.stack((fine.real, fine.imag)), W)
+        out[s:s + _PHASE_BLOCK] = np.einsum("ij,ij->i", coarse, re + 1j * im)
+    return out
 
 
 def fourier_measure(mu: MixedMeasure, xi):
-    """Transform of an atoms-plus-density measure; |value| <= total variation."""
-    arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    """Transform of an atoms-plus-density measure, shaped as xi; |value| <= total variation."""
+    arr = np.ravel(np.asarray(xi, dtype=np.float64))
     out = np.zeros(arr.shape, dtype=np.complex128)
     if mu.atoms:
-        locs, masses = mu.atom_locations, mu.atom_masses
-        out += np.exp(-2j * np.pi * arr[:, None] * locs[None, :]) @ masses
-    if mu.density is not None:
-        out += _midpoint_transform(mu.density, arr)
-    return complex(out[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else out
+        out += np.exp(-2j * np.pi * arr[:, None] * mu.atom_locations) @ mu.atom_masses
+    f = mu.density
+    if f is not None:
+        # the cell midpoints are the centred progression shifted by the support centre
+        shift = np.exp(-2j * np.pi * arr * (f.origin + 0.5 * f.width))
+        out += f.spacing * shift * _phase_sum(f.samples, f.spacing, arr)
+    return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
+
+
+def _progression_transform(f: GridFunction, step: float, count: int,
+                           offsets: np.ndarray) -> np.ndarray:
+    """Midpoint transform about the support centre at xi = k*step + offsets[j].
+
+    Returns h sum_m s_m exp(-2 pi i xi y_m) for 0 <= k < count, flattened
+    k-major and j-minor, with y_m the cell midpoints measured from the centre
+    c of the support: fhat(xi) exp(2 pi i xi c), which has the modulus of
+    fhat.  Writing k = b*B + r with B ~ sqrt(count / len(offsets)), the
+    values are (outer * samples) @ inner.T for the phase tables
+    outer[b] = exp(-2 pi i b B step y) and
+    inner[r, j] = exp(-2 pi i (r step + offsets[j]) y).
+    """
+    n, h = f.cells, f.spacing
+
+    def table(xis):     # exp(-2 pi i xi y_m), one row per xi
+        coarse, fine = _phases(xis, n, h)
+        return (coarse[:, :, None] * fine[:, None, :]).reshape(xis.size, -1)[:, :n]
+
+    offsets = np.asarray(offsets, dtype=np.float64)
+    B = max(1, round(math.sqrt(count / offsets.size)))
+    outer = table(np.arange(-(-count // B)) * (B * step))
+    inner = table((np.arange(B)[:, None] * step + offsets[None, :]).ravel())
+    sums = ((outer * f.samples) @ inner.T).ravel()[:count * offsets.size]
+    return h * sums
 
 
 # ---------------------------------------------------------------------------
@@ -342,41 +392,6 @@ def weight_lp_moment(w: Weight, p: float, tol: float = 1e-9) -> MomentResult:
 # ---------------------------------------------------------------------------
 # Fourier-side weighted mean  int |fhat|^2 what
 # ---------------------------------------------------------------------------
-
-
-def _phase_table(f: GridFunction, xis: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i xi y_m) at the midpoints y_m of f measured from its centre.
-
-    One row per xi.  With m = p*P + q and P ~ sqrt(cells) the phase is
-    exp(-2 pi i xi y_pP) exp(-2 pi i xi q h), so a row costs about
-    2 sqrt(cells) exps and cells complex products.
-    """
-    n, h = f.cells, f.spacing
-    P = max(1, round(math.sqrt(n)))
-    y = (np.arange(n) - 0.5 * (n - 1)) * h
-    coarse = np.exp(-2j * np.pi * xis[:, None] * y[None, ::P])
-    fine = np.exp(-2j * np.pi * xis[:, None] * (np.arange(P) * h)[None, :])
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(xis.size, -1)[:, :n]
-
-
-def _progression_transform(f: GridFunction, step: float, count: int,
-                           offsets: np.ndarray) -> np.ndarray:
-    """Midpoint transform about the support centre at xi = k*step + offsets[j].
-
-    Returns h sum_m s_m exp(-2 pi i xi y_m) for 0 <= k < count, flattened
-    k-major and j-minor, with y_m the cell midpoints measured from the centre
-    c of the support: fhat(xi) exp(2 pi i xi c), which has the modulus of
-    fhat.  Writing k = b*B + r with B ~ sqrt(count / len(offsets)), the
-    values are (outer * samples) @ inner.T for the phase tables
-    outer[b] = exp(-2 pi i b B step y) and
-    inner[r, j] = exp(-2 pi i (r step + offsets[j]) y).
-    """
-    offsets = np.asarray(offsets, dtype=np.float64)
-    B = max(1, round(math.sqrt(count / offsets.size)))
-    outer = _phase_table(f, np.arange(-(-count // B)) * (B * step))
-    inner = _phase_table(f, (np.arange(B)[:, None] * step + offsets[None, :]).ravel())
-    sums = ((outer * f.samples) @ inner.T).ravel()[:count * offsets.size]
-    return f.spacing * sums
 
 
 def _composite(f: GridFunction, wt_hat: Callable[[np.ndarray], np.ndarray],

@@ -371,6 +371,29 @@ class TestOptionTable:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFamilyKeys:
+    @pytest.mark.parametrize("family, key, value", [
+        ("indicator", "dimension", 5),
+        ("gaussian", "s", 0.75),
+        ("indicator", "b", 2.0),
+        ("gaussian", "values", [1, 2]),
+        ("bs-example", "cells", 256),
+        ("bs-example", "support", 1.0),
+        ("piecewise-constant", "b", 1.0),
+    ])
+    def test_key_the_family_does_not_read(self, tmp_path, capsys, family, key, value):
+        record = {"command": "search" if key == "dimension" else "evaluate",
+                  "family": family, "functional": "min01" if family == "bs-example" else "min12",
+                  key: value, "out": str(tmp_path / "out")}
+        if family == "piecewise-constant":
+            record["values"] = [1, 2, 3]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(record))
+        assert main(["--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -264,6 +264,24 @@ class TestPeriodize:
             keep = (ts >= 0) & (ts <= 1)
             assert np.all(cG.value(ts[keep]) - cg.values[keep] >= -1e-9)
 
+    def test_fold_matches_translate_loop(self):
+        # supports wider than two periods, origins far from [-1, 1]
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            k = int(rng.integers(1, 9))
+            g = GridFunction(int(rng.integers(-40, 40)) / k - 1.0, 1.0 / k,
+                             rng.uniform(0, 1, int(rng.integers(1, 7 * k))))
+            want = np.zeros(2 * k)
+            for n in range(-200, 200):
+                # the translate by n moves source cell i onto target cell i + off
+                off = round((g.origin + n + 1.0) * k)
+                for i, v in enumerate(g.samples):
+                    if 0 <= i + off < 2 * k:
+                        want[i + off] += v
+            G = periodize(g)
+            assert G.origin == -1.0 and G.spacing == g.spacing
+            assert np.allclose(G.samples, want, rtol=0, atol=1e-14)
+
     def test_incompatible_grid_rejected(self):
         with pytest.raises(ValueError):
             periodize(GridFunction(-0.5, 0.3, [1.0, 1.0, 1.0]))

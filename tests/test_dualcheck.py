@@ -73,6 +73,27 @@ class TestBumpFamilies:
         assert np.max(np.abs(StandardBump().hat(xis) - oracle)) <= 1e-12
         assert StandardBump().hat(xis.reshape(4, 25)).shape == (4, 25)
 
+    def test_standard_bump_hat_against_mpmath(self):
+        # the same half-trapezoid rule summed at 40 digits: nodes j/1024,
+        # end weight 1/2, normalized by the rule's own mass so that phihat(0) = 1;
+        # cos(2 pi xi j/N) by the Chebyshev recurrence
+        mpmath = pytest.importorskip("mpmath")
+        N = 1024
+        xis = np.concatenate([np.linspace(0.0, 70.0, 57), [64.0, -0.37, -41.3]])
+        with mpmath.workdps(40):
+            phi = [mpmath.exp(-1 / (1 - (mpmath.mpf(j) / N) ** 2)) for j in range(N)]
+            phi[0] /= 2
+            mass = 2 * mpmath.fsum(phi)
+            ref = []
+            for xi in xis:
+                c1 = mpmath.cospi(2 * mpmath.mpf(float(xi)) / N)
+                prev, cur, acc = c1, mpmath.mpf(1), mpmath.mpf(0)
+                for c in phi:
+                    acc += c * cur
+                    prev, cur = cur, 2 * c1 * cur - prev
+                ref.append(float(2 * acc / mass))
+        assert np.max(np.abs(StandardBump().hat(xis) - ref)) <= 1e-15
+
     def test_cosine_hat_against_mpmath(self):
         # near xi = 3000 the three sincs cancel terms of 1e-4 to values of
         # 1e-12 and err by 1e-16; the closed form used for |xi| >= 2 errs by

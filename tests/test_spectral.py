@@ -72,6 +72,18 @@ class TestFourierMeasure:
                  + fourier_measure(MixedMeasure(density=d), xi))
         assert fourier_measure(mu, xi) == pytest.approx(parts, abs=1e-10)
 
+    @pytest.mark.parametrize("parts", ["atoms", "density", "both"])
+    def test_keeps_the_shape_of_xi(self, parts):
+        atoms = ((-0.5, 0.25), (0.3, 0.25)) if parts != "density" else ()
+        density = sample(Indicator(0.5), cells=96) if parts != "atoms" else None
+        mu = MixedMeasure(atoms=atoms, density=density)
+        xis = np.linspace(-7.0, 7.0, 24).reshape(2, 3, 4)
+        got = fourier_measure(mu, xis)
+        assert got.shape == (2, 3, 4)
+        flat = fourier_measure(mu, xis.ravel())
+        assert np.array_equal(got.ravel(), flat)
+        assert got[1, 2, 3] == pytest.approx(fourier_measure(mu, float(xis[1, 2, 3])), abs=1e-15)
+
     def test_bounded_by_tv(self):
         d = sample(Indicator(0.3), cells=64)
         mu = MixedMeasure(atoms=((0.0, 0.4),), density=d)
@@ -293,18 +305,41 @@ class TestProgressionTransform:
         assert np.max(err) <= 1e-9 * f.l1_norm
 
     def test_matches_dense_transform(self):
-        from autocorr.spectral import _leggauss, _midpoint_transform, _progression_transform
+        from autocorr.spectral import _leggauss, _progression_transform
 
         rng = np.random.default_rng(13)
         n, h = 2048, 2.0 ** -10
         f = GridFunction(0.3, h, rng.uniform(0, 1, n))
-        centred = GridFunction(-0.5 * n * h, h, f.samples)
         width, count = 0.37, 500
         offsets = 0.5 * width * (_leggauss(20)[0] + 1.0)
         vals = _progression_transform(f, width, count, offsets)
         xis = (np.arange(count)[:, None] * width + offsets[None, :]).ravel()
-        dense = _midpoint_transform(centred, xis)
-        assert np.max(np.abs(vals - dense)) <= 1e-12 * f.l1_norm
+
+        def dense(origin):
+            # h sum_m s_m exp(-2 pi i xi x_m) at the cell midpoints x_m, one
+            # exp per (xi, cell), 1000 xi at a time
+            mids = origin + (np.arange(n) + 0.5) * h
+            return np.concatenate([h * (np.exp(-2j * np.pi * xis[i:i + 1000, None] * mids)
+                                        @ f.samples) for i in range(0, xis.size, 1000)])
+
+        assert np.max(np.abs(vals - dense(-0.5 * n * h))) <= 1e-12 * f.l1_norm
         # the origin only moves the phase
-        assert np.max(np.abs(np.abs(vals) - np.abs(_midpoint_transform(f, xis)))) \
-            <= 1e-12 * f.l1_norm
+        assert np.max(np.abs(np.abs(vals) - np.abs(dense(f.origin)))) <= 1e-12 * f.l1_norm
+
+
+class TestPhaseSum:
+    """The blocked engine of fourier_measure and the standard bump."""
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 1025])
+    def test_long_double_oracle(self, n):
+        from autocorr.spectral import _PHASE_BLOCK, _phase_sum
+
+        rng = np.random.default_rng(n)
+        f = GridFunction(0.0, 1.0 / max(n, 2), rng.uniform(0, 1, n))
+        # more xi than one block, of both signs, and the zero frequency
+        xis = np.concatenate([rng.uniform(-60, 60, _PHASE_BLOCK + 188), [0.0, -0.5 / f.spacing]])
+        got = f.spacing * _phase_sum(f.samples, f.spacing, xis)
+        re, im = TestProgressionTransform._centred_direct(f, xis.astype(np.longdouble))
+        err = np.hypot((got.real - re).astype(np.float64), (got.imag - im).astype(np.float64))
+        assert np.max(err) <= 1e-13 * f.l1_norm
+        assert got[-2] == pytest.approx(f.l1_norm, abs=1e-14 * f.l1_norm)

@@ -354,7 +354,7 @@ def _cmd_dual(cfg: RunConfig, outdir: Path) -> int:
     rows = []
     for bump in dual.BUMPS:
         rep = dual.dual_mass_report(bump, tol=cfg.tol)
-        neg = dual.negative_part_bound_check(bump, tol=cfg.tol, report=rep)
+        neg = dual.negative_part_bound_check(bump, rep)
         results.append({
             "module": "dualcheck",
             "bump": rep.bump,

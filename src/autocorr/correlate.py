@@ -54,14 +54,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# glibc's malloc hands the top of its heap back to the system whenever more
-# than twice its mmap threshold is free there; the threshold starts at
-# 128 KiB and rises to the size of the largest mmap-served block freed so far.
-# ``lattice_weighted_integral`` makes and frees several (node, cell) arrays a
-# call, 1 MiB each at 8 nodes x 16384 cells, so from a fresh heap every call
-# trimmed it and paged it back in: 145,000 page faults over four gauss
-# searches, 40% of their time.  Freeing one such block here, at import,
-# raises the threshold once.  (Other allocators ignore it.)
+# glibc's malloc serves blocks of at least its mmap threshold by mmap and
+# trims its heap top when more than twice the threshold is free there; the
+# threshold starts at 128 KiB and rises to the largest mmap-served block freed
+# so far.  ``lattice_weighted_integral`` makes and frees several (8, <= 2048)
+# node arrays a call for the 1024-cell search families, 128 KiB each, right at
+# the initial threshold, so from a fresh heap each call may map, trim and
+# fault them in anew.  Without the line below, four gaussian-family searches
+# (gauss and mean, seeds 11 and 12) in a fresh process took 79,000-91,000
+# minor page faults instead of about 160, and 0.75-1.05 s instead of
+# 0.54-0.73 s (2-core x86-64, glibc 2.36).  Freeing one 1 MiB block here, at
+# import, raises the threshold once.  (Other allocators ignore it.)
 np.empty(8 * 16384)
 
 

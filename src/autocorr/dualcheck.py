@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -364,24 +364,21 @@ class NegativePartReport:
         return self.inequality_rhs - self.identity_lhs
 
 
-def negative_part_bound_check(phi: BumpFunction, tol: float = 1e-8,
-                              report: Optional[DualMassReport] = None) -> NegativePartReport:
+def negative_part_bound_check(phi: BumpFunction, report: DualMassReport) -> NegativePartReport:
     """Verify 1 - 2 phi(0) = int_{-1}^1 (phi - phi(0)) <= 2(1+theta0) ||(phihat)_-||_1.
 
-    ``report`` is phi's ``dual_mass_report`` at ``tol`` when the caller already
-    has it; otherwise it is computed here.
+    ``report`` is phi's ``dual_mass_report``, which supplies the negative mass.
     """
-    if report is not None and report.bump != phi.label:
+    if report.bump != phi.label:
         raise ValueError(f"report is for {report.bump!r}, not {phi.label!r}")
     phi0 = float(phi.density(0.0))
     lhs = 1.0 - 2.0 * phi0
     x, w = _half_trapezoid()
     body = float(w @ (phi.density(x) - phi0))
-    rep = report if report is not None else dual_mass_report(phi, tol)
-    roots = sinc_min_roots()
+    neg = report.negative_mass
     return NegativePartReport(bump=phi.label, value0=phi0, identity_lhs=lhs,
-                              identity_rhs=body, negative_mass=rep.negative_mass,
-                              inequality_rhs=2.0 * (1.0 + roots.theta0) * rep.negative_mass)
+                              identity_rhs=body, negative_mass=neg,
+                              inequality_rhs=2.0 * (1.0 + sinc_min_roots().theta0) * neg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The workhorse type is :class:`GridFunction`, a nonnegative piecewise-constant
 function on a uniform grid (samples are cell-midpoint values, which for the
 cell model are also the cell values); a step function with equal cells is a
-GridFunction as it stands.  Analytic families (Gaussian, interval indicator,
-and the singular boundary-blowup counterexample :class:`BSExample`) can be
-sampled onto grids.
+GridFunction as it stands.  The analytic families (Gaussian, interval
+indicator) are sampled onto grids.  The singular boundary-blowup
+counterexample :class:`BSExample` is not: its correlation has a closed form.
 :class:`MixedMeasure` represents a finite nonnegative measure as an atom list
 plus an optional absolutely continuous part.
 """
@@ -211,8 +211,8 @@ class BSExample:
     at |x| = 1/2.  Not square integrable.  Its autocorrelation has a closed
     form through Carlson's R_F (see ``autocorrelate_singular`` in
     :mod:`autocorr.correlate`); its L1 norm 11 pi/24 is checked by
-    Gauss-Legendre on three pieces (:func:`bs_l1`).  Grid sampling is for
-    plotting only.
+    Gauss-Legendre on three pieces (:func:`bs_l1`).  It is not sampled onto
+    grids.
     """
 
     def multiplier(self, x) -> np.ndarray:
@@ -220,19 +220,8 @@ class BSExample:
         x = np.asarray(x, dtype=np.float64)
         return np.where(np.abs(x) <= 0.25, 0.75, 1.0)
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.abs(x) < 0.5
-        out = np.zeros_like(x)
-        xs = x[inside]
-        out[inside] = self.multiplier(xs) / np.sqrt(1.0 - 4.0 * xs * xs)
-        return out if out.ndim else float(out)
 
-    def default_support(self) -> tuple[float, float]:
-        return (-0.5, 0.5)
-
-
-AnalyticFamily = Union[Gaussian, Indicator, BSExample]
+AnalyticFamily = Union[Gaussian, Indicator]
 
 
 def bs_l1() -> float:
@@ -251,11 +240,7 @@ def bs_l1() -> float:
 
 def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None,
            cells: int = 1024) -> GridFunction:
-    """Midpoint-sample an analytic family onto a uniform grid.
-
-    For :class:`BSExample` the support must contain [-1/2, 1/2]; the singular
-    endpoints are never evaluated because midpoints with |x| >= 1/2 read 0.
-    """
+    """Midpoint-sample an analytic family onto a uniform grid."""
     if cells < 2:
         raise ValueError(f"cells must be >= 2, got {cells}")
     if support is None:
@@ -263,8 +248,6 @@ def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None
     lo, hi = float(support[0]), float(support[1])
     if not hi > lo:
         raise ValueError(f"support must be a nonempty interval, got {support}")
-    if isinstance(family, BSExample) and not (lo <= -0.5 and hi >= 0.5):
-        raise ValueError("BSExample support must contain [-1/2, 1/2]")
     vals, h = _midpoint_samples(family, lo, hi, cells)
     return GridFunction(lo, h, vals)
 

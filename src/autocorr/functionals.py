@@ -2,8 +2,11 @@
 
 Each functional divides by ||f||_1 ||f||_2 (mean, gauss, min12) or ||f||_1^2
 (min01).  Weighted means carry both a time-side evaluation (exact on the cell
-model) and a Fourier-side one; the ratio always uses the time side.  Window
-minima are exact because the cell-model correlation is piecewise linear.
+model) and, with ``method="both"``, the Fourier-side one of Plancherel
+(``mean_functional_fourier``); the ratio always uses the time side, and the
+disagreement of the two sides is the error estimate, the only measure of the
+Fourier side's accuracy.  Window minima are exact because the cell-model
+correlation is piecewise linear.
 
 Every result is checked against its proven theorem ceiling; a breach raises
 :class:`InvariantViolation` since it can only come from a numerics bug.
@@ -199,7 +202,7 @@ def _fourier_side(f: GridFunction, method: str, tol: float) -> Optional[_Fourier
         raise ValueError(f"method must be 'both' or 'time', got {method!r}")
     if method == "time":
         return None
-    return lambda w, scale: mean_functional_fourier(f, w, tol=tol * scale).value
+    return lambda w, scale: mean_functional_fourier(f, w, tol=tol * scale)
 
 
 def q_mean(f: GridFunction, method: str = "both", tol: float = 1e-6) -> RatioResult:

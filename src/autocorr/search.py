@@ -319,8 +319,6 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         base_params = None
     x_base = (np.abs(base_params) if base_params is not None
               else np.ones(dim, dtype=np.float64))
-    if x_base.size != dim:
-        x_base = np.ones(dim, dtype=np.float64)
 
     # restarts run in index order; ties keep the lowest restart index
     trace: list[tuple[int, float]] = []

@@ -215,16 +215,16 @@ class TestNegativePartBound:
     @pytest.mark.parametrize("bump", [StandardBump(), CosineBump(), BetaPowerBump(2)],
                              ids=lambda b: b.label)
     def test_identity_and_inequality(self, bump):
-        rep = negative_part_bound_check(bump)
+        rep = negative_part_bound_check(bump, dual_mass_report(bump))
         assert rep.identity_gap <= 1e-8
         assert rep.inequality_slack >= -1e-8
 
     def test_precomputed_report(self):
         bump = CosineBump()
         rep = dual_mass_report(bump)
-        assert negative_part_bound_check(bump, report=rep) == negative_part_bound_check(bump)
+        assert negative_part_bound_check(bump, rep).negative_mass == rep.negative_mass
         with pytest.raises(ValueError):
-            negative_part_bound_check(BetaPowerBump(2), report=rep)
+            negative_part_bound_check(BetaPowerBump(2), rep)
 
 
 def _tuned_atom_density_measure():

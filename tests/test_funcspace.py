@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autocorr import (
-    BSExample,
     Gaussian,
     GridFunction,
     Indicator,
@@ -99,12 +98,6 @@ class TestSampling:
         # exact value 11 pi/24 via the substitution x = sin(u)/2
         assert abs(bs_l1() - 11 * math.pi / 24) < 1e-4
         assert abs(bs_l1() - 1.4398966328953218) < 1e-10
-
-    def test_bs_grid_sampling_support(self):
-        f = sample(BSExample(), support=(-0.75, 0.75), cells=300)
-        assert np.all(np.isfinite(f.samples))
-        with pytest.raises(ValueError):
-            sample(BSExample(), support=(-0.4, 0.6), cells=100)
 
     def test_bad_parameters_rejected(self):
         for bad in (Gaussian, Indicator):

@@ -7,9 +7,12 @@ import pytest
 
 from autocorr import (
     Gaussian,
+    GaussianWeight,
     GridFunction,
     Indicator,
+    IntervalWeight,
     ZeroFunctionError,
+    mean_functional_fourier,
     q_gauss,
     q_mean,
     q_min_01,
@@ -73,6 +76,18 @@ class TestQGauss:
 
     def test_ceiling_formula(self):
         assert gauss_ceiling(2 * PI) == pytest.approx((16.0 / 27.0) ** 0.25, rel=1e-14)
+
+
+class TestFourierSide:
+    def test_fourier_numerator_is_the_fourier_mean(self):
+        # the reported Fourier side is mean_functional_fourier at tol 1e-6 l1 l2, as a float
+        for f in (sample(Indicator(0.5), cells=128), random_fn(3)):
+            r, g = q_mean(f), q_gauss(f, 2 * PI)
+            tol = 1e-6 * (r.l1 * r.l2)
+            four = mean_functional_fourier(f, IntervalWeight(), tol=tol)
+            assert type(four) is float and r.fourier_numerator == four
+            assert g.fourier_numerator == mean_functional_fourier(f, GaussianWeight(2 * PI),
+                                                                  tol=tol)
 
 
 class TestQMin12:

@@ -203,7 +203,7 @@ class TestWeightTails:
     @pytest.mark.parametrize("w", [IntervalWeight(), GaussianWeight(2 * PI), GaussianWeight(0.5)],
                              ids=["interval", "gauss-2pi", "gauss-0.5"])
     def test_cutoff_meets_half_tolerance(self, w):
-        # mean_functional_fourier charges tail_bound(f, cutoff(f, tol)) to its error
+        # mean_functional_fourier truncates at cutoff(f, tol), leaving at most tol/2
         f = sample(Gaussian(3.0), cells=256)
         for tol in (1e-6, 1e-9):
             hi = w.cutoff(f, tol)
@@ -216,13 +216,13 @@ class TestMeanFunctionalFourier:
         # time side: int_{-1/2}^{1/2} (1 - |t|) dt = 3/4
         f = sample(Indicator(0.5), cells=512)
         m = mean_functional_fourier(f, IntervalWeight(), tol=1e-7)
-        assert abs(m.value - 0.75) < 1e-6
+        assert abs(m - 0.75) < 1e-6
 
     def test_gaussian_closed_form(self):
         # sqrt(a/pi) iint f f e^{-a t^2} = pi^(1/2)/(2b + b^2/a)^(1/2) = 1/4
         f = sample(Gaussian(4 * PI), cells=4001)
         m = mean_functional_fourier(f, GaussianWeight(2 * PI), tol=1e-8)
-        assert abs(m.value - 0.25) < 1e-6
+        assert abs(m - 0.25) < 1e-6
 
     def test_unit_weight_gives_plancherel_mass(self):
         # |fhat|^2 of the midpoint sum is a trigonometric polynomial of period
@@ -251,11 +251,11 @@ class TestMeanFunctionalFourier:
             corr = autocorrelate(f)
             time_side = corr.integral_window(-0.5, 0.5)
             four = mean_functional_fourier(f, IntervalWeight(), tol=1e-6 * scale)
-            assert abs(time_side - four.value) <= 1e-6 * scale
+            assert abs(time_side - four) <= 1e-6 * scale
             gw = GaussianWeight(2 * PI)
             time_g = corr.weighted_integral(gw.density, halfrange=math.sqrt(46 / gw.a))
             four_g = mean_functional_fourier(f, gw, tol=1e-6 * scale)
-            assert abs(time_g - four_g.value) <= 1e-6 * scale
+            assert abs(time_g - four_g) <= 1e-6 * scale
 
 
 class TestNodeCache:

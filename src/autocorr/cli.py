@@ -163,6 +163,8 @@ def _config_from_dict(data: dict) -> RunConfig:
     unread = sorted(k for k in data.keys() & _FAMILY_KEYS if cfg.family not in _FAMILY_KEYS[k])
     if unread:
         raise ConfigError(f"the family {cfg.family!r} does not read the keys {unread}")
+    if "a" in data and cfg.functional != "gauss" and cfg.weight != "gaussian":
+        raise ConfigError("'a' is read only by --functional gauss and --weight gaussian")
     if cfg.family == "piecewise-constant" and cfg.command == "evaluate":
         # the step function is evaluated on its own cells, spread over [-s, s]
         if cfg.values is None:

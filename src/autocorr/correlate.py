@@ -9,6 +9,8 @@ reads them off the lattice; linear interpolation between them is not an
 approximation.  The arithmetic lives in module-level kernels on the raw
 lattice array (``lattice_*``); the :class:`Correlation` methods and the
 functionals' array cores both call them, so there is one implementation.
+A weighted mean int (f*f) w = sum_m c_m int hat_m w is a ``spectral`` weight's
+``correlation_integral``: exact for the interval, proven to 2^-54 c_0 for the Gaussian.
 
 The singular BS example is handled separately: its correlation is a sum of
 incomplete elliptic integrals of the first kind, evaluated in closed form
@@ -20,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import numpy.fft
 
-from .funcspace import BSExample, GridFunction, MixedMeasure, _leggauss, _readonly
+from .funcspace import BSExample, GridFunction, MixedMeasure, _readonly
 
 __all__ = [
     "Correlation",
@@ -34,7 +35,6 @@ __all__ = [
     "lattice_value",
     "lattice_min",
     "lattice_window_integral",
-    "lattice_weighted_integral",
     "autocorrelate_singular",
     "periodize",
     "dilate",
@@ -52,20 +52,6 @@ __all__ = [
 # validation: :class:`Correlation` and the functionals check their inputs
 # once, at the boundary, and call these.
 # ---------------------------------------------------------------------------
-
-
-# glibc's malloc serves blocks of at least its mmap threshold by mmap and
-# trims its heap top when more than twice the threshold is free there; the
-# threshold starts at 128 KiB and rises to the largest mmap-served block freed
-# so far.  ``lattice_weighted_integral`` makes and frees several (8, <= 2048)
-# node arrays a call for the 1024-cell search families, 128 KiB each, right at
-# the initial threshold, so from a fresh heap each call may map, trim and
-# fault them in anew.  Without the line below, four gaussian-family searches
-# (gauss and mean, seeds 11 and 12) in a fresh process took 79,000-91,000
-# minor page faults instead of about 160, and 0.75-1.05 s instead of
-# 0.54-0.73 s (2-core x86-64, glibc 2.36).  Freeing one 1 MiB block here, at
-# import, raises the threshold once.  (Other allocators ignore it.)
-np.empty(8 * 16384)
 
 
 def _next_pow2(n: int) -> int:
@@ -138,34 +124,6 @@ def lattice_window_integral(c: np.ndarray, spacing: float, lo, hi):
     return out if out.ndim else float(out)
 
 
-def lattice_weighted_integral(c: np.ndarray, spacing: float,
-                              weight: Callable[[np.ndarray], np.ndarray],
-                              halfrange: float) -> float:
-    """int_{-R}^{R} (f*f)(t) w(t) dt, R = ``halfrange``, by 8-point Gauss per cell.
-
-    The caller certifies that the weight is negligible beyond R.  Gauss
-    on (linear) x (smooth weight) is accurate to machine level for smooth
-    weights.  The (node, cell) arrays are laid out node-major, so every
-    elementwise loop runs over the cells; the products are transposed back
-    to cell-major before the sum, which fixes the summation order.
-    """
-    R = min(halfrange, c.size // 2 * spacing)
-    if not R > 0:
-        return 0.0
-    ts = _lattice_points(c, spacing)
-    x_gl, w_gl = _leggauss(8)
-    k = np.flatnonzero((ts[1:] > -R) & (ts[:-1] < R))
-    tk = ts[k]
-    a = np.maximum(tk, -R)
-    b = np.minimum(ts[k + 1], R)
-    mid = 0.5 * (a + b)
-    rad = 0.5 * (b - a)
-    pts = mid + rad * x_gl[:, None]
-    frac = (pts - tk) / spacing
-    vals = c[k] * (1 - frac) + c[k + 1] * frac
-    return float((vals * weight(pts) * w_gl[:, None] * rad).T.copy().sum())
-
-
 # ---------------------------------------------------------------------------
 # the lattice type
 # ---------------------------------------------------------------------------
@@ -222,10 +180,9 @@ class Correlation:
         """
         return lattice_window_integral(self.values, self.spacing, lo, hi)
 
-    def weighted_integral(self, weight: Callable[[np.ndarray], np.ndarray],
-                          halfrange: float) -> float:
-        """int_{-R}^{R} (f*f)(t) w(t) dt, R = ``halfrange`` (see the lattice kernel)."""
-        return lattice_weighted_integral(self.values, self.spacing, weight, halfrange)
+    def weighted_integral(self, weight) -> float:
+        """int (f*f) w for a ``spectral`` weight: its ``correlation_integral``."""
+        return weight.correlation_integral(self.values, self.spacing)
 
 
 def autocorrelate(f: GridFunction) -> Correlation:

@@ -190,13 +190,15 @@ class TestEvaluate:
 
     def test_indicator_halfwidth_from_s(self, tmp_path):
         # --s is the indicator halfwidth; --a (the Gaussian weight) leaves it alone
-        values = []
-        for extra in (["--s", "0.75"], ["--s", "0.75", "--a", "1.0"]):
-            assert main(["evaluate", "--family", "indicator", "--functional", "min12",
-                         *extra, "--out", str(tmp_path)]) == 0
-            values.append(_load(tmp_path / "evaluate_report.json")["results"][0]["value"])
-        assert values[0] == pytest.approx(0.5443, abs=1e-3)
-        assert values[1] == values[0]
+        windows = []
+        for extra in (["--functional", "min12"], ["--functional", "gauss", "--a", "1.0"]):
+            assert main(["evaluate", "--family", "indicator", "--s", "0.75", *extra,
+                         "--out", str(tmp_path)]) == 0
+            result = _load(tmp_path / "evaluate_report.json")["results"][0]
+            windows.append(result["support_window"])
+            if result["functional"] == "min12":
+                assert result["value"] == pytest.approx(0.5443, abs=1e-3)
+        assert windows[1] == windows[0]
 
 
 class TestTolerance:
@@ -392,6 +394,49 @@ class TestFamilyKeys:
         assert main(["--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestWeightParameter:
+    # --a is the Gaussian weight's parameter; these runs read no Gaussian weight
+    UNREAD = {"evaluate-min12": {"command": "evaluate", "family": "indicator",
+                                 "functional": "min12"},
+              "evaluate-mean": {"command": "evaluate", "family": "indicator",
+                                "functional": "mean"},
+              "search-min12": {"command": "search", "family": "indicator",
+                               "functional": "min12"},
+              "constants-interval": {"command": "constants", "weight": "interval"},
+              "constants": {"command": "constants"}}
+
+    @staticmethod
+    def _argv(record):
+        argv = [record["command"]]
+        for key, value in record.items():
+            if key != "command":
+                argv += ["--" + key, str(value)]
+        return argv
+
+    @pytest.mark.parametrize("name", sorted(UNREAD))
+    def test_flag_not_read_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert main([*self._argv(self.UNREAD[name]), "--a", "3", "--out", str(out)]) == 2
+        assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(UNREAD))
+    def test_key_not_read_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**self.UNREAD[name], "a": 3.0, "out": str(out)}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record", [
+        {"command": "evaluate", "family": "indicator", "functional": "gauss"},
+        {"command": "search", "family": "gaussian", "functional": "gauss"},
+        {"command": "constants", "weight": "gaussian"}])
+    def test_read_with_a_gaussian_weight(self, record):
+        assert cli._config_from_dict({**record, "a": 3.0}).a == 3.0
 
 
 class TestConfigFile:

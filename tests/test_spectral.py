@@ -211,6 +211,84 @@ class TestWeightTails:
             assert w.tail_bound(f, 2 * hi) < w.tail_bound(f, hi)
 
 
+def _gauss_time_cases():
+    """(label, lattice values, spacing, a, ||f||_1) of the Gaussian time side."""
+    from autocorr.correlate import lattice_autocorrelation
+    from autocorr.search import _build_gaussian
+    from autocorr.verification import random_grid_function
+
+    cases = []
+    for b in (4 * PI, 1e-4):    # the search geometry at a = 2 pi; h = 0.98
+        s, h = _build_gaussian(np.array([math.sqrt(b)]))
+        cases.append((f"gaussian-b={b:g}", lattice_autocorrelation(s, h), h, 2 * PI,
+                      h * float(s.sum())))
+    rng = np.random.default_rng(61)
+    for i in range(9):          # criterion-6-like random functions
+        f = random_grid_function(rng)
+        cases.append((f"random-{i}", lattice_autocorrelation(f.samples, f.spacing),
+                      f.spacing, (0.5, 2 * PI, 20.0)[i % 3], f.l1_norm))
+    return cases
+
+
+_GAUSS_CASES = _gauss_time_cases()
+
+
+class TestGaussianTimeSide:
+    @pytest.mark.parametrize("label, c, h, a, l1", _GAUSS_CASES,
+                             ids=[case[0] for case in _GAUSS_CASES])
+    def test_against_erf_closed_form(self, label, c, h, a, l1):
+        # per lattice cell [p, q], int (alpha + beta t) sqrt(a/pi) exp(-a t^2) dt
+        # = alpha (erf(sqrt(a) q) - erf(sqrt(a) p))/2
+        #   + beta (exp(-a p^2) - exp(-a q^2)) / (2 sqrt(a pi)), at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        n = c.size // 2
+        with mpmath.workdps(30):
+            am, hm = mpmath.mpf(a), mpmath.mpf(h)
+            ts = [(k - n) * hm for k in range(2 * n + 1)]
+            erfs = [mpmath.erf(mpmath.sqrt(am) * t) for t in ts]
+            gs = [mpmath.exp(-am * t * t) for t in ts]
+            ref = mpmath.mpf(0)
+            for k in range(2 * n):
+                beta = (mpmath.mpf(c[k + 1]) - mpmath.mpf(c[k])) / hm
+                alpha = mpmath.mpf(c[k]) - beta * ts[k]
+                ref += (alpha * (erfs[k + 1] - erfs[k]) / 2
+                        + beta * (gs[k] - gs[k + 1]) / (2 * mpmath.sqrt(am * mpmath.pi)))
+            ref = float(ref)
+        got = GaussianWeight(a).correlation_integral(c, h)
+        assert abs(got - ref) <= 1e-14 * l1 * l1
+
+    @pytest.mark.parametrize("label, c, h, a, l1", _GAUSS_CASES,
+                             ids=[case[0] for case in _GAUSS_CASES])
+    def test_more_nodes_move_it_within_the_remainder(self, monkeypatch, label, c, h, a, l1):
+        from autocorr import spectral
+
+        w = GaussianWeight(a)
+        k = spectral._gauss_node_count(h * math.sqrt(2 * a))
+        value = w.correlation_integral(c, h)
+        monkeypatch.setattr(spectral, "_gauss_node_count", lambda s: k + 4)
+        finer = w.correlation_integral(c, h)
+        cells = min(c.size // 2, math.ceil(math.sqrt(46 / a) / h))
+        remainder = 2.0 ** -58 * cells * h * math.sqrt(a / PI) * float(c.max())
+        rounding = 16 * np.finfo(float).eps * value
+        assert abs(value - finer) <= remainder + rounding
+
+    def test_node_counts(self):
+        from autocorr.spectral import _gauss_node_count
+
+        # b = 1e6, the search geometry b = 4 pi, and b = 1e-4 (h = 0.98), at a = 2 pi
+        for b, k in ((1e6, 3), (4 * PI, 4), (1e-4, 16)):
+            h = 10 / math.sqrt(b) / 1024
+            assert _gauss_node_count(h * math.sqrt(4 * PI)) == k
+        counts = [_gauss_node_count(s) for s in np.geomspace(1e-8, 19.9, 60)]
+        assert counts == sorted(counts) and counts[-1] <= 64
+
+    def test_too_coarse_a_lattice_raises(self):
+        # h sqrt(2a) = 21: no rule of at most 64 nodes meets the bound
+        h = 21 / math.sqrt(4 * PI)
+        with pytest.raises(ValueError, match="64 Gauss nodes"):
+            GaussianWeight(2 * PI).correlation_integral(np.array([0.0, 1.0, 0.0]), h)
+
+
 class TestMeanFunctionalFourier:
     def test_indicator_interval_weight(self):
         # time side: int_{-1/2}^{1/2} (1 - |t|) dt = 3/4
@@ -253,7 +331,7 @@ class TestMeanFunctionalFourier:
             four = mean_functional_fourier(f, IntervalWeight(), tol=1e-6 * scale)
             assert abs(time_side - four) <= 1e-6 * scale
             gw = GaussianWeight(2 * PI)
-            time_g = corr.weighted_integral(gw.density, halfrange=math.sqrt(46 / gw.a))
+            time_g = corr.weighted_integral(gw)
             four_g = mean_functional_fourier(f, gw, tol=1e-6 * scale)
             assert abs(time_g - four_g) <= 1e-6 * scale
 

@@ -4,28 +4,23 @@ Transform convention: fhat(xi) = int f(y) exp(-2 pi i xi y) dy.
 
 ``fourier_measure`` transforms an atoms-plus-density measure; its density
 part is the midpoint-rule evaluation of that integral for a grid function (so
-|fhat| <= ||f||_1 and fhat(0) = ||f||_1 hold exactly).  The Fourier-side
-weighted mean ``mean_functional_fourier`` uses the exact transform of the
-cell model (midpoint sum times sinc(h xi)), whose 1/xi decay bounds the
-truncation tail through the total-variation majorant
-|fhat(xi)| <= V/(2 pi xi); the weights' ``cutoff`` picks the truncation
-point from that bound.  It is a cross-check of Plancherel: its accuracy is
+|fhat| <= ||f||_1 and fhat(0) = ||f||_1 hold exactly).  It goes through
+``_phase_sum``, as does the standard bump's transform in ``dualcheck``: it
+evaluates sum_m w_m exp(-2 pi i xi y_m) on the centred node progression
+y_m = (m - (n-1)/2) h at arbitrary xi, from a coarse and a fine table of about
+sqrt(n) exps per xi, block by block, with no (xi, n) array.
+
+The Fourier-side weighted mean ``mean_functional_fourier`` integrates
+|fhat|^2 what with fhat the exact transform of the cell model (midpoint sum
+times h sinc(h xi)).  That integrand is the transform of (f*f)*w, which
+vanishes outside [-(width + R), width + R] for the weight's ``reach`` R (the
+Gaussian's up to a tail below e^-46 max w).  So by Poisson summation its
+trapezoid sum at any step delta with 1/delta > width + R is exact, and at
+delta = 1/(M h) the midpoint sums there are one length-M DFT of the cell
+values.  Only the truncation at the weight's ``cutoff`` remains, bounded by
+its ``tail_bound``.  The value is a cross-check of Plancherel: its accuracy is
 measured by its disagreement with the exact time side (the functionals'
 error estimate), not by a figure of its own.
-
-Every phase sum here runs over a centred node progression
-y_m = (m - (n-1)/2) h, and only ``_phases`` builds its phases: a coarse and a
-fine table of about sqrt(n) exps per xi.  ``_phase_sum`` evaluates
-sum_m w_m exp(-2 pi i xi y_m) at arbitrary xi from them, block by block, with
-no (xi, n) array; ``fourier_measure`` and the standard bump's transform in
-``dualcheck`` go through it.  The Fourier-side mean only needs |fhat| on
-grid progressions xi = k*step + c_j, which ``_progression_transform`` also
-factors in xi: with k = b*B + r,
-exp(-2 pi i xi y) = exp(-2 pi i b B step y) * exp(-2 pi i (r step + c_j) y),
-about 4 (count * len(c) * cells)^(1/2) exps and one ZGEMM instead of
-count * len(c) * cells.  (A chirp-z transform would need fewer operations, but
-scipy's builds its chirp as w**(k**2/2), whose phase error grows like k^2:
-1e-6 relative at 2e5 points.)
 """
 
 from __future__ import annotations
@@ -54,13 +49,6 @@ __all__ = [
 
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
 
-# glibc's malloc maps each block of at least its mmap threshold anew, and the
-# threshold rises from 128 KiB to the largest mapped block freed.  Freeing 1 MiB
-# here raises it, so the Fourier-side mean's tables up to 1 MiB come from the heap:
-# criterion 6 in a fresh process took 14,200-14,500 minor page faults with this
-# line, 17,000-17,600 without, in equal time (2-core x86-64, glibc 2.36).
-np.empty(8 * 16384)
-
 
 def sinc(u) -> np.ndarray:
     """sin(pi u) / (pi u) with the removable singularity filled."""
@@ -72,6 +60,7 @@ class IntervalWeight:
     """w = 1_[-1/2,1/2]; what(xi) = sin(pi xi)/(pi xi)."""
 
     label: str = "interval"
+    reach = 0.5             # w vanishes outside [-reach, reach]
 
     def hat(self, xi) -> np.ndarray:
         return sinc(xi)
@@ -137,6 +126,11 @@ class GaussianWeight:
         if not (np.isfinite(self.a) and self.a > 0):
             raise ValueError(f"Gaussian weight needs a > 0, got {self.a}")
 
+    @property
+    def reach(self) -> float:
+        """Beyond it w < e^-46 max w."""
+        return math.sqrt(46.0 / self.a)
+
     def hat(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=np.float64)
         return np.exp(-(math.pi ** 2) * xi * xi / self.a)
@@ -175,13 +169,13 @@ class GaussianWeight:
         omega_m = int hat_m w with hat_m the lattice hat function at m h.
 
         c and w are even: only the nonnegative cells [j h, (j+1) h] with
-        j h < R = sqrt(46/a) count (the rest holds < erfc(sqrt(46)) c_0).  Each
+        j h < R = ``reach`` count (the rest holds < erfc(sqrt(46)) c_0).  Each
         hat piece, (1 - u) w or u w with u = t/h - j, is integrated to
         2^-60 h max w, so the error is below 2^-58 (cells h) max w c_0 <
         2^-54 c_0, as cells h < R + h and c_0 = max c = ||f||_2^2.
         """
         n, h, a = values.size // 2, spacing, self.a
-        cells = min(n, math.ceil(math.sqrt(46.0 / a) / h))
+        cells = min(n, math.ceil(self.reach / h))
         x, wgt = _leggauss(_gauss_node_count(h * math.sqrt(2.0 * a)))
         u = 0.5 * (1.0 + x)
         t = h * np.add.outer(u, np.arange(cells))          # (node, cell)
@@ -200,33 +194,25 @@ Weight = Union[IntervalWeight, GaussianWeight]
 # ---------------------------------------------------------------------------
 
 
-def _phases(xis: np.ndarray, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse and fine phases of the centred progression y_m = (m - (n-1)/2) h.
-
-    With P ~ sqrt(n), exp(-2 pi i xi y_(pP+q)) = coarse[:, p] * fine[:, q]
-    for 0 <= p < ceil(n/P) and 0 <= q < P: one row of each per xi.
-    """
-    P = max(1, round(math.sqrt(n)))
-    y = (np.arange(0, n, P) - 0.5 * (n - 1)) * h
-    coarse = np.exp(-2j * np.pi * xis[:, None] * y[None, :])
-    fine = np.exp(-2j * np.pi * xis[:, None] * (np.arange(P) * h)[None, :])
-    return coarse, fine
-
-
 def _phase_sum(weights: np.ndarray, h: float, xis: np.ndarray) -> np.ndarray:
     """sum_m w_m exp(-2 pi i xi y_m) on the centred progression y_m = (m - (n-1)/2) h.
 
-    Block by block, sum_p coarse[xi, p] (fine @ W)[xi, p] with
+    With P ~ sqrt(n), exp(-2 pi i xi y_(pP+q)) = coarse[xi, p] * fine[xi, q],
+    so block by block the sum is sum_p coarse[xi, p] (fine @ W)[xi, p] with
     W[q, p] = w_(pP+q), zero past n; no (xi, n) array is built.  The real
     products go through einsum, not BLAS: OpenBLAS threads even small complex
     products, and its idle threads then spin on the other cores.
     """
     n = weights.size
+    P = max(1, round(math.sqrt(n)))
+    y = (np.arange(0, n, P) - 0.5 * (n - 1)) * h
+    Q = y.size
+    W = np.pad(weights, (0, Q * P - n)).reshape(Q, P).T
     out = np.empty(xis.size, dtype=np.complex128)
     for s in range(0, xis.size, _PHASE_BLOCK):
-        coarse, fine = _phases(xis[s:s + _PHASE_BLOCK], n, h)
-        Q, P = coarse.shape[1], fine.shape[1]
-        W = np.pad(weights, (0, Q * P - n)).reshape(Q, P).T
+        block = xis[s:s + _PHASE_BLOCK]
+        coarse = np.exp(-2j * np.pi * block[:, None] * y[None, :])
+        fine = np.exp(-2j * np.pi * block[:, None] * (np.arange(P) * h)[None, :])
         re, im = np.einsum("cxq,qp->cxp", np.stack((fine.real, fine.imag)), W)
         out[s:s + _PHASE_BLOCK] = np.einsum("ij,ij->i", coarse, re + 1j * im)
     return out
@@ -244,32 +230,6 @@ def fourier_measure(mu: MixedMeasure, xi):
         shift = np.exp(-2j * np.pi * arr * (f.origin + 0.5 * f.width))
         out += f.spacing * shift * _phase_sum(f.samples, f.spacing, arr)
     return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
-
-
-def _progression_transform(f: GridFunction, step: float, count: int,
-                           offsets: np.ndarray) -> np.ndarray:
-    """Midpoint transform about the support centre at xi = k*step + offsets[j].
-
-    Returns h sum_m s_m exp(-2 pi i xi y_m) for 0 <= k < count, flattened
-    k-major and j-minor, with y_m the cell midpoints measured from the centre
-    c of the support: fhat(xi) exp(2 pi i xi c), which has the modulus of
-    fhat.  Writing k = b*B + r with B ~ sqrt(count / len(offsets)), the
-    values are (outer * samples) @ inner.T for the phase tables
-    outer[b] = exp(-2 pi i b B step y) and
-    inner[r, j] = exp(-2 pi i (r step + offsets[j]) y).
-    """
-    n, h = f.cells, f.spacing
-
-    def table(xis):     # exp(-2 pi i xi y_m), one row per xi
-        coarse, fine = _phases(xis, n, h)
-        return (coarse[:, :, None] * fine[:, None, :]).reshape(xis.size, -1)[:, :n]
-
-    offsets = np.asarray(offsets, dtype=np.float64)
-    B = max(1, round(math.sqrt(count / offsets.size)))
-    outer = table(np.arange(-(-count // B)) * (B * step))
-    inner = table((np.arange(B)[:, None] * step + offsets[None, :]).ravel())
-    sums = ((outer * f.samples) @ inner.T).ravel()[:count * offsets.size]
-    return h * sums
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +399,28 @@ def weight_lp_moment(w: Weight, p: float, tol: float = 1e-9) -> MomentResult:
 
 
 def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> float:
-    """int |fhat(xi)|^2 what(xi) d xi, truncated where w.tail_bound <= tol/2.
+    """int |fhat(xi)|^2 what(xi) d xi as an exact trapezoid sum (module docstring).
 
-    Unit-interval composite Gauss-Legendre on [0, Xi], Xi = w.cutoff(f, tol),
-    with max(20, int(3 width) + 12) + 8 nodes per interval.  No error figure
-    is returned: the functionals compare this value with the time side,
-    which is exact on the lattice, and their disagreement is the reported
-    error estimate.  Where the 2e5 cap on Xi binds, the tail past it shows
-    there too.
+    The step is delta = 1/(M h), M = floor((width + R)/h) + 1 > n with
+    R = ``w.reach``, and |fhat(j delta)|^2 = (h sinc(h j delta))^2 P_(j mod M),
+    P the squared modulus of the length-M DFT of the cell values.  The terms
+    past Xi = w.cutoff(f, tol) are dropped; both majorants decrease, so they
+    sum to at most ``w.tail_bound(f, Xi)`` <= tol/2.  The error is that, plus
+    the Gaussian's aliasing, below about 2 e^-46 sqrt(a/pi) ||f||_1^2, plus
+    rounding; there is no quadrature error.  No error figure is returned: the
+    functionals compare this value with the time side, which is exact on the
+    lattice, and their disagreement is the reported error estimate.  Where
+    the 2e5 cap on Xi binds, the tail past it shows there too.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    hi = w.cutoff(f, tol)
-    n_int = max(1, int(math.ceil(hi)))
-    x, wgt = _leggauss(max(20, int(3.0 * f.width) + 12) + 8)
-    width = hi / n_int  # subinterval length, at most 1
-    offsets = 0.5 * width * (x + 1.0)
-    pts = (np.arange(n_int, dtype=np.float64)[:, None] * width + offsets[None, :]).ravel()
-    v = _progression_transform(f, width, n_int, offsets)
-    vals = (v.real ** 2 + v.imag ** 2) * sinc(f.spacing * pts) ** 2
-    vals *= np.asarray(w.hat(pts), dtype=np.float64)
-    return 2.0 * float(vals @ np.tile(0.5 * width * wgt, n_int))
+    h = f.spacing
+    M = int((f.width + w.reach) / h) + 1
+    delta = 1.0 / (M * h)
+    v = np.fft.fft(f.samples, M)
+    P = v.real ** 2 + v.imag ** 2
+    xi = delta * np.arange(math.ceil(w.cutoff(f, tol) / delta) + 1)
+    G = (h * sinc(h * xi)) ** 2 * w.hat(xi)
+    G[0] *= 0.5
+    folded = np.bincount(np.arange(xi.size) % M, weights=G, minlength=M)
+    return 2.0 * delta * float(P @ folded)

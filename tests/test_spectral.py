@@ -302,20 +302,53 @@ class TestMeanFunctionalFourier:
         m = mean_functional_fourier(f, GaussianWeight(2 * PI), tol=1e-8)
         assert abs(m - 0.25) < 1e-6
 
-    def test_unit_weight_gives_plancherel_mass(self):
-        # |fhat|^2 of the midpoint sum is a trigonometric polynomial of period
-        # 1/h, so the trapezoid sum over one period at 2n points is exact
-        # (Plancherel): h^-1 (2n)^-1 sum |fhat|^2 = ||f||_2^2
-        from autocorr.spectral import _progression_transform
+    @staticmethod
+    def _exactness_gap(f, w, tol):
+        # |time side - Fourier side| less the truncation tail the Fourier side
+        # may drop; the time side is the lattice value
+        from autocorr.correlate import lattice_autocorrelation
 
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            n = int(rng.integers(4, 64))
-            f = GridFunction(-0.4, float(rng.uniform(0.01, 0.1)), rng.uniform(0, 1, n))
-            M, h = 2 * n, f.spacing
-            v = _progression_transform(f, 1.0 / (M * h), M, np.array([-0.5 / h]))
-            mass = float((v.real ** 2 + v.imag ** 2).sum() / (h * M))
-            assert abs(mass - f.l2_norm ** 2) <= 1e-8 * f.l2_norm ** 2
+        time_side = w.correlation_integral(lattice_autocorrelation(f.samples, f.spacing),
+                                           f.spacing)
+        four = mean_functional_fourier(f, w, tol=tol)
+        return abs(time_side - four) - w.tail_bound(f, w.cutoff(f, tol))
+
+    @pytest.mark.parametrize("w", [IntervalWeight()] + [GaussianWeight(a)
+                                                       for a in (0.05, 0.5, 2 * PI, 20.0)],
+                             ids=["interval", "gauss-0.05", "gauss-0.5", "gauss-2pi", "gauss-20"])
+    def test_trapezoid_sum_is_exact(self, w):
+        # Poisson summation leaves only the truncation tail; at a = 0.05 the
+        # weight's reach is 30, several times the support, so a step that
+        # ignored it would alias
+        from autocorr.verification import random_grid_function
+
+        rng = np.random.default_rng(17)
+        for _ in range(9):
+            f = random_grid_function(rng)
+            scale = f.l1_norm * f.l2_norm
+            assert self._exactness_gap(f, w, 1e-11 * scale) <= 1e-14 * scale
+
+    def test_indicator_is_exact_at_tight_tolerances(self):
+        f = sample(Indicator(0.5), cells=2048)
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+            assert self._exactness_gap(f, IntervalWeight(), tol) <= 1e-14
+
+    def test_memory_stays_flat(self):
+        # the Fourier side builds no (xi, cells) table: its memory is the
+        # length-M DFT and the lattice terms up to the cutoff
+        import tracemalloc
+
+        from autocorr import q_mean
+
+        f = sample(Gaussian(1.0), cells=4096)
+        q_mean(f, tol=1e-8)
+        tracemalloc.start()
+        try:
+            q_mean(f, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_time_fourier_cross_check(self):
         from autocorr import autocorrelate
@@ -350,8 +383,8 @@ class TestNodeCache:
             w *= 2.0
 
 
-class TestProgressionTransform:
-    """The factored grid-progression engine against direct phase sums."""
+class TestPhaseSum:
+    """The blocked engine of fourier_measure and the standard bump."""
 
     @staticmethod
     def _centred_direct(f, xi):
@@ -363,51 +396,6 @@ class TestProgressionTransform:
         s = f.samples.astype(ld)
         return (np.cos(theta) @ s) * ld(f.spacing), -(np.sin(theta) @ s) * ld(f.spacing)
 
-    def test_long_double_oracle_to_interval_cap(self):
-        # xi up to the 2e5 cap of the interval weight; scipy's chirp-z misses
-        # this bound by three orders of magnitude (phase error grows like k^2)
-        from autocorr.spectral import _progression_transform
-
-        rng = np.random.default_rng(7)
-        f = GridFunction(-1.3, 0.15, rng.uniform(0, 1, 32))
-        offsets = np.array([0.0, 0.37, 0.81])
-        vals = _progression_transform(f, 1.0, 200000, offsets)
-        assert vals.size == 600000
-        idx = np.concatenate([rng.choice(vals.size, 3000, replace=False),
-                              np.arange(vals.size - 300, vals.size)])
-        k, j = np.divmod(idx, offsets.size)
-        xi = k.astype(np.longdouble) + offsets[j].astype(np.longdouble)
-        re, im = self._centred_direct(f, xi)
-        err = np.hypot((vals[idx].real - re).astype(np.float64),
-                       (vals[idx].imag - im).astype(np.float64))
-        assert np.max(err) <= 1e-9 * f.l1_norm
-
-    def test_matches_dense_transform(self):
-        from autocorr.spectral import _leggauss, _progression_transform
-
-        rng = np.random.default_rng(13)
-        n, h = 2048, 2.0 ** -10
-        f = GridFunction(0.3, h, rng.uniform(0, 1, n))
-        width, count = 0.37, 500
-        offsets = 0.5 * width * (_leggauss(20)[0] + 1.0)
-        vals = _progression_transform(f, width, count, offsets)
-        xis = (np.arange(count)[:, None] * width + offsets[None, :]).ravel()
-
-        def dense(origin):
-            # h sum_m s_m exp(-2 pi i xi x_m) at the cell midpoints x_m, one
-            # exp per (xi, cell), 1000 xi at a time
-            mids = origin + (np.arange(n) + 0.5) * h
-            return np.concatenate([h * (np.exp(-2j * np.pi * xis[i:i + 1000, None] * mids)
-                                        @ f.samples) for i in range(0, xis.size, 1000)])
-
-        assert np.max(np.abs(vals - dense(-0.5 * n * h))) <= 1e-12 * f.l1_norm
-        # the origin only moves the phase
-        assert np.max(np.abs(np.abs(vals) - np.abs(dense(f.origin)))) <= 1e-12 * f.l1_norm
-
-
-class TestPhaseSum:
-    """The blocked engine of fourier_measure and the standard bump."""
-
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 1025])
     def test_long_double_oracle(self, n):
         from autocorr.spectral import _PHASE_BLOCK, _phase_sum
@@ -417,7 +405,7 @@ class TestPhaseSum:
         # more xi than one block, of both signs, and the zero frequency
         xis = np.concatenate([rng.uniform(-60, 60, _PHASE_BLOCK + 188), [0.0, -0.5 / f.spacing]])
         got = f.spacing * _phase_sum(f.samples, f.spacing, xis)
-        re, im = TestProgressionTransform._centred_direct(f, xis.astype(np.longdouble))
+        re, im = self._centred_direct(f, xis.astype(np.longdouble))
         err = np.hypot((got.real - re).astype(np.float64), (got.imag - im).astype(np.float64))
         assert np.max(err) <= 1e-13 * f.l1_norm
         assert got[-2] == pytest.approx(f.l1_norm, abs=1e-14 * f.l1_norm)

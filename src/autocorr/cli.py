@@ -2,10 +2,12 @@
 
 Subcommands: ``constants``, ``roots``, ``evaluate``, ``search``, ``dual``,
 ``verify``.  Each subcommand takes only the flags (and config keys) that it
-reads; any other is malformed input.  Every run writes a versioned JSON report
-(schema 1) with the effective configuration echoed, plus CSV tables where
-applicable.  Exit status: 0 success, 1 numeric invariant breach or failed
-verification, 2 malformed input.
+reads, spelled in full; any other is malformed input.  The report
+subcommands compute their report rows, CSV tables and printed lines, and
+``_run`` writes them all: a versioned JSON report (schema 1) with the
+effective configuration echoed, the CSV tables, the printout.  ``verify``
+prints its table and writes JSON only with ``--json``.  Exit status: 0
+success, 1 numeric invariant breach or failed verification, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import constants as C
 from . import dualcheck as dual
 from . import functionals as fun
 from . import verification
-from .search import DEFAULT_BUDGET, search as run_search
+from .search import DEFAULT_BUDGET, REEVALUATION_TOL, search as run_search
 from .funcspace import Gaussian, GridFunction, Indicator, sample
 from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, IntervalWeight
 
@@ -170,6 +172,10 @@ def _config_from_dict(data: dict) -> RunConfig:
         if cfg.values is None:
             raise ConfigError("piecewise-constant needs 'values'")
         cfg.cells = len(cfg.values)  # the echo names the cells evaluated
+    if cfg.command in ("evaluate", "search") and (cfg.family is None or cfg.functional is None):
+        raise ConfigError(f"{cfg.command} needs --family and --functional")
+    if cfg.command == "evaluate" and cfg.family == "bs-example" and cfg.functional != "min01":
+        raise ConfigError("the bs-example family supports only the min01 functional")
     return cfg
 
 
@@ -190,14 +196,6 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
-
-
 def _report(cfg: RunConfig, results) -> dict:
     return {
         "schema": SCHEMA,
@@ -208,15 +206,9 @@ def _report(cfg: RunConfig, results) -> dict:
     }
 
 
-def _bound_report_dict(rep: C.BoundReport, module: str) -> dict:
-    return {
-        "name": rep.name,
-        "value": rep.value,
-        "kind": rep.kind,
-        "ingredients": rep.ingredients,
-        "tolerance": rep.tolerance,
-        "module": module,
-    }
+def _row(result, module: str, *names: str, **extra) -> dict:
+    """A report row: the named attributes of a library result, then ``extra``."""
+    return {"module": module, **{name: getattr(result, name) for name in names}, **extra}
 
 
 def _weight_of(cfg: RunConfig):
@@ -224,56 +216,36 @@ def _weight_of(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes its report rows, its CSV tables (file name to
+# header and rows) and its printed lines; _run writes them
 # ---------------------------------------------------------------------------
 
+_Output = tuple[list[dict], dict[str, tuple[list[str], list[list]]], list[str]]
 
-def _cmd_constants(cfg: RunConfig, outdir: Path) -> int:
+
+def _cmd_constants(cfg: RunConfig) -> _Output:
     w = _weight_of(cfg)
-    reports = [
-        _bound_report_dict(C.mean_upper_constant(w, 2.0), "constants"),
-        _bound_report_dict(C.minimize_over_p(w, (cfg.p_min, cfg.p_max)), "constants"),
-    ]
-    win2, win1 = C.min_l1_constant()
-    reports += [_bound_report_dict(win2, "constants"),
-                _bound_report_dict(win1, "constants")]
-    reports.append(_bound_report_dict(C.min_mixed_constant(), "constants"))
-    reports.append(_bound_report_dict(C.indicator_min_lower(), "constants"))
+    reports = [C.mean_upper_constant(w, 2.0), C.minimize_over_p(w, (cfg.p_min, cfg.p_max)),
+               *C.min_l1_constant(), C.min_mixed_constant(), C.indicator_min_lower()]
     if isinstance(w, GaussianWeight):
-        reports.append(_bound_report_dict(C.gaussian_mean_lower(w.a), "constants"))
-
-    rows = []
+        reports.append(C.gaussian_mean_lower(w.a))
+    sweep = []
     for p in np.arange(cfg.p_min, cfg.p_max + 1e-12, 0.25):
         rep = C.mean_upper_constant(w, float(p))
-        rows.append([f"{p:.6g}", f"{rep.ingredients['K_p']:.12g}",
-                     f"{rep.ingredients['I_w_p']:.12g}", f"{rep.value:.12g}"])
-    _write_csv(outdir / "constants_sweep.csv", ["p", "K_p", "I_w_p", "C_p"], rows)
-    payload = _report(cfg, reports)
-    _write_json(outdir / "constants_report.json", payload)
-    for rep in reports:
-        print(f"{rep['name']:28s} {rep['value']:.8f}  [{rep['kind']}]")
-    return 0
+        sweep.append([f"{p:.6g}", f"{rep.ingredients['K_p']:.12g}",
+                      f"{rep.ingredients['I_w_p']:.12g}", f"{rep.value:.12g}"])
+    rows = [_row(rep, "constants", "name", "value", "kind", "ingredients", "tolerance")
+            for rep in reports]
+    lines = [f"{rep.name:28s} {rep.value:.8f}  [{rep.kind}]" for rep in reports]
+    return rows, {"constants_sweep.csv": (["p", "K_p", "I_w_p", "C_p"], sweep)}, lines
 
 
-def _cmd_roots(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_roots(cfg: RunConfig) -> _Output:
     r = C.sinc_min_roots()
-    results = [{
-        "name": "sinc-min-roots",
-        "module": "constants",
-        "y0": r.y0,
-        "theta0": r.theta0,
-        "xi0": r.xi0,
-        "alpha0": r.alpha0,
-        "residual_y0": r.residual_y0,
-        "residual_sinc_min": r.residual_sinc_min,
-        "tolerance": 1e-10,
-    }]
-    _write_json(outdir / "roots_report.json", _report(cfg, results))
-    print(f"y0      = {r.y0:.12f}")
-    print(f"theta0  = {r.theta0:.12f}")
-    print(f"xi0     = {r.xi0:.12f}")
-    print(f"alpha0  = {r.alpha0:.12f}")
-    return 0
+    row = _row(r, "constants", "y0", "theta0", "xi0", "alpha0", "residual_y0",
+               "residual_sinc_min", name="sinc-min-roots", tolerance=1e-10)
+    return [row], {}, [f"{name:7s} = {getattr(r, name):.12f}"
+                       for name in ("y0", "theta0", "xi0", "alpha0")]
 
 
 def _function_of(cfg: RunConfig) -> GridFunction:
@@ -287,13 +259,9 @@ def _function_of(cfg: RunConfig) -> GridFunction:
     return sample(family, support=support, cells=cfg.cells)
 
 
-def _cmd_evaluate(cfg: RunConfig, outdir: Path) -> int:
-    if cfg.family is None or cfg.functional is None:
-        raise ConfigError("evaluate needs --family and --functional")
+def _cmd_evaluate(cfg: RunConfig) -> _Output:
     window = None
     if cfg.family == "bs-example":
-        if cfg.functional != "min01":
-            raise ConfigError("the bs-example family supports only the min01 functional")
         ratio = fun.q_min_01_bs()
     else:
         f = _function_of(cfg)
@@ -306,77 +274,43 @@ def _cmd_evaluate(cfg: RunConfig, outdir: Path) -> int:
             ratio = fun.q_min_12(f)
         else:
             ratio = fun.q_min_01(f)
-    result = {
-        "module": "functionals",
-        "functional": ratio.functional,
-        "method": ratio.method,
-        "value": ratio.value,
-        "numerator": ratio.numerator,
-        "fourier_numerator": ratio.fourier_numerator,
-        "l1": ratio.l1,
-        "l2": None if math.isinf(ratio.l2) else ratio.l2,
-        "error_estimate": ratio.error_estimate,
-        "support_window": window,
-        "tolerance": cfg.tol,
-    }
-    _write_json(outdir / "evaluate_report.json", _report(cfg, [result]))
-    print(f"{ratio.functional}[{cfg.family}] = {ratio.value:.8f} "
-          f"(numerator {ratio.numerator:.8f}, error {ratio.error_estimate:.2e})")
-    return 0
+    row = _row(ratio, "functionals", "functional", "method", "value", "numerator",
+               "fourier_numerator", "l1", "error_estimate",
+               l2=None if math.isinf(ratio.l2) else ratio.l2, support_window=window,
+               tolerance=cfg.tol)
+    return [row], {}, [f"{ratio.functional}[{cfg.family}] = {ratio.value:.8f} "
+                       f"(numerator {ratio.numerator:.8f}, error {ratio.error_estimate:.2e})"]
 
 
-def _cmd_search(cfg: RunConfig, outdir: Path) -> int:
-    if cfg.family is None or cfg.functional is None:
-        raise ConfigError("search needs --family and --functional")
+def _cmd_search(cfg: RunConfig) -> _Output:
     fam = {"piecewise-constant": "piecewise"}.get(cfg.family, cfg.family)
     record = run_search(cfg.functional, fam, budget=cfg.budget, seed=cfg.seed,
-                         a=cfg.a if cfg.functional == "gauss" else None,
-                         dimension=cfg.dimension)
-    result = {
-        "module": "search",
-        "objective": record.objective,
-        "family": record.family,
-        "dimension": record.dimension,
-        "best_params": list(record.best_params),
-        "best_value": record.best_value,
-        "evaluations": record.evaluations,
-        "seed": record.seed,
-        "tolerance": 1e-10,  # re-evaluation agreement enforced on best_value
-    }
-    _write_csv(outdir / "search_trace.csv", ["eval_index", "best_value"],
-               [[i, f"{v:.12g}"] for i, v in record.trace])
-    _write_json(outdir / "search_report.json", _report(cfg, [result]))
-    print(f"search {record.objective}/{record.family}: best {record.best_value:.8f} "
-          f"after {record.evaluations} evaluations")
-    return 0
+                        a=cfg.a if cfg.functional == "gauss" else None,
+                        dimension=cfg.dimension)
+    row = _row(record, "search", "objective", "family", "dimension", "best_value",
+               "evaluations", "seed", best_params=list(record.best_params),
+               tolerance=REEVALUATION_TOL)
+    trace = [[i, f"{v:.12g}"] for i, v in record.trace]
+    return [row], {"search_trace.csv": (["eval_index", "best_value"], trace)}, [
+        f"search {record.objective}/{record.family}: best {record.best_value:.8f} "
+        f"after {record.evaluations} evaluations"]
 
 
-def _cmd_dual(cfg: RunConfig, outdir: Path) -> int:
-    results = []
-    rows = []
+def _cmd_dual(cfg: RunConfig) -> _Output:
+    rows, masses, lines = [], [], []
     for bump in dual.BUMPS:
         rep = dual.dual_mass_report(bump, tol=cfg.tol)
         neg = dual.negative_part_bound_check(bump, rep)
-        results.append({
-            "module": "dualcheck",
-            "bump": rep.bump,
-            "positive_mass": rep.positive_mass,
-            "negative_mass": rep.negative_mass,
-            "value0": rep.value0,
-            "lower_bound": rep.lower_bound,
-            "refined_bound": rep.refined_bound,
-            "margin": rep.margin,
-            "refined_margin": rep.refined_margin,
-            "sum_diff_gap": rep.sum_diff_gap,
-            "identity_gap": neg.identity_gap,
-            "inequality_slack": neg.inequality_slack,
-            "error_bound": rep.error_bound,
-            "tolerance": cfg.tol,
-        })
-        rows.append([rep.bump, f"{rep.positive_mass:.10g}",
-                     f"{rep.lower_bound:.10g}", f"{rep.margin:.10g}"])
+        rows.append(_row(rep, "dualcheck", "bump", "positive_mass", "negative_mass", "value0",
+                         "lower_bound", "refined_bound", "margin", "refined_margin",
+                         "sum_diff_gap", "error_bound", identity_gap=neg.identity_gap,
+                         inequality_slack=neg.inequality_slack, tolerance=cfg.tol))
+        masses.append([rep.bump, f"{rep.positive_mass:.10g}",
+                       f"{rep.lower_bound:.10g}", f"{rep.margin:.10g}"])
+        lines.append(f"{rep.bump:14s} pos {rep.positive_mass:.8f} "
+                     f">= {rep.lower_bound:.8f} (margin {rep.margin:.4f})")
     grid, residuals = dual.case2bb_scan()
-    results.append({
+    rows.append({
         "module": "dualcheck",
         "name": "case2bb-residual-scan",
         "a_min": float(grid[0]),
@@ -386,18 +320,36 @@ def _cmd_dual(cfg: RunConfig, outdir: Path) -> int:
         "residual_at_1": dual.case2bb_residual(1.0),
         "tolerance": 0.01,
     })
-    _write_csv(outdir / "dual_masses.csv", ["bump", "pos_mass", "bound", "margin"], rows)
-    _write_json(outdir / "dual_report.json", _report(cfg, results))
-    for r in results:
-        if "bump" in r:
-            print(f"{r['bump']:14s} pos {r['positive_mass']:.8f} "
-                  f">= {r['lower_bound']:.8f} (margin {r['margin']:.4f})")
-        else:
-            print(f"case2bb min residual {r['min_residual']:.4f} >= 0.01")
+    lines.append(f"case2bb min residual {rows[-1]['min_residual']:.4f} >= 0.01")
+    return rows, {"dual_masses.csv": (["bump", "pos_mass", "bound", "margin"], masses)}, lines
+
+
+_RUNNERS = {
+    "constants": _cmd_constants,
+    "roots": _cmd_roots,
+    "evaluate": _cmd_evaluate,
+    "search": _cmd_search,
+    "dual": _cmd_dual,
+}
+
+
+def _run(cfg: RunConfig) -> int:
+    """Run a report subcommand; write its CSV tables, its JSON report, its printout."""
+    rows, tables, lines = _RUNNERS[cfg.command](cfg)
+    outdir = Path(cfg.out)
+    for name, (header, table) in tables.items():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180
+        writer.writerow(header)
+        writer.writerows(table)
+        _atomic_write(outdir / name, buf.getvalue())
+    _write_json(outdir / f"{cfg.command}_report.json", _report(cfg, rows))
+    for line in lines:
+        print(line)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_verify(cfg: RunConfig) -> int:
     results = verification.run_acceptance(fault=cfg.fault_inject)
     print(verification.format_table(results))
     if cfg.json_path:
@@ -424,14 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
     and the checks stay with RunConfig and ``_config_from_dict``.
     """
     ap = argparse.ArgumentParser(
-        prog="autocorr",
+        prog="autocorr", allow_abbrev=False,
         description="Sharp autocorrelation inequality toolkit: constants, "
                     "functional evaluation, lower-bound search, dual checks.")
     ap.add_argument("--config", type=str, default=None,
                     help="JSON config file; its keys are the flags of its command")
     sub = ap.add_subparsers(dest="command")
     for command, keys in _OPTIONS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         for key in keys:
             if key == "values":
                 continue
@@ -440,16 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=argparse.SUPPRESS, help=_HELP.get(key),
                            metavar="{%s}" % ",".join(choices) if choices else None)
     return ap
-
-
-_RUNNERS = {
-    "constants": _cmd_constants,
-    "roots": _cmd_roots,
-    "evaluate": _cmd_evaluate,
-    "search": _cmd_search,
-    "dual": _cmd_dual,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -477,9 +419,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(cfg.out)
     try:
-        return _RUNNERS[cfg.command](cfg, outdir)
+        return _cmd_verify(cfg) if cfg.command == "verify" else _run(cfg)
     except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ the ``q_*`` functions wrap.  No GridFunction, Correlation or RatioResult is
 built per evaluation, yet every evaluation still raises ZeroFunctionError or
 the proven-ceiling InvariantViolation, wrapped in :class:`SearchError` with
 the parameters.  The winner is re-evaluated through GridFunction and the
-public ``q_*``, and must agree to 1e-10.
+public ``q_*``, and must agree to ``REEVALUATION_TOL``·max(1, |best|).
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2000
+# the agreement the winner's re-evaluation must reach, relative to max(1, |best|)
+REEVALUATION_TOL = 1e-10
 OBJECTIVES = ("mean", "gauss", "min12", "min01")
 FAMILIES = ("indicator", "gaussian", "piecewise", "bs-example")
 
@@ -355,6 +357,6 @@ def _search_bs(objective: str, label: str, seed: int) -> SearchRecord:
 
 
 def _check_reevaluation(best_value: float, check: float, params: np.ndarray) -> None:
-    if abs(check - best_value) > 1e-10 * max(1.0, abs(best_value)):
+    if abs(check - best_value) > REEVALUATION_TOL * max(1.0, abs(best_value)):
         raise SearchError(
             f"best value {best_value!r} failed re-evaluation ({check!r})", params)

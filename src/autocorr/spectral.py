@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
+_FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourier
 
 
 def sinc(u) -> np.ndarray:
@@ -410,7 +411,9 @@ def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> fl
     rounding; there is no quadrature error.  No error figure is returned: the
     functionals compare this value with the time side, which is exact on the
     lattice, and their disagreement is the reported error estimate.  Where
-    the 2e5 cap on Xi binds, the tail past it shows there too.
+    the 2e5 cap on Xi binds, the tail past it shows there too.  The terms are
+    folded onto the M residues in blocks of ``_FOLD_PERIODS`` whole periods,
+    so the memory is set by the block, not by Xi.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -419,8 +422,18 @@ def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> fl
     delta = 1.0 / (M * h)
     v = np.fft.fft(f.samples, M)
     P = v.real ** 2 + v.imag ** 2
-    xi = delta * np.arange(math.ceil(w.cutoff(f, tol) / delta) + 1)
-    G = (h * sinc(h * xi)) ** 2 * w.hat(xi)
-    G[0] *= 0.5
-    folded = np.bincount(np.arange(xi.size) % M, weights=G, minlength=M)
+    n_terms = math.ceil(w.cutoff(f, tol) / delta) + 1
+    folded = np.zeros(M)
+    for start in range(0, n_terms, _FOLD_PERIODS * M):
+        xi = delta * np.arange(start, min(start + _FOLD_PERIODS * M, n_terms))
+        G = (h * sinc(h * xi)) ** 2 * w.hat(xi)
+        if start == 0:
+            G[0] *= 0.5
+        # the running fold on top of this block's periods, zero-padded: each
+        # bin adds its terms in index order, as one bincount over all would
+        rows = np.zeros((1 - (-xi.size // M), M))
+        rows[0] = folded
+        rows.reshape(-1)[M:M + xi.size] = G
+        folded = rows.sum(0)
+        del xi, G, rows     # free this block before the next is built
     return 2.0 * delta * float(P @ folded)

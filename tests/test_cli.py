@@ -12,7 +12,7 @@ from autocorr import GridFunction, cli, q_min_12
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
-from autocorr.search import SearchError
+from autocorr.search import REEVALUATION_TOL, SearchError
 
 
 def _load(path):
@@ -21,11 +21,15 @@ def _load(path):
 
 
 class TestRoots:
+    KEYS = {"module", "name", "y0", "theta0", "xi0", "alpha0", "residual_y0",
+            "residual_sinc_min", "tolerance"}
+
     def test_report(self, tmp_path):
         assert main(["roots", "--out", str(tmp_path)]) == 0
         rep = _load(tmp_path / "roots_report.json")
         assert rep["schema"] == 1
         assert rep["command"] == "roots"
+        assert [set(r) for r in rep["results"]] == [self.KEYS]
         r = rep["results"][0]
         assert abs(r["theta0"] - 0.217234) <= 1e-6
         assert abs(r["xi0"] - 0.71514) <= 1e-5
@@ -42,14 +46,15 @@ class TestRoots:
 
 
 class TestConstants:
+    KEYS = {"module", "name", "value", "kind", "ingredients", "tolerance"}
+
     def test_interval_table(self, tmp_path):
         assert main(["constants", "--weight", "interval", "--out", str(tmp_path)]) == 0
         rep = _load(tmp_path / "constants_report.json")
         by_name = {r["name"]: r for r in rep["results"]}
         assert abs(by_name["mean-upper-inf[interval]"]["value"] - 0.864) <= 5e-4
         assert abs(by_name["min-mixed[-1/2,1/2]"]["value"] - 0.829604) <= 5e-4
-        for r in rep["results"]:
-            assert "tolerance" in r and "module" in r
+        assert [set(r) for r in rep["results"]] == [self.KEYS] * 6
         with open(tmp_path / "constants_sweep.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["p", "K_p", "I_w_p", "C_p"]
@@ -61,6 +66,7 @@ class TestConstants:
         rep = _load(tmp_path / "constants_report.json")
         names = {r["name"] for r in rep["results"]}
         assert "gaussian-mean-lower" in names
+        assert [set(r) for r in rep["results"]] == [self.KEYS] * 7
 
     def test_gaussian_to_certified_p_max(self, tmp_path):
         # the Gaussian closed forms used to overflow from p = 119
@@ -87,17 +93,25 @@ class TestConstants:
 
 
 class TestEvaluate:
+    KEYS = {"module", "functional", "method", "value", "numerator", "fourier_numerator", "l1",
+            "l2", "error_estimate", "support_window", "tolerance"}
+
     def test_bs_min01(self, tmp_path):
         assert main(["evaluate", "--family", "bs-example", "--functional", "min01",
                      "--out", str(tmp_path)]) == 0
         rep = _load(tmp_path / "evaluate_report.json")
+        assert [set(r) for r in rep["results"]] == [self.KEYS]
         assert rep["results"][0]["value"] >= 0.3788 - 1e-3
+        # the BS example is not square integrable, and no grid samples it
+        assert rep["results"][0]["l2"] is None
+        assert rep["results"][0]["support_window"] is None
 
     def test_gaussian_mean(self, tmp_path):
         assert main(["evaluate", "--family", "gaussian", "--b", "2.0",
                      "--functional", "mean", "--cells", "1024",
                      "--out", str(tmp_path)]) == 0
         rep = _load(tmp_path / "evaluate_report.json")
+        assert [set(r) for r in rep["results"]] == [self.KEYS]
         assert 0 < rep["results"][0]["value"] <= 0.8641 + 1e-4
 
     @pytest.mark.parametrize("functional, name", [("mean", "q_mean"), ("gauss", "q_gauss")])
@@ -217,11 +231,17 @@ class TestTolerance:
 
 
 class TestSearch:
+    KEYS = {"module", "objective", "family", "dimension", "best_params", "best_value",
+            "evaluations", "seed", "tolerance"}
+
     def test_record_and_trace(self, tmp_path):
         assert main(["search", "--functional", "min12", "--family", "indicator",
                      "--budget", "300", "--seed", "5", "--out", str(tmp_path)]) == 0
         rep = _load(tmp_path / "search_report.json")
+        assert [set(r) for r in rep["results"]] == [self.KEYS]
         res = rep["results"][0]
+        assert res["seed"] == 5
+        assert res["tolerance"] == REEVALUATION_TOL
         assert res["best_value"] >= 0.543
         with open(tmp_path / "search_trace.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -292,7 +312,7 @@ class TestExitCodes:
     ], ids=["normalization-error", "invariant-violation", "search-error", "value-error",
             "zero-function-error", "config-error"])
     def test_runner_exception(self, tmp_path, monkeypatch, exc, code):
-        def runner(cfg, outdir):
+        def runner(cfg):
             raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "roots", runner)
@@ -366,6 +386,21 @@ class TestOptionTable:
         assert main(["--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--functional", "min12", "--family", "indicator", "--budget", "100",
+         "--s", "3"],
+        ["evaluate", "--fam", "gaussian", "--functional", "min12"],
+        ["evaluate", "--family", "gaussian", "--functional", "mean", "--t", "1e-9"],
+        ["--conf", "run.json"],
+    ], ids=["search-s", "fam", "t", "conf"])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, monkeypatch, argv):
+        # argparse took unique prefixes: search read --s as --seed and ran
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_choice_rejected(self, tmp_path, capsys):
         assert main(["constants", "--weight", "nonesuch", "--out", str(tmp_path)]) == 2

@@ -350,6 +350,21 @@ class TestMeanFunctionalFourier:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_memory_bounded_on_a_wide_support(self):
+        # about 2.85e6 lattice terms up to the cutoff, folded onto M = 2049
+        # bins: built all at once they peaked at 114 MB
+        import tracemalloc
+
+        f = sample(Gaussian(1.0), support=(-1000, 1000), cells=2048)
+        tol = 1e-8 * f.l1_norm * f.l2_norm
+        tracemalloc.start()
+        try:
+            mean_functional_fourier(f, IntervalWeight(), tol=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_time_fourier_cross_check(self):
         from autocorr import autocorrelate
 

@@ -32,7 +32,7 @@ from . import constants as C
 from . import dualcheck as dual
 from . import functionals as fun
 from . import verification
-from .search import DEFAULT_BUDGET, REEVALUATION_TOL, search as run_search
+from .search import DEFAULT_BUDGET, search as run_search
 from .funcspace import Gaussian, GridFunction, Indicator, sample
 from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, IntervalWeight
 
@@ -288,8 +288,7 @@ def _cmd_search(cfg: RunConfig) -> _Output:
                         a=cfg.a if cfg.functional == "gauss" else None,
                         dimension=cfg.dimension)
     row = _row(record, "search", "objective", "family", "dimension", "best_value",
-               "evaluations", "seed", best_params=list(record.best_params),
-               tolerance=REEVALUATION_TOL)
+               "evaluations", "seed", best_params=list(record.best_params))
     trace = [[i, f"{v:.12g}"] for i, v in record.trace]
     return [row], {"search_trace.csv": (["eval_index", "best_value"], trace)}, [
         f"search {record.objective}/{record.family}: best {record.best_value:.8f} "

@@ -108,7 +108,8 @@ def mean_upper_constant(w: Weight, p: float) -> BoundReport:
                        ingredients=ingredients, tolerance=_QUAD_TOL)
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
+    """The midpoint of the final bracket of a golden-section search for min fn."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -123,8 +124,7 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+    return 0.5 * (a + b)
 
 
 def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> BoundReport:
@@ -150,14 +150,14 @@ def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> Bo
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, len(grid) - 1)]
     if left == right:
-        p_star, v_star = grid[i], vals[i]
+        p_star = grid[i]
     else:
-        p_star, v_star = _golden_min(cp, left, right, tol)
+        p_star = _golden_min(cp, left, right, tol)
     value, ingredients = _pipeline_constant(w, p_star)
     ingredients["p_star"] = p_star
     ingredients["grid_best_p"] = float(grid[i])
     ingredients["grid_best_value"] = float(vals[i])
-    return BoundReport(name=f"mean-upper-inf[{w.label}]", value=min(v_star, value),
+    return BoundReport(name=f"mean-upper-inf[{w.label}]", value=value,
                        kind="upper-bound", ingredients=ingredients, tolerance=tol)
 
 
@@ -260,10 +260,9 @@ def gaussian_mean_lower(a: float) -> BoundReport:
     bs = np.geomspace(0.1 * a, 10.0 * a, 801)
     i = int(np.argmax(ratio(bs)))
     # golden refinement between the neighbors of the grid argmax
-    scan_b, neg = _golden_min(lambda b: -ratio(b),
-                              float(bs[max(i - 1, 0)]),
-                              float(bs[min(i + 1, bs.size - 1)]), 1e-10 * a)
-    scan_v = -neg
+    scan_b = _golden_min(lambda b: -ratio(b), float(bs[max(i - 1, 0)]),
+                         float(bs[min(i + 1, bs.size - 1)]), 1e-10 * a)
+    scan_v = ratio(scan_b)
     if abs(scan_v - value) > 1e-6 * value:
         raise RuntimeError(
             f"Gaussian scan maximum {scan_v!r} disagrees with the closed form {value!r}")

@@ -58,20 +58,14 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def _even_lattice(core: np.ndarray) -> np.ndarray:
-    """Symmetrize the 2n - 1 interior values, pad the end zeros, clamp at 0."""
-    core = 0.5 * (core + core[::-1])  # exact evenness
-    c = np.concatenate(([0.0], core, [0.0]))
-    return np.where(c < 0.0, 0.0, c)
-
-
 def lattice_autocorrelation(samples: np.ndarray, spacing: float) -> np.ndarray:
     """Lattice values of f*f for cell values ``samples``, by zero-padded FFT."""
     n = samples.size
     L = _next_pow2(2 * n)
     S = np.fft.rfft(samples, L)
     pos = np.fft.irfft(S * np.conj(S), L)[:n] * spacing  # lags 0 .. n-1
-    return _even_lattice(np.concatenate((pos[:0:-1], pos)))
+    c = np.concatenate(([0.0], pos[:0:-1], pos, [0.0]))  # the lags mirrored: even exactly
+    return np.where(c < 0.0, 0.0, c)  # the FFT's rounding noise, clamped at 0
 
 
 def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:

@@ -9,16 +9,16 @@ are concatenated in that order and the winner is the best value with ties
 broken by the lowest restart index.  The BS example has no free parameter, so
 its record is a single evaluation.
 
-Evaluations run at array speed.  A family builder turns the parameters into
-the cell values and cell width of a grid function (the midpoint arithmetic
-of ``funcspace.sample``), ``_evaluate`` checks them once (finite,
-nonnegative values, positive width), and the objective kernel calls the
-ratio's array core in :mod:`autocorr.functionals`, which is the lattice code
-the ``q_*`` functions wrap.  No GridFunction, Correlation or RatioResult is
-built per evaluation, yet every evaluation still raises ZeroFunctionError or
-the proven-ceiling InvariantViolation, wrapped in :class:`SearchError` with
-the parameters.  The winner is re-evaluated through GridFunction and the
-public ``q_*``, and must agree to ``REEVALUATION_TOL``·max(1, |best|).
+Each candidate is evaluated once, at array speed.  A family builder turns
+the parameters into the cell values and cell width of a grid function (the
+midpoint arithmetic of ``funcspace.sample``), ``_evaluate`` checks them once
+(finite, nonnegative values, positive width), and the objective kernel calls
+the ratio's array core in :mod:`autocorr.functionals`, which is the lattice
+code the ``q_*`` functions wrap.  The winner's value is therefore the public
+``q_*`` value at its parameters, bit for bit, and is not evaluated again.  No
+GridFunction, Correlation or RatioResult is built per evaluation, yet every
+evaluation still raises ZeroFunctionError or the proven-ceiling
+InvariantViolation, wrapped in :class:`SearchError` with the parameters.
 """
 
 from __future__ import annotations
@@ -31,18 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 import numpy.random
 
-from .funcspace import Gaussian, GridFunction, Indicator, _midpoint_samples
-from .functionals import (
-    gauss_ratio,
-    mean_ratio,
-    min01_ratio,
-    min12_ratio,
-    q_gauss,
-    q_mean,
-    q_min_01,
-    q_min_01_bs,
-    q_min_12,
-)
+from .funcspace import Gaussian, Indicator, _midpoint_samples
+from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs
 
 __all__ = [
     "SearchRecord",
@@ -54,8 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2000
-# the agreement the winner's re-evaluation must reach, relative to max(1, |best|)
-REEVALUATION_TOL = 1e-10
 OBJECTIVES = ("mean", "gauss", "min12", "min01")
 FAMILIES = ("indicator", "gaussian", "piecewise", "bs-example")
 
@@ -83,12 +71,7 @@ class SearchRecord:
 
 
 # ---------------------------------------------------------------------------
-# families and objectives
-#
-# A family builder maps a parameter vector to the (samples, spacing) of a grid
-# function; an objective kernel maps those arrays to the ratio through the
-# functionals' array cores.  _evaluate checks the builder's output once per
-# evaluation, so no GridFunction, Correlation or RatioResult is built.
+# families and objectives (see the module docstring)
 # ---------------------------------------------------------------------------
 
 _Samples = tuple[np.ndarray, float]
@@ -111,28 +94,18 @@ def _build_piecewise(params: np.ndarray, halfwidth: float) -> _Samples:
     return vals, 2.0 * halfwidth / vals.size
 
 
-def _grid(samples: np.ndarray, spacing: float) -> GridFunction:
-    return GridFunction(-0.5 * samples.size * spacing, spacing, samples)
-
-
-def _objective_kernels(objective: str, a: Optional[float]) -> tuple[_Kernel, _Kernel]:
-    """The ratio of (samples, spacing) twice: through the functionals' array
-    core, and through GridFunction and the public ``q_*`` for the winner's
-    re-evaluation."""
+def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
+    """The ratio of (samples, spacing) through the functionals' array core."""
     if objective == "mean":
-        return (lambda s, h: mean_ratio(s, h)[0],
-                lambda s, h: q_mean(_grid(s, h), method="time").value)
+        return lambda s, h: mean_ratio(s, h)[0]
     if objective == "gauss":
         if a is None or not a > 0:
             raise ValueError("the gauss objective needs a > 0")
-        return (lambda s, h: gauss_ratio(s, h, a)[0],
-                lambda s, h: q_gauss(_grid(s, h), a, method="time").value)
+        return lambda s, h: gauss_ratio(s, h, a)[0]
     if objective == "min12":
-        return (lambda s, h: min12_ratio(s, h)[0],
-                lambda s, h: q_min_12(_grid(s, h)).value)
+        return lambda s, h: min12_ratio(s, h)[0]
     if objective == "min01":
-        return (lambda s, h: min01_ratio(s, h)[0],
-                lambda s, h: q_min_01(_grid(s, h)).value)
+        return lambda s, h: min01_ratio(s, h)[0]
     raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
@@ -145,6 +118,13 @@ def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Call
         dim = dimension if dimension >= 1 else 16
         return (lambda p: _build_piecewise(p, halfwidth)), dim
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def _bs_value(objective: str) -> float:
+    """The BS example's ratio: it has no free parameter and only a min01 value."""
+    if objective != "min01":
+        raise ValueError("the BS example is evaluated through the min01 functional")
+    return q_min_01_bs().value
 
 
 def _check_samples(samples: np.ndarray, spacing: float) -> None:
@@ -258,10 +238,8 @@ def _baseline_full(objective: str, family: str,
     a search's restart 0 reuses a scan that a floor or an earlier search made;
     the parameters are a tuple, so no caller can change the shared value."""
     if family == "bs-example":
-        if objective != "min01":
-            raise ValueError("the BS example is evaluated through the min01 functional")
-        return q_min_01_bs().value, None  # no free parameter
-    kernel, _ = _objective_kernels(objective, a)
+        return _bs_value(objective), None
+    kernel = _objective_kernel(objective, a)
     if family == "indicator":
         grid = np.linspace(0.26, 6.0, 288)
         build = _build_indicator
@@ -277,16 +255,6 @@ def _baseline_full(objective: str, family: str,
         if v > best_v:
             best_v, best_p = v, params
     return best_v, tuple(best_p)
-
-
-def _run_restart(build, kernel, x0: np.ndarray, max_evals: int) -> tuple[list[float], np.ndarray, float]:
-    values: list[float] = []
-
-    def g(x: np.ndarray) -> float:
-        return -_evaluate(build, kernel, x)
-
-    best_x, best_neg = _nelder_mead(g, x0, max_evals, record=lambda v: values.append(-v))
-    return values, best_x, -best_neg
 
 
 def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int = 0,
@@ -306,9 +274,11 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         raise ValueError(f"dimension must be nonnegative, got {dimension}")
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
-        return _search_bs(objective, label, seed)
+        value = _bs_value(objective)
+        return SearchRecord(objective=label, family=family, dimension=0, best_params=(),
+                            best_value=value, evaluations=1, seed=seed, trace=((1, value),))
     build, dim = _family_builder(family, dimension, halfwidth)
-    kernel, typed = _objective_kernels(objective, a)
+    kernel = _objective_kernel(objective, a)
     restarts = max(4, dim)
     per_restart = budget // restarts
     if per_restart < dim + 1:
@@ -322,9 +292,19 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     x_base = (np.abs(base_params) if base_params is not None
               else np.ones(dim, dtype=np.float64))
 
-    # restarts run in index order; ties keep the lowest restart index
+    # the simplex minimizes, so it sees the negated ratio
+    def negated(x: np.ndarray) -> float:
+        return -_evaluate(build, kernel, x)
+
     trace: list[tuple[int, float]] = []
     best_so_far = -math.inf
+
+    def record(neg_value: float) -> None:
+        nonlocal best_so_far
+        best_so_far = max(best_so_far, -neg_value)
+        trace.append((len(trace) + 1, best_so_far))
+
+    # restarts run in index order; ties keep the lowest restart index
     best_value, best_params = -math.inf, None
     for r in range(restarts):
         if r == 0:
@@ -332,31 +312,11 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         else:
             rng = np.random.default_rng([seed, r])
             x0 = x_base * np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
-        values, bx, bv = _run_restart(build, kernel, x0, per_restart)
-        for v in values:
-            best_so_far = max(best_so_far, v)
-            trace.append((len(trace) + 1, best_so_far))
-        if bv > best_value:
-            best_value, best_params = bv, bx
+        bx, neg_best = _nelder_mead(negated, x0, per_restart, record)
+        if -neg_best > best_value:
+            best_value, best_params = -neg_best, bx
 
-    _check_reevaluation(best_value, _evaluate(build, typed, best_params), best_params)
     return SearchRecord(objective=label, family=family, dimension=dim,
                         best_params=tuple(float(x) for x in best_params),
                         best_value=float(best_value), evaluations=len(trace), seed=seed,
                         trace=tuple(trace))
-
-
-def _search_bs(objective: str, label: str, seed: int) -> SearchRecord:
-    """The BS example has no free parameter: one evaluation, re-checked."""
-    if objective != "min01":
-        raise ValueError("the BS example is evaluated through the min01 functional")
-    value = q_min_01_bs().value
-    _check_reevaluation(value, q_min_01_bs().value, np.zeros(0))
-    return SearchRecord(objective=label, family="bs-example", dimension=0, best_params=(),
-                        best_value=value, evaluations=1, seed=seed, trace=((1, value),))
-
-
-def _check_reevaluation(best_value: float, check: float, params: np.ndarray) -> None:
-    if abs(check - best_value) > REEVALUATION_TOL * max(1.0, abs(best_value)):
-        raise SearchError(
-            f"best value {best_value!r} failed re-evaluation ({check!r})", params)

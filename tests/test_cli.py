@@ -12,7 +12,7 @@ from autocorr import GridFunction, cli, q_min_12
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
-from autocorr.search import REEVALUATION_TOL, SearchError
+from autocorr.search import SearchError
 
 
 def _load(path):
@@ -232,7 +232,7 @@ class TestTolerance:
 
 class TestSearch:
     KEYS = {"module", "objective", "family", "dimension", "best_params", "best_value",
-            "evaluations", "seed", "tolerance"}
+            "evaluations", "seed"}
 
     def test_record_and_trace(self, tmp_path):
         assert main(["search", "--functional", "min12", "--family", "indicator",
@@ -241,7 +241,6 @@ class TestSearch:
         assert [set(r) for r in rep["results"]] == [self.KEYS]
         res = rep["results"][0]
         assert res["seed"] == 5
-        assert res["tolerance"] == REEVALUATION_TOL
         assert res["best_value"] >= 0.543
         with open(tmp_path / "search_trace.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))

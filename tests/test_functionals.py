@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from autocorr import (
+    BSExample,
     Gaussian,
     GaussianWeight,
     GridFunction,
     Indicator,
     IntervalWeight,
     ZeroFunctionError,
+    autocorrelate_singular,
     mean_functional_fourier,
     q_gauss,
     q_mean,
@@ -134,6 +136,15 @@ class TestQMin01:
         assert r.value == pytest.approx(144.0 / (121.0 * PI), abs=1e-6)
         assert r.value >= 0.37  # exceeds the known floor
         assert r.method == "singular-quadrature"
+
+    def test_bs_grid_minimum_is_at_t_one(self):
+        # q_min_01_bs reads one 129-point grid; a 4097-point grid of (0, 1]
+        # finds the same minimum, pi/4 at t = 1
+        t = np.linspace(0.0, 1.0, 4097)[1:]
+        vals = autocorrelate_singular(BSExample(), t)
+        assert int(np.argmin(vals)) == t.size - 1
+        assert vals.min() == PI / 4
+        assert q_min_01_bs().numerator == PI / 4
 
     def test_bs_correlation_needs_no_quadrature(self):
         # that no QUADPACK is loaded is checked by test_api's import guard

@@ -17,6 +17,7 @@ from autocorr import (
     q_gauss,
     q_mean,
     q_min_01,
+    q_min_01_bs,
     q_min_12,
     sample,
     search,
@@ -28,7 +29,7 @@ from autocorr.search import (
     _baseline_full,
     _evaluate,
     _family_builder,
-    _objective_kernels,
+    _objective_kernel,
 )
 
 functionals = importlib.import_module("autocorr.functionals")
@@ -126,7 +127,7 @@ class TestFloorsAndSoundness:
         assert rec.best_value == pytest.approx(144.0 / (121.0 * PI), abs=1e-6)
 
     def test_bs_example_is_one_evaluation(self, monkeypatch):
-        # no free parameter: one evaluation plus the re-evaluation check
+        # no free parameter: one evaluation, and no re-evaluation
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
 
         calls = []
@@ -142,7 +143,7 @@ class TestFloorsAndSoundness:
         assert rec.trace == ((1, rec.best_value),)
         assert rec.dimension == 0 and rec.best_params == ()
         assert rec.best_value == pytest.approx(144.0 / (121.0 * PI), abs=1e-6)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_piecewise_min01_is_zero_on_unit_support(self):
         # any bounded function supported in [-1/2, 1/2] has a continuous
@@ -208,7 +209,7 @@ class TestEvaluationFailure:
     def test_zero_piecewise_vector_carries_params(self):
         params = np.zeros(16)
         build, _ = _family_builder("piecewise", 16, 0.5)
-        kernel, _ = _objective_kernels("min12", None)
+        kernel = _objective_kernel("min12", None)
         with pytest.raises(SearchError) as err:
             _evaluate(build, kernel, params)
         assert isinstance(err.value.__cause__, ZeroFunctionError)
@@ -217,7 +218,7 @@ class TestEvaluationFailure:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_samples_rejected(self, bad):
         build, _ = _family_builder("piecewise", 4, 0.5)
-        kernel, _ = _objective_kernels("mean", None)
+        kernel = _objective_kernel("mean", None)
         params = np.array([1.0, bad, 1.0, 1.0])
         with pytest.raises(SearchError) as err:
             _evaluate(build, kernel, params)
@@ -264,14 +265,28 @@ class TestKernelsMatchPublicPath:
         dim, public_build = _PUBLIC_FAMILIES[family]
         build, _ = _family_builder(family, dim, 0.5)
         a = 2 * PI if objective == "gauss" else None
-        kernel, typed = _objective_kernels(objective, a)
+        kernel = _objective_kernel(objective, a)
         rng = np.random.default_rng([7, dim, len(objective)])
         cases = [np.array(p) for p in _EDGE_PARAMS[family]]
         cases += [rng.uniform(-3.0, 3.0, dim) for _ in range(6)]
         for params in cases:
             expected = _PUBLIC_OBJECTIVES[objective](public_build(params))
             assert _evaluate(build, kernel, params) == expected, params
-            assert _evaluate(build, typed, params) == expected, params
+
+    # every candidate is evaluated once, through the kernel; the winner's value
+    # must still be the public q_* value at its parameters
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("family", ["indicator", "gaussian", "piecewise"])
+    def test_best_value_is_public_value(self, family, objective, seed):
+        a = 2 * PI if objective == "gauss" else None
+        rec = search(objective, family, budget=400, seed=seed, a=a)
+        f = _PUBLIC_FAMILIES[family][1](np.array(rec.best_params))
+        assert rec.best_value == _PUBLIC_OBJECTIVES[objective](f)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bs_best_value_is_public_value(self, seed):
+        assert search("min01", "bs-example", seed=seed).best_value == q_min_01_bs().value
 
 
 # The min12 rows are pinned at the commit before the array kernels, the gauss

@@ -174,7 +174,7 @@ def _config_from_dict(data: dict) -> RunConfig:
         cfg.cells = len(cfg.values)  # the echo names the cells evaluated
     if cfg.command in ("evaluate", "search") and (cfg.family is None or cfg.functional is None):
         raise ConfigError(f"{cfg.command} needs --family and --functional")
-    if cfg.command == "evaluate" and cfg.family == "bs-example" and cfg.functional != "min01":
+    if cfg.family == "bs-example" and cfg.functional != "min01":
         raise ConfigError("the bs-example family supports only the min01 functional")
     return cfg
 

@@ -3,11 +3,14 @@
 A seeded multi-restart Nelder-Mead simplex (reflection / expansion /
 contraction / shrink) runs on unconstrained parameters; nonnegativity is
 enforced by squaring (cell value or family parameter = theta^2), which keeps
-the landscape smooth instead of projecting onto a boundary.  The simplex is
-one (dim + 1, dim) array.  Restarts run in restart-index order; their traces
-are concatenated in that order and the winner is the best value with ties
-broken by the lowest restart index.  The BS example has no free parameter, so
-its record is a single evaluation.
+the landscape smooth instead of projecting onto a boundary.  The simplex
+only calls the objective; ``search`` owns the budget, the trace and the
+winner in one recorder.  ``trace`` has one entry (index, best so far) per
+objective evaluation, the restarts concatenated in index order, and
+``evaluations`` is ``len(trace)``; the cached floor scan that seeds restart
+0 is not counted.  The winner is the first evaluation that attains the best
+value, so ties keep the lowest restart index.  The BS example has no free
+parameter, so its record is a single evaluation.
 
 Each candidate is evaluated once, at array speed.  A family builder turns
 the parameters into the cell values and cell width of a grid function (the
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.random
 
 from .funcspace import Gaussian, Indicator, _midpoint_samples
 from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs
@@ -109,11 +111,17 @@ def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
     raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
+# The one-parameter families: the builder, and the 288 values of the family
+# parameter (theta^2) whose scan gives the floor and restart 0's start.
+_SCANS = {
+    "indicator": (_build_indicator, np.linspace(0.26, 6.0, 288)),
+    "gaussian": (_build_gaussian, np.geomspace(0.05, 200.0, 288)),
+}
+
+
 def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Callable, int]:
-    if family == "indicator":
-        return _build_indicator, 1
-    if family == "gaussian":
-        return _build_gaussian, 1
+    if family in _SCANS:
+        return _SCANS[family][0], 1
     if family == "piecewise":
         dim = dimension if dimension >= 1 else 16
         return (lambda p: _build_piecewise(p, halfwidth)), dim
@@ -150,70 +158,46 @@ def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray, max_evals: int,
-                 record: Callable[[float], None], step: float = 0.25) -> tuple[np.ndarray, float]:
-    """Minimize fn from x0 under an evaluation budget, reporting every eval.
-
-    The simplex is one (dim + 1, dim) array, kept sorted by score.  The
-    running best is tracked at every evaluation, so the returned pair is
-    consistent no matter where the budget runs out.  ``max_evals`` must cover
-    the dim + 1 evaluations that seed the simplex (``search`` checks it).
-    """
+def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
+    """Minimize fn from x0 until the simplex, one (dim + 1, dim) array kept
+    sorted by score, collapses.  Every evaluation goes through fn, which keeps
+    the budget, the trace and the best, and ends the run by raising."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     x0 = np.asarray(x0, dtype=np.float64)
     dim = x0.size
-    evals = 0
-    best_x: np.ndarray = x0
-    best_f = math.inf
-
-    def call(x: np.ndarray) -> float:
-        nonlocal evals, best_x, best_f
-        if evals >= max_evals:
-            raise _BudgetExhausted
-        evals += 1
-        v = fn(x)
-        record(v)
-        if v < best_f:
-            best_x, best_f = x.copy(), v
-        return v
-
     simplex = np.tile(x0, (dim + 1, 1))
     for i in range(dim):
-        simplex[i + 1, i] += step * (abs(x0[i]) if x0[i] != 0 else 1.0)
+        simplex[i + 1, i] += 0.25 * (abs(x0[i]) if x0[i] != 0 else 1.0)
     scores = np.empty(dim + 1)
-    try:
-        for i in range(dim + 1):
-            scores[i] = call(simplex[i])
-        while True:
-            order = np.argsort(scores)
-            simplex, scores = simplex[order], scores[order]
-            if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
-                break
-            centroid = np.mean(simplex[:-1], axis=0)
-            xr = centroid + alpha * (centroid - simplex[-1])
-            fr = call(xr)
-            if scores[0] <= fr < scores[-2]:
+    for i in range(dim + 1):
+        scores[i] = fn(simplex[i])
+    while True:
+        order = np.argsort(scores)
+        simplex, scores = simplex[order], scores[order]
+        if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
+            return
+        centroid = np.mean(simplex[:-1], axis=0)
+        xr = centroid + alpha * (centroid - simplex[-1])
+        fr = fn(xr)
+        if scores[0] <= fr < scores[-2]:
+            simplex[-1], scores[-1] = xr, fr
+            continue
+        if fr < scores[0]:
+            xe = centroid + gamma * (centroid - simplex[-1])
+            fe = fn(xe)
+            if fe < fr:
+                simplex[-1], scores[-1] = xe, fe
+            else:
                 simplex[-1], scores[-1] = xr, fr
-                continue
-            if fr < scores[0]:
-                xe = centroid + gamma * (centroid - simplex[-1])
-                fe = call(xe)
-                if fe < fr:
-                    simplex[-1], scores[-1] = xe, fe
-                else:
-                    simplex[-1], scores[-1] = xr, fr
-                continue
-            xc = centroid + rho * (simplex[-1] - centroid)
-            fc = call(xc)
-            if fc < scores[-1]:
-                simplex[-1], scores[-1] = xc, fc
-                continue
-            simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
-            for i in range(1, dim + 1):
-                scores[i] = call(simplex[i])
-    except _BudgetExhausted:
-        pass
-    return best_x, best_f
+            continue
+        xc = centroid + rho * (simplex[-1] - centroid)
+        fc = fn(xc)
+        if fc < scores[-1]:
+            simplex[-1], scores[-1] = xc, fc
+            continue
+        simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
+        for i in range(1, dim + 1):
+            scores[i] = fn(simplex[i])
 
 
 class _BudgetExhausted(Exception):
@@ -240,14 +224,9 @@ def _baseline_full(objective: str, family: str,
     if family == "bs-example":
         return _bs_value(objective), None
     kernel = _objective_kernel(objective, a)
-    if family == "indicator":
-        grid = np.linspace(0.26, 6.0, 288)
-        build = _build_indicator
-    elif family == "gaussian":
-        grid = np.geomspace(0.05, 200.0, 288)
-        build = _build_gaussian
-    else:
+    if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
+    build, grid = _SCANS[family]
     best_v, best_p = -math.inf, None
     for g in grid:
         params = np.array([math.sqrt(g)])
@@ -284,37 +263,35 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     if per_restart < dim + 1:
         raise ValueError(f"budget {budget} gives each of {restarts} restarts {per_restart} "
                          f"evaluations; seeding a {dim}-dimensional simplex takes {dim + 1}")
-
-    try:
-        _, base_params = _baseline_full(objective, family, a=a)
-    except ValueError:
-        base_params = None
-    x_base = (np.abs(base_params) if base_params is not None
+    x_base = (np.abs(_baseline_full(objective, family, a=a)[1]) if family in _SCANS
               else np.ones(dim, dtype=np.float64))
 
-    # the simplex minimizes, so it sees the negated ratio
-    def negated(x: np.ndarray) -> float:
-        return -_evaluate(build, kernel, x)
-
+    # The recorder (module docstring).  The simplex minimizes, so it sees the
+    # negated ratio; each restart ends after per_restart evaluations.
     trace: list[tuple[int, float]] = []
-    best_so_far = -math.inf
-
-    def record(neg_value: float) -> None:
-        nonlocal best_so_far
-        best_so_far = max(best_so_far, -neg_value)
-        trace.append((len(trace) + 1, best_so_far))
-
-    # restarts run in index order; ties keep the lowest restart index
     best_value, best_params = -math.inf, None
+
+    def negated(x: np.ndarray) -> float:
+        nonlocal best_value, best_params
+        if len(trace) >= stop:
+            raise _BudgetExhausted
+        value = _evaluate(build, kernel, x)
+        if value > best_value:
+            best_value, best_params = value, x.copy()  # a copy: simplex rows are views
+        trace.append((len(trace) + 1, best_value))
+        return -value
+
     for r in range(restarts):
         if r == 0:
-            x0 = x_base.copy()
+            x0 = x_base
         else:
             rng = np.random.default_rng([seed, r])
             x0 = x_base * np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
-        bx, neg_best = _nelder_mead(negated, x0, per_restart, record)
-        if -neg_best > best_value:
-            best_value, best_params = -neg_best, bx
+        stop = len(trace) + per_restart
+        try:
+            _nelder_mead(negated, x0)
+        except _BudgetExhausted:
+            pass
 
     return SearchRecord(objective=label, family=family, dimension=dim,
                         best_params=tuple(float(x) for x in best_params),

@@ -67,9 +67,8 @@ class IntervalWeight:
         return sinc(xi)
 
     def cutoff(self, f: GridFunction, tol: float) -> float:
-        # tail_bound(f, Xi) <= tol/2, capped at 2e5
-        hi = max(64.0, f.total_variation * math.sqrt(1.0 / (2.0 * math.pi ** 3 * tol)))
-        return min(hi, 2.0e5)
+        # tail_bound(f, Xi) = tail_bound(f, 1)/Xi^2 <= tol/2, capped at 2e5
+        return min(max(64.0, math.sqrt(2.0 * self.tail_bound(f, 1.0) / tol)), 2.0e5)
 
     def tail_bound(self, f: GridFunction, hi: float) -> float:
         # 2 int_Xi (V/(2 pi xi))^2 (1/(pi xi)) = V^2/(4 pi^3 Xi^2)
@@ -244,9 +243,6 @@ class MomentResult:
 
     value: float
     error_bound: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # Rounding of CPython's math.gamma and math.lgamma, in units of 2^-53, as

@@ -260,6 +260,12 @@ class TestSearch:
         assert "dimension" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bs_example_rule_checked_at_the_boundary(self):
+        # the evaluate form of the rule, before the search runner is called
+        cfg = {"command": "search", "family": "bs-example", "functional": "mean"}
+        with pytest.raises(cli.ConfigError, match="min01"):
+            cli._config_from_dict(cfg)
+
     def test_rfc4180_line_endings(self, tmp_path):
         assert main(["search", "--functional", "min12", "--family", "indicator",
                      "--budget", "200", "--out", str(tmp_path)]) == 0

@@ -108,6 +108,45 @@ class TestRecordInvariants:
             search("mean", "bs-example", budget=200, seed=0)
 
 
+class TestTieRule:
+    """The winner is the first evaluation that attains the best value, so
+    ties keep the lowest restart index and, within it, the earliest point."""
+
+    @staticmethod
+    def _run(monkeypatch, objective):
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        calls, starts = [], []
+        simplex = search_mod._nelder_mead
+
+        def marked(fn, x0):
+            starts.append(len(calls))  # the index of this restart's first evaluation
+            simplex(fn, x0)
+
+        def evaluate(build, kernel, params):
+            calls.append((tuple(float(x) for x in params), objective(params)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(search_mod, "_nelder_mead", marked)
+        monkeypatch.setattr(search_mod, "_evaluate", evaluate)
+        rec = search("min12", "piecewise", budget=400, seed=0, dimension=2)
+        assert len(starts) == 4 and rec.evaluations == len(calls)
+        return rec, calls, starts
+
+    def test_constant_objective_keeps_restart_0_start(self, monkeypatch):
+        rec, calls, starts = self._run(monkeypatch, lambda x: 0.5)
+        assert rec.best_value == 0.5
+        assert rec.best_params == (1.0, 1.0)  # restart 0 starts at the ones vector
+        assert calls[starts[1]][0] != rec.best_params
+
+    def test_later_restart_tying_the_maximum_loses(self, monkeypatch):
+        rec, calls, starts = self._run(monkeypatch, lambda x: min(float(x.sum()), 3.0))
+        assert rec.best_value == 3.0
+        first = next(i for i, (_, v) in enumerate(calls) if v == 3.0)
+        assert 0 < first < starts[1]  # reached inside restart 0, not at its start
+        assert any(v == 3.0 for _, v in calls[starts[1]:])
+        assert rec.best_params == calls[first][0]
+
+
 class TestFloorsAndSoundness:
     def test_indicator_min12_floor(self):
         rec = search("min12", "indicator", budget=500, seed=0)

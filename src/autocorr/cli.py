@@ -7,7 +7,8 @@ subcommands compute their report rows, CSV tables and printed lines, and
 ``_run`` writes them all: a versioned JSON report (schema 1) with the
 effective configuration echoed, the CSV tables, the printout.  ``verify``
 prints its table and writes JSON only with ``--json``.  Exit status: 0
-success, 1 numeric invariant breach or failed verification, 2 malformed input.
+success, 1 numeric invariant breach (a RuntimeError) or failed verification,
+2 malformed input (a ValueError); ``main`` alone maps the two to exit codes.
 """
 
 from __future__ import annotations
@@ -101,10 +102,6 @@ _HELP = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _field(key: str) -> str:
     return "json_path" if key == "json" else key
 
@@ -129,26 +126,26 @@ def _check_value(key: str, value) -> None:
     if value is None and optional:
         return
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[base]):
-        raise ConfigError(f"{key!r} must be {base.__name__}, got {value!r}")
+        raise ValueError(f"{key!r} must be {base.__name__}, got {value!r}")
     if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{key!r} must be one of {_CHOICES[key]}, got {value!r}")
+        raise ValueError(f"{key!r} must be one of {_CHOICES[key]}, got {value!r}")
     # NaN fails both comparisons; float max also refuses ints that no float holds
     if key == "values" and not (value and all(type(v) in (int, float)
                                               and 0 <= v <= sys.float_info.max for v in value)):
-        raise ConfigError(f"'values' must be a nonempty list of finite, nonnegative numbers, "
-                          f"got {value!r}")
+        raise ValueError(f"'values' must be a nonempty list of finite, nonnegative numbers, "
+                         f"got {value!r}")
 
 
 def _config_from_dict(data: dict) -> RunConfig:
     """The one check of a run's input, from flags or a config file alike."""
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     command = data.get("command")
     if not isinstance(command, str) or command not in _OPTIONS:
-        raise ConfigError(f"config must name a command in {tuple(_OPTIONS)}, got {command!r}")
+        raise ValueError(f"config must name a command in {tuple(_OPTIONS)}, got {command!r}")
     unknown = set(data) - {"command", *_OPTIONS[command]}
     if unknown:
-        raise ConfigError(f"{command} does not read the keys {sorted(unknown)}")
+        raise ValueError(f"{command} does not read the keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
         if key != "command":
@@ -158,24 +155,24 @@ def _config_from_dict(data: dict) -> RunConfig:
     # the mean bound needs p >= 2; the sinc-power moments are certified up to
     # INTERVAL_MOMENT_P_MAX
     if not 2.0 <= cfg.p_min <= cfg.p_max <= INTERVAL_MOMENT_P_MAX:
-        raise ConfigError(f"need 2 <= p_min <= p_max <= {INTERVAL_MOMENT_P_MAX:g}, "
-                          f"got p_min={cfg.p_min}, p_max={cfg.p_max}")
+        raise ValueError(f"need 2 <= p_min <= p_max <= {INTERVAL_MOMENT_P_MAX:g}, "
+                         f"got p_min={cfg.p_min}, p_max={cfg.p_max}")
     if not 0 < cfg.tol < math.inf:
-        raise ConfigError(f"'tol' must be finite and positive, got {cfg.tol!r}")
+        raise ValueError(f"'tol' must be finite and positive, got {cfg.tol!r}")
     unread = sorted(k for k in data.keys() & _FAMILY_KEYS if cfg.family not in _FAMILY_KEYS[k])
     if unread:
-        raise ConfigError(f"the family {cfg.family!r} does not read the keys {unread}")
+        raise ValueError(f"the family {cfg.family!r} does not read the keys {unread}")
     if "a" in data and cfg.functional != "gauss" and cfg.weight != "gaussian":
-        raise ConfigError("'a' is read only by --functional gauss and --weight gaussian")
+        raise ValueError("'a' is read only by --functional gauss and --weight gaussian")
     if cfg.family == "piecewise-constant" and cfg.command == "evaluate":
         # the step function is evaluated on its own cells, spread over [-s, s]
         if cfg.values is None:
-            raise ConfigError("piecewise-constant needs 'values'")
+            raise ValueError("piecewise-constant needs 'values'")
         cfg.cells = len(cfg.values)  # the echo names the cells evaluated
     if cfg.command in ("evaluate", "search") and (cfg.family is None or cfg.functional is None):
-        raise ConfigError(f"{cfg.command} needs --family and --functional")
+        raise ValueError(f"{cfg.command} needs --family and --functional")
     if cfg.family == "bs-example" and cfg.functional != "min01":
-        raise ConfigError("the bs-example family supports only the min01 functional")
+        raise ValueError("the bs-example family supports only the min01 functional")
     return cfg
 
 
@@ -402,8 +399,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args["command"]:
                 # the file holds the command and its keys; flags after a
                 # subcommand would otherwise be dropped without a word
-                raise ConfigError(f"--config takes no subcommand, got {args['command']!r}; "
-                                  "put the command and its keys in the file")
+                raise ValueError(f"--config takes no subcommand, got {args['command']!r}; "
+                                 "put the command and its keys in the file")
             try:
                 with open(config, encoding="utf-8") as fh:
                     args = json.load(fh)
@@ -414,11 +411,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             ap.print_help()
             return 2
         cfg = _config_from_dict(args)
-    except ConfigError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         return _cmd_verify(cfg) if cfg.command == "verify" else _run(cfg)
     except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

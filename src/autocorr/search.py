@@ -21,7 +21,8 @@ code the ``q_*`` functions wrap.  The winner's value is therefore the public
 ``q_*`` value at its parameters, bit for bit, and is not evaluated again.  No
 GridFunction, Correlation or RatioResult is built per evaluation, yet every
 evaluation still raises ZeroFunctionError or the proven-ceiling
-InvariantViolation, wrapped in :class:`SearchError` with the parameters.
+InvariantViolation.  An evaluation's error propagates as it was raised: a
+ValueError is malformed input, a RuntimeError a breached invariant.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_mi
 
 __all__ = [
     "SearchRecord",
-    "SearchError",
     "search",
     "baseline",
     "OBJECTIVES",
@@ -48,14 +48,6 @@ __all__ = [
 DEFAULT_BUDGET = 2000
 OBJECTIVES = ("mean", "gauss", "min12", "min01")
 FAMILIES = ("indicator", "gaussian", "piecewise", "bs-example")
-
-
-class SearchError(RuntimeError):
-    """Objective evaluation failed; carries the offending parameter vector."""
-
-    def __init__(self, message: str, params: np.ndarray):
-        super().__init__(message)
-        self.params = np.array(params, dtype=np.float64)  # a copy: simplex rows are views
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,22 +127,16 @@ def _bs_value(objective: str) -> float:
     return q_min_01_bs().value
 
 
-def _check_samples(samples: np.ndarray, spacing: float) -> None:
-    """The one check of a builder's output: finite, nonnegative samples, positive spacing."""
-    if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
-        raise ValueError("samples must be finite and nonnegative")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be positive, got {spacing}")
-
-
 def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
               params: np.ndarray) -> float:
-    try:
-        samples, spacing = build(params)
-        _check_samples(samples, spacing)
-        return kernel(samples, spacing)
-    except Exception as exc:  # noqa: BLE001 - abort with the failing vector
-        raise SearchError(f"objective evaluation failed: {exc}", params) from exc
+    """The ratio at params.  The simplex gives the builder its parameters, so
+    output that fails the check is a program fault (RuntimeError)."""
+    samples, spacing = build(params)
+    if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
+        raise RuntimeError("family builder gave non-finite or negative samples")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise RuntimeError(f"family builder gave spacing {spacing}, not positive")
+    return kernel(samples, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +237,8 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         raise ValueError(f"budget must be at least 100, got {budget}")
     if dimension < 0:
         raise ValueError(f"dimension must be nonnegative, got {dimension}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
         value = _bs_value(objective)

@@ -49,6 +49,7 @@ __all__ = [
 
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
 _FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourier
+_MAX_TERMS = 2 ** 26    # terms that mean_functional_fourier sums at most
 
 
 def sinc(u) -> np.ndarray:
@@ -409,16 +410,20 @@ def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> fl
     lattice, and their disagreement is the reported error estimate.  Where
     the 2e5 cap on Xi binds, the tail past it shows there too.  The terms are
     folded onto the M residues in blocks of ``_FOLD_PERIODS`` whole periods,
-    so the memory is set by the block, not by Xi.
+    so the memory is set by the block, not by Xi.  More than ``_MAX_TERMS``
+    terms, about Xi (width + R), raise ValueError before the DFT.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     h = f.spacing
     M = int((f.width + w.reach) / h) + 1
     delta = 1.0 / (M * h)
+    n_terms = math.ceil(w.cutoff(f, tol) / delta) + 1
+    if n_terms > _MAX_TERMS:
+        raise ValueError(f"the Fourier side would sum {n_terms:.3g} terms, more than "
+                         f"{_MAX_TERMS}: the support {f.support} is too wide")
     v = np.fft.fft(f.samples, M)
     P = v.real ** 2 + v.imag ** 2
-    n_terms = math.ceil(w.cutoff(f, tol) / delta) + 1
     folded = np.zeros(M)
     for start in range(0, n_terms, _FOLD_PERIODS * M):
         xi = delta * np.arange(start, min(start + _FOLD_PERIODS * M, n_terms))

@@ -5,14 +5,12 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 from autocorr import GridFunction, cli, q_min_12
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
-from autocorr.search import SearchError
 
 
 def _load(path):
@@ -263,7 +261,7 @@ class TestSearch:
     def test_bs_example_rule_checked_at_the_boundary(self):
         # the evaluate form of the rule, before the search runner is called
         cfg = {"command": "search", "family": "bs-example", "functional": "mean"}
-        with pytest.raises(cli.ConfigError, match="min01"):
+        with pytest.raises(ValueError, match="min01"):
             cli._config_from_dict(cfg)
 
     def test_rfc4180_line_endings(self, tmp_path):
@@ -310,18 +308,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc, code", [
         (dual.NormalizationError("window ratio off", (0.0, 0.1)), 1),
         (InvariantViolation("ceiling breached"), 1),
-        (SearchError("evaluation failed", np.zeros(2)), 1),
         (ValueError("bad value"), 2),
         (ZeroFunctionError("zero function"), 2),
-        (cli.ConfigError("bad key"), 2),
-    ], ids=["normalization-error", "invariant-violation", "search-error", "value-error",
-            "zero-function-error", "config-error"])
+    ], ids=["normalization-error", "invariant-violation", "value-error",
+            "zero-function-error"])
     def test_runner_exception(self, tmp_path, monkeypatch, exc, code):
         def runner(cfg):
             raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "roots", runner)
         assert main(["roots", "--out", str(tmp_path)]) == code
+
+    @pytest.mark.parametrize("command", ["evaluate", "search"])
+    def test_coarse_lattice_exits_2_from_either_command(self, tmp_path, capsys, command):
+        # the library's ValueError reaches main unwrapped from either command
+        budget = ["--budget", "100"] if command == "search" else []
+        out = tmp_path / "out"
+        assert main([command, "--family", "gaussian", "--functional", "gauss",
+                     "--a", "1e10", *budget, "--out", str(out)]) == 2
+        assert "bad input: lattice too coarse" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _subcommand_flags():
@@ -386,7 +392,7 @@ class TestOptionTable:
                            if k != key})
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(record))
-        with pytest.raises(cli.ConfigError, match=repr(key)):
+        with pytest.raises(ValueError, match=repr(key)):
             cli._config_from_dict(record)
         assert main(["--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err

@@ -14,6 +14,7 @@ from autocorr import (
     MixedMeasure,
     fourier_measure,
     mean_functional_fourier,
+    q_mean,
     sample,
     weight_lp_moment,
 )
@@ -364,6 +365,13 @@ class TestMeanFunctionalFourier:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_term_count_bounded_on_a_wide_support(self):
+        # the cap on Xi does not bound Xi (width + R): this default support,
+        # about [-1.6e6, 1.6e6], needs 2.0e8 terms, about 12 s of work
+        f = sample(Gaussian(1e-11), cells=2048)
+        with pytest.raises(ValueError, match="terms"):
+            q_mean(f)
 
     def test_time_fourier_cross_check(self):
         from autocorr import autocorrelate

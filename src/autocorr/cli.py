@@ -296,11 +296,10 @@ def _cmd_dual(cfg: RunConfig) -> _Output:
     rows, masses, lines = [], [], []
     for bump in dual.BUMPS:
         rep = dual.dual_mass_report(bump, tol=cfg.tol)
-        neg = dual.negative_part_bound_check(bump, rep)
         rows.append(_row(rep, "dualcheck", "bump", "positive_mass", "negative_mass", "value0",
                          "lower_bound", "refined_bound", "margin", "refined_margin",
-                         "sum_diff_gap", "error_bound", identity_gap=neg.identity_gap,
-                         inequality_slack=neg.inequality_slack, tolerance=cfg.tol))
+                         "sum_diff_gap", "error_bound", "identity_gap", "inequality_slack",
+                         tolerance=cfg.tol))
         masses.append([rep.bump, f"{rep.positive_mass:.10g}",
                        f"{rep.lower_bound:.10g}", f"{rep.margin:.10g}"])
         lines.append(f"{rep.bump:14s} pos {rep.positive_mass:.8f} "

@@ -137,14 +137,8 @@ def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> Bo
     def cp(p: float) -> float:
         return _pipeline_constant(w, p)[0]
 
-    if hi == lo:
-        value, ingredients = _pipeline_constant(w, lo)
-        ingredients["p_star"] = lo
-        return BoundReport(name=f"mean-upper-inf[{w.label}]", value=value,
-                           kind="upper-bound", ingredients=ingredients, tolerance=tol)
-
-    grid = np.arange(lo, hi + 0.25 / 2, 0.25)
-    grid[-1] = min(grid[-1], hi)
+    # both ends included, spacing at most 1/4
+    grid = np.linspace(lo, hi, math.ceil((hi - lo) / 0.25) + 1)
     vals = [cp(p) for p in grid]
     i = int(np.argmin(vals))
     left = grid[max(i - 1, 0)]

@@ -34,7 +34,6 @@ __all__ = [
     "BUMPS",
     "DualMassReport",
     "dual_mass_report",
-    "NegativePartReport",
     "negative_part_bound_check",
     "NormalizationError",
     "NuSpectrumReport",
@@ -92,7 +91,7 @@ class StandardBump:
     progression of ``spectral._phase_sum`` shifted by 1/2:
     phihat(xi) = Re(exp(-i pi xi) _phase_sum(w phi, 1/N, xi))."""
 
-    label: str = "standard-bump"
+    label = "standard-bump"
 
     def density(self, x) -> np.ndarray:
         out = _bump(x) / _bump_normalizer()
@@ -119,7 +118,7 @@ class StandardBump:
 class CosineBump:
     """(1 + cos(pi x))/2 on [-1,1]; already a probability density (Hann)."""
 
-    label: str = "cosine"
+    label = "cosine"
 
     def density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -169,7 +168,7 @@ class BetaPowerBump:
     spherical Bessel function j_k."""
 
     k: int = 2
-    label: str = "beta-power"
+    label = "beta-power"
 
     def __post_init__(self):
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
@@ -320,6 +319,8 @@ class DualMassReport:
     lower_bound: float       # 1/(2(1+theta0))
     refined_bound: float     # lower_bound + theta0 phi(0)/(1+theta0)
     error_bound: float
+    identity_gap: float      # |1 - 2 phi(0) - int_{-1}^{1} (phi - phi(0))|
+    inequality_slack: float  # 2 (1 + theta0) ||(phihat)_-||_1 - (1 - 2 phi(0))
 
     @property
     def margin(self) -> float:
@@ -336,49 +337,27 @@ class DualMassReport:
 
 
 def dual_mass_report(phi: BumpFunction, tol: float = 1e-8) -> DualMassReport:
+    """phi's signed Fourier masses against the dual bound, and ``negative_part_bound_check``."""
     pos, absm, err = _signed_masses(phi, tol)
     roots = sinc_min_roots()
     phi0 = float(phi.density(0.0))
     lb = 1.0 / (2.0 * (1.0 + roots.theta0))
     refined = lb + roots.theta0 / (1.0 + roots.theta0) * phi0
+    gap, slack = negative_part_bound_check(phi, absm - pos)
     return DualMassReport(bump=phi.label, positive_mass=pos,
                           negative_mass=absm - pos, abs_mass=absm, value0=phi0,
-                          lower_bound=lb, refined_bound=refined, error_bound=err)
+                          lower_bound=lb, refined_bound=refined, error_bound=err,
+                          identity_gap=gap, inequality_slack=slack)
 
 
-@dataclass(frozen=True)
-class NegativePartReport:
-    bump: str
-    value0: float
-    identity_lhs: float      # 1 - 2 phi(0)
-    identity_rhs: float      # int_{-1}^{1} (phi - phi(0))
-    negative_mass: float
-    inequality_rhs: float    # 2 (1 + theta0) ||(phihat)_-||_1
-
-    @property
-    def identity_gap(self) -> float:
-        return abs(self.identity_lhs - self.identity_rhs)
-
-    @property
-    def inequality_slack(self) -> float:
-        return self.inequality_rhs - self.identity_lhs
-
-
-def negative_part_bound_check(phi: BumpFunction, report: DualMassReport) -> NegativePartReport:
-    """Verify 1 - 2 phi(0) = int_{-1}^1 (phi - phi(0)) <= 2(1+theta0) ||(phihat)_-||_1.
-
-    ``report`` is phi's ``dual_mass_report``, which supplies the negative mass.
-    """
-    if report.bump != phi.label:
-        raise ValueError(f"report is for {report.bump!r}, not {phi.label!r}")
+def negative_part_bound_check(phi: BumpFunction, negative_mass: float) -> tuple[float, float]:
+    """(gap, slack) of 1 - 2 phi(0) = int_{-1}^1 (phi - phi(0)) <= 2(1+theta0) ||(phihat)_-||_1,
+    given the negative mass ||(phihat)_-||_1."""
     phi0 = float(phi.density(0.0))
     lhs = 1.0 - 2.0 * phi0
     x, w = _half_trapezoid()
     body = float(w @ (phi.density(x) - phi0))
-    neg = report.negative_mass
-    return NegativePartReport(bump=phi.label, value0=phi0, identity_lhs=lhs,
-                              identity_rhs=body, negative_mass=neg,
-                              inequality_rhs=2.0 * (1.0 + sinc_min_roots().theta0) * neg)
+    return abs(lhs - body), 2.0 * (1.0 + sinc_min_roots().theta0) * negative_mass - lhs
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ __all__ = [
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
 _FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourier
 _MAX_TERMS = 2 ** 26    # terms that mean_functional_fourier sums at most
+_MAX_DFT = 2 ** 24      # its DFT length M stays below this
 
 
 def sinc(u) -> np.ndarray:
@@ -61,7 +62,7 @@ def sinc(u) -> np.ndarray:
 class IntervalWeight:
     """w = 1_[-1/2,1/2]; what(xi) = sin(pi xi)/(pi xi)."""
 
-    label: str = "interval"
+    label = "interval"
     reach = 0.5             # w vanishes outside [-reach, reach]
 
     def hat(self, xi) -> np.ndarray:
@@ -121,7 +122,7 @@ class GaussianWeight:
     Gauss-Legendre per lattice cell, proven to 2^-54 ||f||_2^2 (``correlation_integral``)."""
 
     a: float
-    label: str = "gaussian"
+    label = "gaussian"
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and self.a > 0):
@@ -411,11 +412,16 @@ def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> fl
     the 2e5 cap on Xi binds, the tail past it shows there too.  The terms are
     folded onto the M residues in blocks of ``_FOLD_PERIODS`` whole periods,
     so the memory is set by the block, not by Xi.  More than ``_MAX_TERMS``
-    terms, about Xi (width + R), raise ValueError before the DFT.
+    terms, about Xi (width + R), or M >= ``_MAX_DFT`` (a support narrow
+    against R) raise ValueError before the DFT.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     h = f.spacing
+    if (f.width + w.reach) / h >= _MAX_DFT:
+        raise ValueError(f"the Fourier side would need a DFT longer than {_MAX_DFT}: "
+                         f"the support {f.support} is too narrow for the weight's "
+                         f"reach {w.reach:.3g}")
     M = int((f.width + w.reach) / h) + 1
     delta = 1.0 / (M * h)
     n_terms = math.ceil(w.cutoff(f, tol) / delta) + 1

@@ -289,7 +289,7 @@ class TestDual:
 
         monkeypatch.setattr(dual, "dual_mass_report", counted)
         assert main(["dual", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 3  # one report per bump, shared with the negative-part check
+        assert len(calls) == 3  # one report per bump, negative-part check included
         rep = _load(tmp_path / "dual_report.json")
         assert set(rep) == {"schema", "command", "config", "timestamp", "results"}
         bump_rows = [r for r in rep["results"] if "bump" in r]

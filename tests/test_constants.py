@@ -94,6 +94,13 @@ class TestMinimizeOverP:
         assert rep.value == pytest.approx(mean_upper_constant(IntervalWeight(), 2.0).value,
                                           rel=1e-12)
 
+    @pytest.mark.parametrize("hi", [2.1, 2.3])
+    def test_grid_reaches_the_range_end(self, hi):
+        # C_p decreases on [2, 2.3], so its least value on [2, hi] is at hi,
+        # which the grid must reach
+        rep = minimize_over_p(IntervalWeight(), p_range=(2.0, hi))
+        assert rep.value <= mean_upper_constant(IntervalWeight(), hi).value + 1e-6
+
     def test_feasibility_grid(self):
         # the bound holds pointwise in p on the whole 0.1-step grid, not only
         # at the minimum

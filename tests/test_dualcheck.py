@@ -215,16 +215,32 @@ class TestNegativePartBound:
     @pytest.mark.parametrize("bump", [StandardBump(), CosineBump(), BetaPowerBump(2)],
                              ids=lambda b: b.label)
     def test_identity_and_inequality(self, bump):
-        rep = negative_part_bound_check(bump, dual_mass_report(bump))
+        rep = dual_mass_report(bump)
         assert rep.identity_gap <= 1e-8
         assert rep.inequality_slack >= -1e-8
 
-    def test_precomputed_report(self):
-        bump = CosineBump()
+    # frozen identity gaps and inequality slacks, one pair per bump
+    PINNED = {
+        "standard-bump": (0.0, 0.8877211369054141),
+        "cosine": (0.0, 1.0497867258430953),
+        "beta-power": (5.684341886080802e-14, 0.955473635191162),
+    }
+
+    @pytest.mark.parametrize("bump", [StandardBump(), CosineBump(), BetaPowerBump(2)],
+                             ids=lambda b: b.label)
+    def test_pinned(self, bump):
         rep = dual_mass_report(bump)
-        assert negative_part_bound_check(bump, rep).negative_mass == rep.negative_mass
-        with pytest.raises(ValueError):
-            negative_part_bound_check(BetaPowerBump(2), rep)
+        gap, slack = self.PINNED[rep.bump]
+        assert rep.identity_gap == pytest.approx(gap, abs=1e-10)
+        assert rep.inequality_slack == pytest.approx(slack, abs=1e-10)
+        assert (rep.identity_gap, rep.inequality_slack) == \
+            negative_part_bound_check(bump, rep.negative_mass)
+
+    def test_label_is_not_an_option(self):
+        # every BetaPowerBump is "beta-power": a label could not tell k apart
+        with pytest.raises(TypeError):
+            BetaPowerBump(2, "x")
+        assert BetaPowerBump(3).label == "beta-power"
 
 
 def _tuned_atom_density_measure():

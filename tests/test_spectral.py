@@ -373,6 +373,21 @@ class TestMeanFunctionalFourier:
         with pytest.raises(ValueError, match="terms"):
             q_mean(f)
 
+    def test_dft_length_bounded_on_a_narrow_support(self, monkeypatch):
+        # M = floor((width + R)/h) + 1 grows like R/h: this default support,
+        # about [-5e-6, 5e-6], would take a length-1.02e8 DFT (about 14 GB
+        # in all), so an FFT that long fails the test instead of running
+        real_fft = np.fft.fft
+
+        def capped_fft(a, n=None, *args, **kwargs):
+            assert n is None or n < 2 ** 24, f"a length-{n} DFT was started"
+            return real_fft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", capped_fft)
+        f = sample(Gaussian(1e12), cells=2048)
+        with pytest.raises(ValueError, match="DFT"):
+            q_mean(f)
+
     def test_time_fourier_cross_check(self):
         from autocorr import autocorrelate
 

@@ -26,8 +26,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
-import numpy as np
-
 from . import __version__
 from . import constants as C
 from . import dualcheck as dual
@@ -227,7 +225,7 @@ def _cmd_constants(cfg: RunConfig) -> _Output:
     if isinstance(w, GaussianWeight):
         reports.append(C.gaussian_mean_lower(w.a))
     sweep = []
-    for p in np.arange(cfg.p_min, cfg.p_max + 1e-12, 0.25):
+    for p in C._p_grid(cfg.p_min, cfg.p_max):
         rep = C.mean_upper_constant(w, float(p))
         sweep.append([f"{p:.6g}", f"{rep.ingredients['K_p']:.12g}",
                       f"{rep.ingredients['I_w_p']:.12g}", f"{rep.value:.12g}"])

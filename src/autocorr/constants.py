@@ -108,10 +108,12 @@ def mean_upper_constant(w: Weight, p: float) -> BoundReport:
                        ingredients=ingredients, tolerance=_QUAD_TOL)
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
-    """The midpoint of the final bracket of a golden-section search for min fn."""
+def _golden_min(fn, grid, i: int, tol: float) -> float:
+    """Golden-section min of fn between the neighbours of grid[i]; grid[i] if it has none."""
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    if a == b:
+        return float(grid[i])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
@@ -127,6 +129,11 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _p_grid(lo: float, hi: float) -> np.ndarray:
+    """The p scan of [lo, hi]: both ends included, spacing at most 1/4."""
+    return np.linspace(lo, hi, math.ceil((hi - lo) / 0.25) + 1)
+
+
 def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> BoundReport:
     """inf over p in ``p_range`` of C_p(w): coarse grid then golden section to 1e-6."""
     tol = 1e-6
@@ -137,16 +144,10 @@ def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> Bo
     def cp(p: float) -> float:
         return _pipeline_constant(w, p)[0]
 
-    # both ends included, spacing at most 1/4
-    grid = np.linspace(lo, hi, math.ceil((hi - lo) / 0.25) + 1)
+    grid = _p_grid(lo, hi)
     vals = [cp(p) for p in grid]
     i = int(np.argmin(vals))
-    left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, len(grid) - 1)]
-    if left == right:
-        p_star = grid[i]
-    else:
-        p_star = _golden_min(cp, left, right, tol)
+    p_star = _golden_min(cp, grid, i, tol)
     value, ingredients = _pipeline_constant(w, p_star)
     ingredients["p_star"] = p_star
     ingredients["grid_best_p"] = float(grid[i])
@@ -174,6 +175,14 @@ class SincRoots:
         z = 2 * math.pi * self.xi0
         return abs(math.sin(z) / z + self.theta0)
 
+    @functools.cached_property
+    def min_l1_half(self) -> float:     # the window-[-1/2,1/2] pure-L1 constant
+        return 1.0 / (1.0 + self.theta0)
+
+    @functools.cached_property
+    def min_l1_01(self) -> float:       # the window-[0,1] pure-L1 constant
+        return 1.0 / (2.0 * (1.0 + self.theta0))
+
 
 @functools.lru_cache(maxsize=1)
 def sinc_min_roots() -> SincRoots:
@@ -199,11 +208,10 @@ def min_l1_constant() -> tuple[BoundReport, BoundReport]:
     """
     roots = sinc_min_roots()
     ing = {"theta0": roots.theta0, "y0": roots.y0}
-    window2 = BoundReport(name="min-l1[-1/2,1/2]", value=1.0 / (1.0 + roots.theta0),
-                          kind="upper-bound", ingredients=dict(ing))
-    window1 = BoundReport(name="min-l1[0,1]", value=1.0 / (2.0 * (1.0 + roots.theta0)),
-                          kind="upper-bound", ingredients=dict(ing))
-    return window2, window1
+    return (BoundReport(name="min-l1[-1/2,1/2]", value=roots.min_l1_half, kind="upper-bound",
+                        ingredients=dict(ing)),
+            BoundReport(name="min-l1[0,1]", value=roots.min_l1_01, kind="upper-bound",
+                        ingredients=dict(ing)))
 
 
 def min_mixed_constant() -> BoundReport:
@@ -218,7 +226,7 @@ def min_mixed_constant() -> BoundReport:
     K_p = hy_coefficient(p)
     moment = weight_lp_moment(IntervalWeight(), p, tol=_QUAD_TOL)
     c_pi = K_p * moment.value ** (1.0 / p)
-    L = 1.0 / (1.0 + sinc_min_roots().theta0)
+    L = sinc_min_roots().min_l1_half
     alpha = (p / 2.0 - 1.0) / (p - 1.0)
     value = (L ** (p / 2.0 - 1.0) * c_pi ** (p / 2.0)) ** (1.0 / (p - 1.0))
     ingredients = {"p": p, "K_p": K_p, "I_w_p": moment.value,
@@ -252,10 +260,7 @@ def gaussian_mean_lower(a: float) -> BoundReport:
         return 2.0 ** 0.25 / (b ** 0.25 * math.pi ** 0.25 * np.sqrt(2.0 / b + 1.0 / a))
 
     bs = np.geomspace(0.1 * a, 10.0 * a, 801)
-    i = int(np.argmax(ratio(bs)))
-    # golden refinement between the neighbors of the grid argmax
-    scan_b = _golden_min(lambda b: -ratio(b), float(bs[max(i - 1, 0)]),
-                         float(bs[min(i + 1, bs.size - 1)]), 1e-10 * a)
+    scan_b = _golden_min(lambda b: -ratio(b), bs, int(np.argmax(ratio(bs))), 1e-10 * a)
     scan_v = ratio(scan_b)
     if abs(scan_v - value) > 1e-6 * value:
         raise RuntimeError(

@@ -2,9 +2,10 @@
 
 The dual bound says every even probability bump supported in [-1, 1] has
 positive Fourier mass ||(phihat)_+||_1 >= 1/(2(1+theta0)), refined by
-+ theta0 phi(0)/(1+theta0).  Positive and negative masses are integrated with
-the xi-axis split at sign changes of phihat located by bisection, because
-rectangle rules smear sign boundaries and bias the positive mass upward.
++ theta0 phi(0)/(1+theta0).  The masses are integrated by ``funcspace._gauss_pieces``
+over one cut list of the half xi-axis, the integers and the sign changes of phihat
+found by bisection: rectangle rules smear sign boundaries and bias the positive
+mass upward.
 
 Also here: the nonnegativity/spectral check for normalized measures (the
 nu-hat inequality at the sinc minimizer) and the sup-norm residual of the
@@ -23,7 +24,7 @@ import numpy as np
 
 from .constants import sinc_min_roots
 from .correlate import measure_correlation
-from .funcspace import MixedMeasure, _leggauss
+from .funcspace import MixedMeasure, _gauss_pieces
 from .spectral import _phase_sum, fourier_measure, sinc
 
 __all__ = [
@@ -137,7 +138,7 @@ class CosineBump:
         # 0/0 at xi = +-1/2 and loses accuracy near there
         x = xi[~far]
         out[~far] = sinc(2 * x) + 0.5 * (sinc(2 * x - 1) + sinc(2 * x + 1))
-        return out
+        return out if out.ndim else float(out)
 
     def cutoff(self, tol: float) -> float:
         # |phihat| <= 1/(6 pi xi^3) for xi >= 1 => two-sided tail <= 1/(6 pi Xi^2)
@@ -237,7 +238,6 @@ BUMPS = (StandardBump(), CosineBump(), BetaPowerBump(2))
 # ---------------------------------------------------------------------------
 
 
-_PIECE_BLOCK = 512       # Gauss pieces per transform call: 12288 points, 98 kB an array
 _BRACKET_XTOL = 1e-13
 _BRACKET_RTOL = 4.0 * np.finfo(np.float64).eps
 
@@ -261,52 +261,26 @@ def _bisect_roots(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray
     return 0.5 * (a + b)
 
 
-def _segment_integrals(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of f over each [lo, hi], cut into pieces of length at most 1.
-
-    Every piece gets the same 24-point Gauss-Legendre rule; the pieces are
-    evaluated in blocks of _PIECE_BLOCK and summed back per segment in order.
-    """
-    x_gl, w_gl = _leggauss(24)
-    counts = np.maximum(np.ceil(hi - lo), 1.0).astype(np.intp)
-    seg = np.repeat(np.arange(lo.size), counts)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    a = lo[seg] + k
-    b = np.where(k == counts[seg] - 1, hi[seg], a + 1.0)
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    pieces = np.empty(seg.size)
-    for s in range(0, seg.size, _PIECE_BLOCK):
-        blk = slice(s, s + _PIECE_BLOCK)
-        pts = mid[blk, None] + rad[blk, None] * x_gl
-        vals = np.asarray(f(pts.ravel()), dtype=np.float64).reshape(pts.shape)
-        pieces[blk] = (vals @ w_gl) * rad[blk]
-    return np.bincount(seg, weights=pieces, minlength=lo.size)
-
-
 def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
     """(positive mass, absolute mass, error bound) of phihat over the line.
 
-    The transform is sampled 16 times per unit, every sign change is refined
-    by batched bisection, and each sign-pure segment between the roots is
-    integrated by unit-length Gauss-Legendre pieces.  Evenness doubles the
+    The transform is sampled 16 times per unit and every sign change is
+    refined by batched bisection.  The half line is cut once, at the integers
+    and the roots, so every piece is sign-pure and at most 1 long, and each
+    piece gets the 24-point Gauss-Legendre rule.  Evenness doubles the
     half-line result.
     """
-    hi = phi.cutoff(tol)
-    n_int = int(math.ceil(hi))
-    samples_per = 16
+    n_int = math.ceil(phi.cutoff(tol))
     # offset grid: never samples exactly on the (rational) transform zeros,
     # where cancellation noise has arbitrary sign and breaks crossing detection
-    xs = (np.arange(n_int * samples_per) + 0.2137) / samples_per
+    xs = (np.arange(n_int * 16) + 0.2137) / 16
     ys = np.asarray(phi.hat(xs), dtype=np.float64)
     cross = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
     roots = _bisect_roots(phi.hat, xs[cross], xs[cross + 1], ys[cross])
-    # break the half line at the refined roots of phihat
-    cuts = np.unique(np.concatenate(([0.0], roots, [float(n_int)])))
-    seg = _segment_integrals(phi.hat, cuts[:-1], cuts[1:])
-    pos = float(np.sum(np.maximum(seg, 0.0)))
-    absm = float(np.sum(np.abs(seg)))
-    tail = phi.tail_bound(float(n_int))
-    return 2.0 * pos, 2.0 * absm, tail + 1e-12 * max(absm, 1.0)
+    pieces = _gauss_pieces(phi.hat, np.union1d(roots, np.arange(n_int + 1.0)), 24)
+    pos = float(np.sum(np.maximum(pieces, 0.0)))
+    absm = float(np.sum(np.abs(pieces)))
+    return 2.0 * pos, 2.0 * absm, phi.tail_bound(float(n_int)) + 1e-12 * max(absm, 1.0)
 
 
 @dataclass(frozen=True)
@@ -341,12 +315,11 @@ def dual_mass_report(phi: BumpFunction, tol: float = 1e-8) -> DualMassReport:
     pos, absm, err = _signed_masses(phi, tol)
     roots = sinc_min_roots()
     phi0 = float(phi.density(0.0))
-    lb = 1.0 / (2.0 * (1.0 + roots.theta0))
-    refined = lb + roots.theta0 / (1.0 + roots.theta0) * phi0
+    refined = roots.min_l1_01 + roots.theta0 / (1.0 + roots.theta0) * phi0
     gap, slack = negative_part_bound_check(phi, absm - pos)
     return DualMassReport(bump=phi.label, positive_mass=pos,
                           negative_mass=absm - pos, abs_mass=absm, value0=phi0,
-                          lower_bound=lb, refined_bound=refined, error_bound=err,
+                          lower_bound=roots.min_l1_01, refined_bound=refined, error_bound=err,
                           identity_gap=gap, inequality_slack=slack)
 
 

@@ -53,6 +53,21 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(x), _readonly(w)
 
 
+_PIECE_BLOCK = 512       # pieces per call of f: 12288 points at n = 24, 98 kB an array
+
+
+def _gauss_pieces(f, edges, n: int) -> np.ndarray:
+    """n-point Gauss-Legendre integrals of f (on flat arrays) over each [edges[i], edges[i+1]]."""
+    x, w = _leggauss(n)
+    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    out = np.empty(mid.size)
+    for s in range(0, mid.size, _PIECE_BLOCK):
+        blk = slice(s, s + _PIECE_BLOCK)
+        vals = f((mid[blk, None] + rad[blk, None] * x).ravel()).reshape(-1, n)
+        out[blk] = (vals @ w) * rad[blk]
+    return out
+
+
 def _l1_norm(samples: np.ndarray, spacing: float) -> float:
     """||f||_1 of the cell model with these samples and cell width."""
     return float(spacing * samples.sum())
@@ -231,11 +246,9 @@ def bs_l1() -> float:
     jump points at u = +-pi/6; 8-point Gauss-Legendre on each of the three
     pieces between -pi/2, -pi/6, pi/6 and pi/2 should give 11*pi/24.
     """
-    x, w = _leggauss(8)
     edges = np.array([-math.pi / 2, -math.pi / 6, math.pi / 6, math.pi / 2])
-    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    u = mid[:, None] + rad[:, None] * x
-    return float((0.5 * BSExample().multiplier(np.sin(u) / 2.0) @ w) @ rad)
+    m = BSExample().multiplier
+    return float(_gauss_pieces(lambda u: 0.5 * m(np.sin(u) / 2.0), edges, 8).sum())
 
 
 def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None,

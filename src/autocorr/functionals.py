@@ -71,7 +71,7 @@ def min12_ceiling() -> float:
 
 def min01_ceiling() -> float:
     """1/(2(1+theta0)), the window-[0,1] pure-L1 constant."""
-    return 1.0 / (2.0 * (1.0 + sinc_min_roots().theta0))
+    return sinc_min_roots().min_l1_01
 
 
 class ZeroFunctionError(ValueError):

@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .correlate import lattice_window_integral
-from .funcspace import GridFunction, MixedMeasure, _leggauss
+from .funcspace import GridFunction, MixedMeasure, _gauss_pieces, _leggauss
 
 __all__ = [
     "sinc",
@@ -158,9 +158,8 @@ class GaussianWeight:
             raise ValueError(f"need p >= 1 for the Gaussian weight (got p={p})")
         closed = math.sqrt(self.a / (math.pi * p))
         hi = math.sqrt(40.0 * self.a / (math.pi ** 2 * p))
-        x, wgt = _leggauss(64)
-        u = 0.5 * hi * (x + 1.0)
-        num = hi * float(wgt @ np.exp(-math.pi ** 2 * p * u * u / self.a))  # 2 int_0^hi
+        c = math.pi ** 2 * p / self.a
+        num = 2.0 * float(_gauss_pieces(lambda u: np.exp(-c * u * u), np.array([0.0, hi]), 64)[0])
         if abs(num - closed) > max(tol, 1e-10 * closed):
             raise RuntimeError(
                 f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")

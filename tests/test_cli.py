@@ -74,6 +74,14 @@ class TestConstants:
             rows = list(csv.reader(fh))
         assert rows[-1][0] == "300"
 
+    def test_short_range_sweep_reaches_p_max(self, tmp_path):
+        # the sweep used to be its own quarter-step grid, and stopped at p = 2
+        assert main(["constants", "--p-min", "2", "--p-max", "2.1",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "constants_sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["2", "2.1"]
+
     @pytest.mark.parametrize("flags", [["--p-max", "400"], ["--p-min", "1.5"],
                                        ["--p-min", "5", "--p-max", "4"]],
                              ids=["above-certified", "below-two", "reversed"])

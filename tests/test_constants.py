@@ -113,6 +113,22 @@ class TestMinimizeOverP:
             assert worst <= mean_upper_constant(IntervalWeight(), float(p)).value + 1e-6
 
 
+class TestGoldenMin:
+    def test_one_point_grid(self):
+        from autocorr.constants import _golden_min
+
+        assert _golden_min(lambda x: (x - 1.0) ** 2, np.array([2.5]), 0, 1e-9) == 2.5
+
+    @pytest.mark.parametrize("end", [0, 10])
+    def test_minimum_at_an_end(self, end):
+        from autocorr.constants import _golden_min
+
+        grid = np.linspace(0.0, 1.0, 11)
+        x_min = grid[end]
+        assert _golden_min(lambda x: (x - x_min) ** 2, grid, end, 1e-9) == \
+            pytest.approx(x_min, abs=1e-9)
+
+
 class TestRoots:
     def test_frozen_values(self):
         r = sinc_min_roots()

@@ -40,6 +40,13 @@ class TestBumpFamilies:
         assert np.allclose(dens, bump.density(-xs))  # evenness
         assert float(bump.hat(0.0)) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("bump", ALL_BUMPS, ids=lambda b: b.label + str(getattr(b, "k", "")))
+    def test_hat_shape(self, bump):
+        assert type(bump.hat(0.3)) is float
+        xi = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+        out = bump.hat(xi)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+
     def test_bump_normalizer_oracle(self):
         # int exp(-1/(1-x^2)) over [-1, 1] from 25-digit mpmath
         from autocorr.dualcheck import _bump_normalizer

@@ -137,3 +137,34 @@ class TestMixedMeasure:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             MixedMeasure(atoms=((0.0, -1.0),))
+
+
+class TestGaussPieces:
+    @pytest.mark.parametrize("n", [1, 5, 24])
+    def test_exact_for_degree_2n_minus_1(self, n):
+        from autocorr.funcspace import _gauss_pieces
+
+        rng = np.random.default_rng(n)
+        poly = np.polynomial.Polynomial(rng.uniform(-1, 1, 2 * n))
+        edges = np.sort(rng.uniform(-2.0, 3.0, 9))
+        prim = poly.integ()
+        exact = prim(edges[1:]) - prim(edges[:-1])
+        got = _gauss_pieces(poly, edges, n)
+        scale = np.polynomial.Polynomial(np.abs(poly.coef))(3.0)
+        assert np.allclose(got, exact, rtol=0, atol=1e-14 * scale)
+
+    def test_blocks_match_sub_ranges(self):
+        from autocorr.funcspace import _PIECE_BLOCK, _gauss_pieces
+
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.cos(3.0 * x) * np.exp(-0.01 * x)
+
+        edges = np.cumsum(np.random.default_rng(5).uniform(0.1, 1.0, 2 * _PIECE_BLOCK + 101))
+        whole = _gauss_pieces(f, edges, 7)
+        assert max(sizes) == 7 * _PIECE_BLOCK and len(sizes) == 3
+        cuts = range(0, edges.size, _PIECE_BLOCK)
+        parts = [_gauss_pieces(f, edges[c:c + _PIECE_BLOCK + 1], 7) for c in cuts]
+        assert np.array_equal(whole, np.concatenate(parts))

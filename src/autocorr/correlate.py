@@ -74,8 +74,18 @@ def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def lattice_value(c: np.ndarray, spacing: float, t):
-    """The linear interpolant at t, read at |t| on the nonnegative half."""
+    """The linear interpolant at t, read at |t| on the nonnegative half.
+
+    A Python number t takes plain float arithmetic, with the array branch's
+    operations in the same order, so both give the same bits."""
     n = c.size // 2
+    if isinstance(t, (int, float)):
+        u = abs(float(t)) / float(spacing)
+        if u > n:
+            return 0.0
+        k = int(min(u, n - 1))
+        frac = u - k
+        return float(c[n + k]) * (1.0 - frac) + float(c[n + k + 1]) * frac
     u = np.abs(np.asarray(t, dtype=np.float64)) / spacing
     k = np.minimum(u, n - 1).astype(np.int64)
     frac = u - k
@@ -88,13 +98,13 @@ def lattice_min(c: np.ndarray, spacing: float, lo: float, hi: float) -> float:
     if hi < lo:
         raise ValueError("empty window")
     W = c.size // 2 * spacing
-    cands = lattice_value(c, spacing, np.array([lo, hi], dtype=np.float64)).tolist()
+    cands = [lattice_value(c, spacing, lo), lattice_value(c, spacing, hi)]
     if lo < -W or hi > W:
         cands.append(0.0)  # window sticks out of the support
-    ts = _lattice_points(c, spacing)
-    inside = (ts >= lo) & (ts <= hi)
-    if inside.any():
-        cands.append(float(c[inside].min()))
+    ts = _lattice_points(c, spacing)  # ascending: the lattice points in [lo, hi] are a slice
+    i, j = ts.searchsorted(lo, side="left"), ts.searchsorted(hi, side="right")
+    if i < j:
+        cands.append(float(c[i:j].min()))
     return min(cands)
 
 

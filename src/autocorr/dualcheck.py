@@ -265,10 +265,13 @@ def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
     """(positive mass, absolute mass, error bound) of phihat over the line.
 
     The transform is sampled 16 times per unit and every sign change is
-    refined by batched bisection.  The half line is cut once, at the integers
-    and the roots, so every piece is sign-pure and at most 1 long, and each
-    piece gets the 24-point Gauss-Legendre rule.  Evenness doubles the
-    half-line result.
+    refined by batched bisection.  The half line is cut once, at the roots
+    and at the integers, so every piece is sign-pure and at most 1 + 1e-9
+    long, and each piece gets the 24-point Gauss-Legendre rule.  An inner
+    integer within 1e-9 of a root is left out: the root already cuts there,
+    and the piece between them would be near-empty (the cosine bump's
+    transform vanishes at the integers).  Evenness doubles the half-line
+    result.
     """
     n_int = math.ceil(phi.cutoff(tol))
     # offset grid: never samples exactly on the (rational) transform zeros,
@@ -277,7 +280,10 @@ def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
     ys = np.asarray(phi.hat(xs), dtype=np.float64)
     cross = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
     roots = _bisect_roots(phi.hat, xs[cross], xs[cross + 1], ys[cross])
-    pieces = _gauss_pieces(phi.hat, np.union1d(roots, np.arange(n_int + 1.0)), 24)
+    # the roots lie strictly between the first and last samples, so no end is dropped
+    snapped = np.round(roots)
+    ints = np.setdiff1d(np.arange(n_int + 1.0), snapped[np.abs(roots - snapped) <= 1e-9])
+    pieces = _gauss_pieces(phi.hat, np.union1d(roots, ints), 24)
     pos = float(np.sum(np.maximum(pieces, 0.0)))
     absm = float(np.sum(np.abs(pieces)))
     return 2.0 * pos, 2.0 * absm, phi.tail_bound(float(n_int)) + 1e-12 * max(absm, 1.0)

@@ -1,16 +1,28 @@
 """Derivative-free maximization of the inequality ratios over test families.
 
-A seeded multi-restart Nelder-Mead simplex (reflection / expansion /
-contraction / shrink) runs on unconstrained parameters; nonnegativity is
-enforced by squaring (cell value or family parameter = theta^2), which keeps
-the landscape smooth instead of projecting onto a boundary.  The simplex
-only calls the objective; ``search`` owns the budget, the trace and the
-winner in one recorder.  ``trace`` has one entry (index, best so far) per
-objective evaluation, the restarts concatenated in index order, and
-``evaluations`` is ``len(trace)``; the cached floor scan that seeds restart
-0 is not counted.  The winner is the first evaluation that attains the best
-value, so ties keep the lowest restart index.  The BS example has no free
-parameter, so its record is a single evaluation.
+Nonnegativity is enforced by squaring (cell value or family parameter =
+theta^2), which keeps the landscape smooth instead of projecting onto a
+boundary.  The one-parameter families (``indicator``, ``gaussian``) are
+scanned once at 288 values of theta^2; the scan is cached and gives both
+the floor (``baseline``) and the bracket between the neighbours of its best
+point.  Their search evaluates that point, so no record ends below its
+floor, then narrows the bracket by golden section (``constants._golden_min``)
+to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
+first walks outward, doubling or halving theta^2 while the ratio rises, so
+the search reaches past the scan as far as the builder's clamps.  The
+``piecewise`` family runs a seeded multi-restart Nelder-Mead simplex
+(reflection / expansion / contraction / shrink) on the unconstrained cell
+parameters.
+
+The optimizers only call the objective; ``search`` owns the budget, the trace
+and the winner in one recorder.  The budget only caps the evaluations: a
+golden search ends on its tolerance well inside it (or, walking outward
+without end, on the budget), while each simplex restart stops on its share.
+``trace`` has one entry (index, best so far) per objective evaluation, the
+restarts concatenated in index order, and ``evaluations`` is ``len(trace)``;
+the cached scan is not counted.  The winner is the first evaluation that
+attains the best value, so ties keep the lowest restart index.  The BS
+example has no free parameter, so its record is a single evaluation.
 
 Each candidate is evaluated once, at array speed.  A family builder turns
 the parameters into the cell values and cell width of a grid function (the
@@ -34,6 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .constants import _golden_min
 from .funcspace import Gaussian, Indicator, _midpoint_samples
 from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs
 
@@ -52,7 +65,7 @@ FAMILIES = ("indicator", "gaussian", "piecewise", "bs-example")
 
 @dataclass(frozen=True, eq=False)
 class SearchRecord:
-    """Outcome of one seeded multi-restart search."""
+    """Outcome of one search (module docstring)."""
 
     objective: str
     family: str
@@ -104,11 +117,20 @@ def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
 
 
 # The one-parameter families: the builder, and the 288 values of the family
-# parameter (theta^2) whose scan gives the floor and restart 0's start.
+# parameter (theta^2) whose scan gives the floor and the golden bracket.
 _SCANS = {
     "indicator": (_build_indicator, np.linspace(0.26, 6.0, 288)),
     "gaussian": (_build_gaussian, np.geomspace(0.05, 200.0, 288)),
 }
+
+
+# Golden section stops when its bracket is below this fraction of the scan's
+# best theta^2.  Near a smooth maximum the ratio changes by about
+# (bracket / theta^2)^2 across the bracket, so a bracket much below 1e-7
+# relative would be narrowed on differences under one ulp, and the record
+# would hinge on the objective's last bit; at 1e-6 the value is within about
+# 1e-15 of the maximum.
+_GOLDEN_RTOL = 1e-6
 
 
 def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Callable, int]:
@@ -140,7 +162,7 @@ def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
 
 
 # ---------------------------------------------------------------------------
-# simplex core
+# optimizers
 # ---------------------------------------------------------------------------
 
 
@@ -162,7 +184,7 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
         simplex, scores = simplex[order], scores[order]
         if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
             return
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / dim  # what np.mean computes, without its overhead
         xr = centroid + alpha * (centroid - simplex[-1])
         fr = fn(xr)
         if scores[0] <= fr < scores[-2]:
@@ -186,6 +208,28 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
             scores[i] = fn(simplex[i])
 
 
+def _golden_search(fn: Callable[[float], float], grid: np.ndarray, i: int) -> None:
+    """Minimize fn over theta^2 from the scan's best point grid[i].  Every
+    evaluation goes through fn, as in ``_nelder_mead``."""
+    f_mid = fn(grid[i])  # the scan's best point first: no record ends below its floor
+    if 0 < i < len(grid) - 1:
+        _golden_min(fn, grid, i, _GOLDEN_RTOL * grid[i])
+        return
+    # Past an end of the scan: step outward by a factor of 2 while fn falls,
+    # then bracket the last best point between its two neighbours.  Beyond a
+    # builder clamp fn is flat, so the walk stops one step past it.
+    step = 2.0 if i else 0.5
+    inner, mid = grid[1 if i == 0 else -2], grid[i]
+    while True:
+        outer = mid * step
+        f_outer = fn(outer)
+        if not f_outer < f_mid:
+            break
+        inner, mid, f_mid = mid, outer, f_outer
+    lo, hi = sorted((inner, outer))
+    _golden_min(fn, (lo, mid, hi), 1, _GOLDEN_RTOL * mid)
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -202,35 +246,36 @@ def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _baseline_full(objective: str, family: str,
-                   a: Optional[float] = None) -> tuple[float, Optional[tuple[float, ...]]]:
-    """The floor value and its parameters.  The 288-point scans are cached, so
-    a search's restart 0 reuses a scan that a floor or an earlier search made;
-    the parameters are a tuple, so no caller can change the shared value."""
-    if family == "bs-example":
-        return _bs_value(objective), None
+def _scan(objective: str, family: str, a: Optional[float] = None) -> tuple[tuple[float, ...], int]:
+    """The ratio at each value of the family's scan grid, and the index of the
+    first best one.  Cached, so the floor and every search share one scan."""
     kernel = _objective_kernel(objective, a)
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
     build, grid = _SCANS[family]
-    best_v, best_p = -math.inf, None
-    for g in grid:
-        params = np.array([math.sqrt(g)])
-        v = _evaluate(build, kernel, params)
-        if v > best_v:
-            best_v, best_p = v, params
-    return best_v, tuple(best_p)
+    values = tuple(_evaluate(build, kernel, np.array([math.sqrt(g)])) for g in grid)
+    return values, int(np.argmax(values))
+
+
+def _baseline_full(objective: str, family: str,
+                   a: Optional[float] = None) -> tuple[float, Optional[tuple[float, ...]]]:
+    """The floor value and its parameters: the scan's best point, or the BS example."""
+    if family == "bs-example":
+        return _bs_value(objective), None
+    values, i = _scan(objective, family, a)
+    return values[i], (math.sqrt(_SCANS[family][1][i]),)
 
 
 def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int = 0,
            a: Optional[float] = None, dimension: int = 0,
            halfwidth: float = 0.5) -> SearchRecord:
-    """Seeded multi-restart simplex maximization of an inequality ratio.
+    """Maximize an inequality ratio over a family (module docstring).
 
-    Deterministic given (objective, family, budget, seed): restarts have
-    independent seeded starting points, restart 0 starting from the family
-    baseline optimum when one is scannable.  ``dimension`` 0 means 16 cells
-    for the piecewise family; each of the max(4, dim) restarts must afford
+    Deterministic given (objective, family, budget, seed).  A one-parameter
+    family runs golden section from its cached scan and ignores the seed.  The
+    piecewise family runs max(4, dim) simplex restarts of budget // restarts
+    evaluations each: restart 0 from the ones vector, the others from seeded
+    random starts.  ``dimension`` 0 means 16 cells; each restart must afford
     the dim + 1 evaluations that seed its simplex.
     """
     if budget < 100:
@@ -246,16 +291,9 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
                             best_value=value, evaluations=1, seed=seed, trace=((1, value),))
     build, dim = _family_builder(family, dimension, halfwidth)
     kernel = _objective_kernel(objective, a)
-    restarts = max(4, dim)
-    per_restart = budget // restarts
-    if per_restart < dim + 1:
-        raise ValueError(f"budget {budget} gives each of {restarts} restarts {per_restart} "
-                         f"evaluations; seeding a {dim}-dimensional simplex takes {dim + 1}")
-    x_base = (np.abs(_baseline_full(objective, family, a=a)[1]) if family in _SCANS
-              else np.ones(dim, dtype=np.float64))
 
-    # The recorder (module docstring).  The simplex minimizes, so it sees the
-    # negated ratio; each restart ends after per_restart evaluations.
+    # The recorder (module docstring).  The optimizers minimize, so they see
+    # the negated ratio; a run ends once the trace reaches ``stop``.
     trace: list[tuple[int, float]] = []
     best_value, best_params = -math.inf, None
 
@@ -269,17 +307,30 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         trace.append((len(trace) + 1, best_value))
         return -value
 
-    for r in range(restarts):
-        if r == 0:
-            x0 = x_base
-        else:
-            rng = np.random.default_rng([seed, r])
-            x0 = x_base * np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
-        stop = len(trace) + per_restart
+    if family in _SCANS:
+        stop = budget
         try:
-            _nelder_mead(negated, x0)
+            _golden_search(lambda g: negated(np.array([math.sqrt(g)])), _SCANS[family][1],
+                           _scan(objective, family, a)[1])
         except _BudgetExhausted:
             pass
+    else:
+        restarts = max(4, dim)
+        per_restart = budget // restarts
+        if per_restart < dim + 1:
+            raise ValueError(f"budget {budget} gives each of {restarts} restarts {per_restart} "
+                             f"evaluations; seeding a {dim}-dimensional simplex takes {dim + 1}")
+        for r in range(restarts):
+            if r == 0:
+                x0 = np.ones(dim)
+            else:
+                rng = np.random.default_rng([seed, r])
+                x0 = np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
+            stop = len(trace) + per_restart
+            try:
+                _nelder_mead(negated, x0)
+            except _BudgetExhausted:
+                pass
 
     return SearchRecord(objective=label, family=family, dimension=dim,
                         best_params=tuple(float(x) for x in best_params),

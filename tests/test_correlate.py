@@ -22,7 +22,13 @@ from autocorr import (
     periodize,
     sample,
 )
-from autocorr.correlate import _carlson_rf, lattice_autocorrelation, measure_correlation
+from autocorr.correlate import (
+    _carlson_rf,
+    lattice_autocorrelation,
+    lattice_min,
+    lattice_value,
+    measure_correlation,
+)
 
 PI = math.pi
 
@@ -132,6 +138,67 @@ class TestAutocorrelate:
         c = autocorrelate(f)
         assert c.min_on(-0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
         assert c.min_on(0.0, 2.0) == 0.0  # window exits the support
+
+
+def _masked_lattice_min(c, spacing, lo, hi):
+    """The reference: the window minimum with both ends read through the array
+    branch and the interior picked by a mask over every lattice point."""
+    W = c.size // 2 * spacing
+    cands = lattice_value(c, spacing, np.array([lo, hi], dtype=np.float64)).tolist()
+    if lo < -W or hi > W:
+        cands.append(0.0)
+    ts = (np.arange(c.size) - c.size // 2) * spacing
+    inside = (ts >= lo) & (ts <= hi)
+    if inside.any():
+        cands.append(float(c[inside].min()))
+    return min(cands)
+
+
+@st.composite
+def _lattice_and_window(draw):
+    """A lattice of 1..40 cells and a window [lo, hi] with lo <= hi: inside the
+    support, sticking out of it, ending on lattice points, or inside one cell."""
+    n = draw(st.integers(1, 40))
+    spacing = draw(st.floats(1e-3, 10.0))
+    samples = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
+    c = lattice_autocorrelation(samples, spacing)
+    ts = (np.arange(2 * n + 1) - n) * spacing
+    kind = draw(st.sampled_from(["any", "lattice ends", "one cell"]))
+    if kind == "lattice ends":
+        i, j = sorted(draw(st.lists(st.integers(0, 2 * n), min_size=2, max_size=2)))
+        return c, spacing, float(ts[i]), float(ts[j])
+    if kind == "one cell":
+        k = draw(st.integers(0, 2 * n - 1))
+        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                    min_size=2, max_size=2)))
+        return c, spacing, float(ts[k] + a * spacing), float(ts[k] + b * spacing)
+    u = sorted(draw(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)))
+    return c, spacing, u[0] * n * spacing, u[1] * n * spacing
+
+
+class TestLatticeKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_lattice_and_window())
+    def test_min_equals_masked_reference(self, case):
+        c, spacing, lo, hi = case
+        assert lattice_min(c, spacing, lo, hi).hex() == \
+            _masked_lattice_min(c, spacing, lo, hi).hex()
+        if hi > lo:
+            with pytest.raises(ValueError, match="empty window"):
+                lattice_min(c, spacing, hi, lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_lattice_and_window(), beyond=st.floats(-3.0, 3.0))
+    def test_value_scalar_branch_equals_array_branch(self, case, beyond):
+        c, spacing, lo, hi = case
+        ts = [lo, hi, beyond * c.size * spacing, 0.0, -0.0]
+        array = lattice_value(c, spacing, np.array(ts))
+        for t, v in zip(ts, array):
+            scalar = lattice_value(c, spacing, t)
+            assert isinstance(scalar, float)
+            assert scalar.hex() == float(v).hex(), t
+            assert lattice_value(c, spacing, np.float64(t)).hex() == scalar.hex()
+            assert lattice_value(c, spacing, np.array(t)).hex() == scalar.hex()
 
 
 class TestSingularBS:

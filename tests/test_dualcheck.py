@@ -19,6 +19,7 @@ from autocorr import (
     sample,
     sinc_min_roots,
 )
+from autocorr import dualcheck
 from autocorr.dualcheck import NormalizationError
 
 PI = math.pi
@@ -191,6 +192,62 @@ class TestPositivePartMass:
         pos, neg = self.PINNED[rep.bump]
         assert rep.positive_mass == pytest.approx(pos, abs=1e-10)
         assert rep.negative_mass == pytest.approx(neg, abs=1e-10)
+
+    # every dual_report.json field of ``autocorr dual`` at the commit whose
+    # cut list still kept an integer cut next to each root at an integer
+    REPORTED = {
+        "standard-bump": {
+            "positive_mass": 0.9232850273628728, "negative_mass": 0.09471618751860134,
+            "value0": 0.8285688398691052, "lower_bound": 0.41076748818940534,
+            "refined_bound": 0.5586380457684266, "margin": 0.5125175391734674,
+            "refined_margin": 0.3646469815944462, "sum_diff_gap": 2.483380168172289e-11,
+            "error_bound": 6.686836876588128e-10, "identity_gap": 0.0,
+            "inequality_slack": 0.8877211369054135,
+        },
+        "cosine": {
+            "positive_mass": 1.0204507683201087, "negative_mass": 0.020450768319743462,
+            "value0": 1.0, "lower_bound": 0.41076748818940534,
+            "refined_bound": 0.5892325118105947, "margin": 0.6096832801307034,
+            "refined_margin": 0.43121825650951406, "sum_diff_gap": 3.652633751016765e-13,
+            "error_bound": 4.999005353521675e-09, "identity_gap": 0.0,
+            "inequality_slack": 1.0497867258430968,
+        },
+        "beta-power": {
+            "positive_mass": 0.9705559529942369, "negative_mass": 0.03305595299294395,
+            "value0": 0.9375, "lower_bound": 0.41076748818940534,
+            "refined_bound": 0.5780784478342703, "margin": 0.5597884648048316,
+            "refined_margin": 0.3924775051599666, "sum_diff_gap": 1.2929657344784573e-12,
+            "error_bound": 9.993667569279041e-09, "identity_gap": 5.684341886080802e-14,
+            "inequality_slack": 0.9554736351911615,
+        },
+    }
+    # pieces the cut list gave before integers next to a root were left out
+    CUT_AT_EVERY_INTEGER = {"standard-bump": 185, "cosine": 8748, "beta-power": 7378}
+
+    @pytest.mark.parametrize("bump", [StandardBump(), CosineBump(), BetaPowerBump(2)],
+                             ids=lambda b: b.label)
+    def test_no_near_empty_pieces(self, bump, monkeypatch):
+        # the cosine transform vanishes at the integers, so an integer cut
+        # beside each bisected root left a piece about 1e-13 long
+        edges = []
+        real = dualcheck._gauss_pieces
+
+        def recorded(f, cuts, n):
+            edges.append(cuts)
+            return real(f, cuts, n)
+
+        monkeypatch.setattr(dualcheck, "_gauss_pieces", recorded)
+        rep = dual_mass_report(bump, tol=1e-8)
+        (cuts,) = edges
+        lengths = np.diff(cuts)
+        assert lengths.min() > 1e-6 and lengths.max() <= 1.0 + 1e-9
+        before = self.CUT_AT_EVERY_INTEGER[bump.label]
+        if bump.label == "cosine":
+            assert lengths.size < before - 2000
+        else:
+            assert lengths.size == before
+        for name, value in self.REPORTED[bump.label].items():
+            assert getattr(rep, name) == pytest.approx(value, abs=1e-14), name
 
     @pytest.mark.parametrize("start, tol", [(0, 1e-12), (3000, 1e-4), (3000, 1e-9)])
     def test_batched_roots_cosine(self, start, tol):

@@ -36,38 +36,48 @@ functionals = importlib.import_module("autocorr.functionals")
 PI = math.pi
 
 
+# the golden-section indicator search ignores seed and budget; the piecewise
+# family runs the seeded restarts and splits the budget between them
+_SEARCHED = [("min12", "indicator", {}), ("min12", "piecewise", {"dimension": 4})]
+
+
 class TestDeterminism:
     def test_identical_runs(self):
-        a = search("min12", "indicator", budget=400, seed=9)
-        b = search("min12", "indicator", budget=400, seed=9)
-        assert a.trace == b.trace
-        assert a.best_value == b.best_value
-        assert a.best_params == b.best_params
+        for objective, family, kwargs in _SEARCHED:
+            a = search(objective, family, budget=400, seed=9, **kwargs)
+            b = search(objective, family, budget=400, seed=9, **kwargs)
+            assert a.trace == b.trace, family
+            assert a.best_value == b.best_value, family
+            assert a.best_params == b.best_params, family
 
     def test_different_seeds_may_differ_but_stay_sound(self):
-        vals = {search("min12", "indicator", budget=300, seed=s).best_value
-                for s in (1, 2)}
-        assert all(v <= 0.829604 + 1e-4 for v in vals)
+        for objective, family, kwargs in _SEARCHED:
+            vals = {search(objective, family, budget=300, seed=s, **kwargs).best_value
+                    for s in (1, 2)}
+            assert all(v <= 0.829604 + 1e-4 for v in vals), family
 
     def test_no_regression_with_budget(self):
-        small = search("min12", "indicator", budget=300, seed=4)
-        large = search("min12", "indicator", budget=900, seed=4)
-        assert large.best_value >= small.best_value - 1e-12
+        for objective, family, kwargs in _SEARCHED:
+            small = search(objective, family, budget=300, seed=4, **kwargs)
+            large = search(objective, family, budget=900, seed=4, **kwargs)
+            assert large.best_value >= small.best_value - 1e-12, family
 
 
 class TestRecordInvariants:
     def test_trace_best_so_far(self):
-        rec = search("min12", "indicator", budget=300, seed=2)
-        vals = [v for _, v in rec.trace]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        idxs = [i for i, _ in rec.trace]
-        assert idxs == list(range(1, len(idxs) + 1))
-        assert rec.evaluations == len(rec.trace)
-        assert rec.best_value == vals[-1]
+        for objective, family, kwargs in _SEARCHED:
+            rec = search(objective, family, budget=300, seed=2, **kwargs)
+            vals = [v for _, v in rec.trace]
+            assert all(b >= a for a, b in zip(vals, vals[1:])), family
+            idxs = [i for i, _ in rec.trace]
+            assert idxs == list(range(1, len(idxs) + 1)), family
+            assert rec.evaluations == len(rec.trace), family
+            assert rec.best_value == vals[-1], family
 
     def test_budget_respected(self):
-        rec = search("min12", "indicator", budget=200, seed=0)
-        assert rec.evaluations <= 200
+        for objective, family, kwargs in _SEARCHED:
+            rec = search(objective, family, budget=200, seed=0, **kwargs)
+            assert rec.evaluations <= 200, family
 
     def test_small_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -84,8 +94,8 @@ class TestRecordInvariants:
     @pytest.mark.parametrize("objective, family", [("min01", "bs-example"),
                                                    ("min12", "indicator")])
     def test_negative_seed_rejected(self, monkeypatch, objective, family):
-        # bs-example seeds no generator, and the other families would seed
-        # one only after restart 0 had spent its budget
+        # neither bs-example nor the golden-section indicator search seeds a
+        # generator, so only the check can refuse the seed
         search_mod = importlib.import_module("autocorr.search")
         monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
         with pytest.raises(ValueError, match="seed must be nonnegative"):
@@ -154,6 +164,97 @@ class TestTieRule:
         assert 0 < first < starts[1]  # reached inside restart 0, not at its start
         assert any(v == 3.0 for _, v in calls[starts[1]:])
         assert rec.best_params == calls[first][0]
+
+
+class TestGoldenStability:
+    """A one-parameter record survives a one-ulp change of the objective.
+
+    Every optimizer the search runs is handed the objective scaled by
+    1 + 2^-52, 1 - 2^-53 or 1, picked from the bits of the parameter, so
+    about one ulp either way; the recorder still sees the true values.  On
+    the four pairs below and four such patterns the golden record stays
+    bit-identical, where the simplex's path moved.  The 1e-6 bracket leaves a
+    margin of a few ulps, not a guarantee: a perturbation of four ulps moved
+    the gauss/gaussian record at a = 1 in some patterns."""
+
+    PAIRS = [("gauss", "gaussian", {"a": 2 * PI}), ("gauss", "gaussian", {"a": 1.0}),
+             ("mean", "gaussian", {}), ("min12", "indicator", {})]
+
+    @staticmethod
+    def _record(rec):
+        return rec.best_params, rec.best_value, rec.evaluations
+
+    @pytest.mark.parametrize("pattern", range(4))
+    @pytest.mark.parametrize("objective, family, kwargs", PAIRS,
+                             ids=[f"{o}-{f}-{k.get('a', '')}" for o, f, k in PAIRS])
+    def test_last_bit_does_not_move_the_record(self, monkeypatch, objective, family, kwargs,
+                                               pattern):
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        expected = self._record(search(objective, family, seed=0, **kwargs))
+
+        def perturbed(fn):
+            def seen(x):
+                key = int(np.float64(np.ravel(x)[0]).view(np.int64))
+                k = ((key * 2654435761 + 97 * pattern) >> 7) % 3
+                return fn(x) * (1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0)[k]
+            return seen
+
+        golden, simplex = search_mod._golden_search, search_mod._nelder_mead
+        monkeypatch.setattr(search_mod, "_golden_search",
+                            lambda fn, *args: golden(perturbed(fn), *args))
+        monkeypatch.setattr(search_mod, "_nelder_mead", lambda fn, x0: simplex(perturbed(fn), x0))
+        assert self._record(search(objective, family, seed=0, **kwargs)) == expected
+
+    @pytest.mark.parametrize("objective, family, kwargs", PAIRS,
+                             ids=[f"{o}-{f}-{k.get('a', '')}" for o, f, k in PAIRS])
+    def test_seed_ignored_and_floor_reached(self, objective, family, kwargs):
+        first, again = (search(objective, family, seed=s, **kwargs) for s in (0, 9))
+        assert self._record(again) == self._record(first) and again.trace == first.trace
+        assert first.best_value >= baseline(objective, family, **kwargs)
+        assert first.evaluations < 100
+
+
+class TestReachPastTheScan:
+    """The gauss ratio scales as a^(1/4), with its optimum at theta^2 = 2a
+    (Gaussian) or proportional to a^(-1/2) (indicator), so for a far from
+    2 pi the optimum lies outside the 288-point scan; the search walks out
+    to it, as far as the builder's clamps."""
+
+    @pytest.mark.parametrize("family, a", [("gaussian", 1e-4), ("gaussian", 0.01),
+                                           ("gaussian", 1000.0), ("gaussian", 1e5),
+                                           ("indicator", 1e-3), ("indicator", 1000.0)])
+    def test_optimum_outside_the_scan(self, family, a):
+        # the sampled family dilates with its parameter, so the record at a is
+        # the record at 2 pi, scaled
+        at_2pi = search("gauss", family, a=2 * PI)
+        rec = search("gauss", family, a=a)
+        scale = (a / (2 * PI)) ** 0.25
+        assert rec.best_value / scale == pytest.approx(at_2pi.best_value, rel=1e-12)
+        theta2 = at_2pi.best_params[0] ** 2 * (scale ** 4 if family == "gaussian" else scale ** -2)
+        assert rec.best_params[0] ** 2 == pytest.approx(theta2, rel=1e-4)
+        if family == "gaussian":
+            assert rec.best_params[0] ** 2 == pytest.approx(2 * a, rel=1e-4)
+        assert rec.evaluations < 100
+
+    def test_walk_stops_past_the_builder_clamp(self):
+        # b* = 2e-5 lies beyond the clamp b >= 1e-4, where the ratio is flat
+        rec = search("gauss", "gaussian", a=1e-5)
+        build, _ = _family_builder("gaussian", 1, 0.5)
+        clamped = _evaluate(build, _objective_kernel("gauss", 1e-5), np.array([1e-2]))
+        assert rec.best_value == clamped
+        assert rec.evaluations < 100
+
+    def test_endless_rise_stops_on_the_budget(self, monkeypatch):
+        # a ratio that rises without end: the walk runs until the budget
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        monkeypatch.setattr(search_mod, "_evaluate", lambda build, kernel, p: float(p[0]) ** 2)
+        search_mod._scan.cache_clear()
+        try:
+            rec = search("min12", "indicator", budget=100)
+        finally:
+            search_mod._scan.cache_clear()
+        assert rec.evaluations == 100
+        assert rec.best_params[0] ** 2 == pytest.approx(6.0 * 2.0 ** 99, rel=1e-12)
 
 
 class TestFloorsAndSoundness:
@@ -230,18 +331,36 @@ class TestBaseline:
             rec = search(objective, family, budget=600, seed=0, **kwargs)
             assert rec.best_value >= floor - 1e-3
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("family", ["indicator", "gaussian"])
+    def test_search_never_ends_below_its_floor(self, family, objective):
+        # the scan's best point is the search's first evaluation; golden
+        # section alone never evaluates it, and min01/indicator peaks exactly
+        # on the grid point theta^2 = 1
+        a = 2 * PI if objective == "gauss" else None
+        rec = search(objective, family, a=a)
+        assert rec.best_value >= baseline(objective, family, a=a)
+        assert rec.trace[0][1] == baseline(objective, family, a=a)
+
     def test_no_baseline_for_piecewise(self):
         with pytest.raises(ValueError):
             baseline("min12", "piecewise")
 
     def test_scan_cached_read_only(self, monkeypatch):
-        # the search seeds restart 0 from the floor's scan instead of repeating it
+        # the search brackets its golden section from the floor's scan instead
+        # of repeating it
         value, params = _baseline_full("min12", "indicator")
         assert isinstance(params, tuple)
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        evaluate = search_mod._evaluate
         monkeypatch.setattr(search_mod, "_evaluate", None)  # no evaluation may run
         assert _baseline_full("min12", "indicator") == (value, params)
         assert baseline("min12", "indicator") == value
+        calls = []
+        monkeypatch.setattr(search_mod, "_evaluate",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        rec = search("min12", "indicator")
+        assert len(calls) == rec.evaluations
 
 
 class TestEvaluationFailure:
@@ -331,19 +450,20 @@ class TestKernelsMatchPublicPath:
 
 
 # The min12 rows are pinned at the commit before the array kernels, the gauss
-# rows at the per-cell Gaussian weights: any drift in the arithmetic of the
-# search path changes these.  They hold for the numpy build they were
-# taken with; another build may round the FFT or exp in the last place.
+# rows at the golden section of the one-parameter families, which ignores the
+# seed: any drift in the arithmetic of the search path changes these.  They
+# hold for the numpy build they were taken with; another build may round the
+# FFT or exp in the last place.
 _PIN_NUMPY = "2.4.6"
 _PINNED = [
     ("min12", "piecewise", {"dimension": 16}, 0, "0x1.1c553636ee990p-1", 2000,
      "a7d1d1bf2a9a505389dda1c399b560539fce054c1b319d8fec476a0cdfcb10a4"),
     ("min12", "piecewise", {"dimension": 16}, 1, "0x1.0a60039a79cfbp-1", 2000,
      "6bacd1eee385d4e59a90222ff39e7b1fd197b13bb38d27047e2f67e61bfbae55"),
-    ("gauss", "gaussian", {"a": 2 * PI}, 0, "0x1.ae898977574f5p-1", 330,
-     "d61a8f14551b7e8e3166d287253207c1af97933a17b404c1206a9489cede51e7"),
-    ("gauss", "gaussian", {"a": 2 * PI}, 1, "0x1.ae898977574f5p-1", 316,
-     "53805af645af6554e1b924db7f89d8f086d9282d3879c585a02b7b37291a1b52"),
+    ("gauss", "gaussian", {"a": 2 * PI}, 0, "0x1.ae898977574f0p-1", 26,
+     "682ac0e484b82cb0cb8a4ae78ba17b038636855dfd60d1a27f40f0a023841352"),
+    ("gauss", "gaussian", {"a": 2 * PI}, 1, "0x1.ae898977574f0p-1", 26,
+     "682ac0e484b82cb0cb8a4ae78ba17b038636855dfd60d1a27f40f0a023841352"),
 ]
 
 

@@ -3,9 +3,9 @@
 The dual bound says every even probability bump supported in [-1, 1] has
 positive Fourier mass ||(phihat)_+||_1 >= 1/(2(1+theta0)), refined by
 + theta0 phi(0)/(1+theta0).  The masses are integrated by ``funcspace._gauss_pieces``
-over one cut list of the half xi-axis, the integers and the sign changes of phihat
-found by bisection: rectangle rules smear sign boundaries and bias the positive
-mass upward.
+over one cut list of the half xi-axis, the integers and the sign changes of phihat,
+each bracket refined by Chandrupatla's interpolation and bisection hybrid:
+rectangle rules smear sign boundaries and bias the positive mass upward.
 
 Also here: the nonnegativity/spectral check for normalized measures (the
 nu-hat inequality at the sinc minimizer) and the sup-norm residual of the
@@ -83,6 +83,16 @@ def _bump_normalizer() -> float:
     return float(w @ _bump(x))
 
 
+@functools.lru_cache(maxsize=1)
+def _bump_phase_weights() -> np.ndarray:
+    """w_j phi(x_j) over the half trapezoid, the standard bump's phase-sum
+    weights; cached, as every ``hat`` call would rebuild them."""
+    x, w = _half_trapezoid()
+    out = w * (_bump(x) / _bump_normalizer())
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class StandardBump:
     """exp(-1/(1-x^2)) on [-1,1], normalized; the integration cutoff is 64.
@@ -100,8 +110,7 @@ class StandardBump:
 
     def hat(self, xi) -> np.ndarray:
         arr = np.ravel(np.asarray(xi, dtype=np.float64))
-        nodes, weights = _half_trapezoid()
-        sums = _phase_sum(weights * self.density(nodes), 1.0 / _TRAPEZOID_N, arr)
+        sums = _phase_sum(_bump_phase_weights(), 1.0 / _TRAPEZOID_N, arr)
         out = (np.exp(-1j * np.pi * arr) * sums).real
         return out.reshape(np.shape(xi)) if np.ndim(xi) else float(out[0])
 
@@ -242,36 +251,60 @@ _BRACKET_XTOL = 1e-13
 _BRACKET_RTOL = 4.0 * np.finfo(np.float64).eps
 
 
-def _bisect_roots(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
-    """Roots of f in the sign-change brackets [a, b] (fa = f(a)), all at once.
+def _chandrupatla_roots(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                        fb: np.ndarray) -> np.ndarray:
+    """Roots of f in the sign-change brackets [a, b] (fa = f(a), fb = f(b)), all at once.
 
-    A bracket stops when b - a <= xtol + 4 eps |b|: near xi = 3000
-    one ulp is 4.5e-13, so a bare b - a <= 1e-13 would never be met.
+    Chandrupatla's method (1997): each step tries inverse quadratic
+    interpolation through the bracket ends and the point it last dropped, and
+    bisects where that parabola is not monotone on the bracket.  The first
+    step is the secant through the two given ends, so no extra evaluation is
+    made.  Every later trial point keeps at least half the stop width from
+    both ends, so a bracket whose newest end lies that close to the root is
+    cut past it on the next step.  A bracket stops when its width is
+    <= xtol + 4 eps |end|: near xi = 3000 one ulp is 4.5e-13, so a bare 1e-13
+    would never be met.  A zero sample collapses its bracket, and the root is
+    the midpoint of the last bracket.
     """
-    a, b, fa = a.copy(), b.copy(), fa.copy()
-    live = np.arange(a.size)
+    a, b, fa, fb = (np.array(v, dtype=np.float64) for v in (a, b, fa, fb))
+    roots, live = np.empty(a.size), np.arange(a.size)
+    t = fa / (fa - fb)
     while live.size:
-        m = 0.5 * (a[live] + b[live])
-        fm = np.asarray(f(m), dtype=np.float64)
-        right = np.sign(fm) == np.sign(fa[live])    # the root lies in [m, b]
-        a[live] = np.where(right | (fm == 0.0), m, a[live])
-        b[live] = np.where(right, b[live], m)
-        fa[live] = np.where(right, fm, fa[live])
-        live = live[b[live] - a[live] > _BRACKET_XTOL + _BRACKET_RTOL * np.abs(b[live])]
-    return 0.5 * (a + b)
+        xt = a + t * (b - a)
+        ft = np.asarray(f(xt), dtype=np.float64)
+        keep_b = np.sign(ft) == np.sign(fa)     # the root lies between xt and b
+        c, fc = np.where(keep_b, a, b), np.where(keep_b, fa, fb)
+        b, fb = np.where(keep_b, b, np.where(ft == 0.0, xt, a)), np.where(keep_b, fb, fa)
+        a, fa = xt, ft
+        width = np.abs(b - a)
+        stop = _BRACKET_XTOL + _BRACKET_RTOL * np.maximum(np.abs(a), np.abs(b))
+        done = width <= stop
+        roots[live[done]] = 0.5 * (a[done] + b[done])
+        going = ~done
+        a, b, c, fa, fb, fc, width, stop, live = (
+            v[going] for v in (a, b, c, fa, fb, fc, width, stop, live))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            iqi = (fa / (fb - fa) * fc / (fb - fc)
+                   + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        smooth = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        margin = 0.5 * stop / width
+        t = np.clip(np.where(smooth, iqi, 0.5), margin, 1.0 - margin)
+    return roots
 
 
 def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
     """(positive mass, absolute mass, error bound) of phihat over the line.
 
     The transform is sampled 16 times per unit and every sign change is
-    refined by batched bisection.  The half line is cut once, at the roots
-    and at the integers, so every piece is sign-pure and at most 1 + 1e-9
-    long, and each piece gets the 24-point Gauss-Legendre rule.  An inner
-    integer within 1e-9 of a root is left out: the root already cuts there,
-    and the piece between them would be near-empty (the cosine bump's
-    transform vanishes at the integers).  Evenness doubles the half-line
-    result.
+    refined from both sampled ends by ``_chandrupatla_roots``, all brackets in
+    one batch.  The half line is cut once, at the roots and at the integers,
+    so every piece is sign-pure and at most 1 + 1e-9 long, and each piece
+    gets the 24-point Gauss-Legendre rule.  An inner integer within 1e-9 of a
+    root is left out: the root already cuts there, and the piece between them
+    would be near-empty (the cosine bump's transform vanishes at the
+    integers).  Evenness doubles the half-line result.
     """
     n_int = math.ceil(phi.cutoff(tol))
     # offset grid: never samples exactly on the (rational) transform zeros,
@@ -279,11 +312,16 @@ def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
     xs = (np.arange(n_int * 16) + 0.2137) / 16
     ys = np.asarray(phi.hat(xs), dtype=np.float64)
     cross = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
-    roots = _bisect_roots(phi.hat, xs[cross], xs[cross + 1], ys[cross])
+    roots = _chandrupatla_roots(phi.hat, xs[cross], xs[cross + 1], ys[cross], ys[cross + 1])
     # the roots lie strictly between the first and last samples, so no end is dropped
     snapped = np.round(roots)
-    ints = np.setdiff1d(np.arange(n_int + 1.0), snapped[np.abs(roots - snapped) <= 1e-9])
-    pieces = _gauss_pieces(phi.hat, np.union1d(roots, ints), 24)
+    ints = np.ones(n_int + 1, dtype=bool)
+    ints[snapped[np.abs(roots - snapped) <= 1e-9].astype(np.int64)] = False
+    # each root lies inside its own sample interval and no kept integer is a
+    # root, so the sorted cuts are their union; np.union1d would import
+    # numpy.ma (about 9 ms) in a fresh process
+    cuts = np.sort(np.concatenate((roots, np.arange(n_int + 1.0)[ints])))
+    pieces = _gauss_pieces(phi.hat, cuts, 24)
     pos = float(np.sum(np.maximum(pieces, 0.0)))
     absm = float(np.sum(np.abs(pieces)))
     return 2.0 * pos, 2.0 * absm, phi.tail_bound(float(n_int)) + 1e-12 * max(absm, 1.0)
@@ -424,6 +462,24 @@ def nu_spectrum_check(mu: MixedMeasure) -> NuSpectrumReport:
 # ---------------------------------------------------------------------------
 
 
+def _case2bb_residuals(grid) -> np.ndarray:
+    """``case2bb_residual`` at each a of grid.  The lattice, the left side, the
+    atom supports and the triangle do not depend on a and are built once."""
+    alpha0 = sinc_min_roots().alpha0
+    w = 1.0 - alpha0
+    t = np.linspace(-1.2, 1.2, 4001)
+    lhs = np.where(np.abs(t) <= 1.0, 0.5, 0.0)
+    # how many of the shifted supports |t -+ alpha0| <= w hold t: 2a f0 takes
+    # one value v on each, and v + v = 2 v exactly
+    atoms = (np.abs(t - alpha0) <= w).astype(np.float64) + (np.abs(t + alpha0) <= w)
+    triangle = np.maximum(0.0, 2.0 * w - np.abs(t))
+    out = np.empty(len(grid))
+    for i, a in enumerate(grid):
+        rhs = 2.0 * a * (1.0 / (4.0 * a)) * atoms + triangle / (16.0 * a * a)
+        out[i] = np.max(np.abs(lhs - rhs))
+    return out
+
+
 def case2bb_residual(a: float) -> float:
     """Sup-norm residual of the two-atom candidate equation at b = a.
 
@@ -434,21 +490,10 @@ def case2bb_residual(a: float) -> float:
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
-    alpha0 = sinc_min_roots().alpha0
-    w = 1.0 - alpha0
-    t = np.linspace(-1.2, 1.2, 4001)
-    lhs = np.where(np.abs(t) <= 1.0, 0.5, 0.0)
-
-    def f0(x: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(x) <= w, 1.0 / (4.0 * a), 0.0)
-
-    triangle = np.maximum(0.0, 2.0 * w - np.abs(t)) / (16.0 * a * a)
-    rhs = 2.0 * a * f0(t - alpha0) + 2.0 * a * f0(t + alpha0) + triangle
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(_case2bb_residuals([float(a)])[0])
 
 
 def case2bb_scan() -> tuple[np.ndarray, np.ndarray]:
     """Residuals over 81 log-spaced a in [0.01, 100]; the infimum stays well above 0.01."""
     grid = np.geomspace(0.01, 100.0, 81)
-    residuals = np.array([case2bb_residual(float(a)) for a in grid])
-    return grid, residuals
+    return grid, _case2bb_residuals(grid)

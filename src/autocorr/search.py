@@ -3,10 +3,11 @@
 Nonnegativity is enforced by squaring (cell value or family parameter =
 theta^2), which keeps the landscape smooth instead of projecting onto a
 boundary.  The one-parameter families (``indicator``, ``gaussian``) are
-scanned once at 288 values of theta^2; the scan is cached and gives both
-the floor (``baseline``) and the bracket between the neighbours of its best
-point.  Their search evaluates that point, so no record ends below its
-floor, then narrows the bracket by golden section (``constants._golden_min``)
+scanned once at 288 values of theta^2, less those whose lattice the
+objective refuses; the scan is cached and gives both the floor
+(``baseline``) and the bracket between the neighbours of its best point.
+Their search evaluates that point, so no record ends below its floor, then
+narrows the bracket by golden section (``constants._golden_min``)
 to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
 first walks outward, doubling or halving theta^2 while the ratio rises, so
 the search reaches past the scan as far as the builder's clamps.  The
@@ -42,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -208,7 +209,7 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
             scores[i] = fn(simplex[i])
 
 
-def _golden_search(fn: Callable[[float], float], grid: np.ndarray, i: int) -> None:
+def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int) -> None:
     """Minimize fn over theta^2 from the scan's best point grid[i].  Every
     evaluation goes through fn, as in ``_nelder_mead``."""
     f_mid = fn(grid[i])  # the scan's best point first: no record ends below its floor
@@ -246,15 +247,31 @@ def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _scan(objective: str, family: str, a: Optional[float] = None) -> tuple[tuple[float, ...], int]:
-    """The ratio at each value of the family's scan grid, and the index of the
-    first best one.  Cached, so the floor and every search share one scan."""
+def _scan(objective: str, family: str,
+          a: Optional[float] = None) -> tuple[tuple[float, ...], tuple[float, ...], int]:
+    """The family's scan grid, the ratio at each of its values, and the index of
+    the first best one.  Cached, so the floor and every search share one scan.
+
+    A value whose lattice the objective refuses (ValueError, as a Gaussian
+    too wide for the Gaussian weight's per-cell rule) is left out of the
+    grid; if every value is refused, the first refusal is raised.
+    """
     kernel = _objective_kernel(objective, a)
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
-    build, grid = _SCANS[family]
-    values = tuple(_evaluate(build, kernel, np.array([math.sqrt(g)])) for g in grid)
-    return values, int(np.argmax(values))
+    build, full = _SCANS[family]
+    grid, values, refusal = [], [], None
+    for g in full:
+        try:
+            value = _evaluate(build, kernel, np.array([math.sqrt(g)]))
+        except ValueError as err:
+            refusal = refusal or err
+        else:
+            grid.append(float(g))
+            values.append(value)
+    if not values:
+        raise refusal
+    return tuple(grid), tuple(values), int(np.argmax(values))
 
 
 def _baseline_full(objective: str, family: str,
@@ -262,8 +279,8 @@ def _baseline_full(objective: str, family: str,
     """The floor value and its parameters: the scan's best point, or the BS example."""
     if family == "bs-example":
         return _bs_value(objective), None
-    values, i = _scan(objective, family, a)
-    return values[i], (math.sqrt(_SCANS[family][1][i]),)
+    grid, values, i = _scan(objective, family, a)
+    return values[i], (math.sqrt(grid[i]),)
 
 
 def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int = 0,
@@ -310,8 +327,8 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     if family in _SCANS:
         stop = budget
         try:
-            _golden_search(lambda g: negated(np.array([math.sqrt(g)])), _SCANS[family][1],
-                           _scan(objective, family, a)[1])
+            grid, _, i = _scan(objective, family, a)
+            _golden_search(lambda g: negated(np.array([math.sqrt(g)])), grid, i)
         except _BudgetExhausted:
             pass
     else:

@@ -8,7 +8,8 @@ part is the midpoint-rule evaluation of that integral for a grid function (so
 ``_phase_sum``, as does the standard bump's transform in ``dualcheck``: it
 evaluates sum_m w_m exp(-2 pi i xi y_m) on the centred node progression
 y_m = (m - (n-1)/2) h at arbitrary xi, from a coarse and a fine table of about
-sqrt(n) exps per xi, block by block, with no (xi, n) array.
+sqrt(n) phases per xi, each the outer product of two shorter tables, block by
+block, with no (xi, n) array.
 
 The Fourier-side weighted mean ``mean_functional_fourier`` integrates
 |fhat|^2 what with fhat the exact transform of the cell model (midpoint sum
@@ -200,23 +201,35 @@ def _phase_sum(weights: np.ndarray, h: float, xis: np.ndarray) -> np.ndarray:
 
     With P ~ sqrt(n), exp(-2 pi i xi y_(pP+q)) = coarse[xi, p] * fine[xi, q],
     so block by block the sum is sum_p coarse[xi, p] (fine @ W)[xi, p] with
-    W[q, p] = w_(pP+q), zero past n; no (xi, n) array is built.  The real
-    products go through einsum, not BLAS: OpenBLAS threads even small complex
-    products, and its idle threads then spin on the other cores.
+    W[q, p] = w_(pP+q), zero past n; no (xi, n) array is built.  Each table
+    is itself split (``_split_phases``), so at n = 1025 a xi costs 24 complex
+    exps, not 65.  The real products go through einsum, not BLAS: OpenBLAS
+    threads even small complex products, and its idle threads then spin on
+    the other cores.
     """
     n = weights.size
     P = max(1, round(math.sqrt(n)))
-    y = (np.arange(0, n, P) - 0.5 * (n - 1)) * h
-    Q = y.size
+    Q = -(-n // P)
     W = np.pad(weights, (0, Q * P - n)).reshape(Q, P).T
+    y0 = -0.5 * (n - 1) * h
     out = np.empty(xis.size, dtype=np.complex128)
     for s in range(0, xis.size, _PHASE_BLOCK):
         block = xis[s:s + _PHASE_BLOCK]
-        coarse = np.exp(-2j * np.pi * block[:, None] * y[None, :])
-        fine = np.exp(-2j * np.pi * block[:, None] * (np.arange(P) * h)[None, :])
+        coarse = _split_phases(block, y0, P * h, Q)
+        fine = _split_phases(block, 0.0, h, P)
         re, im = np.einsum("cxq,qp->cxp", np.stack((fine.real, fine.imag)), W)
         out[s:s + _PHASE_BLOCK] = np.einsum("ij,ij->i", coarse, re + 1j * im)
     return out
+
+
+def _split_phases(xis: np.ndarray, y0: float, d: float, m: int) -> np.ndarray:
+    """exp(-2 pi i xi (y0 + j d)) for j < m, as the (xi, j) outer product of a
+    table over j = kR + r, r < R ~ sqrt(m), and one over k: about 2 sqrt(m)
+    complex exps per xi instead of m."""
+    R = math.ceil(math.sqrt(m))
+    lo = np.exp(-2j * np.pi * xis[:, None] * (np.arange(R) * d))
+    hi = np.exp(-2j * np.pi * xis[:, None] * (y0 + np.arange(-(-m // R)) * (R * d)))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(xis.size, -1)[:, :m]
 
 
 def fourier_measure(mu: MixedMeasure, xi):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autocorr import (
     BetaPowerBump,
@@ -255,13 +257,13 @@ class TestPositivePartMass:
         # xi = 3000 the three-sinc form carries rounding noise of 1e-16 on
         # values of 1e-12, which held any root finder to about 1e-5 (the 1e-4
         # case); the closed form used for |xi| >= 2 places the roots to 1e-9
-        from autocorr.dualcheck import _bisect_roots
+        from autocorr.dualcheck import _chandrupatla_roots
 
         bump = CosineBump()
         xs = (np.arange(start * 16, start * 16 + 64) + 0.2137) / 16
         ys = bump.hat(xs)
         cross = np.flatnonzero(ys[:-1] * ys[1:] < 0.0)
-        roots = _bisect_roots(bump.hat, xs[cross], xs[cross + 1], ys[cross])
+        roots = _chandrupatla_roots(bump.hat, xs[cross], xs[cross + 1], ys[cross], ys[cross + 1])
         exact = np.round(2.0 * roots) / 2.0
         assert exact.size >= 6 and exact[0] == max(start + 0.5, 1.0)
         assert np.all(np.diff(exact) == 0.5)
@@ -273,6 +275,106 @@ class TestPositivePartMass:
             absm = dual_mass_report(bump).abs_mass
             for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 assert float(bump.density(x)) <= absm + 1e-9
+
+
+def _reference_bisection(f, a: float, b: float) -> float:
+    """Plain scalar bisection of [a, b] to the refiner's stop width."""
+    from autocorr.dualcheck import _BRACKET_RTOL, _BRACKET_XTOL
+
+    fa = f(np.array([a]))[0]
+    while b - a > _BRACKET_XTOL + _BRACKET_RTOL * abs(b):
+        m = 0.5 * (a + b)
+        fm = f(np.array([m]))[0]
+        if fm == 0.0:
+            return m
+        if np.sign(fm) == np.sign(fa):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _sin_decay(x):
+    return np.sin(np.pi * x) * np.exp(-x / 7.0)
+
+
+class TestRootRefinement:
+    """The batched Chandrupatla refiner of the sign changes of phihat."""
+
+    # (hat calls, xi points) of one dual_mass_report with 40 bisection steps
+    # per batch and 65 complex exps per xi of the standard bump
+    BISECTION_WORK = {"standard-bump": (43, 10215), "cosine": (54, 443279),
+                      "beta-power": (56, 395363)}
+
+    @pytest.mark.parametrize("bump", [StandardBump(), CosineBump(), BetaPowerBump(2)],
+                             ids=lambda b: b.label)
+    def test_work_count(self, bump, monkeypatch):
+        calls = []          # (points, made while refining)
+        refining = [False]
+        real_hat, real_refine = type(bump).hat, dualcheck._chandrupatla_roots
+
+        def counted_hat(self, xi):
+            calls.append((np.size(xi), refining[0]))
+            return real_hat(self, xi)
+
+        def flagged_refine(*args):
+            refining[0] = True
+            try:
+                return real_refine(*args)
+            finally:
+                refining[0] = False
+
+        monkeypatch.setattr(type(bump), "hat", counted_hat)
+        monkeypatch.setattr(dualcheck, "_chandrupatla_roots", flagged_refine)
+        dual_mass_report(bump)
+        bisection_calls, bisection_points = self.BISECTION_WORK[bump.label]
+        refine_calls = sum(inside for _, inside in calls)
+        assert refine_calls < 40 and len(calls) < bisection_calls
+        if bump.label != "standard-bump":
+            assert refine_calls <= 12
+        assert sum(points for points, _ in calls) < bisection_points
+
+    @staticmethod
+    def _check(f, true: np.ndarray, a: np.ndarray, b: np.ndarray):
+        from autocorr.dualcheck import _BRACKET_RTOL, _BRACKET_XTOL, _chandrupatla_roots
+
+        roots = _chandrupatla_roots(f, a, b, f(a), f(b))
+        width = _BRACKET_XTOL + _BRACKET_RTOL * np.abs(true)
+        assert np.all((a <= roots) & (roots <= b))
+        assert np.all(np.abs(roots - true) <= width)
+        reference = np.array([_reference_bisection(f, x, y) for x, y in zip(a, b)])
+        assert np.all(np.abs(roots - reference) <= 2.0 * width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2, 6600), st.floats(1e-3, 0.49),
+                              st.floats(1e-3, 0.49)), min_size=1, max_size=30))
+    def test_cosine_far_field(self, brackets):
+        # the Hann transform vanishes exactly at xi = m/2 for m >= 2, the
+        # roots up to its cutoff near 3300; no bracket holds two of them
+        m, below, above = (np.array(v, dtype=np.float64) for v in zip(*brackets))
+        true = m / 2.0
+        self._check(CosineBump().hat, true, true - below, true + above)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 200), st.floats(1e-3, 0.99),
+                              st.floats(1e-3, 0.99)), min_size=1, max_size=30))
+    def test_known_simple_roots(self, brackets):
+        # sin(pi x) exp(-x/7) has its simple roots at the integers
+        k, below, above = (np.array(v, dtype=np.float64) for v in zip(*brackets))
+        self._check(_sin_decay, k, k - below, k + above)
+
+    def test_zero_sample_collapses_its_bracket(self):
+        # the secant step from [2.5, 3.5] lands on the root 3 of x - 3 exactly;
+        # the other bracket of the batch goes on to the root 6 of sin(pi x)
+        from autocorr.dualcheck import _BRACKET_RTOL, _BRACKET_XTOL, _chandrupatla_roots
+
+        def f(x):
+            return np.where(x < 5.0, x - 3.0, _sin_decay(x))
+
+        a, b = np.array([2.5, 5.7]), np.array([3.5, 6.2])
+        roots = _chandrupatla_roots(f, a, b, f(a), f(b))
+        assert roots[0] == 3.0
+        assert abs(roots[1] - 6.0) <= _BRACKET_XTOL + 6.0 * _BRACKET_RTOL
 
 
 class TestNegativePartBound:
@@ -401,6 +503,28 @@ class TestCase2bb:
         assert len(grid) == 81
         assert grid[0] == pytest.approx(0.01) and grid[-1] == pytest.approx(100.0)
         assert residuals.min() >= 0.01
+
+    def test_scan_equals_the_per_a_formula(self):
+        # the residual written out per a, with f0 applied at each shift: the
+        # scan builds the a-free arrays once and must agree bit for bit
+        alpha0 = sinc_min_roots().alpha0
+        w = 1.0 - alpha0
+        t = np.linspace(-1.2, 1.2, 4001)
+        lhs = np.where(np.abs(t) <= 1.0, 0.5, 0.0)
+
+        def reference(a):
+            def f0(x):
+                return np.where(np.abs(x) <= w, 1.0 / (4.0 * a), 0.0)
+
+            triangle = np.maximum(0.0, 2.0 * w - np.abs(t)) / (16.0 * a * a)
+            rhs = 2.0 * a * f0(t - alpha0) + 2.0 * a * f0(t + alpha0) + triangle
+            return float(np.max(np.abs(lhs - rhs)))
+
+        grid, residuals = case2bb_scan()
+        expected = [reference(float(a)) for a in grid]
+        assert np.array_equal(residuals, expected)
+        for a in (0.3, 1.0, 7.0):
+            assert case2bb_residual(a) == reference(a)
 
     def test_continuity_in_a(self):
         grid, residuals = case2bb_scan()

@@ -222,7 +222,8 @@ class TestReachPastTheScan:
 
     @pytest.mark.parametrize("family, a", [("gaussian", 1e-4), ("gaussian", 0.01),
                                            ("gaussian", 1000.0), ("gaussian", 1e5),
-                                           ("indicator", 1e-3), ("indicator", 1000.0)])
+                                           ("gaussian", 2e5), ("indicator", 1e-3),
+                                           ("indicator", 1000.0), ("indicator", 1e6)])
     def test_optimum_outside_the_scan(self, family, a):
         # the sampled family dilates with its parameter, so the record at a is
         # the record at 2 pi, scaled
@@ -235,6 +236,29 @@ class TestReachPastTheScan:
         if family == "gaussian":
             assert rec.best_params[0] ** 2 == pytest.approx(2 * a, rel=1e-4)
         assert rec.evaluations < 100
+
+    @pytest.mark.parametrize("family, a, refused", [("gaussian", 1.2e5, True),
+                                                    ("gaussian", 2e5, True),
+                                                    ("indicator", 1e6, True),
+                                                    ("gaussian", 2 * PI, False),
+                                                    ("gaussian", 1e5, False)])
+    def test_refused_lattices_left_out_of_the_scan(self, family, a, refused):
+        # from a = 1.2e5 the widest Gaussians of the scan (the longest
+        # indicators from a = 1e6) give lattices too coarse for the Gaussian
+        # weight's per-cell rule; the scan keeps the rest, a run of the grid
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        full = tuple(float(g) for g in search_mod._SCANS[family][1])
+        grid, values, i = search_mod._scan("gauss", family, a)
+        assert len(grid) == len(values) and values[i] == max(values)
+        start = full.index(grid[0])
+        assert grid == full[start:start + len(grid)]
+        assert (len(grid) < len(full)) == refused
+        assert baseline("gauss", family, a=a) == values[i]
+
+    def test_all_refused_raises(self):
+        # at a = 1e10 no value of the scan gives an accepted lattice
+        with pytest.raises(ValueError, match="lattice too coarse"):
+            search("gauss", "gaussian", a=1e10)
 
     def test_walk_stops_past_the_builder_clamp(self):
         # b* = 2e-5 lies beyond the clamp b >= 1e-4, where the ratio is flat

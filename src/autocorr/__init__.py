@@ -36,7 +36,6 @@ from .dualcheck import (
     case2bb_residual,
     case2bb_scan,
     dual_mass_report,
-    negative_part_bound_check,
     nu_spectrum_check,
 )
 from .funcspace import (

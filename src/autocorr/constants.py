@@ -82,17 +82,18 @@ def gaussian_closed_form(p: float, a: float, parse: str = "paper-consistent") ->
     return math.exp((log_num - log_den) / (4.0 * (p - 1.0)))
 
 
-def _pipeline_constant(w: Weight, p: float) -> tuple[float, dict[str, float]]:
+def _hy_product(w: Weight, p: float) -> tuple[float, dict[str, float]]:
+    """K_p I_w(p)^(1/p), and its ingredients p, K_p, I_w(p) and I_w(p)'s error bound."""
     K_p = hy_coefficient(p)
     moment = weight_lp_moment(w, p, tol=_QUAD_TOL)
-    value = (K_p * moment.value ** (1 / p)) ** (p / (2 * (p - 1)))
-    ingredients = {
-        "p": float(p),
-        "K_p": K_p,
-        "I_w_p": moment.value,
-        "I_w_p_error": moment.error_bound,
-    }
-    return value, ingredients
+    ingredients = {"p": float(p), "K_p": K_p, "I_w_p": moment.value,
+                   "I_w_p_error": moment.error_bound}
+    return K_p * moment.value ** (1 / p), ingredients
+
+
+def _pipeline_constant(w: Weight, p: float) -> tuple[float, dict[str, float]]:
+    product, ingredients = _hy_product(w, p)
+    return product ** (p / (2 * (p - 1))), ingredients
 
 
 def mean_upper_constant(w: Weight, p: float) -> BoundReport:
@@ -223,15 +224,11 @@ def min_mixed_constant() -> BoundReport:
     M = (L^(pi/2-1) C_pi^(pi/2))^(1/(pi-1)).
     """
     p = math.pi
-    K_p = hy_coefficient(p)
-    moment = weight_lp_moment(IntervalWeight(), p, tol=_QUAD_TOL)
-    c_pi = K_p * moment.value ** (1.0 / p)
+    c_pi, ingredients = _hy_product(IntervalWeight(), p)
     L = sinc_min_roots().min_l1_half
     alpha = (p / 2.0 - 1.0) / (p - 1.0)
     value = (L ** (p / 2.0 - 1.0) * c_pi ** (p / 2.0)) ** (1.0 / (p - 1.0))
-    ingredients = {"p": p, "K_p": K_p, "I_w_p": moment.value,
-                   "I_w_p_error": moment.error_bound,
-                   "C_pi": c_pi, "stefan": L, "alpha": alpha}
+    ingredients.update(C_pi=c_pi, stefan=L, alpha=alpha)
     return BoundReport(name="min-mixed[-1/2,1/2]", value=value, kind="upper-bound",
                        ingredients=ingredients, tolerance=_QUAD_TOL)
 

@@ -48,9 +48,10 @@ __all__ = [
 #
 # ``c`` holds the 2n + 1 lattice values of f*f at t_k = (k - n) h, k = 0..2n,
 # clamped at 0, as ``lattice_autocorrelation`` returns them; the functions
-# below read the piecewise-linear correlation off them exactly.  They do no
-# validation: :class:`Correlation` and the functionals check their inputs
-# once, at the boundary, and call these.
+# below read the piecewise-linear correlation off them exactly.  They do not
+# check the lattice values or the spacing: :class:`Correlation` and the
+# functionals check those once, at the boundary, and call these.  Only
+# ``lattice_min`` refuses an input, an empty window (hi < lo).
 # ---------------------------------------------------------------------------
 
 

@@ -43,9 +43,7 @@ __all__ = [
     "gauss_ratio",
     "min12_ratio",
     "min01_ratio",
-    "mean_ceiling",
     "gauss_ceiling",
-    "min12_ceiling",
     "min01_ceiling",
 ]
 
@@ -56,17 +54,9 @@ MIN12_CEILING = 0.829604       # interpolated mixed-norm constant
 BS_ERROR_ESTIMATE = 4.9232232874369055e-09
 
 
-def mean_ceiling() -> float:
-    return MEAN_CEILING
-
-
 def gauss_ceiling(a: float) -> float:
     """g_2(a) = (8a / (27 pi))^(1/4)."""
     return (8.0 * a / (27.0 * math.pi)) ** 0.25
-
-
-def min12_ceiling() -> float:
-    return MIN12_CEILING
 
 
 def min01_ceiling() -> float:

@@ -240,12 +240,6 @@ class _BudgetExhausted(Exception):
 # ---------------------------------------------------------------------------
 
 
-def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
-    """Floor value for search acceptance: dense 1-D scan or fixed candidate."""
-    value, _ = _baseline_full(objective, family, a=a)
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def _scan(objective: str, family: str,
           a: Optional[float] = None) -> tuple[tuple[float, ...], tuple[float, ...], int]:
@@ -274,13 +268,12 @@ def _scan(objective: str, family: str,
     return tuple(grid), tuple(values), int(np.argmax(values))
 
 
-def _baseline_full(objective: str, family: str,
-                   a: Optional[float] = None) -> tuple[float, Optional[tuple[float, ...]]]:
-    """The floor value and its parameters: the scan's best point, or the BS example."""
+def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
+    """Floor value for search acceptance: the scan's best value, or the BS example's."""
     if family == "bs-example":
-        return _bs_value(objective), None
-    grid, values, i = _scan(objective, family, a)
-    return values[i], (math.sqrt(grid[i]),)
+        return _bs_value(objective)
+    _, values, i = _scan(objective, family, a)
+    return values[i]
 
 
 def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int = 0,

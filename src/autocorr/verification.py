@@ -22,7 +22,7 @@ from . import correlate as corr
 from . import dualcheck as dual
 from . import functionals as fun
 from .search import DEFAULT_BUDGET, baseline, search as run_search
-from .funcspace import BSExample, GridFunction, bs_l1
+from .funcspace import GridFunction
 from .spectral import GaussianWeight, IntervalWeight
 
 __all__ = [
@@ -166,13 +166,10 @@ def criterion_4(fault: bool = False) -> CriterionResult:
 def criterion_5(fault: bool = False) -> CriterionResult:
     """BS example: correlation floor pi/4, L1 norm, min01 ratio."""
     res = CriterionResult(5, "BS example floor and norms")
-    vals = corr.autocorrelate_singular(BSExample(), np.linspace(0.0, 1.0, 101))
-    worst = float(vals[np.isfinite(vals)].min())
-    if fault:
-        worst -= 0.01
+    ratio = fun.q_min_01_bs()  # its numerator is the least f*f on its [0, 1] grid
+    worst = ratio.numerator - (0.01 if fault else 0.0)
     res.checks.append(Check("min f*f on [0,1] grid", worst, math.pi / 4, 1e-4, "ge"))
-    res.checks.append(Check("||f||_1 vs 11 pi/24", bs_l1(), 11 * math.pi / 24, 1e-4))
-    ratio = fun.q_min_01_bs()
+    res.checks.append(Check("||f||_1 vs 11 pi/24", ratio.l1, 11 * math.pi / 24, 1e-4))
     res.checks.append(Check("q_min_01 >= 0.3788", ratio.value, 0.3788, 1e-3, "ge"))
     return res
 
@@ -193,9 +190,9 @@ def criterion_6(fault: bool = False) -> CriterionResult:
         f = random_grid_function(rng)
         a = a_pool[i % 3]
         pairs = [
-            (fun.q_mean(f, method="time").value, fun.mean_ceiling()),
+            (fun.q_mean(f, method="time").value, fun.MEAN_CEILING),
             (fun.q_gauss(f, a, method="time").value, fun.gauss_ceiling(a)),
-            (fun.q_min_12(f).value, fun.min12_ceiling()),
+            (fun.q_min_12(f).value, fun.MIN12_CEILING),
             (fun.q_min_01(f).value, fun.min01_ceiling()),
         ]
         for value, ceiling in pairs:
@@ -254,11 +251,10 @@ def criterion_6(fault: bool = False) -> CriterionResult:
 def criterion_7(fault: bool = False) -> CriterionResult:
     """Dual bound on the positive Fourier mass for all three bump families."""
     res = CriterionResult(7, "dual positive-mass bound")
-    lb = fun.min01_ceiling()
     for bump in dual.BUMPS:
         rep = dual.dual_mass_report(bump)
         pos = rep.positive_mass - (0.05 if fault else 0.0)
-        res.checks.append(Check(f"{rep.bump}: pos mass", pos, lb, 1e-4, "ge"))
+        res.checks.append(Check(f"{rep.bump}: pos mass", pos, rep.lower_bound, 1e-4, "ge"))
         res.checks.append(Check(f"{rep.bump}: refined bound", pos,
                                 rep.refined_bound, 1e-4, "ge"))
         res.checks.append(Check(f"{rep.bump}: sum-diff identity",

@@ -72,3 +72,23 @@ def test_tracer_targets_resolve():
         if not ok:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_tracer_sees_the_calls_it_pins():
+    # negative_part_bound_check is no longer exported and baseline reads the
+    # scan itself, yet the program must still call through both names, or
+    # their per-layer metrics would read 0 while they resolve
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    dualcheck = importlib.import_module("autocorr.dualcheck")
+    search = importlib.import_module("autocorr.search")  # the package shadows the name
+    traced = tracer.Tracer()
+    try:
+        dualcheck.dual_mass_report(dualcheck.CosineBump())
+        search.baseline("min12", "indicator")
+    finally:
+        traced.restore()
+    calls = traced.counts()
+    assert calls["dualcheck.negative_part_bound_check.calls"] == 1
+    assert calls["search.baseline.calls"] == 1

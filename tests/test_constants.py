@@ -18,6 +18,7 @@ from autocorr import (
     minimize_over_p,
     q_mean,
     sinc_min_roots,
+    weight_lp_moment,
 )
 from autocorr.constants import BoundReport, gaussian_closed_form
 
@@ -172,6 +173,18 @@ class TestMinMixedConstant:
         assert rep.value <= 0.829604 + 1e-6
         assert rep.value == pytest.approx(0.829604, abs=5e-4)
         assert rep.ingredients["C_pi"] == pytest.approx(0.8325554, abs=1e-5)
+
+    def test_shares_the_pipeline_product(self):
+        # C_pi comes from the helper behind every C_p, and equals the formula
+        # written out here bit for bit; the ingredient keys are unchanged
+        rep = min_mixed_constant()
+        c_pi = hy_coefficient(PI) * \
+            weight_lp_moment(IntervalWeight(), PI, tol=1e-9).value ** (1 / PI)
+        L = sinc_min_roots().min_l1_half
+        assert rep.ingredients["C_pi"] == c_pi
+        assert rep.value == (L ** (PI / 2 - 1) * c_pi ** (PI / 2)) ** (1 / (PI - 1))
+        assert list(rep.ingredients) == ["p", "K_p", "I_w_p", "I_w_p_error",
+                                         "C_pi", "stefan", "alpha"]
 
     def test_rounded_stefan_sensitivity(self):
         rep = min_mixed_constant()

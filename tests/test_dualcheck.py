@@ -16,13 +16,12 @@ from autocorr import (
     case2bb_residual,
     case2bb_scan,
     dual_mass_report,
-    negative_part_bound_check,
     nu_spectrum_check,
     sample,
     sinc_min_roots,
 )
 from autocorr import dualcheck
-from autocorr.dualcheck import NormalizationError
+from autocorr.dualcheck import NormalizationError, negative_part_bound_check
 
 PI = math.pi
 LOWER = 0.41076748818940534  # 1/(2(1+theta0))
@@ -400,7 +399,7 @@ class TestNegativePartBound:
         assert rep.identity_gap == pytest.approx(gap, abs=1e-10)
         assert rep.inequality_slack == pytest.approx(slack, abs=1e-10)
         assert (rep.identity_gap, rep.inequality_slack) == \
-            negative_part_bound_check(bump, rep.negative_mass)
+            negative_part_bound_check(bump, rep.negative_mass, rep.value0)
 
     def test_label_is_not_an_option(self):
         # every BetaPowerBump is "beta-power": a label could not tell k apart
@@ -438,6 +437,27 @@ class TestNuSpectrumCheck:
         assert rep.nu_hat_xi0 >= theta0 - 1e-6
         assert rep.nu_hat_xi0 <= rep.nu_hat_0 + 1e-6
         assert rep.nu_hat_0 == pytest.approx(rep.tv ** 2 - 1.0, abs=1e-8)
+
+    def test_batched_calls_equal_the_per_level_ones(self):
+        # one interval_mass call over the whole dyadic lattice and one
+        # fourier_measure call at [xi0, 0] give what one call per level and
+        # one per frequency give, bit for bit
+        from autocorr.correlate import measure_correlation
+        from autocorr.spectral import fourier_measure, sinc
+
+        mu = _tuned_atom_density_measure()
+        rep = nu_spectrum_check(mu)
+        mc = measure_correlation(mu)
+        nu_min = math.inf
+        for j in range(11):
+            w = 2.0 ** (-j)
+            edges = np.arange(-1.0, 1.0 + w / 2, w)
+            masses = np.asarray(mc.interval_mass(edges[:-1], edges[1:]))
+            nu_min = min(nu_min, float((masses - 0.5 * w).min()))
+        assert rep.nu_min == nu_min
+        xi0 = sinc_min_roots().xi0
+        assert rep.nu_hat_xi0 == float(abs(fourier_measure(mu, xi0)) ** 2 - sinc(2 * xi0))
+        assert rep.nu_hat_0 == float(abs(fourier_measure(mu, 0.0)) ** 2 - 1.0)
 
     def test_near_extremal_density(self):
         # renormalized pure density whose window infimum is 1/2: scaled

@@ -151,6 +151,13 @@ class TestQMin01:
         assert q_min_01_bs().value == 0.3788150711608748
         assert verification.criterion_5().passed
 
+    def test_criterion_5_reads_the_ratio(self):
+        # criterion 5 measures the numerator, the norm and the ratio of the
+        # one q_min_01_bs it runs
+        r = q_min_01_bs()
+        measured = [c.measured for c in verification.criterion_5().checks]
+        assert measured == [r.numerator, r.l1, r.value]
+
 
 class TestCeilings:
     def test_random_functions_respect_all_ceilings(self):

@@ -25,7 +25,6 @@ from autocorr import (
 from autocorr.functionals import gauss_ceiling, min01_ceiling
 from autocorr.search import (
     OBJECTIVES,
-    _baseline_full,
     _evaluate,
     _family_builder,
     _objective_kernel,
@@ -373,12 +372,10 @@ class TestBaseline:
     def test_scan_cached_read_only(self, monkeypatch):
         # the search brackets its golden section from the floor's scan instead
         # of repeating it
-        value, params = _baseline_full("min12", "indicator")
-        assert isinstance(params, tuple)
+        value = baseline("min12", "indicator")
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         evaluate = search_mod._evaluate
         monkeypatch.setattr(search_mod, "_evaluate", None)  # no evaluation may run
-        assert _baseline_full("min12", "indicator") == (value, params)
         assert baseline("min12", "indicator") == value
         calls = []
         monkeypatch.setattr(search_mod, "_evaluate",

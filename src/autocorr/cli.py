@@ -171,6 +171,8 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ValueError(f"{cfg.command} needs --family and --functional")
     if cfg.family == "bs-example" and cfg.functional != "min01":
         raise ValueError("the bs-example family supports only the min01 functional")
+    if cfg.fault_inject not in (None, *verification.CRITERIA):  # else it would test nothing
+        raise ValueError(f"'fault_inject' must be a criterion, 1 to 9, got {cfg.fault_inject}")
     return cfg
 
 

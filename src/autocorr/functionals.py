@@ -12,16 +12,18 @@ Every result is checked against its proven theorem ceiling; a breach raises
 :class:`InvariantViolation` since it can only come from a numerics bug.
 
 Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
-``min12_ratio``, ``min01_ratio``) on cell values and cell width: norms,
-zero-function check, numerator and ceiling check.  The ``q_*`` functions
-wrap it in a :class:`RatioResult`; the search calls it directly.
+``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2) of
+``lattice_and_norms``, the one place that correlates the cells and refuses
+the zero function.  The ``q_*`` functions build the tuple once and wrap the
+core's fields, with the Fourier side for "both", in a :class:`RatioResult`;
+the search and criterion 6 call the cores on their own tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "q_min_12",
     "q_min_01",
     "q_min_01_bs",
+    "lattice_and_norms",
     "mean_ratio",
     "gauss_ratio",
     "min12_ratio",
@@ -103,13 +106,6 @@ class RatioResult:
             raise ValueError("value is not numerator/denominator")
 
 
-def _norms_or_raise(samples: np.ndarray, spacing: float) -> tuple[float, float]:
-    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
-    if l1 == 0.0 or l2 == 0.0:
-        raise ZeroFunctionError("functional undefined for the zero function")
-    return l1, l2
-
-
 def _ceiling_check(functional: str, value: float, ceiling: float, err: float) -> None:
     if value > ceiling + err + 1e-9 * max(1.0, abs(ceiling)):
         raise InvariantViolation(
@@ -119,50 +115,54 @@ def _ceiling_check(functional: str, value: float, ceiling: float, err: float) ->
 # ---------------------------------------------------------------------------
 # array cores
 #
-# Each core takes the cell values and the cell width of a grid function that
-# the caller has already checked (finite, nonnegative samples, positive
-# spacing: a GridFunction, or the search's family builders) and returns the
-# fields of a RatioResult after ``functional`` and ``method``:
-# (value, numerator, l1, l2, error_estimate[, fourier_numerator]).  It raises
-# ZeroFunctionError for the zero function and InvariantViolation on a ceiling
-# breach.  The q_* functions wrap the same cores.
+# ``lattice_and_norms`` takes cell values and width that the caller has
+# checked (finite, nonnegative samples, positive spacing: a GridFunction, or
+# the search's family builders).  Each core reads its tuple (c, h, l1, l2),
+# returns the fields of a RatioResult after ``functional`` and ``method``,
+# (value, numerator, l1, l2, error_estimate[, fourier_numerator]), and raises
+# InvariantViolation on a ceiling breach.
 # ---------------------------------------------------------------------------
 
-# Fourier side of a weighted mean: (weight, l1 * l2) -> its numerator
-_FourierSide = Callable[[Weight, float], float]
+LatticeAndNorms = tuple[np.ndarray, float, float, float]
 
 
-def _weighted_mean(samples: np.ndarray, spacing: float, w: Weight, label: str,
-                   ceiling: float, fourier: Optional[_FourierSide]) -> tuple:
-    l1, l2 = _norms_or_raise(samples, spacing)
-    num = w.correlation_integral(lattice_autocorrelation(samples, spacing), spacing)
+def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
+    """(c, h, l1, l2) of the cell model; ZeroFunctionError for the zero function."""
+    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
+    if l1 == 0.0 or l2 == 0.0:
+        raise ZeroFunctionError("functional undefined for the zero function")
+    return lattice_autocorrelation(samples, spacing), spacing, l1, l2
+
+
+def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,
+                   f: Optional[GridFunction] = None, tol: float = 0.0) -> tuple:
+    """The time side; given f, then also its Fourier side to tol ||f||_1 ||f||_2."""
+    c, h, l1, l2 = lat
+    num = w.correlation_integral(c, h)  # first: it refuses a too coarse lattice at once
     err = 1e-13 * l1 * l1  # time side is exact up to rounding
     fourier_num = None
-    if fourier is not None:
-        fourier_num = fourier(w, l1 * l2)
+    if f is not None:
+        fourier_num = mean_functional_fourier(f, w, tol=tol * (l1 * l2))
         err = max(err, abs(num - fourier_num))
     value = num / (l1 * l2)
     _ceiling_check(label, value, ceiling, err / (l1 * l2))
     return value, num, l1, l2, err, fourier_num
 
 
-def mean_ratio(samples: np.ndarray, spacing: float,
-               fourier: Optional[_FourierSide] = None) -> tuple:
-    """Array core of :func:`q_mean`."""
-    return _weighted_mean(samples, spacing, IntervalWeight(), "mean", MEAN_CEILING, fourier)
+def mean_ratio(lat: LatticeAndNorms) -> tuple:
+    """Array core of :func:`q_mean`, time side only."""
+    return _weighted_mean(lat, IntervalWeight(), "mean", MEAN_CEILING)
 
 
-def gauss_ratio(samples: np.ndarray, spacing: float, a: float,
-                fourier: Optional[_FourierSide] = None) -> tuple:
-    """Array core of :func:`q_gauss`."""
-    return _weighted_mean(samples, spacing, GaussianWeight(a), "gauss", gauss_ceiling(a),
-                          fourier)
+def gauss_ratio(lat: LatticeAndNorms, a: float) -> tuple:
+    """Array core of :func:`q_gauss`, time side only."""
+    return _weighted_mean(lat, GaussianWeight(a), "gauss", gauss_ceiling(a))
 
 
-def _window_min(samples: np.ndarray, spacing: float, lo: float, hi: float, label: str,
-                ceiling: float, square_denominator: bool) -> tuple:
-    l1, l2 = _norms_or_raise(samples, spacing)
-    num = lattice_min(lattice_autocorrelation(samples, spacing), spacing, lo, hi)
+def _window_min(lat: LatticeAndNorms, lo: float, hi: float, label: str, ceiling: float,
+                square_denominator: bool) -> tuple:
+    c, h, l1, l2 = lat
+    num = lattice_min(c, h, lo, hi)
     denom = l1 * l1 if square_denominator else l1 * l2
     value = num / denom
     err = 1e-13  # lattice minimum of the cell model is exact
@@ -170,16 +170,14 @@ def _window_min(samples: np.ndarray, spacing: float, lo: float, hi: float, label
     return value, num, l1, l2, err
 
 
-def min12_ratio(samples: np.ndarray, spacing: float) -> tuple:
+def min12_ratio(lat: LatticeAndNorms) -> tuple:
     """Array core of :func:`q_min_12`."""
-    return _window_min(samples, spacing, -0.5, 0.5, "min12", MIN12_CEILING,
-                       square_denominator=False)
+    return _window_min(lat, -0.5, 0.5, "min12", MIN12_CEILING, square_denominator=False)
 
 
-def min01_ratio(samples: np.ndarray, spacing: float) -> tuple:
+def min01_ratio(lat: LatticeAndNorms) -> tuple:
     """Array core of :func:`q_min_01` on a grid function."""
-    return _window_min(samples, spacing, 0.0, 1.0, "min01", min01_ceiling(),
-                       square_denominator=True)
+    return _window_min(lat, 0.0, 1.0, "min01", min01_ceiling(), square_denominator=True)
 
 
 # ---------------------------------------------------------------------------
@@ -187,30 +185,31 @@ def min01_ratio(samples: np.ndarray, spacing: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fourier_side(f: GridFunction, method: str, tol: float) -> Optional[_FourierSide]:
+def _q_weighted(f: GridFunction, w: Weight, label: str, ceiling: float, method: str,
+                tol: float) -> RatioResult:
+    """q_mean or q_gauss: the core of its weight, with the Fourier side for "both"."""
     if method not in ("both", "time"):
         raise ValueError(f"method must be 'both' or 'time', got {method!r}")
-    if method == "time":
-        return None
-    return lambda w, scale: mean_functional_fourier(f, w, tol=tol * scale)
+    lat = lattice_and_norms(f.samples, f.spacing)
+    fourier_f = f if method == "both" else None
+    return RatioResult(label, method, *_weighted_mean(lat, w, label, ceiling, fourier_f, tol))
 
 
 def q_mean(f: GridFunction, method: str = "both", tol: float = 1e-6) -> RatioResult:
     """int_{-1/2}^{1/2} f*f / (||f||_1 ||f||_2); bounded by 0.8641."""
-    parts = mean_ratio(f.samples, f.spacing, _fourier_side(f, method, tol))
-    return RatioResult("mean", method, *parts)
+    return _q_weighted(f, IntervalWeight(), "mean", MEAN_CEILING, method, tol)
 
 
 def q_gauss(f: GridFunction, a: float, method: str = "both",
             tol: float = 1e-6) -> RatioResult:
     """sqrt(a/pi) iint f f e^(-a t^2) / (||f||_1 ||f||_2); bounded by g_2(a)."""
-    parts = gauss_ratio(f.samples, f.spacing, a, _fourier_side(f, method, tol))
-    return RatioResult("gauss", method, *parts)
+    return _q_weighted(f, GaussianWeight(a), "gauss", gauss_ceiling(a), method, tol)
 
 
 def q_min_12(f: GridFunction) -> RatioResult:
     """min over [-1/2,1/2] of f*f over ||f||_1 ||f||_2; bounded by 0.829604."""
-    return RatioResult("min12", "lattice-exact", *min12_ratio(f.samples, f.spacing))
+    return RatioResult("min12", "lattice-exact",
+                       *min12_ratio(lattice_and_norms(f.samples, f.spacing)))
 
 
 def q_min_01(f: GridFunction) -> RatioResult:
@@ -219,7 +218,8 @@ def q_min_01(f: GridFunction) -> RatioResult:
     The singular BS example is not a grid function; :func:`q_min_01_bs`
     evaluates it.
     """
-    return RatioResult("min01", "lattice-exact", *min01_ratio(f.samples, f.spacing))
+    return RatioResult("min01", "lattice-exact",
+                       *min01_ratio(lattice_and_norms(f.samples, f.spacing)))
 
 
 def q_min_01_bs() -> RatioResult:

@@ -28,9 +28,9 @@ example has no free parameter, so its record is a single evaluation.
 Each candidate is evaluated once, at array speed.  A family builder turns
 the parameters into the cell values and cell width of a grid function (the
 midpoint arithmetic of ``funcspace.sample``), ``_evaluate`` checks them once
-(finite, nonnegative values, positive width), and the objective kernel calls
-the ratio's array core in :mod:`autocorr.functionals`, which is the lattice
-code the ``q_*`` functions wrap.  The winner's value is therefore the public
+(finite, nonnegative values, positive width), and the objective kernel reads
+the ratio's array core off their one ``functionals.lattice_and_norms`` tuple,
+as the ``q_*`` functions do.  The winner's value is therefore the public
 ``q_*`` value at its parameters, bit for bit, and is not evaluated again.  No
 GridFunction, Correlation or RatioResult is built per evaluation, yet every
 evaluation still raises ZeroFunctionError or the proven-ceiling
@@ -49,7 +49,8 @@ import numpy as np
 
 from .constants import _golden_min
 from .funcspace import Gaussian, Indicator, _midpoint_samples
-from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs
+from .functionals import (LatticeAndNorms, gauss_ratio, lattice_and_norms, mean_ratio,
+                          min01_ratio, min12_ratio, q_min_01_bs)
 
 __all__ = [
     "SearchRecord",
@@ -83,7 +84,7 @@ class SearchRecord:
 # ---------------------------------------------------------------------------
 
 _Samples = tuple[np.ndarray, float]
-_Kernel = Callable[[np.ndarray, float], float]
+_Kernel = Callable[[LatticeAndNorms], float]
 
 
 def _build_indicator(params: np.ndarray) -> _Samples:
@@ -103,18 +104,15 @@ def _build_piecewise(params: np.ndarray, halfwidth: float) -> _Samples:
 
 
 def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
-    """The ratio of (samples, spacing) through the functionals' array core."""
-    if objective == "mean":
-        return lambda s, h: mean_ratio(s, h)[0]
+    """The ratio of a lattice-and-norms tuple through the functionals' array core."""
     if objective == "gauss":
         if a is None or not a > 0:
             raise ValueError("the gauss objective needs a > 0")
-        return lambda s, h: gauss_ratio(s, h, a)[0]
-    if objective == "min12":
-        return lambda s, h: min12_ratio(s, h)[0]
-    if objective == "min01":
-        return lambda s, h: min01_ratio(s, h)[0]
-    raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+        return lambda lat: gauss_ratio(lat, a)[0]
+    core = {"mean": mean_ratio, "min12": min12_ratio, "min01": min01_ratio}.get(objective)
+    if core is None:
+        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    return lambda lat: core(lat)[0]
 
 
 # The one-parameter families: the builder, and the 288 values of the family
@@ -152,14 +150,14 @@ def _bs_value(objective: str) -> float:
 
 def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
               params: np.ndarray) -> float:
-    """The ratio at params.  The simplex gives the builder its parameters, so
-    output that fails the check is a program fault (RuntimeError)."""
+    """The ratio at params.  Only the optimizers give the builder parameters,
+    so output that fails the check is a program fault (RuntimeError)."""
     samples, spacing = build(params)
     if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
         raise RuntimeError("family builder gave non-finite or negative samples")
     if not (math.isfinite(spacing) and spacing > 0):
         raise RuntimeError(f"family builder gave spacing {spacing}, not positive")
-    return kernel(samples, spacing)
+    return kernel(lattice_and_norms(samples, spacing))
 
 
 # ---------------------------------------------------------------------------

@@ -189,19 +189,19 @@ def criterion_6(fault: bool = False) -> CriterionResult:
     for i in range(200):
         f = random_grid_function(rng)
         a = a_pool[i % 3]
+        lat = fun.lattice_and_norms(f.samples, f.spacing)  # one lattice of f*f for all
+        c, h, l1, _ = lat  # h c.sum() is Correlation.mass, the lattice trapezoid of f*f
         pairs = [
-            (fun.q_mean(f, method="time").value, fun.MEAN_CEILING),
-            (fun.q_gauss(f, a, method="time").value, fun.gauss_ceiling(a)),
-            (fun.q_min_12(f).value, fun.MIN12_CEILING),
-            (fun.q_min_01(f).value, fun.min01_ceiling()),
+            (fun.mean_ratio(lat)[0], fun.MEAN_CEILING),
+            (fun.gauss_ratio(lat, a)[0], fun.gauss_ceiling(a)),
+            (fun.min12_ratio(lat)[0], fun.MIN12_CEILING),
+            (fun.min01_ratio(lat)[0], fun.min01_ceiling()),
         ]
         for value, ceiling in pairs:
             worst_margin = min(worst_margin, ceiling - value)
-        cr = corr.autocorrelate(f)
-        c = cr.values
         worst_even = max(worst_even, float(np.max(np.abs(c - c[::-1]))))
         worst_peak = max(worst_peak, float(np.max(c) - c[c.size // 2]))
-        worst_fubini = max(worst_fubini, abs(cr.mass - f.l1_norm ** 2) / f.l1_norm ** 2)
+        worst_fubini = max(worst_fubini, abs(float(h * c.sum()) - l1 ** 2) / l1 ** 2)
     if fault:
         worst_margin = -1.0
     res.checks.append(Check("worst ceiling margin", worst_margin, 0.0, slack, "ge"))
@@ -213,11 +213,10 @@ def criterion_6(fault: bool = False) -> CriterionResult:
     rng2 = np.random.default_rng(_SEED + 1)
     for i in range(50):
         f = random_grid_function(rng2, max_cells=32)
-        scale = f.l1_norm * f.l2_norm
         for q in (fun.q_mean(f, method="both"),
                   fun.q_gauss(f, 2 * math.pi, method="both")):
             worst_agree = max(worst_agree,
-                              abs(q.numerator - q.fourier_numerator) / scale)
+                              abs(q.numerator - q.fourier_numerator) / (q.l1 * q.l2))
     res.checks.append(Check("worst time/Fourier disagreement", worst_agree, 0.0, 1e-6))
 
     worst_dom = math.inf

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
-from autocorr.verification import CRITERIA, run_acceptance
+import autocorr.correlate
+import autocorr.functionals
+from autocorr.verification import CRITERIA, criterion_6, run_acceptance
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))
@@ -31,3 +33,20 @@ def test_fault_injection_negative_control():
     results = run_acceptance(fault=4, only=[4])
     assert len(results) == 1
     assert not results[0].passed
+
+
+def test_criterion_6_reads_one_lattice_per_function(monkeypatch):
+    # 200 functions whose four ratios and correlation laws share one lattice,
+    # 50 q_mean/q_gauss pairs at two lattices each, and 50 periodization and
+    # 50 dilation pairs at two lattices each
+    calls = []
+    lattice = autocorr.correlate.lattice_autocorrelation
+
+    def counted(samples, spacing):
+        calls.append(samples.size)
+        return lattice(samples, spacing)
+
+    for module in (autocorr.correlate, autocorr.functionals):
+        monkeypatch.setattr(module, "lattice_autocorrelation", counted)
+    assert criterion_6().passed
+    assert len(calls) == 200 + 2 * 50 + 2 * 50 + 2 * 50

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from autocorr import GridFunction, cli, q_min_12
+from autocorr import GridFunction, cli, q_min_12, verification
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
@@ -575,3 +575,13 @@ class TestVerifyFaultInjection:
         assert rep["passed"] is False
         by_idx = {r["criterion"]: r for r in rep["results"]}
         assert by_idx[4]["passed"] is False
+
+    @pytest.mark.parametrize("k", [0, 10, 42, -1])
+    def test_fault_outside_criteria_exits_2(self, tmp_path, capsys, monkeypatch, k):
+        # a fault aimed at no criterion would corrupt nothing: refused as input,
+        # before any criterion runs and with no report written
+        monkeypatch.setattr(verification, "run_acceptance", None)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--fault-inject", str(k), "--json", str(out)]) == 2
+        assert "'fault_inject'" in capsys.readouterr().err
+        assert not out.exists()

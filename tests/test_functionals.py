@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autocorr import (
     BSExample,
@@ -22,8 +24,16 @@ from autocorr import (
     q_min_12,
     sample,
 )
-from autocorr import verification
-from autocorr.functionals import gauss_ceiling, min01_ceiling
+from autocorr import functionals, verification
+from autocorr.functionals import (
+    gauss_ceiling,
+    gauss_ratio,
+    lattice_and_norms,
+    mean_ratio,
+    min01_ceiling,
+    min01_ratio,
+    min12_ratio,
+)
 
 PI = math.pi
 
@@ -90,6 +100,14 @@ class TestFourierSide:
             assert type(four) is float and r.fourier_numerator == four
             assert g.fourier_numerator == mean_functional_fourier(f, GaussianWeight(2 * PI),
                                                                   tol=tol)
+
+    def test_coarse_lattice_refused_before_the_fourier_side(self, monkeypatch):
+        # the time side refuses a lattice too coarse for the Gaussian weight at
+        # once; the Fourier side, which would sum about 2e7 terms here, never runs
+        monkeypatch.setattr(functionals, "mean_functional_fourier", None)
+        f = sample(Gaussian(1.0), support=(-1000.0, 1000.0), cells=2048)
+        with pytest.raises(ValueError, match="lattice too coarse"):
+            q_gauss(f, 1e10)
 
 
 class TestQMin12:
@@ -173,3 +191,35 @@ class TestCeilings:
         for r in (q_mean(f), q_gauss(f, 1.0), q_min_12(f), q_min_01(f)):
             assert r.error_estimate >= 0
             assert r.value * r.denominator == pytest.approx(r.numerator, rel=1e-12)
+
+
+@st.composite
+def _nonzero_cells(draw):
+    """A grid function of 1..40 cells, zero or in [1e-3, 1e3], one of them nonzero."""
+    n = draw(st.integers(1, 40))
+    cell = st.floats(1e-3, 1e3)
+    samples = np.array(draw(st.lists(st.one_of(st.just(0.0), cell), min_size=n, max_size=n)))
+    samples[draw(st.integers(0, n - 1))] = draw(cell)
+    return GridFunction(draw(st.floats(-2.0, 0.0)), draw(st.floats(0.01, 0.5)), samples)
+
+
+def _fields(r) -> tuple:
+    return r.value, r.numerator, r.l1, r.l2, r.error_estimate
+
+
+class TestSharedLattice:
+    # every core reads the one (c, h, l1, l2) tuple that its q_* builds
+    @settings(max_examples=100, deadline=None)
+    @given(f=_nonzero_cells(), a=st.sampled_from([0.5, 2 * PI, 20.0]))
+    def test_cores_on_one_tuple_equal_q_fields(self, f, a):
+        lat = lattice_and_norms(f.samples, f.spacing)
+        assert mean_ratio(lat) == _fields(q_mean(f, method="time")) + (None,)
+        assert gauss_ratio(lat, a) == _fields(q_gauss(f, a, method="time")) + (None,)
+        assert min12_ratio(lat) == _fields(q_min_12(f))
+        assert min01_ratio(lat) == _fields(q_min_01(f))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 40), spacing=st.floats(1e-3, 10.0))
+    def test_zero_cells_refused(self, n, spacing):
+        with pytest.raises(ZeroFunctionError):
+            lattice_and_norms(np.zeros(n), spacing)

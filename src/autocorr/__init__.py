@@ -17,6 +17,7 @@ from .constants import (
     hy_coefficient,
     indicator_min_lower,
     mean_upper_constant,
+    mean_upper_sweep,
     min_l1_constant,
     min_mixed_constant,
     minimize_over_p,

@@ -31,7 +31,7 @@ from . import constants as C
 from . import dualcheck as dual
 from . import functionals as fun
 from . import verification
-from .search import DEFAULT_BUDGET, search as run_search
+from .search import DEFAULT_BUDGET, OBJECTIVES, search as run_search
 from .funcspace import Gaussian, GridFunction, Indicator, sample
 from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, IntervalWeight
 
@@ -88,7 +88,7 @@ _FAMILY_KEYS = {"b": ("gaussian",), "s": ("indicator", "piecewise-constant"),
 _CHOICES = {
     "weight": ("interval", "gaussian"),
     "family": ("gaussian", "indicator", "piecewise-constant", "bs-example"),
-    "functional": ("mean", "gauss", "min12", "min01"),
+    "functional": OBJECTIVES,
 }
 
 _HELP = {
@@ -226,11 +226,9 @@ def _cmd_constants(cfg: RunConfig) -> _Output:
                *C.min_l1_constant(), C.min_mixed_constant(), C.indicator_min_lower()]
     if isinstance(w, GaussianWeight):
         reports.append(C.gaussian_mean_lower(w.a))
-    sweep = []
-    for p in C._p_grid(cfg.p_min, cfg.p_max):
-        rep = C.mean_upper_constant(w, float(p))
-        sweep.append([f"{p:.6g}", f"{rep.ingredients['K_p']:.12g}",
-                      f"{rep.ingredients['I_w_p']:.12g}", f"{rep.value:.12g}"])
+    sweep = [[f"{rep.ingredients['p']:.6g}", f"{rep.ingredients['K_p']:.12g}",
+              f"{rep.ingredients['I_w_p']:.12g}", f"{rep.value:.12g}"]
+             for rep in C.mean_upper_sweep(w, (cfg.p_min, cfg.p_max))]
     rows = [_row(rep, "constants", "name", "value", "kind", "ingredients", "tolerance")
             for rep in reports]
     lines = [f"{rep.name:28s} {rep.value:.8f}  [{rep.kind}]" for rep in reports]

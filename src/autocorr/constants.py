@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import GaussianWeight, IntervalWeight, Weight, weight_lp_moment
+from .spectral import MOMENT_TOL, GaussianWeight, IntervalWeight, Weight, weight_lp_moment
 
 __all__ = [
     "BoundReport",
     "SincRoots",
     "hy_coefficient",
     "mean_upper_constant",
+    "mean_upper_sweep",
     "minimize_over_p",
     "sinc_min_roots",
     "min_l1_constant",
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _KINDS = ("upper-bound", "lower-bound", "root")
-_QUAD_TOL = 1e-9  # tolerance of every sinc-power moment behind a constant
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def gaussian_closed_form(p: float, a: float, parse: str = "paper-consistent") ->
 def _hy_product(w: Weight, p: float) -> tuple[float, dict[str, float]]:
     """K_p I_w(p)^(1/p), and its ingredients p, K_p, I_w(p) and I_w(p)'s error bound."""
     K_p = hy_coefficient(p)
-    moment = weight_lp_moment(w, p, tol=_QUAD_TOL)
+    moment = weight_lp_moment(w, p)
     ingredients = {"p": float(p), "K_p": K_p, "I_w_p": moment.value,
                    "I_w_p_error": moment.error_bound}
     return K_p * moment.value ** (1 / p), ingredients
@@ -97,7 +97,7 @@ def _pipeline_constant(w: Weight, p: float) -> tuple[float, dict[str, float]]:
 
 
 def mean_upper_constant(w: Weight, p: float) -> BoundReport:
-    """C_p(w) = (K_p I_w(p)^(1/p))^(p/(2(p-1))) for p >= 2, moments at tolerance 1e-9."""
+    """C_p(w) = (K_p I_w(p)^(1/p))^(p/(2(p-1))) for p >= 2, moments at ``MOMENT_TOL``."""
     if not p >= 2:
         raise ValueError(f"the mean bound needs p >= 2, got {p}")
     value, ingredients = _pipeline_constant(w, p)
@@ -106,7 +106,7 @@ def mean_upper_constant(w: Weight, p: float) -> BoundReport:
             ingredients[f"closed_form_{parse.replace('-', '_')}"] = \
                 gaussian_closed_form(p, w.a, parse)
     return BoundReport(name=f"mean-upper[{w.label}]", value=value, kind="upper-bound",
-                       ingredients=ingredients, tolerance=_QUAD_TOL)
+                       ingredients=ingredients, tolerance=MOMENT_TOL)
 
 
 def _golden_min(fn, grid, i: int, tol: float) -> float:
@@ -130,29 +130,26 @@ def _golden_min(fn, grid, i: int, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _p_grid(lo: float, hi: float) -> np.ndarray:
-    """The p scan of [lo, hi]: both ends included, spacing at most 1/4."""
-    return np.linspace(lo, hi, math.ceil((hi - lo) / 0.25) + 1)
-
-
-def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> BoundReport:
-    """inf over p in ``p_range`` of C_p(w): coarse grid then golden section to 1e-6."""
-    tol = 1e-6
+def mean_upper_sweep(w: Weight, p_range: tuple[float, float]) -> list[BoundReport]:
+    """C_p(w) at each p of the scan of ``p_range``: both ends, spacing at most 1/4."""
     lo, hi = float(p_range[0]), float(p_range[1])
     if lo < 2.0 or hi < lo or not np.isfinite(hi):
         raise ValueError(f"p range must satisfy 2 <= lo <= hi < inf, got {p_range}")
+    grid = np.linspace(lo, hi, math.ceil((hi - lo) / 0.25) + 1)
+    return [mean_upper_constant(w, float(p)) for p in grid]
 
-    def cp(p: float) -> float:
-        return _pipeline_constant(w, p)[0]
 
-    grid = _p_grid(lo, hi)
-    vals = [cp(p) for p in grid]
-    i = int(np.argmin(vals))
-    p_star = _golden_min(cp, grid, i, tol)
+def minimize_over_p(w: Weight, p_range: tuple[float, float] = (2.0, 12.0)) -> BoundReport:
+    """inf over p in ``p_range`` of C_p(w): the sweep's best p, then golden section to 1e-6."""
+    tol = 1e-6
+    sweep = mean_upper_sweep(w, p_range)
+    grid = [rep.ingredients["p"] for rep in sweep]
+    i = int(np.argmin([rep.value for rep in sweep]))
+    p_star = _golden_min(lambda p: _pipeline_constant(w, p)[0], grid, i, tol)
     value, ingredients = _pipeline_constant(w, p_star)
     ingredients["p_star"] = p_star
-    ingredients["grid_best_p"] = float(grid[i])
-    ingredients["grid_best_value"] = float(vals[i])
+    ingredients["grid_best_p"] = grid[i]
+    ingredients["grid_best_value"] = sweep[i].value
     return BoundReport(name=f"mean-upper-inf[{w.label}]", value=value,
                        kind="upper-bound", ingredients=ingredients, tolerance=tol)
 
@@ -230,7 +227,7 @@ def min_mixed_constant() -> BoundReport:
     value = (L ** (p / 2.0 - 1.0) * c_pi ** (p / 2.0)) ** (1.0 / (p - 1.0))
     ingredients.update(C_pi=c_pi, stefan=L, alpha=alpha)
     return BoundReport(name="min-mixed[-1/2,1/2]", value=value, kind="upper-bound",
-                       ingredients=ingredients, tolerance=_QUAD_TOL)
+                       ingredients=ingredients, tolerance=MOMENT_TOL)
 
 
 def indicator_min_lower() -> BoundReport:

@@ -25,7 +25,7 @@ import numpy as np
 from .constants import sinc_min_roots
 from .correlate import measure_correlation
 from .funcspace import MixedMeasure, _gauss_pieces
-from .spectral import _phase_sum, fourier_measure, sinc
+from .spectral import _phase_sum, fourier_measure
 
 __all__ = [
     "StandardBump",
@@ -145,7 +145,7 @@ class CosineBump:
         # three-sinc form of the Hann window transform; the closed form is
         # 0/0 at xi = +-1/2 and loses accuracy near there
         x = xi[~far]
-        out[~far] = sinc(2 * x) + 0.5 * (sinc(2 * x - 1) + sinc(2 * x + 1))
+        out[~far] = np.sinc(2 * x) + 0.5 * (np.sinc(2 * x - 1) + np.sinc(2 * x + 1))
         return out if out.ndim else float(out)
 
     def cutoff(self, tol: float) -> float:
@@ -438,7 +438,7 @@ def nu_spectrum_check(mu: MixedMeasure) -> NuSpectrumReport:
     roots = sinc_min_roots()
     xi0 = roots.xi0
     mu_hat_xi0, mu_hat_0 = fourier_measure(mu, np.array([xi0, 0.0]))
-    nu_hat_xi0 = float(abs(mu_hat_xi0) ** 2 - sinc(2 * xi0))
+    nu_hat_xi0 = float(abs(mu_hat_xi0) ** 2 - np.sinc(2 * xi0))
     tv = mu.total_variation
     nu_hat_0 = float(abs(mu_hat_0) ** 2 - 1.0)
     report = NuSpectrumReport(window_inf=inf_ratio, nu_min=nu_min,

@@ -1,8 +1,8 @@
 """The inequality ratios: weighted means and window minima of f*f.
 
 Each functional divides by ||f||_1 ||f||_2 (mean, gauss, min12) or ||f||_1^2
-(min01).  Weighted means carry both a time-side evaluation (exact on the cell
-model) and, with ``method="both"``, the Fourier-side one of Plancherel
+(min01).  ``q_mean`` and ``q_gauss`` carry both a time-side evaluation (exact
+on the cell model) and the Fourier-side one of Plancherel
 (``mean_functional_fourier``); the ratio always uses the time side, and the
 disagreement of the two sides is the error estimate, the only measure of the
 Fourier side's accuracy.  Window minima are exact because the cell-model
@@ -14,14 +14,16 @@ Every result is checked against its proven theorem ceiling; a breach raises
 Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
 ``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2) of
 ``lattice_and_norms``, the one place that correlates the cells and refuses
-the zero function.  The ``q_*`` functions build the tuple once and wrap the
-core's fields, with the Fourier side for "both", in a :class:`RatioResult`;
-the search and criterion 6 call the cores on their own tuple.
+the zero function and sample scales that the float range cannot hold.  The
+``q_*`` functions build the tuple once and wrap the core's fields, with the
+Fourier side for the weighted means, in a :class:`RatioResult`; the search
+and criterion 6 call the cores, the time side alone, on their own tuple.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,24 +49,20 @@ __all__ = [
     "min12_ratio",
     "min01_ratio",
     "gauss_ceiling",
-    "min01_ceiling",
 ]
 
 MEAN_CEILING = 0.8641          # Theorem-1 consequence, printed rounding
 MIN12_CEILING = 0.829604       # interpolated mixed-norm constant
+MIN01_CEILING = sinc_min_roots().min_l1_01   # 1/(2(1+theta0)), window-[0,1] pure-L1
 # error reported by q_min_01_bs, 1e-8/||f||_1^2 + 1e-10 with ||f||_1 = bs_l1():
 # a fixed, conservative figure (the closed-form grid values are good to ~1e-15)
 BS_ERROR_ESTIMATE = 4.9232232874369055e-09
+_TINY = sys.float_info.min     # the least normal float
 
 
 def gauss_ceiling(a: float) -> float:
     """g_2(a) = (8a / (27 pi))^(1/4)."""
     return (8.0 * a / (27.0 * math.pi)) ** 0.25
-
-
-def min01_ceiling() -> float:
-    """1/(2(1+theta0)), the window-[0,1] pure-L1 constant."""
-    return sinc_min_roots().min_l1_01
 
 
 class ZeroFunctionError(ValueError):
@@ -107,9 +105,9 @@ class RatioResult:
 
 
 def _ceiling_check(functional: str, value: float, ceiling: float, err: float) -> None:
-    if value > ceiling + err + 1e-9 * max(1.0, abs(ceiling)):
+    if not (math.isfinite(value) and value <= ceiling + err + 1e-9 * max(1.0, abs(ceiling))):
         raise InvariantViolation(
-            f"{functional} ratio {value!r} exceeds the proven ceiling {ceiling!r}")
+            f"{functional} ratio {value!r} is not finite or exceeds the ceiling {ceiling!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +118,28 @@ def _ceiling_check(functional: str, value: float, ceiling: float, err: float) ->
 # the search's family builders).  Each core reads its tuple (c, h, l1, l2),
 # returns the fields of a RatioResult after ``functional`` and ``method``,
 # (value, numerator, l1, l2, error_estimate[, fourier_numerator]), and raises
-# InvariantViolation on a ceiling breach.
+# InvariantViolation on a ceiling breach or a ratio that is not finite.
 # ---------------------------------------------------------------------------
 
 LatticeAndNorms = tuple[np.ndarray, float, float, float]
 
 
 def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
-    """(c, h, l1, l2) of the cell model; ZeroFunctionError for the zero function."""
+    """(c, h, l1, l2) of the cell model; ZeroFunctionError for all-zero cells.
+
+    ValueError when the float range cannot hold their scale: f*f(0) = ||f||_2^2
+    read off the lattice (inf or NaN after an FFT overflow), l1 l2 or l1^2 is
+    not finite or below the least normal float.
+    """
+    c = lattice_autocorrelation(samples, spacing)
     l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
-    if l1 == 0.0 or l2 == 0.0:
-        raise ZeroFunctionError("functional undefined for the zero function")
-    return lattice_autocorrelation(samples, spacing), spacing, l1, l2
+    c0 = float(c[c.size // 2])
+    if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
+            and _TINY <= l1 * l2 < math.inf):
+        if not samples.any():
+            raise ZeroFunctionError("functional undefined for the zero function")
+        raise ValueError(f"sample scale outside the float range: f*f(0) = {c0!r}, l1 = {l1!r}")
+    return c, spacing, l1, l2
 
 
 def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,
@@ -177,7 +185,7 @@ def min12_ratio(lat: LatticeAndNorms) -> tuple:
 
 def min01_ratio(lat: LatticeAndNorms) -> tuple:
     """Array core of :func:`q_min_01` on a grid function."""
-    return _window_min(lat, 0.0, 1.0, "min01", min01_ceiling(), square_denominator=True)
+    return _window_min(lat, 0.0, 1.0, "min01", MIN01_CEILING, square_denominator=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +193,21 @@ def min01_ratio(lat: LatticeAndNorms) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _q_weighted(f: GridFunction, w: Weight, label: str, ceiling: float, method: str,
+def _q_weighted(f: GridFunction, w: Weight, label: str, ceiling: float,
                 tol: float) -> RatioResult:
-    """q_mean or q_gauss: the core of its weight, with the Fourier side for "both"."""
-    if method not in ("both", "time"):
-        raise ValueError(f"method must be 'both' or 'time', got {method!r}")
+    """q_mean or q_gauss: the core of its weight, with the Fourier side."""
     lat = lattice_and_norms(f.samples, f.spacing)
-    fourier_f = f if method == "both" else None
-    return RatioResult(label, method, *_weighted_mean(lat, w, label, ceiling, fourier_f, tol))
+    return RatioResult(label, "both", *_weighted_mean(lat, w, label, ceiling, f, tol))
 
 
-def q_mean(f: GridFunction, method: str = "both", tol: float = 1e-6) -> RatioResult:
+def q_mean(f: GridFunction, tol: float = 1e-6) -> RatioResult:
     """int_{-1/2}^{1/2} f*f / (||f||_1 ||f||_2); bounded by 0.8641."""
-    return _q_weighted(f, IntervalWeight(), "mean", MEAN_CEILING, method, tol)
+    return _q_weighted(f, IntervalWeight(), "mean", MEAN_CEILING, tol)
 
 
-def q_gauss(f: GridFunction, a: float, method: str = "both",
-            tol: float = 1e-6) -> RatioResult:
+def q_gauss(f: GridFunction, a: float, tol: float = 1e-6) -> RatioResult:
     """sqrt(a/pi) iint f f e^(-a t^2) / (||f||_1 ||f||_2); bounded by g_2(a)."""
-    return _q_weighted(f, GaussianWeight(a), "gauss", gauss_ceiling(a), method, tol)
+    return _q_weighted(f, GaussianWeight(a), "gauss", gauss_ceiling(a), tol)
 
 
 def q_min_12(f: GridFunction) -> RatioResult:
@@ -237,7 +241,7 @@ def q_min_01_bs() -> RatioResult:
     minimum = float(vals[np.isfinite(vals)].min())
     l1 = bs_l1()
     value = minimum / (l1 * l1)
-    _ceiling_check("min01", value, min01_ceiling(), BS_ERROR_ESTIMATE)
+    _ceiling_check("min01", value, MIN01_CEILING, BS_ERROR_ESTIMATE)
     return RatioResult(functional="min01", method="singular-quadrature", value=value,
                        numerator=minimum, l1=l1, l2=math.inf,
                        error_estimate=BS_ERROR_ESTIMATE)

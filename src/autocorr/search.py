@@ -33,9 +33,10 @@ the ratio's array core off their one ``functionals.lattice_and_norms`` tuple,
 as the ``q_*`` functions do.  The winner's value is therefore the public
 ``q_*`` value at its parameters, bit for bit, and is not evaluated again.  No
 GridFunction, Correlation or RatioResult is built per evaluation, yet every
-evaluation still raises ZeroFunctionError or the proven-ceiling
-InvariantViolation.  An evaluation's error propagates as it was raised: a
-ValueError is malformed input, a RuntimeError a breached invariant.
+evaluation still raises ZeroFunctionError, the ValueError of a sample scale
+outside the float range, or the proven-ceiling InvariantViolation.  An
+evaluation's error propagates as it was raised: a ValueError is malformed
+input, a RuntimeError a breached invariant.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from .correlate import lattice_window_integral
 from .funcspace import GridFunction, MixedMeasure, _gauss_pieces, _leggauss
 
 __all__ = [
-    "sinc",
     "IntervalWeight",
     "GaussianWeight",
     "Weight",
@@ -46,6 +45,7 @@ __all__ = [
     "weight_lp_moment",
     "mean_functional_fourier",
     "INTERVAL_MOMENT_P_MAX",
+    "MOMENT_TOL",
 ]
 
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
@@ -53,10 +53,8 @@ _FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourie
 _MAX_TERMS = 2 ** 26    # terms that mean_functional_fourier sums at most
 _MAX_DFT = 2 ** 24      # its DFT length M stays below this
 
-
-def sinc(u) -> np.ndarray:
-    """sin(pi u) / (pi u) with the removable singularity filled."""
-    return np.sinc(np.asarray(u, dtype=np.float64))
+#: The error bound that every sinc-power moment must meet, or raise.
+MOMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class IntervalWeight:
     reach = 0.5             # w vanishes outside [-reach, reach]
 
     def hat(self, xi) -> np.ndarray:
-        return sinc(xi)
+        return np.sinc(np.asarray(xi, dtype=np.float64))
 
     def cutoff(self, f: GridFunction, tol: float) -> float:
         # tail_bound(f, Xi) = tail_bound(f, 1)/Xi^2 <= tol/2, capped at 2e5
@@ -78,13 +76,13 @@ class IntervalWeight:
         V = f.total_variation
         return V * V / (4.0 * math.pi ** 3 * hi * hi)
 
-    def lp_moment(self, p: float, tol: float) -> MomentResult:
-        """int |sinc|^p for p > 1 by a fixed rule whose error bound must meet ``tol``."""
+    def lp_moment(self, p: float) -> MomentResult:
+        """int |sinc|^p for p > 1 by a fixed rule whose error bound must meet ``MOMENT_TOL``."""
         if p <= 1:
             raise ValueError(f"int |sinc|^p diverges for p <= 1 (got p={p})")
         value, err = _interval_lp_moment(float(p))
-        if not err <= tol:
-            raise RuntimeError(f"int |sinc|^p at p={p} is certified to {err:.1e} > tol={tol:.1e}")
+        if not err <= MOMENT_TOL:
+            raise RuntimeError(f"int |sinc|^p at p={p} is certified to {err:.1e} > {MOMENT_TOL}")
         return MomentResult(value, err)
 
     def correlation_integral(self, values: np.ndarray, spacing: float) -> float:
@@ -150,7 +148,7 @@ class GaussianWeight:
         c = math.pi ** 2 / self.a
         return f.l1_norm ** 2 * math.exp(-c * hi * hi) / (c * hi)
 
-    def lp_moment(self, p: float, tol: float) -> MomentResult:
+    def lp_moment(self, p: float) -> MomentResult:
         """The closed form sqrt(a/(pi p)), cross-checked by 64-point Gauss-Legendre.
 
         The error bound covers the rounding of the closed form.
@@ -161,7 +159,7 @@ class GaussianWeight:
         hi = math.sqrt(40.0 * self.a / (math.pi ** 2 * p))
         c = math.pi ** 2 * p / self.a
         num = 2.0 * float(_gauss_pieces(lambda u: np.exp(-c * u * u), np.array([0.0, hi]), 64)[0])
-        if abs(num - closed) > max(tol, 1e-10 * closed):
+        if abs(num - closed) > max(MOMENT_TOL, 1e-10 * closed):
             raise RuntimeError(
                 f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")
         return MomentResult(closed, 1e-15 * closed)
@@ -299,9 +297,9 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray, n
     return 0.5 * (1.0 + x), 0.5 * (1.0 - x), _beta(a + 1.0, b + 1.0)[0] * v[0] ** 2
 
 
-#: Largest p at which ``_interval_lp_moment`` certifies 1e-9 (p > 1 is the
-#: other end).  Its error bound is 2.6e-11 at p = 300 and passes 1e-9 between
-#: p = 340 and 350, where the fixed 16/24-node rules stop converging.
+#: Largest p at which ``_interval_lp_moment`` certifies ``MOMENT_TOL`` (p > 1
+#: is the other end).  Its error bound is 2.6e-11 at p = 300 and passes it
+#: between p = 340 and 350, where the fixed 16/24-node rules stop converging.
 INTERVAL_MOMENT_P_MAX = 300.0
 
 
@@ -392,16 +390,14 @@ def _interval_lp_moment(p: float) -> tuple[float, float]:
     return value, abs(value - rule(24)[0]) + remainder + rounding
 
 
-def weight_lp_moment(w: Weight, p: float, tol: float = 1e-9) -> MomentResult:
-    """The inner integral I_w(p) = int |what(xi)|^p d xi, un-rooted.
+def weight_lp_moment(w: Weight, p: float) -> MomentResult:
+    """The inner integral I_w(p) = int |what(xi)|^p d xi, un-rooted, to ``MOMENT_TOL``.
 
     Interval weight requires p > 1 (the integral diverges otherwise) and is
     Gauss-Jacobi with a Hurwitz-zeta tail; the Gaussian value is the closed
     form sqrt(a/(pi p)), cross-checked against Gauss-Legendre.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return w.lp_moment(p, tol)
+    return w.lp_moment(p)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +441,7 @@ def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> fl
     folded = np.zeros(M)
     for start in range(0, n_terms, _FOLD_PERIODS * M):
         xi = delta * np.arange(start, min(start + _FOLD_PERIODS * M, n_terms))
-        G = (h * sinc(h * xi)) ** 2 * w.hat(xi)
+        G = (h * np.sinc(h * xi)) ** 2 * w.hat(xi)
         if start == 0:
             G[0] *= 0.5
         # the running fold on top of this block's periods, zero-padded: each

@@ -195,7 +195,7 @@ def criterion_6(fault: bool = False) -> CriterionResult:
             (fun.mean_ratio(lat)[0], fun.MEAN_CEILING),
             (fun.gauss_ratio(lat, a)[0], fun.gauss_ceiling(a)),
             (fun.min12_ratio(lat)[0], fun.MIN12_CEILING),
-            (fun.min01_ratio(lat)[0], fun.min01_ceiling()),
+            (fun.min01_ratio(lat)[0], fun.MIN01_CEILING),
         ]
         for value, ceiling in pairs:
             worst_margin = min(worst_margin, ceiling - value)
@@ -213,8 +213,7 @@ def criterion_6(fault: bool = False) -> CriterionResult:
     rng2 = np.random.default_rng(_SEED + 1)
     for i in range(50):
         f = random_grid_function(rng2, max_cells=32)
-        for q in (fun.q_mean(f, method="both"),
-                  fun.q_gauss(f, 2 * math.pi, method="both")):
+        for q in (fun.q_mean(f), fun.q_gauss(f, 2 * math.pi)):
             worst_agree = max(worst_agree,
                               abs(q.numerator - q.fourier_numerator) / (q.l1 * q.l2))
     res.checks.append(Check("worst time/Fourier disagreement", worst_agree, 0.0, 1e-6))

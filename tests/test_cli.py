@@ -5,9 +5,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from autocorr import GridFunction, cli, q_min_12, verification
+from autocorr import GaussianWeight, GridFunction, IntervalWeight, cli, q_min_12, verification
+from autocorr import constants as C
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
@@ -81,6 +83,18 @@ class TestConstants:
         with open(tmp_path / "constants_sweep.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["2", "2.1"]
+
+    @pytest.mark.parametrize("flags, w, p_max", [
+        ([], IntervalWeight(), 12.0),
+        (["--weight", "gaussian", "--a", "3", "--p-max", "4.1"], GaussianWeight(3.0), 4.1)],
+        ids=["interval", "gaussian"])
+    def test_sweep_csv_is_the_infimum_scan(self, tmp_path, flags, w, p_max):
+        assert main(["constants", *flags, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "constants_sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [[f"{r.ingredients['p']:.6g}", f"{r.ingredients['K_p']:.12g}",
+                             f"{r.ingredients['I_w_p']:.12g}", f"{r.value:.12g}"]
+                            for r in C.mean_upper_sweep(w, (2.0, p_max))]
 
     @pytest.mark.parametrize("flags", [["--p-max", "400"], ["--p-min", "1.5"],
                                        ["--p-min", "5", "--p-max", "4"]],
@@ -195,6 +209,22 @@ class TestEvaluate:
                                    "out": str(tmp_path / "out")}))
         assert main(["--config", str(cfg)]) == 2
         assert "'values'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("functional", ["mean", "gauss", "min12", "min01"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_piecewise_constant_scale_out_of_float_range(self, tmp_path, capsys, scale,
+                                                          functional):
+        # the ratio is scale-invariant, but f*f overflows at 1e200 (which used to
+        # exit 0 with "value": NaN) and underflows at 1e-170 (once "zero function")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "evaluate", "family": "piecewise-constant",
+                                   "functional": functional,
+                                   "values": [scale, 2 * scale, 3 * scale],
+                                   "out": str(tmp_path / "out")}))
+        with np.errstate(all="ignore"):
+            assert main(["--config", str(cfg)]) == 2
+        assert "sample scale" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_piecewise_constant_needs_values(self, tmp_path):

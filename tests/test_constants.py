@@ -13,6 +13,7 @@ from autocorr import (
     hy_coefficient,
     indicator_min_lower,
     mean_upper_constant,
+    mean_upper_sweep,
     min_l1_constant,
     min_mixed_constant,
     minimize_over_p,
@@ -102,6 +103,25 @@ class TestMinimizeOverP:
         rep = minimize_over_p(IntervalWeight(), p_range=(2.0, hi))
         assert rep.value <= mean_upper_constant(IntervalWeight(), hi).value + 1e-6
 
+    @pytest.mark.parametrize("p_range", [(2.0, 12.0), (2.0, 2.1), (299.0, 300.0)])
+    @pytest.mark.parametrize("w", [IntervalWeight(), GaussianWeight(2 * PI)],
+                             ids=["interval", "gaussian"])
+    def test_grid_best_read_off_the_sweep(self, w, p_range):
+        # the infimum scans the sweep's reports; there is no second grid
+        best = min(mean_upper_sweep(w, p_range), key=lambda rep: rep.value)
+        rep = minimize_over_p(w, p_range)
+        assert rep.ingredients["grid_best_p"] == best.ingredients["p"]
+        assert rep.ingredients["grid_best_value"] == best.value
+
+    def test_sweep_spans_the_range(self):
+        ps = [rep.ingredients["p"] for rep in mean_upper_sweep(IntervalWeight(), (3.3, 7.9))]
+        assert ps[0] == 3.3 and ps[-1] == 7.9 and max(np.diff(ps)) <= 0.25
+
+    @pytest.mark.parametrize("p_range", [(1.5, 3.0), (5.0, 4.0), (2.0, math.inf)])
+    def test_bad_range_rejected(self, p_range):
+        with pytest.raises(ValueError, match="p range"):
+            minimize_over_p(IntervalWeight(), p_range)
+
     def test_feasibility_grid(self):
         # the bound holds pointwise in p on the whole 0.1-step grid, not only
         # at the minimum
@@ -109,7 +129,7 @@ class TestMinimizeOverP:
         fs = [GridFunction(float(rng.uniform(-1, 0)), float(rng.uniform(0.02, 0.1)),
                            rng.uniform(0, 1, int(rng.integers(6, 24))))
               for _ in range(5)]
-        worst = max(q_mean(f, method="time").value for f in fs)
+        worst = max(q_mean(f).value for f in fs)
         for p in np.arange(2.0, 10.001, 0.1):
             assert worst <= mean_upper_constant(IntervalWeight(), float(p)).value + 1e-6
 
@@ -179,7 +199,7 @@ class TestMinMixedConstant:
         # written out here bit for bit; the ingredient keys are unchanged
         rep = min_mixed_constant()
         c_pi = hy_coefficient(PI) * \
-            weight_lp_moment(IntervalWeight(), PI, tol=1e-9).value ** (1 / PI)
+            weight_lp_moment(IntervalWeight(), PI).value ** (1 / PI)
         L = sinc_min_roots().min_l1_half
         assert rep.ingredients["C_pi"] == c_pi
         assert rep.value == (L ** (PI / 2 - 1) * c_pi ** (PI / 2)) ** (1 / (PI - 1))

@@ -443,7 +443,7 @@ class TestNuSpectrumCheck:
         # fourier_measure call at [xi0, 0] give what one call per level and
         # one per frequency give, bit for bit
         from autocorr.correlate import measure_correlation
-        from autocorr.spectral import fourier_measure, sinc
+        from autocorr.spectral import fourier_measure
 
         mu = _tuned_atom_density_measure()
         rep = nu_spectrum_check(mu)
@@ -456,7 +456,7 @@ class TestNuSpectrumCheck:
             nu_min = min(nu_min, float((masses - 0.5 * w).min()))
         assert rep.nu_min == nu_min
         xi0 = sinc_min_roots().xi0
-        assert rep.nu_hat_xi0 == float(abs(fourier_measure(mu, xi0)) ** 2 - sinc(2 * xi0))
+        assert rep.nu_hat_xi0 == float(abs(fourier_measure(mu, xi0)) ** 2 - np.sinc(2 * xi0))
         assert rep.nu_hat_0 == float(abs(fourier_measure(mu, 0.0)) ** 2 - 1.0)
 
     def test_near_extremal_density(self):

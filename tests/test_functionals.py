@@ -14,6 +14,7 @@ from autocorr import (
     GridFunction,
     Indicator,
     IntervalWeight,
+    InvariantViolation,
     ZeroFunctionError,
     autocorrelate_singular,
     mean_functional_fourier,
@@ -26,11 +27,11 @@ from autocorr import (
 )
 from autocorr import functionals, verification
 from autocorr.functionals import (
+    MIN01_CEILING,
     gauss_ceiling,
     gauss_ratio,
     lattice_and_norms,
     mean_ratio,
-    min01_ceiling,
     min01_ratio,
     min12_ratio,
 )
@@ -57,15 +58,14 @@ class TestQMean:
     def test_wide_indicator(self):
         # int_{-1/2}^{1/2} (2A - |t|) dt = 2A - 1/4 at A = 5
         f = sample(Indicator(5.0), cells=2000)
-        r = q_mean(f, method="time")
-        assert r.value == pytest.approx(9.75 / (10.0 * math.sqrt(10.0)), abs=1e-10)
+        value = mean_ratio(lattice_and_norms(f.samples, f.spacing))[0]
+        assert value == pytest.approx(9.75 / (10.0 * math.sqrt(10.0)), abs=1e-10)
 
     def test_scale_invariance(self):
         f = sample(Indicator(0.5), cells=64)
-        base = q_mean(f, method="time").value
+        base = q_mean(f).value
         for c in (0.1, 1.0, 7.0):
-            assert q_mean(f.scaled(c), method="time").value == pytest.approx(
-                base, rel=1e-12)
+            assert q_mean(f.scaled(c)).value == pytest.approx(base, rel=1e-12)
 
     def test_zero_function_rejected(self):
         with pytest.raises(ZeroFunctionError):
@@ -124,7 +124,7 @@ class TestQMin12:
     def test_min_below_mean(self):
         for seed in range(20):
             f = random_fn(seed)
-            assert q_min_12(f).value <= q_mean(f, method="time").value + 1e-9
+            assert q_min_12(f).value <= q_mean(f).value + 1e-9
 
     def test_window_consistency_by_evenness(self):
         from autocorr import autocorrelate
@@ -181,10 +181,10 @@ class TestCeilings:
     def test_random_functions_respect_all_ceilings(self):
         for seed in range(40):
             f = random_fn(seed)
-            assert q_mean(f, method="time").value <= 0.8641 + 1e-4
-            assert q_gauss(f, 2 * PI, method="time").value <= gauss_ceiling(2 * PI) + 1e-4
+            assert q_mean(f).value <= 0.8641 + 1e-4
+            assert q_gauss(f, 2 * PI).value <= gauss_ceiling(2 * PI) + 1e-4
             assert q_min_12(f).value <= 0.829604 + 1e-4
-            assert q_min_01(f).value <= min01_ceiling() + 1e-4
+            assert q_min_01(f).value <= MIN01_CEILING + 1e-4
 
     def test_error_estimates_nonnegative(self):
         f = sample(Indicator(0.5), cells=64)
@@ -213,8 +213,10 @@ class TestSharedLattice:
     @given(f=_nonzero_cells(), a=st.sampled_from([0.5, 2 * PI, 20.0]))
     def test_cores_on_one_tuple_equal_q_fields(self, f, a):
         lat = lattice_and_norms(f.samples, f.spacing)
-        assert mean_ratio(lat) == _fields(q_mean(f, method="time")) + (None,)
-        assert gauss_ratio(lat, a) == _fields(q_gauss(f, a, method="time")) + (None,)
+        # the weighted means' q_* add the Fourier side, which can only raise the error
+        for core, q in ((mean_ratio(lat), q_mean(f)), (gauss_ratio(lat, a), q_gauss(f, a))):
+            assert core[:4] == _fields(q)[:4] and core[5] is None
+            assert q.error_estimate >= core[4]
         assert min12_ratio(lat) == _fields(q_min_12(f))
         assert min01_ratio(lat) == _fields(q_min_01(f))
 
@@ -223,3 +225,43 @@ class TestSharedLattice:
     def test_zero_cells_refused(self, n, spacing):
         with pytest.raises(ZeroFunctionError):
             lattice_and_norms(np.zeros(n), spacing)
+
+
+def _ramp(scale: float, cells: int = 16) -> GridFunction:
+    return GridFunction(-0.5, 1.0 / cells, scale * np.linspace(0.5, 1.0, cells))
+
+
+_RATIOS = (q_mean, lambda f: q_gauss(f, 2 * PI), q_min_12, q_min_01)
+
+
+class TestSampleScale:
+    # the ratios are scale-invariant, but f*f must fit the float range: these
+    # used to give NaN ratios (large), drifted ones or ZeroFunctionError (small);
+    # the last has a finite f*f(0) = 1e299 but an l1 l2 that overflows, and its
+    # window minima read 0.0
+    @pytest.mark.parametrize("f", [
+        _ramp(1e155), _ramp(1e160), _ramp(1e-160), _ramp(1e-162), _ramp(1e152, cells=1024),
+        GridFunction(-0.5, 1.0 / 3, [1e200, 2e200, 3e200]),
+        GridFunction(-0.5, 1.0 / 3, [1e-170, 2e-170, 3e-170]),
+        GridFunction(-8e19, 1e19, np.full(16, 2.5e139)),
+    ], ids=["ramp-1e155", "ramp-1e160", "ramp-1e-160", "ramp-1e-162", "ramp1024-1e152",
+            "steps-1e200", "steps-1e-170", "wide-denominator"])
+    def test_scale_outside_float_range_refused(self, f):
+        calls = [lambda: lattice_and_norms(f.samples, f.spacing)]
+        calls += [lambda q=q: q(f) for q in _RATIOS]
+        for call in calls:
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+                call()
+            assert not isinstance(exc.value, ZeroFunctionError)
+
+    # the values before the scale check, bit for bit
+    @pytest.mark.parametrize("scale, expected", [
+        (1.0, [0.7475582020561031, 0.7754505170371854, 0.47942415676272343, 0.0]),
+        (1e150, [0.7475582020561035, 0.7754505170371858, 0.4794241567627236, 0.0]),
+    ])
+    def test_scale_in_range_unchanged(self, scale, expected):
+        assert [q(_ramp(scale)).value for q in _RATIOS] == expected
+
+    def test_nan_ratio_breaches_the_ceiling_check(self):
+        with pytest.raises(InvariantViolation, match="not finite"):
+            functionals._ceiling_check("mean", math.nan, functionals.MEAN_CEILING, 0.0)

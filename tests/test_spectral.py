@@ -18,7 +18,7 @@ from autocorr import (
     sample,
     weight_lp_moment,
 )
-from autocorr.spectral import INTERVAL_MOMENT_P_MAX
+from autocorr.spectral import INTERVAL_MOMENT_P_MAX, MOMENT_TOL
 
 PI = math.pi
 
@@ -129,17 +129,16 @@ class TestWeightLpMoment:
         assert abs(m.value - exact) <= 5e-15 * exact
         assert abs(m.value - exact) <= m.error_bound
 
-    @pytest.mark.parametrize("p, tol", [(2.5, 1e-17), (600.0, 1e-9)])
-    def test_uncertified_moment_rejected(self, p, tol):
-        # the fixed rule's error bound exceeds tol; at p = 600 the rule also
-        # overflows, which must still end in this error, not a NaN value
+    def test_uncertified_moment_rejected(self):
+        # at p = 600 the fixed rule's error bound exceeds MOMENT_TOL, and the
+        # rule also overflows, which must still end in this error, not a NaN value
         with np.errstate(all="ignore"), pytest.raises(RuntimeError):
-            weight_lp_moment(IntervalWeight(), p, tol=tol)
+            weight_lp_moment(IntervalWeight(), 600.0)
 
     def test_certified_at_p_max(self):
-        # the CLI accepts p up to this constant, so the default tol must hold there
-        m = weight_lp_moment(IntervalWeight(), INTERVAL_MOMENT_P_MAX, tol=1e-9)
-        assert 0.0 < m.error_bound <= 1e-9
+        # the CLI accepts p up to this constant, so MOMENT_TOL must hold there
+        m = weight_lp_moment(IntervalWeight(), INTERVAL_MOMENT_P_MAX)
+        assert 0.0 < m.error_bound <= MOMENT_TOL == 1e-9
 
     def test_divergent_p_rejected(self):
         with pytest.raises(ValueError):
@@ -168,12 +167,6 @@ class TestWeightLpMoment:
 
         value, bound = _interval_lp_moment(p)
         assert bound >= 1e-14 * value
-
-    def test_tol_halving_stays_within_bound(self):
-        for tol in (1e-6, 1e-8):
-            m1 = weight_lp_moment(IntervalWeight(), 2.5, tol=tol)
-            m2 = weight_lp_moment(IntervalWeight(), 2.5, tol=tol / 2)
-            assert abs(m1.value - m2.value) <= m1.error_bound
 
 
 class TestHurwitzZeta:

@@ -40,7 +40,8 @@ SCHEMA = 1
 
 @dataclasses.dataclass
 class RunConfig:
-    """Every setting of a run and its one default; the report echoes it."""
+    """Every setting of a run and its one default, which the runners and the
+    flags' help read: the report's echo is the configuration the run used."""
 
     command: str
     weight: str = "interval"
@@ -56,10 +57,10 @@ class RunConfig:
     tol: float = 1e-8
     out: str = "."
     json_path: Optional[str] = None
-    b: Optional[float] = None
-    s: Optional[float] = None
+    b: float = 1.0
+    s: float = 0.5
     values: Optional[list] = None
-    dimension: int = 0
+    dimension: int = 16
     fault_inject: Optional[int] = None
 
     def echo(self) -> dict:
@@ -77,7 +78,7 @@ _OPTIONS = {
     "evaluate": ("family", "functional", "a", "b", "s", "values", "cells", "support",
                  "tol", "out"),
     "search": ("family", "functional", "a", "budget", "seed", "dimension", "out"),
-    "dual": ("tol", "out"),
+    "dual": ("out",),
     "verify": ("json", "fault_inject"),
 }
 # The keys that only some families read, and those families; with any other
@@ -93,8 +94,8 @@ _CHOICES = {
 
 _HELP = {
     "a": "Gaussian weight parameter",
-    "b": "Gaussian family parameter (default 1)",
-    "s": "indicator / piecewise-constant halfwidth (default 0.5)",
+    "b": "Gaussian family parameter",
+    "s": "indicator / piecewise-constant halfwidth",
     "support": "half-width S of the sampling window [-S, S] (not for piecewise-constant)",
     "fault_inject": "test mode: corrupt one criterion as a negative control",
 }
@@ -245,11 +246,10 @@ def _cmd_roots(cfg: RunConfig) -> _Output:
 
 def _function_of(cfg: RunConfig) -> GridFunction:
     """The step function on its own cells over [-s, s], or the family sampled."""
-    halfwidth = float(cfg.s) if cfg.s is not None else 0.5
+    halfwidth = float(cfg.s)
     if cfg.family == "piecewise-constant":
         return GridFunction(-halfwidth, 2.0 * halfwidth / len(cfg.values), cfg.values)
-    family = (Gaussian(float(cfg.b) if cfg.b is not None else 1.0) if cfg.family == "gaussian"
-              else Indicator(halfwidth))
+    family = Gaussian(float(cfg.b)) if cfg.family == "gaussian" else Indicator(halfwidth)
     support = (-cfg.support, cfg.support) if cfg.support is not None else None
     return sample(family, support=support, cells=cfg.cells)
 
@@ -293,26 +293,20 @@ def _cmd_search(cfg: RunConfig) -> _Output:
 def _cmd_dual(cfg: RunConfig) -> _Output:
     rows, masses, lines = [], [], []
     for bump in dual.BUMPS:
-        rep = dual.dual_mass_report(bump, tol=cfg.tol)
+        rep = dual.dual_mass_report(bump)
         rows.append(_row(rep, "dualcheck", "bump", "positive_mass", "negative_mass", "value0",
                          "lower_bound", "refined_bound", "margin", "refined_margin",
                          "sum_diff_gap", "error_bound", "identity_gap", "inequality_slack",
-                         tolerance=cfg.tol))
+                         tolerance=dual.DUAL_TOL))
         masses.append([rep.bump, f"{rep.positive_mass:.10g}",
                        f"{rep.lower_bound:.10g}", f"{rep.margin:.10g}"])
         lines.append(f"{rep.bump:14s} pos {rep.positive_mass:.8f} "
                      f">= {rep.lower_bound:.8f} (margin {rep.margin:.4f})")
     grid, residuals = dual.case2bb_scan()
-    rows.append({
-        "module": "dualcheck",
-        "name": "case2bb-residual-scan",
-        "a_min": float(grid[0]),
-        "a_max": float(grid[-1]),
-        "points": len(grid),
-        "min_residual": float(residuals.min()),
-        "residual_at_1": dual.case2bb_residual(1.0),
-        "tolerance": 0.01,
-    })
+    rows.append({"module": "dualcheck", "name": "case2bb-residual-scan", "a_min": float(grid[0]),
+                 "a_max": float(grid[-1]), "points": len(grid),
+                 "min_residual": float(residuals.min()),
+                 "residual_at_1": dual.case2bb_residual(1.0), "tolerance": 0.01})
     lines.append(f"case2bb min residual {rows[-1]['min_residual']:.4f} >= 0.01")
     return rows, {"dual_masses.csv": (["bump", "pos_mass", "bound", "margin"], masses)}, lines
 
@@ -366,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     A flag takes its type from the RunConfig field and has no default of its
     own: an absent flag is absent from the parsed arguments, so the defaults
-    and the checks stay with RunConfig and ``_config_from_dict``.
+    and the checks stay with RunConfig and ``_config_from_dict``; its help names the default.
     """
     ap = argparse.ArgumentParser(
         prog="autocorr", allow_abbrev=False,
@@ -381,8 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
             if key == "values":
                 continue
             choices = _CHOICES.get(key)
+            default = RunConfig.__dataclass_fields__[_field(key)].default
+            note = "" if default is None else f" (default {default})"
             p.add_argument("--" + key.replace("_", "-"), type=_field_type(key)[0],
-                           default=argparse.SUPPRESS, help=_HELP.get(key),
+                           default=argparse.SUPPRESS, help=(_HELP.get(key, "") + note).strip(),
                            metavar="{%s}" % ",".join(choices) if choices else None)
     return ap
 

@@ -32,7 +32,7 @@ __all__ = [
     "gaussian_closed_form",
 ]
 
-_KINDS = ("upper-bound", "lower-bound", "root")
+_KINDS = ("upper-bound", "lower-bound")
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,11 @@ class SincRoots:
         z = 2 * math.pi * self.xi0
         return abs(math.sin(z) / z + self.theta0)
 
-    @functools.cached_property
+    @property
     def min_l1_half(self) -> float:     # the window-[-1/2,1/2] pure-L1 constant
         return 1.0 / (1.0 + self.theta0)
 
-    @functools.cached_property
+    @property
     def min_l1_01(self) -> float:       # the window-[0,1] pure-L1 constant
         return 1.0 / (2.0 * (1.0 + self.theta0))
 

@@ -6,6 +6,7 @@ positive Fourier mass ||(phihat)_+||_1 >= 1/(2(1+theta0)), refined by
 over one cut list of the half xi-axis, the integers and the sign changes of phihat,
 each bracket refined by Chandrupatla's interpolation and bisection hybrid:
 rectangle rules smear sign boundaries and bias the positive mass upward.
+Each bump's cutoff leaves a transform tail, and each report an error bound, below ``DUAL_TOL``.
 
 Also here: the nonnegativity/spectral check for normalized measures (the
 nu-hat inequality at the sinc minimizer) and the sup-norm residual of the
@@ -33,6 +34,7 @@ __all__ = [
     "BetaPowerBump",
     "BumpFunction",
     "BUMPS",
+    "DUAL_TOL",
     "DualMassReport",
     "dual_mass_report",
     "NormalizationError",
@@ -47,6 +49,8 @@ __all__ = [
 # bump families: even, nonnegative, supported in [-1, 1], integral 1
 # ---------------------------------------------------------------------------
 
+
+DUAL_TOL = 1e-8     # the one tolerance of the dual masses (module docstring)
 
 _TRAPEZOID_N = 1024
 
@@ -113,7 +117,7 @@ class StandardBump:
         out = (np.exp(-1j * np.pi * arr) * sums).real
         return out.reshape(np.shape(xi)) if np.ndim(xi) else float(out[0])
 
-    def cutoff(self, tol: float) -> float:
+    def cutoff(self) -> float:
         return 64.0
 
     def tail_bound(self, hi: float) -> float:
@@ -148,9 +152,9 @@ class CosineBump:
         out[~far] = np.sinc(2 * x) + 0.5 * (np.sinc(2 * x - 1) + np.sinc(2 * x + 1))
         return out if out.ndim else float(out)
 
-    def cutoff(self, tol: float) -> float:
+    def cutoff(self) -> float:
         # |phihat| <= 1/(6 pi xi^3) for xi >= 1 => two-sided tail <= 1/(6 pi Xi^2)
-        return max(64.0, math.sqrt(2.0 / (6.0 * math.pi * tol)))
+        return max(64.0, math.sqrt(2.0 / (6.0 * math.pi * DUAL_TOL)))
 
     def tail_bound(self, hi: float) -> float:
         return 1.0 / (6.0 * math.pi * hi * hi)
@@ -223,9 +227,9 @@ class BetaPowerBump:
             out[small] = acc
         return out if np.ndim(xi) else float(out[0])
 
-    def cutoff(self, tol: float) -> float:
+    def cutoff(self) -> float:
         c = self._tail_const()
-        return max(64.0, (2.0 * c / (self.k * tol)) ** (1.0 / self.k))
+        return max(64.0, (2.0 * c / (self.k * DUAL_TOL)) ** (1.0 / self.k))
 
     def _tail_const(self) -> float:
         # |J_nu(z)| <= sqrt(2/(pi z)) => |phihat(xi)| <= C xi^-(k+1)
@@ -293,7 +297,7 @@ def _chandrupatla_roots(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
     return roots
 
 
-def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
+def _signed_masses(phi: BumpFunction) -> tuple[float, float, float]:
     """(positive mass, absolute mass, error bound) of phihat over the line.
 
     The transform is sampled 16 times per unit and every sign change is
@@ -305,7 +309,7 @@ def _signed_masses(phi: BumpFunction, tol: float) -> tuple[float, float, float]:
     would be near-empty (the cosine bump's transform vanishes at the
     integers).  Evenness doubles the half-line result.
     """
-    n_int = math.ceil(phi.cutoff(tol))
+    n_int = math.ceil(phi.cutoff())
     # offset grid: never samples exactly on the (rational) transform zeros,
     # where cancellation noise has arbitrary sign and breaks crossing detection
     xs = (np.arange(n_int * 16) + 0.2137) / 16
@@ -353,9 +357,9 @@ class DualMassReport:
         return abs(self.value0 - (self.positive_mass - self.negative_mass))
 
 
-def dual_mass_report(phi: BumpFunction, tol: float = 1e-8) -> DualMassReport:
+def dual_mass_report(phi: BumpFunction) -> DualMassReport:
     """phi's signed Fourier masses against the dual bound, and ``negative_part_bound_check``."""
-    pos, absm, err = _signed_masses(phi, tol)
+    pos, absm, err = _signed_masses(phi)
     roots = sinc_min_roots()
     phi0 = float(phi.density(0.0))
     refined = roots.min_l1_01 + roots.theta0 / (1.0 + roots.theta0) * phi0
@@ -422,10 +426,10 @@ def nu_spectrum_check(mu: MixedMeasure) -> NuSpectrumReport:
     eps = ts[1] - ts[0]
     ratios = np.asarray(mc.interval_mass(ts[:-1], ts[1:])) / eps
     inf_ratio = float(ratios.min())
-    if abs(inf_ratio - 0.5) > 1e-6:
+    if abs(inf_ratio - 0.5) > tol:
         i = int(np.argmin(ratios))
         raise NormalizationError(
-            f"window-ratio infimum is {inf_ratio!r}, expected 1/2 within 1e-6",
+            f"window-ratio infimum is {inf_ratio!r}, expected 1/2 within {tol:g}",
             (float(ts[i]), float(ts[i + 1])))
 
     # the 2^(j+1) intervals of width 2^-j tiling [-1, 1], for j = 0..10, in one call
@@ -439,11 +443,10 @@ def nu_spectrum_check(mu: MixedMeasure) -> NuSpectrumReport:
     xi0 = roots.xi0
     mu_hat_xi0, mu_hat_0 = fourier_measure(mu, np.array([xi0, 0.0]))
     nu_hat_xi0 = float(abs(mu_hat_xi0) ** 2 - np.sinc(2 * xi0))
-    tv = mu.total_variation
     nu_hat_0 = float(abs(mu_hat_0) ** 2 - 1.0)
     report = NuSpectrumReport(window_inf=inf_ratio, nu_min=nu_min,
                               nu_hat_xi0=nu_hat_xi0, nu_hat_0=nu_hat_0,
-                              theta0=roots.theta0, tv=tv)
+                              theta0=roots.theta0, tv=mu.total_variation)
     if nu_min < -tol:
         raise NormalizationError(
             f"nu is negative ({nu_min!r}) on a dyadic interval", (-1.0, 1.0))

@@ -137,8 +137,7 @@ def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Call
     if family in _SCANS:
         return _SCANS[family][0], 1
     if family == "piecewise":
-        dim = dimension if dimension >= 1 else 16
-        return (lambda p: _build_piecewise(p, halfwidth)), dim
+        return (lambda p: _build_piecewise(p, halfwidth)), dimension
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -276,7 +275,7 @@ def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
 
 
 def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int = 0,
-           a: Optional[float] = None, dimension: int = 0,
+           a: Optional[float] = None, dimension: int = 16,
            halfwidth: float = 0.5) -> SearchRecord:
     """Maximize an inequality ratio over a family (module docstring).
 
@@ -284,13 +283,14 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     family runs golden section from its cached scan and ignores the seed.  The
     piecewise family runs max(4, dim) simplex restarts of budget // restarts
     evaluations each: restart 0 from the ones vector, the others from seeded
-    random starts.  ``dimension`` 0 means 16 cells; each restart must afford
-    the dim + 1 evaluations that seed its simplex.
+    random starts.  ``dimension`` is the piecewise family's cell count, at
+    least 1; each restart must afford the dim + 1 evaluations that seed its
+    simplex.
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
-    if dimension < 0:
-        raise ValueError(f"dimension must be nonnegative, got {dimension}")
+    if dimension < 1:
+        raise ValueError(f"dimension must be positive, got {dimension}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     label = objective if a is None else f"{objective}(a={a:.6g})"

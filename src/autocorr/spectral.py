@@ -3,13 +3,13 @@
 Transform convention: fhat(xi) = int f(y) exp(-2 pi i xi y) dy.
 
 ``fourier_measure`` transforms an atoms-plus-density measure; its density
-part is the midpoint-rule evaluation of that integral for a grid function (so
-|fhat| <= ||f||_1 and fhat(0) = ||f||_1 hold exactly).  It goes through
-``_phase_sum``, as does the standard bump's transform in ``dualcheck``: it
-evaluates sum_m w_m exp(-2 pi i xi y_m) on the centred node progression
-y_m = (m - (n-1)/2) h at arbitrary xi, from a coarse and a fine table of about
-sqrt(n) phases per xi, each the outer product of two shorter tables, block by
-block, with no (xi, n) array.
+part is the exact transform of the grid function's step model, the midpoint
+sum times h sinc(h xi) (so |fhat| <= ||f||_1 and fhat(0) = ||f||_1 hold
+exactly).  The midpoint sum goes through ``_phase_sum``, as does the standard
+bump's transform in ``dualcheck``: it evaluates sum_m w_m exp(-2 pi i xi y_m)
+on the centred node progression y_m = (m - (n-1)/2) h at arbitrary xi, from
+a coarse and a fine table of about sqrt(n) phases per xi, each the outer
+product of two shorter tables, block by block, with no (xi, n) array.
 
 The Fourier-side weighted mean ``mean_functional_fourier`` integrates
 |fhat|^2 what with fhat the exact transform of the cell model (midpoint sum
@@ -231,7 +231,8 @@ def _split_phases(xis: np.ndarray, y0: float, d: float, m: int) -> np.ndarray:
 
 
 def fourier_measure(mu: MixedMeasure, xi):
-    """Transform of an atoms-plus-density measure, shaped as xi; |value| <= total variation."""
+    """Transform of an atoms-plus-density measure, shaped as xi; |value| <= total variation.
+    The density is its cells' step function, as the correlations read it."""
     arr = np.ravel(np.asarray(xi, dtype=np.float64))
     out = np.zeros(arr.shape, dtype=np.complex128)
     if mu.atoms:
@@ -240,7 +241,7 @@ def fourier_measure(mu: MixedMeasure, xi):
     if f is not None:
         # the cell midpoints are the centred progression shifted by the support centre
         shift = np.exp(-2j * np.pi * arr * (f.origin + 0.5 * f.width))
-        out += f.spacing * shift * _phase_sum(f.samples, f.spacing, arr)
+        out += f.spacing * np.sinc(f.spacing * arr) * shift * _phase_sum(f.samples, f.spacing, arr)
     return out.reshape(np.shape(xi)) if np.ndim(xi) else complex(out[0])
 
 
@@ -391,12 +392,7 @@ def _interval_lp_moment(p: float) -> tuple[float, float]:
 
 
 def weight_lp_moment(w: Weight, p: float) -> MomentResult:
-    """The inner integral I_w(p) = int |what(xi)|^p d xi, un-rooted, to ``MOMENT_TOL``.
-
-    Interval weight requires p > 1 (the integral diverges otherwise) and is
-    Gauss-Jacobi with a Hurwitz-zeta tail; the Gaussian value is the closed
-    form sqrt(a/(pi p)), cross-checked against Gauss-Legendre.
-    """
+    """The inner integral I_w(p) = int |what(xi)|^p d xi, un-rooted: ``w.lp_moment(p)``."""
     return w.lp_moment(p)
 
 
@@ -405,7 +401,7 @@ def weight_lp_moment(w: Weight, p: float) -> MomentResult:
 # ---------------------------------------------------------------------------
 
 
-def mean_functional_fourier(f: GridFunction, w: Weight, tol: float = 1e-8) -> float:
+def mean_functional_fourier(f: GridFunction, w: Weight, tol: float) -> float:
     """int |fhat(xi)|^2 what(xi) d xi as an exact trapezoid sum (module docstring).
 
     The step is delta = 1/(M h), M = floor((width + R)/h) + 1 > n with

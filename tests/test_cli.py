@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import json
 import math
 
@@ -13,6 +14,7 @@ from autocorr import constants as C
 from autocorr import dualcheck as dual
 from autocorr.cli import main
 from autocorr.functionals import InvariantViolation, ZeroFunctionError
+from autocorr.search import search
 
 
 def _load(path):
@@ -253,7 +255,8 @@ class TestEvaluate:
 
 class TestTolerance:
     # --tol 0 used to end in a ZeroDivisionError traceback (dual) or pass
-    # unread (evaluate min12), and --tol nan exited 0
+    # unread (evaluate min12), and --tol nan exited 0; dual now reads no
+    # --tol at all, so argparse refuses the flag
     ARGV = {"dual": ["dual"],
             "evaluate": ["evaluate", "--family", "indicator", "--functional", "min12"]}
 
@@ -261,8 +264,15 @@ class TestTolerance:
     @pytest.mark.parametrize("command", sorted(ARGV))
     def test_tol_must_be_finite_positive(self, tmp_path, capsys, command, tol):
         out = tmp_path / "out"
-        assert main([*self.ARGV[command], f"--tol={tol}", "--out", str(out)]) == 2
-        assert "'tol'" in capsys.readouterr().err
+        argv = [*self.ARGV[command], f"--tol={tol}", "--out", str(out)]
+        if command == "dual":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            assert "'tol'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -285,11 +295,11 @@ class TestSearch:
         vals = [float(r[1]) for r in rows[1:]]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("flags", [["--dimension", "-3"],
+    @pytest.mark.parametrize("flags", [["--dimension", "-3"], ["--dimension", "0"],
                                        ["--dimension", "200", "--budget", "100"]],
-                             ids=["negative", "budget-too-small"])
+                             ids=["negative", "zero", "budget-too-small"])
     def test_dimension_it_cannot_run(self, tmp_path, capsys, flags):
-        # -3 used to run 16 dimensions; 200 at budget 100 exited 1
+        # -3 and 0 used to run 16 dimensions; 200 at budget 100 exited 1
         out = tmp_path / "out"
         assert main(["search", "--functional", "min12", "--family", "piecewise-constant",
                      *flags, "--out", str(out)]) == 2
@@ -336,10 +346,30 @@ class TestDual:
         for r in bump_rows:
             assert r["positive_mass"] >= 0.410767 - 1e-4
             assert r["positive_mass"] >= r["refined_bound"] - 1e-4
+            # the rows' tolerance is the one the masses were computed to
+            assert r["error_bound"] <= r["tolerance"] == dual.DUAL_TOL
         with open(tmp_path / "dual_masses.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["bump", "pos_mass", "bound", "margin"]
         assert len(rows) == 4
+
+    def test_tol_flag_refused(self, tmp_path, capsys):
+        # at --tol 1e-10 two bumps reported error bounds above it, and at
+        # 1e-16 the cosine cutoff asked for 5.2e8 samples
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--tol", "1e-10", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tol_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        out = tmp_path / "out"
+        cfg.write_text(json.dumps({"command": "dual", "tol": 1e-8, "out": str(out)}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "'tol'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -390,7 +420,7 @@ class TestOptionTable:
 
     def test_flags_are_the_table(self):
         flags = _subcommand_flags()
-        assert sum(len(v) for v in flags.values()) == 26
+        assert sum(len(v) for v in flags.values()) == 25
         for command, actions in flags.items():
             assert {a.dest for a in actions} == set(cli._OPTIONS[command]) - {"values"}
             assert all(a.default is argparse.SUPPRESS for a in actions)
@@ -615,3 +645,30 @@ class TestVerifyFaultInjection:
         assert main(["verify", "--fault-inject", str(k), "--json", str(out)]) == 2
         assert "'fault_inject'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDefaultsEchoed:
+    # the echo said "b": null, "s": null and "dimension": 0 for runs that used
+    # 1, 0.5 and 16 cells
+    DEFAULTS = {"b": 1.0, "s": 0.5, "dimension": 16}
+
+    def test_evaluate_echo(self, tmp_path):
+        assert main(["evaluate", "--family", "indicator", "--functional", "min12",
+                     "--cells", "256", "--out", str(tmp_path)]) == 0
+        rep = _load(tmp_path / "evaluate_report.json")
+        assert {k: rep["config"][k] for k in self.DEFAULTS} == self.DEFAULTS
+        assert rep["results"][0]["support_window"] == [-0.5, 0.5]
+
+    def test_search_echo_is_the_record(self, tmp_path):
+        assert main(["search", "--family", "piecewise-constant", "--functional", "min12",
+                     "--budget", "272", "--out", str(tmp_path)]) == 0
+        rep = _load(tmp_path / "search_report.json")
+        assert {k: rep["config"][k] for k in self.DEFAULTS} == self.DEFAULTS
+        assert rep["results"][0]["dimension"] == 16
+
+    def test_library_defaults_agree(self):
+        # search's own defaults are those RunConfig echoes
+        params = inspect.signature(search).parameters
+        cfg = cli.RunConfig("search")
+        assert (cfg.dimension, cfg.s, cfg.budget, cfg.seed) == tuple(
+            params[name].default for name in ("dimension", "halfwidth", "budget", "seed"))

@@ -266,10 +266,12 @@ class TestBoundReport:
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundReport(name="x", value=-1.0, kind="upper-bound")
-        with pytest.raises(ValueError):
-            BoundReport(name="x", value=1.0, kind="sideways")
-        with pytest.raises(ValueError):
-            BoundReport(name="x", value=1.0, kind="root",
+        # no constant is a root: the roots are SincRoots, not reports
+        for kind in ("sideways", "root"):
+            with pytest.raises(ValueError, match="kind"):
+                BoundReport(name="x", value=1.0, kind=kind)
+        with pytest.raises(ValueError, match="not finite"):
+            BoundReport(name="x", value=1.0, kind="lower-bound",
                         ingredients={"bad": float("nan")})
 
     def test_ordering_of_emitted_table(self):

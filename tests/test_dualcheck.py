@@ -1,5 +1,6 @@
 """Dual-bound, spectrum-check, and case-2bb residual tests."""
 
+import inspect
 import math
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestPositivePartMass:
             return real(f, cuts, n)
 
         monkeypatch.setattr(dualcheck, "_gauss_pieces", recorded)
-        rep = dual_mass_report(bump, tol=1e-8)
+        rep = dual_mass_report(bump)
         (cuts,) = edges
         lengths = np.diff(cuts)
         assert lengths.min() > 1e-6 and lengths.max() <= 1.0 + 1e-9
@@ -249,6 +250,17 @@ class TestPositivePartMass:
             assert lengths.size == before
         for name, value in self.REPORTED[bump.label].items():
             assert getattr(rep, name) == pytest.approx(value, abs=1e-14), name
+
+    def test_cutoffs_fixed_by_dual_tol(self):
+        # dual_mass_report and the cutoffs take no tolerance of their own
+        assert list(inspect.signature(dual_mass_report).parameters) == ["phi"]
+        assert [math.ceil(b.cutoff()) for b in dualcheck.BUMPS] == [64, 3258, 2460]
+
+    @pytest.mark.parametrize("bump", dualcheck.BUMPS, ids=lambda b: b.label)
+    def test_error_bound_within_dual_tol(self, bump):
+        # at a tolerance of 1e-10 the standard and beta-power bumps reported
+        # error bounds of 6.7e-10 and 1.01e-10
+        assert dual_mass_report(bump).error_bound <= dualcheck.DUAL_TOL
 
     @pytest.mark.parametrize("start, tol", [(0, 1e-12), (3000, 1e-4), (3000, 1e-9)])
     def test_batched_roots_cosine(self, start, tol):

@@ -109,6 +109,12 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match="simplex"):
             search("min12", "piecewise", budget=budget, dimension=dimension)
 
+    def test_zero_dimension_rejected(self):
+        # 0 used to stand for the 16-cell default; 16 is now the default itself
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            search("min12", "piecewise", budget=272, dimension=0)
+        assert search("min12", "piecewise", budget=272).dimension == 16
+
     def test_budget_that_seeds_every_simplex_runs(self):
         rec = search("min12", "piecewise", budget=272, dimension=16)
         assert rec.dimension == 16

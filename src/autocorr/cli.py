@@ -86,6 +86,8 @@ _OPTIONS = {
 _FAMILY_KEYS = {"b": ("gaussian",), "s": ("indicator", "piecewise-constant"),
                 "values": ("piecewise-constant",), "dimension": ("piecewise-constant",),
                 "cells": ("gaussian", "indicator"), "support": ("gaussian", "indicator")}
+# the functionals with a Fourier side, the only reader of ``tol``
+_FOURIER_SIDED = ("mean", "gauss")
 _CHOICES = {
     "weight": ("interval", "gaussian"),
     "family": ("gaussian", "indicator", "piecewise-constant", "bs-example"),
@@ -163,6 +165,9 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ValueError(f"the family {cfg.family!r} does not read the keys {unread}")
     if "a" in data and cfg.functional != "gauss" and cfg.weight != "gaussian":
         raise ValueError("'a' is read only by --functional gauss and --weight gaussian")
+    if "tol" in data and cfg.functional not in _FOURIER_SIDED:
+        raise ValueError(f"'tol' is read only by the Fourier side of --functional "
+                         f"{' and '.join(_FOURIER_SIDED)}")
     if cfg.family == "piecewise-constant" and cfg.command == "evaluate":
         # the step function is evaluated on its own cells, spread over [-s, s]
         if cfg.values is None:
@@ -272,7 +277,7 @@ def _cmd_evaluate(cfg: RunConfig) -> _Output:
     row = _row(ratio, "functionals", "functional", "method", "value", "numerator",
                "fourier_numerator", "l1", "error_estimate",
                l2=None if math.isinf(ratio.l2) else ratio.l2, support_window=window,
-               tolerance=cfg.tol)
+               tolerance=cfg.tol if cfg.functional in _FOURIER_SIDED else None)
     return [row], {}, [f"{ratio.functional}[{cfg.family}] = {ratio.value:.8f} "
                        f"(numerator {ratio.numerator:.8f}, error {ratio.error_estimate:.2e})"]
 

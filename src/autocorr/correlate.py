@@ -52,6 +52,11 @@ __all__ = [
 # check the lattice values or the spacing: :class:`Correlation` and the
 # functionals check those once, at the boundary, and call these.  Only
 # ``lattice_min`` refuses an input, an empty window (hi < lo).
+#
+# ``lattice_autocorrelation``, ``lattice_min`` and ``lattice_value`` at a
+# Python number also take a (rows, ...) stack of functions on one spacing, as
+# the search evaluates a round of candidates: the same operations along the
+# last axis, so each row gets the bits of its own 1-D call.
 # ---------------------------------------------------------------------------
 
 
@@ -60,33 +65,41 @@ def _next_pow2(n: int) -> int:
 
 
 def lattice_autocorrelation(samples: np.ndarray, spacing: float) -> np.ndarray:
-    """Lattice values of f*f for cell values ``samples``, by zero-padded FFT."""
-    n = samples.size
+    """Lattice values of f*f for cell values ``samples``, by zero-padded FFT;
+    one row of values for each row of a (rows, n) stack."""
+    n = samples.shape[-1]
     L = _next_pow2(2 * n)
     S = np.fft.rfft(samples, L)
-    pos = np.fft.irfft(S * np.conj(S), L)[:n] * spacing  # lags 0 .. n-1
-    c = np.concatenate(([0.0], pos[:0:-1], pos, [0.0]))  # the lags mirrored: even exactly
+    # Named, not a temporary: from 256 KiB numpy would reuse the conjugate's
+    # buffer and compute conj(S) * S, which rounds differently from S * conj(S).
+    conj = np.conj(S)
+    pos = np.fft.irfft(S * conj, L)[..., :n] * spacing  # lags 0 .. n-1
+    end = np.zeros(samples.shape[:-1] + (1,))
+    c = np.concatenate((end, pos[..., :0:-1], pos, end), axis=-1)  # the lags mirrored: even exactly
     return np.where(c < 0.0, 0.0, c)  # the FFT's rounding noise, clamped at 0
 
 
 def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:
-    n = c.size // 2
+    n = c.shape[-1] // 2
     return (np.arange(2 * n + 1) - n) * spacing
 
 
 def lattice_value(c: np.ndarray, spacing: float, t):
     """The linear interpolant at t, read at |t| on the nonnegative half.
 
-    A Python number t takes plain float arithmetic, with the array branch's
-    operations in the same order, so both give the same bits."""
-    n = c.size // 2
+    A Python number t takes scalar arithmetic, with the array branch's
+    operations in the same order, so both give the same bits; on a stack of
+    lattices it reads one column pair and gives one value per row."""
+    n = c.shape[-1] // 2
     if isinstance(t, (int, float)):
         u = abs(float(t)) / float(spacing)
         if u > n:
-            return 0.0
+            return 0.0 if c.ndim == 1 else np.zeros(c.shape[:-1])
         k = int(min(u, n - 1))
         frac = u - k
-        return float(c[n + k]) * (1.0 - frac) + float(c[n + k + 1]) * frac
+        if c.ndim == 1:
+            return float(c[n + k]) * (1.0 - frac) + float(c[n + k + 1]) * frac
+        return c[:, n + k] * (1.0 - frac) + c[:, n + k + 1] * frac
     u = np.abs(np.asarray(t, dtype=np.float64)) / spacing
     k = np.minimum(u, n - 1).astype(np.int64)
     frac = u - k
@@ -94,19 +107,27 @@ def lattice_value(c: np.ndarray, spacing: float, t):
     return out if out.ndim else float(out)
 
 
-def lattice_min(c: np.ndarray, spacing: float, lo: float, hi: float) -> float:
-    """Exact minimum of the piecewise-linear correlation over [lo, hi]."""
+def lattice_min(c: np.ndarray, spacing: float, lo: float, hi: float):
+    """Exact minimum of the piecewise-linear correlation over [lo, hi]; one
+    per row of a stack, whose rows share the window's end and slice columns."""
     if hi < lo:
         raise ValueError("empty window")
-    W = c.size // 2 * spacing
+    W = c.shape[-1] // 2 * spacing
     cands = [lattice_value(c, spacing, lo), lattice_value(c, spacing, hi)]
     if lo < -W or hi > W:
         cands.append(0.0)  # window sticks out of the support
     ts = _lattice_points(c, spacing)  # ascending: the lattice points in [lo, hi] are a slice
     i, j = ts.searchsorted(lo, side="left"), ts.searchsorted(hi, side="right")
+    if c.ndim == 1:
+        if i < j:
+            cands.append(float(c[i:j].min()))
+        return min(cands)
     if i < j:
-        cands.append(float(c[i:j].min()))
-    return min(cands)
+        cands.append(c[:, i:j].min(axis=-1))
+    least = cands[0]
+    for cand in cands[1:]:
+        least = np.where(cand < least, cand, least)  # min(cands) per row: the first least
+    return least
 
 
 def _lattice_antiderivative(c: np.ndarray, spacing: float, x: np.ndarray) -> np.ndarray:

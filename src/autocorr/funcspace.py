@@ -68,14 +68,21 @@ def _gauss_pieces(f, edges, n: int) -> np.ndarray:
     return out
 
 
-def _l1_norm(samples: np.ndarray, spacing: float) -> float:
-    """||f||_1 of the cell model with these samples and cell width."""
-    return float(spacing * samples.sum())
+def _l1_norm(samples: np.ndarray, spacing: float):
+    """||f||_1 of the cell model with these samples and cell width; one per
+    row of a (rows, n) stack."""
+    if samples.ndim == 1:
+        return float(spacing * samples.sum())
+    return spacing * samples.sum(axis=-1)
 
 
-def _l2_norm(samples: np.ndarray, spacing: float) -> float:
-    """||f||_2 of the cell model with these samples and cell width."""
-    return math.sqrt(spacing * float(np.dot(samples, samples)))
+def _l2_norm(samples: np.ndarray, spacing: float):
+    """||f||_2 of the cell model with these samples and cell width; one per
+    row of a (rows, n) stack, each one ``np.dot`` as in the 1-D call (einsum
+    and matmul sum in another order)."""
+    if samples.ndim == 1:
+        return math.sqrt(spacing * float(np.dot(samples, samples)))
+    return np.sqrt(spacing * np.array([np.dot(row, row) for row in samples]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,9 @@ the zero function and sample scales that the float range cannot hold.  The
 ``q_*`` functions build the tuple once and wrap the core's fields, with the
 Fourier side for the weighted means, in a :class:`RatioResult`; the search
 and criterion 6 call the cores, the time side alone, on their own tuple.
+The tuple and the cores also take a (rows, n) stack of functions on one cell
+width, as the search evaluates a round of candidates: each field is then an
+array with one entry per row, bit for bit the row's own 1-D value.
 """
 
 from __future__ import annotations
@@ -104,8 +107,17 @@ class RatioResult:
             raise ValueError("value is not numerator/denominator")
 
 
-def _ceiling_check(functional: str, value: float, ceiling: float, err: float) -> None:
-    if not (math.isfinite(value) and value <= ceiling + err + 1e-9 * max(1.0, abs(ceiling))):
+def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
+    """Refuse a ratio, or the first ratio of a stack, that is not finite or breaches its ceiling."""
+    bound = ceiling + err + 1e-9 * max(1.0, abs(ceiling))
+    if isinstance(value, float):
+        ok = math.isfinite(value) and value <= bound
+    else:
+        row_ok = np.isfinite(value) & (value <= bound)
+        ok = bool(row_ok.all())
+        if not ok:
+            value = float(value[np.flatnonzero(~row_ok)[0]])
+    if not ok:
         raise InvariantViolation(
             f"{functional} ratio {value!r} is not finite or exceeds the ceiling {ceiling!r}")
 
@@ -129,10 +141,18 @@ def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
 
     ValueError when the float range cannot hold their scale: f*f(0) = ||f||_2^2
     read off the lattice (inf or NaN after an FFT overflow), l1 l2 or l1^2 is
-    not finite or below the least normal float.
+    not finite or below the least normal float.  A stack raises what its
+    first refused row raises alone.
     """
     c = lattice_autocorrelation(samples, spacing)
     l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
+    if c.ndim == 2:
+        c0 = c[:, c.shape[1] // 2]
+        if not ((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
+                & (_TINY <= l1 * l2) & (l1 * l2 < math.inf)).all():
+            for row in samples:  # the first refused row raises, as it does alone
+                lattice_and_norms(row, spacing)
+        return c, spacing, l1, l2
     c0 = float(c[c.size // 2])
     if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
             and _TINY <= l1 * l2 < math.inf):
@@ -146,7 +166,9 @@ def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,
                    f: Optional[GridFunction] = None, tol: float = 0.0) -> tuple:
     """The time side; given f, then also its Fourier side to tol ||f||_1 ||f||_2."""
     c, h, l1, l2 = lat
-    num = w.correlation_integral(c, h)  # first: it refuses a too coarse lattice at once
+    # first: it refuses a too coarse lattice at once; one weight call per row of a stack
+    num = (w.correlation_integral(c, h) if c.ndim == 1
+           else np.array([w.correlation_integral(row, h) for row in c]))
     err = 1e-13 * l1 * l1  # time side is exact up to rounding
     fourier_num = None
     if f is not None:

@@ -15,36 +15,48 @@ the search reaches past the scan as far as the builder's clamps.  The
 (reflection / expansion / contraction / shrink) on the unconstrained cell
 parameters.
 
-The optimizers only call the objective; ``search`` owns the budget, the trace
-and the winner in one recorder.  The budget only caps the evaluations: a
-golden search ends on its tolerance well inside it (or, walking outward
-without end, on the budget), while each simplex restart stops on its share.
-``trace`` has one entry (index, best so far) per objective evaluation, the
-restarts concatenated in index order, and ``evaluations`` is ``len(trace)``;
-the cached scan is not counted.  The winner is the first evaluation that
-attains the best value, so ties keep the lowest restart index.  The BS
-example has no free parameter, so its record is a single evaluation.
+The optimizers only see scores; ``search`` owns the budget, the trace and
+the winner in one recorder, a ``_Run`` per optimizer run that keeps its
+values in order and its first best point.  Golden section calls the
+objective.  The simplex is a generator that yields each point it wants scored
+and takes the score by ``send``, so the max(4, dim) restarts run in lockstep:
+each round stacks the pending point of every live restart, in restart order,
+and evaluates the stack in one call of the row kernels.  The budget only caps
+the evaluations: a golden search ends on its tolerance well inside it (or,
+walking outward without end, on the budget), while each simplex restart stops
+on its share.  ``trace`` has one entry (index, best so far) per objective
+evaluation, the runs concatenated in index order, and ``evaluations`` is
+``len(trace)``; the cached scan is not counted.  The winner is the first
+evaluation that attains the best value, so ties keep the lowest restart
+index.  The record is therefore bit for bit the one of running the restarts
+one after another, one point at a time.  The BS example has no free
+parameter, so its record is a single evaluation.
 
 Each candidate is evaluated once, at array speed.  A family builder turns
 the parameters into the cell values and cell width of a grid function (the
 midpoint arithmetic of ``funcspace.sample``), ``_evaluate`` checks them once
 (finite, nonnegative values, positive width), and the objective kernel reads
 the ratio's array core off their one ``functionals.lattice_and_norms`` tuple,
-as the ``q_*`` functions do.  The winner's value is therefore the public
-``q_*`` value at its parameters, bit for bit, and is not evaluated again.  No
-GridFunction, Correlation or RatioResult is built per evaluation, yet every
-evaluation still raises ZeroFunctionError, the ValueError of a sample scale
-outside the float range, or the proven-ceiling InvariantViolation.  An
-evaluation's error propagates as it was raised: a ValueError is malformed
-input, a RuntimeError a breached invariant.
+as the ``q_*`` functions do.  The piecewise builder and the kernels take a
+(rows, dim) stack of parameters as well, and give each row the bits of its
+own 1-D call.  The winner's value is therefore the public ``q_*`` value at
+its parameters, bit for bit, and is not evaluated again.  No GridFunction,
+Correlation or RatioResult is built per evaluation, yet every evaluation
+still raises ZeroFunctionError, the ValueError of a sample scale outside the
+float range, or the proven-ceiling InvariantViolation.  An evaluation's error
+propagates as it was raised: a ValueError is malformed input, a RuntimeError
+a breached invariant.  A round with a refused row is evaluated again row by
+row, so each restart meets the error it would meet alone; the failed restart
+and those after it end, and once the earlier ones have finished the search
+raises the error of the lowest failed restart, as running them in turn would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +113,7 @@ def _build_gaussian(params: np.ndarray) -> _Samples:
 
 def _build_piecewise(params: np.ndarray, halfwidth: float) -> _Samples:
     vals = np.asarray(params, dtype=np.float64) ** 2
-    return vals, 2.0 * halfwidth / vals.size
+    return vals, 2.0 * halfwidth / vals.shape[-1]
 
 
 def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
@@ -149,9 +161,10 @@ def _bs_value(objective: str) -> float:
 
 
 def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
-              params: np.ndarray) -> float:
-    """The ratio at params.  Only the optimizers give the builder parameters,
-    so output that fails the check is a program fault (RuntimeError)."""
+              params: np.ndarray):
+    """The ratio at params, or one per row of a piecewise stack.  Only the
+    optimizers give the builder parameters, so output that fails the check
+    is a program fault (RuntimeError)."""
     samples, spacing = build(params)
     if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
         raise RuntimeError("family builder gave non-finite or negative samples")
@@ -165,10 +178,12 @@ def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
-    """Minimize fn from x0 until the simplex, one (dim + 1, dim) array kept
-    sorted by score, collapses.  Every evaluation goes through fn, which keeps
-    the budget, the trace and the best, and ends the run by raising."""
+def _nelder_mead(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
+    """Minimize from x0 until the simplex, one (dim + 1, dim) array kept
+    sorted by score, collapses.  A generator: it yields each point to score,
+    often a view of a simplex row, and takes its score by ``send``; the
+    caller keeps the budget, the trace and the best, and ends a run by
+    sending no more."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     x0 = np.asarray(x0, dtype=np.float64)
     dim = x0.size
@@ -177,7 +192,7 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
         simplex[i + 1, i] += 0.25 * (abs(x0[i]) if x0[i] != 0 else 1.0)
     scores = np.empty(dim + 1)
     for i in range(dim + 1):
-        scores[i] = fn(simplex[i])
+        scores[i] = yield simplex[i]
     while True:
         order = np.argsort(scores)
         simplex, scores = simplex[order], scores[order]
@@ -185,31 +200,32 @@ def _nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
             return
         centroid = simplex[:-1].sum(axis=0) / dim  # what np.mean computes, without its overhead
         xr = centroid + alpha * (centroid - simplex[-1])
-        fr = fn(xr)
+        fr = yield xr
         if scores[0] <= fr < scores[-2]:
             simplex[-1], scores[-1] = xr, fr
             continue
         if fr < scores[0]:
             xe = centroid + gamma * (centroid - simplex[-1])
-            fe = fn(xe)
+            fe = yield xe
             if fe < fr:
                 simplex[-1], scores[-1] = xe, fe
             else:
                 simplex[-1], scores[-1] = xr, fr
             continue
         xc = centroid + rho * (simplex[-1] - centroid)
-        fc = fn(xc)
+        fc = yield xc
         if fc < scores[-1]:
             simplex[-1], scores[-1] = xc, fc
             continue
         simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
         for i in range(1, dim + 1):
-            scores[i] = fn(simplex[i])
+            scores[i] = yield simplex[i]
 
 
 def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int) -> None:
     """Minimize fn over theta^2 from the scan's best point grid[i].  Every
-    evaluation goes through fn, as in ``_nelder_mead``."""
+    evaluation goes through fn, which keeps the budget, the trace and the
+    best, and ends the run by raising ``_BudgetExhausted``."""
     f_mid = fn(grid[i])  # the scan's best point first: no record ends below its floor
     if 0 < i < len(grid) - 1:
         _golden_min(fn, grid, i, _GOLDEN_RTOL * grid[i])
@@ -231,6 +247,73 @@ def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int) 
 
 class _BudgetExhausted(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the recorder and the lockstep restarts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Run:
+    """One optimizer run: its values in evaluation order and its first best point."""
+
+    values: list[float] = field(default_factory=list)
+    best_value: float = -math.inf
+    best_params: Optional[np.ndarray] = None
+
+    def record(self, params: np.ndarray, value: float) -> None:
+        if value > self.best_value:
+            self.best_value, self.best_params = value, params
+        self.values.append(value)
+
+
+# What an evaluation raises (module docstring): malformed input or a breached
+# invariant.  The lockstep holds these and raises them in restart order.
+_REFUSALS = (ValueError, RuntimeError)
+
+
+def _row_outcome(build: Callable, kernel: _Kernel, params: np.ndarray):
+    """The one-row ratio at params, or the refusal it raises."""
+    try:
+        return _evaluate(build, kernel, params)
+    except _REFUSALS as err:
+        return err
+
+
+def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
+              share: int) -> list[_Run]:
+    """One simplex run per start, each of at most ``share`` evaluations, in
+    rounds of one stacked evaluation (module docstring)."""
+    runs = [_Run() for _ in starts]
+    simplices = [_nelder_mead(x0) for x0 in starts]
+    pending = {r: next(simplex) for r, simplex in enumerate(simplices)}  # in restart order
+    failure = None
+    while pending:
+        live = list(pending)
+        stack = np.array([pending[r] for r in live])  # a copy: the points are simplex views
+        try:
+            values = list(_evaluate(build, kernel, stack))
+        except _REFUSALS:  # a refused row: each row alone meets its own error
+            values = [_row_outcome(build, kernel, x) for x in stack]
+        for i, (r, x, value) in enumerate(zip(live, stack, values)):
+            if isinstance(value, _REFUSALS):
+                failure = value  # this restart ends, and those after it never run
+                for q in live[i:]:
+                    del pending[q]
+                break
+            value = float(value)
+            runs[r].record(x, value)
+            if len(runs[r].values) < share:
+                try:
+                    pending[r] = simplices[r].send(-value)  # the simplex minimizes
+                    continue
+                except StopIteration:  # the simplex collapsed
+                    pass
+            del pending[r]
+    if failure is not None:
+        raise failure
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -301,47 +384,45 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     build, dim = _family_builder(family, dimension, halfwidth)
     kernel = _objective_kernel(objective, a)
 
-    # The recorder (module docstring).  The optimizers minimize, so they see
-    # the negated ratio; a run ends once the trace reaches ``stop``.
-    trace: list[tuple[int, float]] = []
-    best_value, best_params = -math.inf, None
-
-    def negated(x: np.ndarray) -> float:
-        nonlocal best_value, best_params
-        if len(trace) >= stop:
-            raise _BudgetExhausted
-        value = _evaluate(build, kernel, x)
-        if value > best_value:
-            best_value, best_params = value, x.copy()  # a copy: simplex rows are views
-        trace.append((len(trace) + 1, best_value))
-        return -value
-
     if family in _SCANS:
-        stop = budget
+        run = _Run()
+
+        def negated(x: np.ndarray) -> float:
+            if len(run.values) >= budget:
+                raise _BudgetExhausted
+            value = _evaluate(build, kernel, x)
+            run.record(x, value)
+            return -value  # golden section minimizes
+
         try:
             grid, _, i = _scan(objective, family, a)
             _golden_search(lambda g: negated(np.array([math.sqrt(g)])), grid, i)
         except _BudgetExhausted:
             pass
+        runs = [run]
     else:
         restarts = max(4, dim)
         per_restart = budget // restarts
         if per_restart < dim + 1:
             raise ValueError(f"budget {budget} gives each of {restarts} restarts {per_restart} "
                              f"evaluations; seeding a {dim}-dimensional simplex takes {dim + 1}")
-        for r in range(restarts):
-            if r == 0:
-                x0 = np.ones(dim)
-            else:
-                rng = np.random.default_rng([seed, r])
-                x0 = np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
-            stop = len(trace) + per_restart
-            try:
-                _nelder_mead(negated, x0)
-            except _BudgetExhausted:
-                pass
+        starts = [np.ones(dim)]
+        for r in range(1, restarts):
+            rng = np.random.default_rng([seed, r])
+            starts.append(np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim)))
+        runs = _lockstep(build, kernel, starts, per_restart)
 
+    # The runs concatenated in index order; the winner is the first evaluation
+    # that attains the best value.
+    trace: list[tuple[int, float]] = []
+    best, winner = -math.inf, runs[0]
+    for run in runs:
+        for value in run.values:
+            best = value if value > best else best
+            trace.append((len(trace) + 1, best))
+        if run.best_value > winner.best_value:
+            winner = run
     return SearchRecord(objective=label, family=family, dimension=dim,
-                        best_params=tuple(float(x) for x in best_params),
-                        best_value=float(best_value), evaluations=len(trace), seed=seed,
+                        best_params=tuple(float(x) for x in winner.best_params),
+                        best_value=float(winner.best_value), evaluations=len(trace), seed=seed,
                         trace=tuple(trace))

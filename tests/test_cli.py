@@ -275,6 +275,36 @@ class TestTolerance:
             assert "'tol'" in capsys.readouterr().err
         assert not out.exists()
 
+    # min12, min01 and the BS example are exact on their lattice or grid and
+    # have no Fourier side: --tol used to be echoed as the row's tolerance
+    # there, read by nothing
+    UNREAD = [("indicator", "min12"), ("gaussian", "min01"), ("bs-example", "min01")]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("family, functional", UNREAD)
+    def test_tol_refused_where_nothing_reads_it(self, tmp_path, capsys, family, functional,
+                                               via):
+        out = tmp_path / "out"
+        if via == "flag":
+            code = main(["evaluate", "--family", family, "--functional", functional,
+                         "--tol", "1e-3", "--out", str(out)])
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"command": "evaluate", "family": family,
+                                       "functional": functional, "tol": 1e-3,
+                                       "out": str(out)}))
+            code = main(["--config", str(cfg)])
+        assert code == 2
+        assert "'tol'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, functional", UNREAD)
+    def test_tolerance_null_where_nothing_reads_it(self, tmp_path, family, functional):
+        assert main(["evaluate", "--family", family, "--functional", functional,
+                     "--out", str(tmp_path)]) == 0
+        (row,) = _load(tmp_path / "evaluate_report.json")["results"]
+        assert set(row) == TestEvaluate.KEYS and row["tolerance"] is None
+
 
 class TestSearch:
     KEYS = {"module", "objective", "family", "dimension", "best_params", "best_value",

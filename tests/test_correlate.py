@@ -201,6 +201,44 @@ class TestLatticeKernels:
             assert lattice_value(c, spacing, np.array(t)).hex() == scalar.hex()
 
 
+def _bits(x) -> list:
+    """The bit patterns of an array or a float: +0 and -0 differ."""
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64).tolist()
+
+
+class TestStackedLattices:
+    """A (rows, n) stack on one spacing gives each row the bits of its 1-D call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 20), n=st.integers(1, 40), spacing=st.floats(1e-3, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_their_own_calls(self, rows, n, spacing, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0.0, 4.0, (rows, n)) ** 2
+        stack[rng.uniform(size=stack.shape) < 0.2] = 0.0
+        c = lattice_autocorrelation(stack, spacing)
+        assert c.shape == (rows, 2 * n + 1)
+        singles = [lattice_autocorrelation(row, spacing) for row in stack]
+        assert _bits(c) == _bits(np.array(singles))
+        for lo, hi in [(-0.5, 0.5), (0.0, 1.0), (-3.0 * n * spacing, 0.25), (0.3, 0.3)]:
+            assert _bits(lattice_min(c, spacing, lo, hi)) == \
+                [_bits(lattice_min(single, spacing, lo, hi))[0] for single in singles]
+            assert _bits(lattice_value(c, spacing, hi)) == \
+                [_bits(lattice_value(single, spacing, hi))[0] for single in singles]
+        with pytest.raises(ValueError, match="empty window"):
+            lattice_min(c, spacing, 1.0, 0.0)
+
+    def test_stack_above_elision_size(self):
+        # from 256 KiB numpy may reuse a temporary's buffer, which for the
+        # product of the spectrum and its conjugate rounded otherwise: this
+        # stack's spectrum is 3 x 8193 complex values, 384 KiB
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(0.0, 1.0, (3, 8192))
+        c = lattice_autocorrelation(stack, 1.0 / 8192)
+        assert _bits(c) == _bits(np.array([lattice_autocorrelation(row, 1.0 / 8192)
+                                           for row in stack]))
+
+
 class TestSingularBS:
     def test_floor_on_sweep(self):
         bs = BSExample()

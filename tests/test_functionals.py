@@ -227,6 +227,80 @@ class TestSharedLattice:
             lattice_and_norms(np.zeros(n), spacing)
 
 
+def _bits(x) -> list:
+    """The bit patterns of an array or a float: +0 and -0 differ."""
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64).tolist()
+
+
+_CORES = {"mean": mean_ratio, "gauss": lambda lat: gauss_ratio(lat, 2 * PI),
+          "min12": min12_ratio, "min01": min01_ratio}
+
+
+class TestStackedRows:
+    """The tuple and the cores on a (rows, n) stack of functions on one cell
+    width, as the search evaluates a round: every field of every row has the
+    bits of the row's own 1-D call, and a refused stack raises what its first
+    refused row raises alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 20), n=st.integers(1, 40), spacing=st.floats(0.01, 0.2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fields_equal_their_rows(self, rows, n, spacing, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0.0, 4.0, (rows, n)) ** 2
+        stack[:, rng.integers(0, n)] += 1.0  # no zero row
+        lat = lattice_and_norms(stack, spacing)
+        singles = [lattice_and_norms(row, spacing) for row in stack]
+        for field in (0, 2, 3):
+            assert _bits(lat[field]) == _bits(np.array([single[field] for single in singles]))
+        for name, core in _CORES.items():
+            fields = core(lat)
+            alone = [core(single) for single in singles]
+            for k in range(5):  # a window minimum's error is one constant for all rows
+                assert _bits(np.broadcast_to(fields[k], rows)) == \
+                    [_bits(one[k])[0] for one in alone], (name, k)
+
+    def test_stack_above_elision_size(self):
+        rng = np.random.default_rng(6)
+        stack = rng.uniform(0.5, 1.0, (3, 8192))
+        lat = lattice_and_norms(stack, 1.0 / 8192)
+        for core in (min12_ratio, min01_ratio, mean_ratio):
+            assert _bits(core(lat)[0]) == \
+                [_bits(core(lattice_and_norms(row, 1.0 / 8192))[0])[0] for row in stack]
+
+    @pytest.mark.parametrize("bad, error", [(0.0, ZeroFunctionError), (1e200, ValueError),
+                                            (1e-170, ValueError)])
+    def test_refused_row(self, bad, error):
+        stack = np.ones((4, 3))
+        stack[2] *= bad
+        for first in (stack, stack[::-1].copy()):
+            with np.errstate(all="ignore"), pytest.raises(error) as exc:
+                lattice_and_norms(first, 1.0 / 3)
+            with np.errstate(all="ignore"), pytest.raises(error) as alone:
+                lattice_and_norms(first[2 if first is stack else 1], 1.0 / 3)
+            assert type(exc.value) is type(alone.value)
+            assert str(exc.value) == str(alone.value)
+
+    def test_first_refused_row_decides(self):
+        stack = np.array([[1.0, 1.0], [0.0, 0.0], [1e200, 1e200]])
+        with np.errstate(all="ignore"), pytest.raises(ZeroFunctionError):
+            lattice_and_norms(stack, 0.5)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+            lattice_and_norms(stack[[0, 2, 1]], 0.5)
+        assert not isinstance(exc.value, ZeroFunctionError)
+
+    def test_ceiling_breach_in_one_row(self, monkeypatch):
+        # a lowered ceiling between the two rows' ratios stands in for a
+        # numerics bug in one row; the message names that row's ratio
+        stack = np.array([[1.0, 3.0], [1.0, 1.0], [3.0, 1.0]])
+        values = [min12_ratio(lattice_and_norms(row, 0.5))[0] for row in stack]
+        assert values[0] == values[2] < values[1] == 0.5
+        monkeypatch.setattr(functionals, "MIN12_CEILING", values[0] + 1e-3)
+        with pytest.raises(InvariantViolation) as exc:
+            min12_ratio(lattice_and_norms(stack, 0.5))
+        assert f"min12 ratio {values[1]!r} " in str(exc.value)
+
+
 def _ramp(scale: float, cells: int = 16) -> GridFunction:
     return GridFunction(-0.5, 1.0 / cells, scale * np.linspace(0.5, 1.0, cells))
 

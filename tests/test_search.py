@@ -2,10 +2,13 @@
 
 import hashlib
 import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autocorr import (
     Gaussian,
@@ -26,6 +29,7 @@ from autocorr.search import (
     OBJECTIVES,
     _evaluate,
     _family_builder,
+    _nelder_mead,
     _objective_kernel,
 )
 
@@ -137,21 +141,35 @@ class TestTieRule:
 
     @staticmethod
     def _run(monkeypatch, objective):
+        # the restarts run in lockstep, so each one logs the points it yields,
+        # all of which are scored; ``calls`` concatenates the logs in restart
+        # order, as the trace does, and ``starts`` indexes each restart's
+        # first evaluation
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        calls, starts = [], []
+        logs = []
         simplex = search_mod._nelder_mead
 
-        def marked(fn, x0):
-            starts.append(len(calls))  # the index of this restart's first evaluation
-            simplex(fn, x0)
+        def marked(x0):
+            log = []
+            logs.append(log)
+            run = simplex(x0)
+            x = next(run)
+            while True:
+                log.append((tuple(float(v) for v in x), objective(x)))
+                score = yield x
+                try:
+                    x = run.send(score)
+                except StopIteration:
+                    return
 
-        def evaluate(build, kernel, params):
-            calls.append((tuple(float(x) for x in params), objective(params)))
-            return calls[-1][1]
+        def evaluate(build, kernel, params):  # a (rows, dim) stack
+            return np.array([objective(row) for row in params])
 
         monkeypatch.setattr(search_mod, "_nelder_mead", marked)
         monkeypatch.setattr(search_mod, "_evaluate", evaluate)
         rec = search("min12", "piecewise", budget=400, seed=0, dimension=2)
+        calls = [call for log in logs for call in log]
+        starts = [sum(len(log) for log in logs[:r]) for r in range(len(logs))]
         assert len(starts) == 4 and rec.evaluations == len(calls)
         return rec, calls, starts
 
@@ -170,12 +188,102 @@ class TestTieRule:
         assert rec.best_params == calls[first][0]
 
 
+def _sequential_record(objective, budget, seed, a, dimension, halfwidth):
+    """The piecewise search as the restarts ran before lockstep: one after
+    another, one point at a time through the one-row kernel, each to its
+    share, with the recorder that keeps the trace and the first best point."""
+    build, dim = _family_builder("piecewise", dimension, halfwidth)
+    kernel = _objective_kernel(objective, a)
+    restarts = max(4, dim)
+    share = budget // restarts
+    trace, best, best_params = [], -math.inf, None
+    for r in range(restarts):
+        if r == 0:
+            x0 = np.ones(dim)
+        else:
+            rng = np.random.default_rng([seed, r])
+            x0 = np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
+        simplex = _nelder_mead(x0)
+        x = next(simplex)
+        for k in range(1, share + 1):
+            value = _evaluate(build, kernel, x)
+            if value > best:
+                best, best_params = value, x.copy()
+            trace.append((len(trace) + 1, best))
+            if k == share:
+                break
+            try:
+                x = simplex.send(-value)
+            except StopIteration:
+                break
+    return best, tuple(float(v) for v in best_params), len(trace), tuple(trace)
+
+
+def _bits(record) -> tuple:
+    """A record's fields with every float as its hex string: +0 and -0 differ."""
+    best, params, evaluations, trace = record
+    return (best.hex(), tuple(p.hex() for p in params), evaluations,
+            tuple((i, v.hex()) for i, v in trace))
+
+
+class TestLockstep:
+    """The restarts run in lockstep, one stacked evaluation per round; the
+    record is bit for bit the one of running them in turn.  Unlike
+    ``test_pinned_record`` this holds on every numpy build."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), objective=st.sampled_from(OBJECTIVES), dimension=st.integers(1, 20),
+           halfwidth=st.sampled_from([0.5, 0.75, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_sequential(self, data, objective, dimension, halfwidth, seed):
+        budget = data.draw(st.integers(max(100, max(4, dimension) * (dimension + 1)), 3000),
+                           label="budget")
+        a = 2 * PI if objective == "gauss" else None
+        rec = search(objective, "piecewise", budget=budget, seed=seed, a=a,
+                     dimension=dimension, halfwidth=halfwidth)
+        expected = _sequential_record(objective, budget, seed, a, dimension, halfwidth)
+        assert _bits((rec.best_value, rec.best_params, rec.evaluations, rec.trace)) == \
+            _bits(expected)
+
+    @pytest.mark.parametrize("faults, error", [
+        ({(2, 3): np.nan}, RuntimeError),
+        ({(2, 3): np.nan, (1, 40): 0.0}, ZeroFunctionError),
+        ({(3, 2): np.nan, (2, 5): 0.0}, ZeroFunctionError),
+        ({(0, 60): np.inf, (1, 2): 0.0}, RuntimeError),
+    ], ids=["one", "lower-restart-later", "lower-restart-later-2", "restart-0-last"])
+    def test_lowest_failed_restart_raises(self, monkeypatch, faults, error):
+        # restart r's k-th point is replaced by a constant vector: NaN or inf
+        # fail the builder check (RuntimeError), zeros the zero-function
+        # check; the restarts in turn would end on the lowest failed restart
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        simplex, made = search_mod._nelder_mead, []
+
+        def faulty(x0):
+            r = len(made)
+            made.append(r)
+            run = simplex(x0)
+            x = next(run)
+            for k in itertools.count(1):
+                if (r, k) in faults:
+                    x = np.full(x.size, faults[r, k])
+                score = yield x
+                try:
+                    x = run.send(score)
+                except StopIteration:
+                    return
+
+        monkeypatch.setattr(search_mod, "_nelder_mead", faulty)
+        with np.errstate(all="ignore"), pytest.raises(error) as exc:
+            search("min12", "piecewise", budget=400, seed=0, dimension=2)
+        assert type(exc.value) is error
+        assert len(made) == 4
+
+
 class TestGoldenStability:
     """A one-parameter record survives a one-ulp change of the objective.
 
-    Every optimizer the search runs is handed the objective scaled by
-    1 + 2^-52, 1 - 2^-53 or 1, picked from the bits of the parameter, so
-    about one ulp either way; the recorder still sees the true values.  On
+    Golden section is handed the objective scaled by 1 + 2^-52, 1 - 2^-53
+    or 1, picked from the bits of the parameter, so about one ulp either
+    way; the recorder still sees the true values.  On
     the four pairs below and four such patterns the golden record stays
     bit-identical, where the simplex's path moved.  The 1e-6 bracket leaves a
     margin of a few ulps, not a guarantee: a perturbation of four ulps moved
@@ -203,10 +311,9 @@ class TestGoldenStability:
                 return fn(x) * (1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0)[k]
             return seen
 
-        golden, simplex = search_mod._golden_search, search_mod._nelder_mead
+        golden = search_mod._golden_search
         monkeypatch.setattr(search_mod, "_golden_search",
                             lambda fn, *args: golden(perturbed(fn), *args))
-        monkeypatch.setattr(search_mod, "_nelder_mead", lambda fn, x0: simplex(perturbed(fn), x0))
         assert self._record(search(objective, family, seed=0, **kwargs)) == expected
 
     @pytest.mark.parametrize("objective, family, kwargs", PAIRS,

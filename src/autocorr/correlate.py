@@ -53,10 +53,11 @@ __all__ = [
 # functionals check those once, at the boundary, and call these.  Only
 # ``lattice_min`` refuses an input, an empty window (hi < lo).
 #
-# ``lattice_autocorrelation``, ``lattice_min`` and ``lattice_value`` at a
-# Python number also take a (rows, ...) stack of functions on one spacing, as
-# the search evaluates a round of candidates: the same operations along the
-# last axis, so each row gets the bits of its own 1-D call.
+# ``lattice_autocorrelation``, ``lattice_min`` and ``lattice_value`` also
+# take a (rows, ...) stack of functions on one spacing, as the search
+# evaluates a round of candidates: the same operations along the last axis,
+# so each row gets the bits of its own 1-D call, at a Python or numpy number
+# t as at an array of them.
 # ---------------------------------------------------------------------------
 
 
@@ -87,11 +88,13 @@ def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:
 def lattice_value(c: np.ndarray, spacing: float, t):
     """The linear interpolant at t, read at |t| on the nonnegative half.
 
-    A Python number t takes scalar arithmetic, with the array branch's
-    operations in the same order, so both give the same bits; on a stack of
-    lattices it reads one column pair and gives one value per row."""
+    A 0-d t (a Python or numpy number, or a 0-d array) takes scalar
+    arithmetic, with the array branch's operations in the same order, so both
+    give the same bits; on a stack of lattices it reads one column pair and
+    gives one value per row.  An array t gives t's shape, after the stack's
+    rows on a stack."""
     n = c.shape[-1] // 2
-    if isinstance(t, (int, float)):
+    if np.ndim(t) == 0:
         u = abs(float(t)) / float(spacing)
         if u > n:
             return 0.0 if c.ndim == 1 else np.zeros(c.shape[:-1])
@@ -103,8 +106,7 @@ def lattice_value(c: np.ndarray, spacing: float, t):
     u = np.abs(np.asarray(t, dtype=np.float64)) / spacing
     k = np.minimum(u, n - 1).astype(np.int64)
     frac = u - k
-    out = np.where(u > n, 0.0, c[n + k] * (1.0 - frac) + c[n + k + 1] * frac)
-    return out if out.ndim else float(out)
+    return np.where(u > n, 0.0, c[..., n + k] * (1.0 - frac) + c[..., n + k + 1] * frac)
 
 
 def lattice_min(c: np.ndarray, spacing: float, lo: float, hi: float):

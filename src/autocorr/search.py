@@ -45,10 +45,10 @@ Correlation or RatioResult is built per evaluation, yet every evaluation
 still raises ZeroFunctionError, the ValueError of a sample scale outside the
 float range, or the proven-ceiling InvariantViolation.  An evaluation's error
 propagates as it was raised: a ValueError is malformed input, a RuntimeError
-a breached invariant.  A round with a refused row is evaluated again row by
-row, so each restart meets the error it would meet alone; the failed restart
-and those after it end, and once the earlier ones have finished the search
-raises the error of the lowest failed restart, as running them in turn would.
+a breached invariant.  A lockstep round fails as one evaluation: the first
+round with a refused row raises what its stacked evaluation raises, the
+builder check's RuntimeError for the whole stack, or else the lowest refused
+row's own error from the first check that refuses it.
 """
 
 from __future__ import annotations
@@ -268,40 +268,18 @@ class _Run:
         self.values.append(value)
 
 
-# What an evaluation raises (module docstring): malformed input or a breached
-# invariant.  The lockstep holds these and raises them in restart order.
-_REFUSALS = (ValueError, RuntimeError)
-
-
-def _row_outcome(build: Callable, kernel: _Kernel, params: np.ndarray):
-    """The one-row ratio at params, or the refusal it raises."""
-    try:
-        return _evaluate(build, kernel, params)
-    except _REFUSALS as err:
-        return err
-
-
 def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
               share: int) -> list[_Run]:
     """One simplex run per start, each of at most ``share`` evaluations, in
-    rounds of one stacked evaluation (module docstring)."""
+    rounds of one stacked evaluation (module docstring).  The first round
+    with a refused row raises what its stacked evaluation raises."""
     runs = [_Run() for _ in starts]
     simplices = [_nelder_mead(x0) for x0 in starts]
     pending = {r: next(simplex) for r, simplex in enumerate(simplices)}  # in restart order
-    failure = None
     while pending:
         live = list(pending)
         stack = np.array([pending[r] for r in live])  # a copy: the points are simplex views
-        try:
-            values = list(_evaluate(build, kernel, stack))
-        except _REFUSALS:  # a refused row: each row alone meets its own error
-            values = [_row_outcome(build, kernel, x) for x in stack]
-        for i, (r, x, value) in enumerate(zip(live, stack, values)):
-            if isinstance(value, _REFUSALS):
-                failure = value  # this restart ends, and those after it never run
-                for q in live[i:]:
-                    del pending[q]
-                break
+        for r, x, value in zip(live, stack, _evaluate(build, kernel, stack)):
             value = float(value)
             runs[r].record(x, value)
             if len(runs[r].values) < share:
@@ -311,8 +289,6 @@ def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
                 except StopIteration:  # the simplex collapsed
                     pass
             del pending[r]
-    if failure is not None:
-        raise failure
     return runs
 
 
@@ -368,7 +344,8 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     evaluations each: restart 0 from the ones vector, the others from seeded
     random starts.  ``dimension`` is the piecewise family's cell count, at
     least 1; each restart must afford the dim + 1 evaluations that seed its
-    simplex.
+    simplex.  ``halfwidth`` is the piecewise family's support [-halfwidth,
+    halfwidth]; it must be finite and positive (ValueError, whatever the family).
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
@@ -376,6 +353,8 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         raise ValueError(f"dimension must be positive, got {dimension}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"halfwidth must be finite and positive, got {halfwidth}")
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
         value = _bs_value(objective)

@@ -228,6 +228,22 @@ class TestStackedLattices:
         with pytest.raises(ValueError, match="empty window"):
             lattice_min(c, spacing, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t", [np.float32(0.3), np.int64(1), np.float32(-0.5),
+                                   np.array([0.3, 0.5]), np.array([-0.55, 0.0, 2.0])],
+                             ids=["float32", "int64", "float32-negative", "array", "array-3"])
+    def test_value_at_numpy_t_reads_each_row(self, t):
+        # a numpy scalar or array t used to index the stack's rows, not its
+        # columns: a (40, 9) stack gave row 5's lattice at float32(0.3)
+        rng = np.random.default_rng(11)
+        spacing = 0.25
+        c = lattice_autocorrelation(rng.uniform(0.0, 1.0, (40, 4)), spacing)
+        value = lattice_value(c, spacing, t)
+        assert value.shape == (40,) + np.shape(t)
+        assert _bits(value) == _bits(np.array([lattice_value(row, spacing, t) for row in c]))
+        lo, hi = np.float32(-0.5), np.float32(0.5)
+        assert _bits(lattice_min(c, spacing, lo, hi)) == \
+            [_bits(lattice_min(row, spacing, lo, hi))[0] for row in c]
+
     def test_stack_above_elision_size(self):
         # from 256 KiB numpy may reuse a temporary's buffer, which for the
         # product of the spectrum and its conjugate rounded otherwise: this

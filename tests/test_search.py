@@ -113,6 +113,16 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match="simplex"):
             search("min12", "piecewise", budget=budget, dimension=dimension)
 
+    @pytest.mark.parametrize("family", ["piecewise", "indicator"])
+    @pytest.mark.parametrize("halfwidth", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_halfwidth_rejected(self, monkeypatch, family, halfwidth):
+        # a piecewise search used to fail the builder's spacing check, an
+        # invariant breach (exit 1), on malformed input
+        search_mod = importlib.import_module("autocorr.search")
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
+        with pytest.raises(ValueError, match="halfwidth must be finite and positive"):
+            search("min12", family, halfwidth=halfwidth)
+
     def test_zero_dimension_rejected(self):
         # 0 used to stand for the 16-cell default; 16 is now the default itself
         with pytest.raises(ValueError, match="dimension must be positive"):
@@ -246,14 +256,21 @@ class TestLockstep:
 
     @pytest.mark.parametrize("faults, error", [
         ({(2, 3): np.nan}, RuntimeError),
-        ({(2, 3): np.nan, (1, 40): 0.0}, ZeroFunctionError),
-        ({(3, 2): np.nan, (2, 5): 0.0}, ZeroFunctionError),
-        ({(0, 60): np.inf, (1, 2): 0.0}, RuntimeError),
-    ], ids=["one", "lower-restart-later", "lower-restart-later-2", "restart-0-last"])
+        ({(2, 3): np.nan, (1, 40): 0.0}, RuntimeError),
+        ({(3, 2): np.nan, (2, 5): 0.0}, RuntimeError),
+        ({(0, 60): np.inf, (1, 2): 0.0}, ZeroFunctionError),
+        ({(0, 4): 0.0, (3, 4): np.nan}, RuntimeError),
+        ({(1, 4): 0.0, (2, 4): 1e100}, ZeroFunctionError),
+        ({(1, 4): 1e100, (2, 4): 0.0}, ValueError),
+    ], ids=["one", "lower-restart-later", "lower-restart-later-2", "restart-0-last",
+            "builder-check-first", "lowest-row-first", "lowest-row-first-2"])
     def test_lowest_failed_restart_raises(self, monkeypatch, faults, error):
-        # restart r's k-th point is replaced by a constant vector: NaN or inf
-        # fail the builder check (RuntimeError), zeros the zero-function
-        # check; the restarts in turn would end on the lowest failed restart
+        # restart r's k-th point, in round k, is replaced by a constant
+        # vector: NaN or inf fail the builder check (RuntimeError) for the
+        # whole stack, zeros the zero-function check and 1e100 the float
+        # range (ValueError); the first round with a refused row raises the
+        # builder check's error, or else its lowest refused row's, and the
+        # rounds after it never run
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         simplex, made = search_mod._nelder_mead, []
 
@@ -276,6 +293,24 @@ class TestLockstep:
             search("min12", "piecewise", budget=400, seed=0, dimension=2)
         assert type(exc.value) is error
         assert len(made) == 4
+
+    def test_refused_round_is_evaluated_once(self, monkeypatch):
+        # h sqrt(2a) = 28 is too coarse for the Gaussian weight on every row,
+        # so the first round is refused as one stacked evaluation
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _evaluate(*args)
+
+        monkeypatch.setattr(search_mod, "_evaluate", counted)
+        with pytest.raises(ValueError) as exc:
+            search("gauss", "piecewise", a=1e5)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == ("lattice too coarse for the Gaussian weight: h sqrt(2a) = 28 "
+                                  "needs more than 64 Gauss nodes a cell")
+        assert len(calls) == 1
 
 
 class TestGoldenStability:

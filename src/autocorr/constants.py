@@ -62,23 +62,15 @@ def hy_coefficient(p: float) -> float:
     return (2 * p) ** (1 / p) * (p - 1) ** ((p - 1) / (2 * p)) / (p + 1) ** ((p + 1) / (2 * p))
 
 
-def gaussian_closed_form(p: float, a: float, parse: str = "paper-consistent") -> float:
-    """Closed forms of the Gaussian-weight constant g_p for parse comparison.
+def gaussian_closed_form(p: float, a: float) -> float:
+    """Closed form of the Gaussian-weight constant g_p.
 
-    ``paper-consistent``: (4 a p (p-1)^(p-1) / (pi (p+1)^(p+1)))^(1/(4(p-1))),
-    the parse that reproduces (8a/(27 pi))^(1/4) at p = 2.  The two literal
-    parses of the printed denominator are kept for the audit trail.  All three
-    are evaluated in logs: the powers themselves overflow from p = 119.
+    (4 a p (p-1)^(p-1) / (pi (p+1)^(p+1)))^(1/(4(p-1))), the reading of the
+    printed display that reproduces (8a/(27 pi))^(1/4) at p = 2.  It is
+    evaluated in logs: the powers themselves overflow from p = 143.
     """
     log_num = math.log(4.0 * a * p) + (p - 1.0) * math.log(p - 1.0)
-    if parse == "paper-consistent":
-        log_den = math.log(math.pi) + (p + 1.0) * math.log(p + 1.0)
-    elif parse == "literal":
-        log_den = (p + 1.0) * math.log(math.pi * p + 1.0)
-    elif parse == "grouped":
-        log_den = (p + 1.0) * math.log(math.pi * (p + 1.0))
-    else:
-        raise ValueError(f"unknown parse {parse!r}")
+    log_den = math.log(math.pi) + (p + 1.0) * math.log(p + 1.0)
     return math.exp((log_num - log_den) / (4.0 * (p - 1.0)))
 
 
@@ -102,9 +94,7 @@ def mean_upper_constant(w: Weight, p: float) -> BoundReport:
         raise ValueError(f"the mean bound needs p >= 2, got {p}")
     value, ingredients = _pipeline_constant(w, p)
     if isinstance(w, GaussianWeight):
-        for parse in ("paper-consistent", "literal", "grouped"):
-            ingredients[f"closed_form_{parse.replace('-', '_')}"] = \
-                gaussian_closed_form(p, w.a, parse)
+        ingredients["closed_form_paper_consistent"] = gaussian_closed_form(p, w.a)
     return BoundReport(name=f"mean-upper[{w.label}]", value=value, kind="upper-bound",
                        ingredients=ingredients, tolerance=MOMENT_TOL)
 

@@ -13,11 +13,14 @@ Every result is checked against its proven theorem ceiling; a breach raises
 
 Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
 ``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2) of
-``lattice_and_norms``, the one place that correlates the cells and refuses
-the zero function and sample scales that the float range cannot hold.  The
-``q_*`` functions build the tuple once and wrap the core's fields, with the
-Fourier side for the weighted means, in a :class:`RatioResult`; the search
-and criterion 6 call the cores, the time side alone, on their own tuple.
+``lattice_and_norms``, which correlates the cells and refuses the zero
+function and sample scales that the float range cannot hold.
+``dilated_lattice_and_norms`` gives the same tuple, bit for bit, for one
+profile at any cell width from one correlation, as the search scans a
+one-parameter family; both refuse through one check.  The ``q_*`` functions
+build the tuple once and wrap the core's fields, with the Fourier side for
+the weighted means, in a :class:`RatioResult`; the search and criterion 6
+call the cores, the time side alone, on their own tuple.
 The tuple and the cores also take a (rows, n) stack of functions on one cell
 width, as the search evaluates a round of candidates: each field is then an
 array with one entry per row, bit for bit the row's own 1-D value.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,6 +50,7 @@ __all__ = [
     "q_min_01",
     "q_min_01_bs",
     "lattice_and_norms",
+    "dilated_lattice_and_norms",
     "mean_ratio",
     "gauss_ratio",
     "min12_ratio",
@@ -127,10 +131,11 @@ def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
 #
 # ``lattice_and_norms`` takes cell values and width that the caller has
 # checked (finite, nonnegative samples, positive spacing: a GridFunction, or
-# the search's family builders).  Each core reads its tuple (c, h, l1, l2),
-# returns the fields of a RatioResult after ``functional`` and ``method``,
-# (value, numerator, l1, l2, error_estimate[, fourier_numerator]), and raises
-# InvariantViolation on a ceiling breach or a ratio that is not finite.
+# the search's family builders and scan profiles).  Each core reads its
+# tuple (c, h, l1, l2), returns the fields of a RatioResult after
+# ``functional`` and ``method``, (value, numerator, l1, l2,
+# error_estimate[, fourier_numerator]), and raises InvariantViolation on a
+# ceiling breach or a ratio that is not finite.
 # ---------------------------------------------------------------------------
 
 LatticeAndNorms = tuple[np.ndarray, float, float, float]
@@ -144,22 +149,46 @@ def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
     not finite or below the least normal float.  A stack raises what its
     first refused row raises alone.
     """
-    c = lattice_autocorrelation(samples, spacing)
-    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
+    return _scale_checked(lattice_autocorrelation(samples, spacing), spacing,
+                          _l1_norm(samples, spacing), _l2_norm(samples, spacing), samples)
+
+
+def dilated_lattice_and_norms(profile: np.ndarray) -> Callable[[float], LatticeAndNorms]:
+    """h -> ``lattice_and_norms(profile, h)``, bit for bit, from one correlation.
+
+    The lattice at cell width h is the unit-width lattice times h: the
+    correlation scales its FFT output by the width, and for h > 0 the clamp at
+    0 commutes with that product.  The norms are those of ``_l1_norm`` and
+    ``_l2_norm`` on the profile's sum and dot product, and every width passes
+    the scale refusals of :func:`lattice_and_norms`.  One 1-D profile only.
+    """
+    unit = lattice_autocorrelation(profile, 1.0)
+    total, energy = profile.sum(), float(np.dot(profile, profile))
+
+    def at(spacing: float) -> LatticeAndNorms:
+        return _scale_checked(unit * spacing, spacing, float(spacing * total),
+                              math.sqrt(spacing * energy), profile)
+
+    return at
+
+
+def _scale_checked(c: np.ndarray, h: float, l1, l2, samples: np.ndarray) -> LatticeAndNorms:
+    """The tuple (c, h, l1, l2) once the float range holds its scale: the one
+    place of the refusals that :func:`lattice_and_norms` documents."""
     if c.ndim == 2:
         c0 = c[:, c.shape[1] // 2]
         if not ((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
                 & (_TINY <= l1 * l2) & (l1 * l2 < math.inf)).all():
             for row in samples:  # the first refused row raises, as it does alone
-                lattice_and_norms(row, spacing)
-        return c, spacing, l1, l2
+                lattice_and_norms(row, h)
+        return c, h, l1, l2
     c0 = float(c[c.size // 2])
     if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
             and _TINY <= l1 * l2 < math.inf):
         if not samples.any():
             raise ZeroFunctionError("functional undefined for the zero function")
         raise ValueError(f"sample scale outside the float range: f*f(0) = {c0!r}, l1 = {l1!r}")
-    return c, spacing, l1, l2
+    return c, h, l1, l2
 
 
 def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,

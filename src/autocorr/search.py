@@ -3,17 +3,22 @@
 Nonnegativity is enforced by squaring (cell value or family parameter =
 theta^2), which keeps the landscape smooth instead of projecting onto a
 boundary.  The one-parameter families (``indicator``, ``gaussian``) are
-scanned once at 288 values of theta^2, less those whose lattice the
-objective refuses; the scan is cached and gives both the floor
+each one fixed profile whose cell width follows theta^2 by a spacing rule
+(``_SCANS``).  Each is scanned once at 288 values of theta^2, less those
+whose lattice the objective refuses: the scan correlates the profile once
+and reads every width's lattice-and-norms tuple off that one lattice
+(``functionals.dilated_lattice_and_norms``), bit for bit the tuple that an
+evaluation at that width makes.  The scan is cached and gives both the floor
 (``baseline``) and the bracket between the neighbours of its best point.
 Their search evaluates that point, so no record ends below its floor, then
 narrows the bracket by golden section (``constants._golden_min``)
 to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
 first walks outward, doubling or halving theta^2 while the ratio rises, so
-the search reaches past the scan as far as the builder's clamps.  The
-``piecewise`` family runs a seeded multi-restart Nelder-Mead simplex
-(reflection / expansion / contraction / shrink) on the unconstrained cell
-parameters.
+the search reaches past the scan as far as the spacing rule's clamps; a
+scan that keeps one point walks away from the end of the full scan that
+point sits at.  The ``piecewise`` family runs a seeded multi-restart
+Nelder-Mead simplex (reflection / expansion / contraction / shrink) on the
+unconstrained cell parameters.
 
 The optimizers only see scores; ``search`` owns the budget, the trace and
 the winner in one recorder, a ``_Run`` per optimizer run that keeps its
@@ -34,13 +39,14 @@ parameter, so its record is a single evaluation.
 
 Each candidate is evaluated once, at array speed.  A family builder turns
 the parameters into the cell values and cell width of a grid function (the
-midpoint arithmetic of ``funcspace.sample``), ``_evaluate`` checks them once
-(finite, nonnegative values, positive width), and the objective kernel reads
-the ratio's array core off their one ``functionals.lattice_and_norms`` tuple,
-as the ``q_*`` functions do.  The piecewise builder and the kernels take a
-(rows, dim) stack of parameters as well, and give each row the bits of its
-own 1-D call.  The winner's value is therefore the public ``q_*`` value at
-its parameters, bit for bit, and is not evaluated again.  No GridFunction,
+piecewise cells, or a one-parameter family's profile and its rule's width),
+``_evaluate`` checks them once (finite, nonnegative values, positive width),
+and the objective kernel reads the ratio's array core off their one
+``functionals.lattice_and_norms`` tuple, as the ``q_*`` functions do.  The
+piecewise builder and the kernels take a (rows, dim) stack of parameters as
+well, and give each row the bits of its own 1-D call.  The winner's value is
+therefore the ``q_*`` value of the builder's grid function at its
+parameters, bit for bit, and is not evaluated again.  No GridFunction,
 Correlation or RatioResult is built per evaluation, yet every evaluation
 still raises ZeroFunctionError, the ValueError of a sample scale outside the
 float range, or the proven-ceiling InvariantViolation.  An evaluation's error
@@ -61,9 +67,9 @@ from typing import Callable, Generator, Optional, Sequence
 import numpy as np
 
 from .constants import _golden_min
-from .funcspace import Gaussian, Indicator, _midpoint_samples
-from .functionals import (LatticeAndNorms, gauss_ratio, lattice_and_norms, mean_ratio,
-                          min01_ratio, min12_ratio, q_min_01_bs)
+from .funcspace import Gaussian, _midpoint_samples, _readonly
+from .functionals import (LatticeAndNorms, dilated_lattice_and_norms, gauss_ratio,
+                          lattice_and_norms, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs)
 
 __all__ = [
     "SearchRecord",
@@ -100,17 +106,6 @@ _Samples = tuple[np.ndarray, float]
 _Kernel = Callable[[LatticeAndNorms], float]
 
 
-def _build_indicator(params: np.ndarray) -> _Samples:
-    A = max(float(params[0]) ** 2, 1e-6)
-    return _midpoint_samples(Indicator(A), -A, A, 512)
-
-
-def _build_gaussian(params: np.ndarray) -> _Samples:
-    b = min(max(float(params[0]) ** 2, 1e-4), 1e6)
-    family = Gaussian(b)
-    return _midpoint_samples(family, *family.default_support(), 1024)
-
-
 def _build_piecewise(params: np.ndarray, halfwidth: float) -> _Samples:
     vals = np.asarray(params, dtype=np.float64) ** 2
     return vals, 2.0 * halfwidth / vals.shape[-1]
@@ -128,11 +123,33 @@ def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
     return lambda lat: core(lat)[0]
 
 
-# The one-parameter families: the builder, and the 288 values of the family
-# parameter (theta^2) whose scan gives the floor and the golden bracket.
+@dataclass(frozen=True, eq=False)
+class _Dilations:
+    """A one-parameter family: one fixed profile whose cell width follows theta^2,
+    and the 288 values of theta^2 whose scan gives the floor and the golden bracket."""
+
+    profile: np.ndarray
+    spacing: Callable[[float], float]  # theta^2 -> cell width, with the family's clamps
+    grid: np.ndarray
+
+    def build(self, params: np.ndarray) -> _Samples:
+        return self.profile, self.spacing(float(params[0]) ** 2)
+
+
+# The spacing rules are the arithmetic of sampling each family on its support
+# (``funcspace.sample``), bit for bit.  Every midpoint of [-A, A] lies in the
+# indicator 1_[-A, A], A = max(theta^2, 1e-6), so its 512 cells are all 1 and
+# only the width 2A/512 moves.  exp(-b x^2) on [-5/sqrt(b), 5/sqrt(b)], b =
+# theta^2 clamped to [1e-4, 1e6], is the b = 1 profile at width
+# 2 sqrt(25/b)/1024, up to the rounding of b x^2 (1.5e-14 relative).
 _SCANS = {
-    "indicator": (_build_indicator, np.linspace(0.26, 6.0, 288)),
-    "gaussian": (_build_gaussian, np.geomspace(0.05, 200.0, 288)),
+    "indicator": _Dilations(
+        _readonly(np.ones(512)), lambda t2: 2.0 * max(t2, 1e-6) / 512,
+        np.linspace(0.26, 6.0, 288)),
+    "gaussian": _Dilations(
+        _readonly(_midpoint_samples(Gaussian(1.0), -5.0, 5.0, 1024)[0]),
+        lambda t2: 2.0 * math.sqrt(25.0 / min(max(t2, 1e-4), 1e6)) / 1024,
+        np.geomspace(0.05, 200.0, 288)),
 }
 
 
@@ -147,7 +164,7 @@ _GOLDEN_RTOL = 1e-6
 
 def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Callable, int]:
     if family in _SCANS:
-        return _SCANS[family][0], 1
+        return _SCANS[family].build, 1
     if family == "piecewise":
         return (lambda p: _build_piecewise(p, halfwidth)), dimension
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -160,16 +177,25 @@ def _bs_value(objective: str) -> float:
     return q_min_01_bs().value
 
 
-def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
-              params: np.ndarray):
-    """The ratio at params, or one per row of a piecewise stack.  Only the
-    optimizers give the builder parameters, so output that fails the check
-    is a program fault (RuntimeError)."""
-    samples, spacing = build(params)
+def _check_samples(samples: np.ndarray) -> None:
+    """Only the optimizers and the scans give the builders parameters, so
+    output that fails a check is a program fault (RuntimeError)."""
     if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
         raise RuntimeError("family builder gave non-finite or negative samples")
+
+
+def _check_spacing(spacing: float) -> None:
     if not (math.isfinite(spacing) and spacing > 0):
         raise RuntimeError(f"family builder gave spacing {spacing}, not positive")
+
+
+def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
+              params: np.ndarray):
+    """The ratio at params, or one per row of a piecewise stack, after the
+    builder check."""
+    samples, spacing = build(params)
+    _check_samples(samples)
+    _check_spacing(spacing)
     return kernel(lattice_and_norms(samples, spacing))
 
 
@@ -222,8 +248,10 @@ def _nelder_mead(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
             scores[i] = yield simplex[i]
 
 
-def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int) -> None:
-    """Minimize fn over theta^2 from the scan's best point grid[i].  Every
+def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
+                   full: Sequence[float]) -> None:
+    """Minimize fn over theta^2 from the scan's best point grid[i]; ``full``
+    is the family's whole scan, of which ``grid`` keeps a run.  Every
     evaluation goes through fn, which keeps the budget, the trace and the
     best, and ends the run by raising ``_BudgetExhausted``."""
     f_mid = fn(grid[i])  # the scan's best point first: no record ends below its floor
@@ -231,10 +259,14 @@ def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int) 
         _golden_min(fn, grid, i, _GOLDEN_RTOL * grid[i])
         return
     # Past an end of the scan: step outward by a factor of 2 while fn falls,
-    # then bracket the last best point between its two neighbours.  Beyond a
-    # builder clamp fn is flat, so the walk stops one step past it.
-    step = 2.0 if i else 0.5
-    inner, mid = grid[1 if i == 0 else -2], grid[i]
+    # then bracket the last best point between its two neighbours.  A scan
+    # that kept one point walks away from the end of the full scan it sits
+    # at, and the point is its own inner neighbour.  Beyond a builder clamp
+    # fn is flat, so the walk stops one step past it.
+    up = i == len(grid) - 1 and grid[i] != full[0]
+    step = 2.0 if up else 0.5
+    inner = grid[i - 1 if up else i + 1] if len(grid) > 1 else grid[i]
+    mid = grid[i]
     while True:
         outer = mid * step
         f_outer = fn(outer)
@@ -303,18 +335,25 @@ def _scan(objective: str, family: str,
     """The family's scan grid, the ratio at each of its values, and the index of
     the first best one.  Cached, so the floor and every search share one scan.
 
-    A value whose lattice the objective refuses (ValueError, as a Gaussian
-    too wide for the Gaussian weight's per-cell rule) is left out of the
-    grid; if every value is refused, the first refusal is raised.
+    One correlation of the family's profile serves every value; each width
+    still runs the builder's spacing check, the scale refusals and the
+    objective's own checks.  A value whose lattice the objective refuses
+    (ValueError, as a Gaussian too wide for the Gaussian weight's per-cell
+    rule) is left out of the grid; if every value is refused, the first
+    refusal is raised.
     """
     kernel = _objective_kernel(objective, a)
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
-    build, full = _SCANS[family]
+    scan = _SCANS[family]
+    _check_samples(scan.profile)
+    at = dilated_lattice_and_norms(scan.profile)  # the scan's one correlation
     grid, values, refusal = [], [], None
-    for g in full:
+    for g in scan.grid:
+        spacing = scan.spacing(math.sqrt(g) ** 2)  # theta^2 as the golden search gives it
+        _check_spacing(spacing)
         try:
-            value = _evaluate(build, kernel, np.array([math.sqrt(g)]))
+            value = kernel(at(spacing))
         except ValueError as err:
             refusal = refusal or err
         else:
@@ -375,7 +414,8 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
 
         try:
             grid, _, i = _scan(objective, family, a)
-            _golden_search(lambda g: negated(np.array([math.sqrt(g)])), grid, i)
+            _golden_search(lambda g: negated(np.array([math.sqrt(g)])), grid, i,
+                           _SCANS[family].grid)
         except _BudgetExhausted:
             pass
         runs = [run]

@@ -56,22 +56,19 @@ class TestMeanUpperConstant:
         assert rep.value == pytest.approx(0.8773, abs=5e-4)
 
     def test_gaussian_closed_form_parse(self):
-        # pipeline matches the p = 2-consistent parse of the printed display;
-        # the two literal parses do not reproduce it
+        # pipeline matches the p = 2-consistent parse of the printed display,
+        # the one closed form the report carries
         for p in (2.0, 2.5, PI, 4.0):
             rep = mean_upper_constant(GaussianWeight(2 * PI), p)
-            assert rep.value == pytest.approx(
-                gaussian_closed_form(p, 2 * PI, "paper-consistent"), abs=1e-8)
-        assert abs(gaussian_closed_form(3.0, 2 * PI, "literal")
-                   - gaussian_closed_form(3.0, 2 * PI, "paper-consistent")) > 1e-2
-        # the powers in the closed forms overflow from p = 119 (literal and
-        # grouped) and p = 143 (paper-consistent); the logs do not
+            assert rep.value == pytest.approx(gaussian_closed_form(p, 2 * PI), abs=1e-8)
+            assert [k for k in rep.ingredients if k.startswith("closed_form")] == \
+                ["closed_form_paper_consistent"]
+            assert rep.ingredients["closed_form_paper_consistent"] == \
+                gaussian_closed_form(p, 2 * PI)
+        # the powers in the closed form overflow from p = 143; the logs do not
         for p in (119.0, 143.0, 300.0):
             rep = mean_upper_constant(GaussianWeight(2 * PI), p)
-            assert rep.value == pytest.approx(
-                gaussian_closed_form(p, 2 * PI, "paper-consistent"), rel=1e-12)
-            for parse in ("literal", "grouped"):
-                assert 0.5 < rep.ingredients[f"closed_form_{parse}"] < rep.value
+            assert rep.value == pytest.approx(gaussian_closed_form(p, 2 * PI), rel=1e-12)
         assert gaussian_closed_form(2.0, 2 * PI) == (8.0 * 2 * PI / (27.0 * PI)) ** 0.25
 
     def test_rejects_small_p(self):

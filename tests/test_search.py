@@ -23,6 +23,7 @@ from autocorr import (
     sample,
     search,
 )
+from autocorr.funcspace import _midpoint_samples
 from autocorr.functionals import (MIN01_CEILING, gauss_ceiling, gauss_ratio,
                                   lattice_and_norms, mean_ratio)
 from autocorr.search import (
@@ -393,13 +394,27 @@ class TestReachPastTheScan:
         # indicators from a = 1e6) give lattices too coarse for the Gaussian
         # weight's per-cell rule; the scan keeps the rest, a run of the grid
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        full = tuple(float(g) for g in search_mod._SCANS[family][1])
+        full = tuple(float(g) for g in search_mod._SCANS[family].grid)
         grid, values, i = search_mod._scan("gauss", family, a)
         assert len(grid) == len(values) and values[i] == max(values)
         start = full.index(grid[0])
         assert grid == full[start:start + len(grid)]
         assert (len(grid) < len(full)) == refused
         assert baseline("gauss", family, a=a) == values[i]
+
+    @pytest.mark.parametrize("family, a, kept", [("gaussian", 4.1e8, 200.0),
+                                                 ("indicator", 1.8e8, 0.26)])
+    def test_scan_of_one_point_walks_out(self, family, a, kept):
+        # the scan keeps only the narrowest function of the family, an end of
+        # the full scan; the walk used to read a second grid point and raise
+        # IndexError
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        grid, _, _ = search_mod._scan("gauss", family, a)
+        assert grid == (pytest.approx(kept, rel=1e-15),)
+        rec = search("gauss", family, a=a)
+        assert rec.best_value >= baseline("gauss", family, a=a)
+        assert rec.trace[-1][1] > rec.trace[0][1]  # the walk went past the scan
+        assert rec.evaluations < 100
 
     def test_all_refused_raises(self):
         # at a = 1e10 no value of the scan gives an accepted lattice
@@ -415,9 +430,11 @@ class TestReachPastTheScan:
         assert rec.evaluations < 100
 
     def test_endless_rise_stops_on_the_budget(self, monkeypatch):
-        # a ratio that rises without end: the walk runs until the budget
+        # a ratio that rises without end, the cell width: the walk runs until
+        # the budget
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        monkeypatch.setattr(search_mod, "_evaluate", lambda build, kernel, p: float(p[0]) ** 2)
+        monkeypatch.setattr(search_mod, "_objective_kernel",
+                            lambda objective, a: lambda lat: lat[1])
         search_mod._scan.cache_clear()
         try:
             rec = search("min12", "indicator", budget=100)
@@ -425,6 +442,96 @@ class TestReachPastTheScan:
             search_mod._scan.cache_clear()
         assert rec.evaluations == 100
         assert rec.best_params[0] ** 2 == pytest.approx(6.0 * 2.0 ** 99, rel=1e-12)
+
+
+def _sampled_scan(objective, family, a):
+    """The scan as the families were evaluated before one profile stood for
+    each: the function sampled anew at every theta^2 of the scan, with the
+    builder clamps, and its own ``lattice_and_norms`` tuple; a value whose
+    lattice the objective refuses is left out.  Also each theta^2's width."""
+    kernel = _objective_kernel(objective, a)
+    full = np.linspace(0.26, 6.0, 288) if family == "indicator" else np.geomspace(0.05, 200.0, 288)
+    grid, values, spacings = [], [], []
+    for g in full:
+        t2 = math.sqrt(g) ** 2  # theta^2 as the golden search gives it
+        if family == "indicator":
+            A = max(t2, 1e-6)
+            samples, h = _midpoint_samples(Indicator(A), -A, A, 512)
+        else:
+            f = Gaussian(min(max(t2, 1e-4), 1e6))
+            samples, h = _midpoint_samples(f, *f.default_support(), 1024)
+        spacings.append(h)
+        try:
+            value = kernel(lattice_and_norms(samples, h))
+        except ValueError:
+            continue
+        grid.append(float(g))
+        values.append(value)
+    return tuple(grid), tuple(values), int(np.argmax(values)), spacings
+
+
+_SCAN_CASES = [(o, f, 2 * PI if o == "gauss" else None)
+               for o in OBJECTIVES for f in ("indicator", "gaussian")]
+
+
+class TestOneLatticePerScan:
+    """A one-parameter family is one profile at 288 cell widths: its scan
+    correlates the profile once and reads every width off that lattice."""
+
+    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES)
+    def test_one_correlation_per_scan(self, monkeypatch, objective, family, a):
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        real, calls = functionals.lattice_autocorrelation, []
+
+        def counted(samples, spacing):
+            calls.append(spacing)
+            return real(samples, spacing)
+
+        monkeypatch.setattr(functionals, "lattice_autocorrelation", counted)
+        search_mod._scan.cache_clear()
+        try:
+            search_mod._scan(objective, family, a)
+        finally:
+            search_mod._scan.cache_clear()
+        assert calls == [1.0]
+
+    @pytest.mark.parametrize("family", ["indicator", "gaussian"])
+    def test_dilation_is_the_lattice_at_each_spacing(self, family):
+        # the scan and the golden search read the same bits
+        scan = importlib.import_module("autocorr.search")._SCANS[family]
+        at = functionals.dilated_lattice_and_norms(scan.profile)
+        for g in scan.grid:
+            h = scan.spacing(math.sqrt(g) ** 2)
+            got, want = at(h), lattice_and_norms(scan.profile, h)
+            assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64)), g
+            assert [np.float64(x).view(np.int64) for x in got[1:]] == \
+                [np.float64(x).view(np.int64) for x in want[1:]], g
+
+    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + [("gauss", "gaussian", 1.2e5),
+                                                                    ("gauss", "indicator", 1e6)])
+    def test_scan_equals_the_sampled_families(self, objective, family, a):
+        # the same grid, refusals included, and best point; the indicator's
+        # cells are all 1 at every width, so its values keep every bit, while
+        # the Gaussian's move by the rounding of b x^2
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        scan = search_mod._SCANS[family]
+        grid, values, i = search_mod._scan(objective, family, a)
+        old_grid, old_values, old_i, old_spacings = _sampled_scan(objective, family, a)
+        assert [scan.spacing(math.sqrt(g) ** 2) for g in scan.grid] == old_spacings
+        assert grid == old_grid and i == old_i
+        if family == "indicator":
+            assert values == old_values
+        scale = max(abs(v) for v in old_values)
+        assert max(abs(x - y) for x, y in zip(values, old_values)) <= 1e-14 * scale
+
+    def test_profile_is_the_sampled_gaussian(self):
+        # at every theta^2 of the scan and past both clamps, exp(-b x^2)
+        # sampled on its support is the b = 1 profile at the rule's width
+        scan = importlib.import_module("autocorr.search")._SCANS["gaussian"]
+        for t2 in [math.sqrt(g) ** 2 for g in scan.grid] + [1e-6, 1e-4, 1e6, 1e8]:
+            f = sample(Gaussian(min(max(t2, 1e-4), 1e6)), cells=1024)
+            assert f.spacing == scan.spacing(t2), t2
+            assert np.all(np.abs(scan.profile - f.samples) <= 1.5e-14 * f.samples), t2
 
 
 class TestFloorsAndSoundness:
@@ -565,13 +672,22 @@ class TestEvaluationFailure:
 # The public path that the kernels must reproduce bit for bit: the family
 # sampled through ``sample`` (or the step function on [-1/2, 1/2], which is a
 # GridFunction as it stands), then the q_* value, with the builders' parameter
-# clamps.  For the weighted means it is read off the array core on the q_*
-# tuple: the same value, without the Fourier side, which the narrowest
-# indicator is too narrow for.
+# clamps.  The Gaussian family is the b = 1 samples on the grid that
+# ``sample`` gives exp(-b x^2); they match its own samples to 1.5e-14
+# relative (``TestOneLatticePerScan``).  For the weighted means the value is
+# read off the array core on the q_* tuple: the same value, without the
+# Fourier side, which the narrowest indicator is too narrow for.
+_UNIT_GAUSSIAN = sample(Gaussian(1.0), cells=1024).samples
+
+
+def _public_gaussian(p):
+    f = sample(Gaussian(min(max(float(p[0]) ** 2, 1e-4), 1e6)), cells=1024)
+    return GridFunction(f.origin, f.spacing, _UNIT_GAUSSIAN)
+
+
 _PUBLIC_FAMILIES = {
     "indicator": (1, lambda p: sample(Indicator(max(float(p[0]) ** 2, 1e-6)), cells=512)),
-    "gaussian": (1, lambda p: sample(Gaussian(min(max(float(p[0]) ** 2, 1e-4), 1e6)),
-                                     cells=1024)),
+    "gaussian": (1, _public_gaussian),
     "piecewise": (16, lambda p: GridFunction(-0.5, 1.0 / 16, p ** 2)),
 }
 _PUBLIC_OBJECTIVES = {
@@ -620,10 +736,11 @@ class TestKernelsMatchPublicPath:
 
 
 # The min12 rows are pinned at the commit before the array kernels, the gauss
-# rows at the golden section of the one-parameter families, which ignores the
-# seed: any drift in the arithmetic of the search path changes these.  They
-# hold for the numpy build they were taken with; another build may round the
-# FFT or exp in the last place.
+# rows' traces at the scans of one dilated profile (their best value and
+# evaluation count at the golden section before it, which ignores the seed):
+# any drift in the arithmetic of the search path changes these.  They hold
+# for the numpy build they were taken with; another build may round the FFT
+# or exp in the last place.
 _PIN_NUMPY = "2.4.6"
 _PINNED = [
     ("min12", "piecewise", {"dimension": 16}, 0, "0x1.1c553636ee990p-1", 2000,
@@ -631,9 +748,9 @@ _PINNED = [
     ("min12", "piecewise", {"dimension": 16}, 1, "0x1.0a60039a79cfbp-1", 2000,
      "6bacd1eee385d4e59a90222ff39e7b1fd197b13bb38d27047e2f67e61bfbae55"),
     ("gauss", "gaussian", {"a": 2 * PI}, 0, "0x1.ae898977574f0p-1", 26,
-     "682ac0e484b82cb0cb8a4ae78ba17b038636855dfd60d1a27f40f0a023841352"),
+     "3d026bff7ea3556f1486c55b5090cdf1150673353a0c6cd56201fc3145d7d837"),
     ("gauss", "gaussian", {"a": 2 * PI}, 1, "0x1.ae898977574f0p-1", 26,
-     "682ac0e484b82cb0cb8a4ae78ba17b038636855dfd60d1a27f40f0a023841352"),
+     "3d026bff7ea3556f1486c55b5090cdf1150673353a0c6cd56201fc3145d7d837"),
 ]
 
 

@@ -216,12 +216,12 @@ class TestWeightTails:
 def _gauss_time_cases():
     """(label, lattice values, spacing, a, ||f||_1) of the Gaussian time side."""
     from autocorr.correlate import lattice_autocorrelation
-    from autocorr.search import _build_gaussian
+    from autocorr.search import _SCANS
     from autocorr.verification import random_grid_function
 
     cases = []
     for b in (4 * PI, 1e-4):    # the search geometry at a = 2 pi; h = 0.98
-        s, h = _build_gaussian(np.array([math.sqrt(b)]))
+        s, h = _SCANS["gaussian"].build(np.array([math.sqrt(b)]))
         cases.append((f"gaussian-b={b:g}", lattice_autocorrelation(s, h), h, 2 * PI,
                       h * float(s.sum())))
     rng = np.random.default_rng(61)

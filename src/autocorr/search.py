@@ -16,20 +16,23 @@ to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
 first walks outward, doubling or halving theta^2 while the ratio rises, so
 the search reaches past the scan as far as the spacing rule's clamps; a
 scan that keeps one point walks away from the end of the full scan that
-point sits at.  The ``piecewise`` family runs a seeded multi-restart
-Nelder-Mead simplex (reflection / expansion / contraction / shrink) on the
-unconstrained cell parameters.
+point sits at.  A best point past a clamp is reported at the clamp, the
+parameter of the function it scored.  The ``piecewise`` family runs a
+seeded multi-restart Nelder-Mead simplex (reflection / expansion /
+contraction / shrink) on the unconstrained cell parameters.
 
 The optimizers only see scores; ``search`` owns the budget, the trace and
 the winner in one recorder, a ``_Run`` per optimizer run that keeps its
 values in order and its first best point.  Golden section calls the
-objective.  The simplex is a generator that yields each point it wants scored
-and takes the score by ``send``, so the max(4, dim) restarts run in lockstep:
-each round stacks the pending point of every live restart, in restart order,
-and evaluates the stack in one call of the row kernels.  The budget only caps
-the evaluations: a golden search ends on its tolerance well inside it (or,
-walking outward without end, on the budget), while each simplex restart stops
-on its share.  ``trace`` has one entry (index, best so far) per objective
+objective.  The max(4, dim) simplex restarts run in lockstep (``_lockstep``):
+their simplices are the rows of one array; each round stacks the pending
+point of every live restart, in restart order, and evaluates the stack in
+one call of the row kernels, and the array steps that follow (re-sort,
+collapse test, centroid and step points) run once on the rows of every
+restart that takes them.  The budget only caps the evaluations: a golden
+search ends on its tolerance well inside it (or, walking outward without
+end, on the budget), while each simplex restart stops on its share or on
+the collapse of its simplex.  ``trace`` has one entry (index, best so far) per objective
 evaluation, the runs concatenated in index order, and ``evaluations`` is
 ``len(trace)``; the cached scan is not counted.  The winner is the first
 evaluation that attains the best value, so ties keep the lowest restart
@@ -62,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -129,11 +132,27 @@ class _Dilations:
     and the 288 values of theta^2 whose scan gives the floor and the golden bracket."""
 
     profile: np.ndarray
-    spacing: Callable[[float], float]  # theta^2 -> cell width, with the family's clamps
+    width: Callable[[float], float]  # clamped theta^2 -> cell width
+    clamp: tuple[float, float]  # the range of theta^2 the family is sampled on
     grid: np.ndarray
+
+    def clamped(self, t2: float) -> float:
+        lo, hi = self.clamp
+        return min(max(t2, lo), hi)
+
+    def spacing(self, t2: float) -> float:
+        return self.width(self.clamped(t2))
 
     def build(self, params: np.ndarray) -> _Samples:
         return self.profile, self.spacing(float(params[0]) ** 2)
+
+    def scored(self, params: tuple[float, ...]) -> tuple[float, ...]:
+        """The parameter of the function that ``build`` scores at params: theta
+        past a clamp moves onto it.  The square root of each clamp squares back
+        to it, so ``build`` gives the same width at both."""
+        t2 = params[0] ** 2
+        inside = self.clamped(t2)
+        return params if inside == t2 else (math.sqrt(inside),)
 
 
 # The spacing rules are the arithmetic of sampling each family on its support
@@ -144,11 +163,11 @@ class _Dilations:
 # 2 sqrt(25/b)/1024, up to the rounding of b x^2 (1.5e-14 relative).
 _SCANS = {
     "indicator": _Dilations(
-        _readonly(np.ones(512)), lambda t2: 2.0 * max(t2, 1e-6) / 512,
+        _readonly(np.ones(512)), lambda A: 2.0 * A / 512, (1e-6, math.inf),
         np.linspace(0.26, 6.0, 288)),
     "gaussian": _Dilations(
         _readonly(_midpoint_samples(Gaussian(1.0), -5.0, 5.0, 1024)[0]),
-        lambda t2: 2.0 * math.sqrt(25.0 / min(max(t2, 1e-4), 1e6)) / 1024,
+        lambda b: 2.0 * math.sqrt(25.0 / b) / 1024, (1e-4, 1e6),
         np.geomspace(0.05, 200.0, 288)),
 }
 
@@ -202,50 +221,6 @@ def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
-
-
-def _nelder_mead(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
-    """Minimize from x0 until the simplex, one (dim + 1, dim) array kept
-    sorted by score, collapses.  A generator: it yields each point to score,
-    often a view of a simplex row, and takes its score by ``send``; the
-    caller keeps the budget, the trace and the best, and ends a run by
-    sending no more."""
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=np.float64)
-    dim = x0.size
-    simplex = np.tile(x0, (dim + 1, 1))
-    for i in range(dim):
-        simplex[i + 1, i] += 0.25 * (abs(x0[i]) if x0[i] != 0 else 1.0)
-    scores = np.empty(dim + 1)
-    for i in range(dim + 1):
-        scores[i] = yield simplex[i]
-    while True:
-        order = np.argsort(scores)
-        simplex, scores = simplex[order], scores[order]
-        if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
-            return
-        centroid = simplex[:-1].sum(axis=0) / dim  # what np.mean computes, without its overhead
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = yield xr
-        if scores[0] <= fr < scores[-2]:
-            simplex[-1], scores[-1] = xr, fr
-            continue
-        if fr < scores[0]:
-            xe = centroid + gamma * (centroid - simplex[-1])
-            fe = yield xe
-            if fe < fr:
-                simplex[-1], scores[-1] = xe, fe
-            else:
-                simplex[-1], scores[-1] = xr, fr
-            continue
-        xc = centroid + rho * (simplex[-1] - centroid)
-        fc = yield xc
-        if fc < scores[-1]:
-            simplex[-1], scores[-1] = xc, fc
-            continue
-        simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
-        for i in range(1, dim + 1):
-            scores[i] = yield simplex[i]
 
 
 def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
@@ -302,25 +277,88 @@ class _Run:
 
 def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
               share: int) -> list[_Run]:
-    """One simplex run per start, each of at most ``share`` evaluations, in
-    rounds of one stacked evaluation (module docstring).  The first round
-    with a refused row raises what its stacked evaluation raises."""
+    """Nelder-Mead from each start, minimizing the negated ratio until the
+    simplex collapses (every vertex within 1e-10 of the best) or the run has
+    its ``share`` of evaluations, in rounds of one stacked evaluation (module
+    docstring).  The first round with a refused row raises what its stacked
+    evaluation raises.
+
+    Each restart's simplex, dim + 1 vertices kept sorted by score, and the
+    three points its next step may score (reflection, expansion and
+    contraction of the worst vertex) are the slots of one row of ``pool``;
+    ``slot[r]`` is the slot restart r awaits a score for, and its phase:
+    a vertex (the seeding fill, or the points of a shrink) or a step.  The
+    phases are plain Python; the array work of a round runs once on the
+    rows of every restart that needs it, above all the re-sort with its
+    collapse test, centroid and step points, and gives each row the bits of
+    its own one-simplex arithmetic (the one-restart oracle of the tests)."""
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    x0 = np.array(starts, dtype=np.float64)
+    restarts, dim = x0.shape
+    reflection, expansion, contraction = dim + 1, dim + 2, dim + 3
+    pool = np.zeros((restarts, dim + 4, dim))
+    pool[:, :dim + 1] = x0[:, None]
+    axis = np.arange(dim)
+    pool[:, axis + 1, axis] += 0.25 * np.where(x0 != 0, np.abs(x0), 1.0)
+    scores = np.empty((restarts, dim + 1))  # minimized: the negated ratios
+    gains = np.array([alpha, gamma])[:, None]  # of the reflection and the expansion
+    slot, f_reflected = [0] * restarts, [0.0] * restarts
     runs = [_Run() for _ in starts]
-    simplices = [_nelder_mead(x0) for x0 in starts]
-    pending = {r: next(simplex) for r, simplex in enumerate(simplices)}  # in restart order
-    while pending:
-        live = list(pending)
-        stack = np.array([pending[r] for r in live])  # a copy: the points are simplex views
+    live = list(range(restarts))  # in restart order
+    while live:
+        stack = pool[live, [slot[r] for r in live]]
+        replaced, sources, to_sort, to_shrink, ended = [], [], [], [], []
         for r, x, value in zip(live, stack, _evaluate(build, kernel, stack)):
             value = float(value)
             runs[r].record(x, value)
-            if len(runs[r].values) < share:
-                try:
-                    pending[r] = simplices[r].send(-value)  # the simplex minimizes
+            if len(runs[r].values) >= share:
+                ended.append(r)
+                continue
+            f, row, k = -value, scores[r], slot[r]
+            if k <= dim:  # a vertex; after the last one, re-sort
+                row[k] = f
+                if k < dim:
+                    slot[r] = k + 1
                     continue
-                except StopIteration:  # the simplex collapsed
-                    pass
-            del pending[r]
+            else:
+                if k == reflection:
+                    if not row[0] <= f < row[-2]:
+                        f_reflected[r] = f
+                        slot[r] = expansion if f < row[0] else contraction
+                        continue
+                elif k == expansion:  # keep the better of expansion and reflection
+                    if not f < f_reflected[r]:
+                        f, k = f_reflected[r], reflection
+                elif not f < row[-1]:  # a failed contraction: shrink toward the best vertex
+                    to_shrink.append(r)
+                    slot[r] = 1
+                    continue
+                row[-1] = f  # the kept point replaces the worst vertex
+                replaced.append(r)
+                sources.append(k)
+            to_sort.append(r)
+        if replaced:
+            pool[replaced, dim] = pool[replaced, sources]
+        if to_shrink:
+            best = pool[to_shrink, :1]
+            pool[to_shrink, 1:dim + 1] = best + sigma * (pool[to_shrink, 1:dim + 1] - best)
+        if to_sort:
+            at = np.array(to_sort)
+            order = np.argsort(scores[at], axis=1)
+            scores[at] = scores[at[:, None], order]
+            s = pool[at, :dim + 1] = pool[at[:, None], order]
+            collapsed = np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) < 1e-10
+            c = s[:, :-1].sum(axis=1) / dim  # what np.mean computes, without its overhead
+            worst = s[:, -1]
+            pool[at, reflection:contraction] = c[:, None] + gains * (c - worst)[:, None]
+            pool[at, contraction] = c + rho * (worst - c)
+            for r, stop in zip(to_sort, collapsed.tolist()):
+                if stop:
+                    ended.append(r)
+                else:
+                    slot[r] = reflection
+        if ended:
+            live = [r for r in live if r not in ended]
     return runs
 
 
@@ -441,7 +479,10 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
             trace.append((len(trace) + 1, best))
         if run.best_value > winner.best_value:
             winner = run
+    best_params = tuple(float(x) for x in winner.best_params)
+    if family in _SCANS:  # a walk past a clamp scored the function at the clamp
+        best_params = _SCANS[family].scored(best_params)
     return SearchRecord(objective=label, family=family, dimension=dim,
-                        best_params=tuple(float(x) for x in winner.best_params),
+                        best_params=best_params,
                         best_value=float(winner.best_value), evaluations=len(trace), seed=seed,
                         trace=tuple(trace))

@@ -1,8 +1,8 @@
 """Search tests: determinism, soundness, floors, record invariants."""
 
+import collections
 import hashlib
 import importlib
-import itertools
 import math
 
 import numpy as np
@@ -30,7 +30,6 @@ from autocorr.search import (
     OBJECTIVES,
     _evaluate,
     _family_builder,
-    _nelder_mead,
     _objective_kernel,
 )
 
@@ -152,31 +151,27 @@ class TestTieRule:
 
     @staticmethod
     def _run(monkeypatch, objective):
-        # the restarts run in lockstep, so each one logs the points it yields,
-        # all of which are scored; ``calls`` concatenates the logs in restart
-        # order, as the trace does, and ``starts`` indexes each restart's
-        # first evaluation
+        # the restarts run in lockstep, so each restart's recorder logs the
+        # points it scores, in order; ``calls`` concatenates the logs in
+        # restart order, as the trace does, and ``starts`` indexes each
+        # restart's first evaluation
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         logs = []
-        simplex = search_mod._nelder_mead
 
-        def marked(x0):
-            log = []
-            logs.append(log)
-            run = simplex(x0)
-            x = next(run)
-            while True:
-                log.append((tuple(float(v) for v in x), objective(x)))
-                score = yield x
-                try:
-                    x = run.send(score)
-                except StopIteration:
-                    return
+        class Logged(search_mod._Run):  # one per restart, made in restart order
+            def __init__(self):
+                super().__init__()
+                self.log = []
+                logs.append(self.log)
+
+            def record(self, params, value):
+                self.log.append((tuple(float(v) for v in params), value))
+                super().record(params, value)
 
         def evaluate(build, kernel, params):  # a (rows, dim) stack
             return np.array([objective(row) for row in params])
 
-        monkeypatch.setattr(search_mod, "_nelder_mead", marked)
+        monkeypatch.setattr(search_mod, "_Run", Logged)
         monkeypatch.setattr(search_mod, "_evaluate", evaluate)
         rec = search("min12", "piecewise", budget=400, seed=0, dimension=2)
         calls = [call for log in logs for call in log]
@@ -199,25 +194,75 @@ class TestTieRule:
         assert rec.best_params == calls[first][0]
 
 
-def _sequential_record(objective, budget, seed, a, dimension, halfwidth):
-    """The piecewise search as the restarts ran before lockstep: one after
-    another, one point at a time through the one-row kernel, each to its
-    share, with the recorder that keeps the trace and the first best point."""
-    build, dim = _family_builder("piecewise", dimension, halfwidth)
-    kernel = _objective_kernel(objective, a)
-    restarts = max(4, dim)
-    share = budget // restarts
+def _nelder_mead(x0, steps):
+    """The simplex of one restart on its own, the oracle of the library's
+    lockstep rounds: minimize from x0 until the simplex, one (dim + 1, dim)
+    array kept sorted by score, collapses.  A generator: it yields each point
+    to score and takes its score by ``send``.  ``steps`` counts the steps
+    taken: an accepted reflection, an expansion, an accepted contraction, a
+    shrink and the collapse that stops the run."""
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=np.float64)
+    dim = x0.size
+    simplex = np.tile(x0, (dim + 1, 1))
+    for i in range(dim):
+        simplex[i + 1, i] += 0.25 * (abs(x0[i]) if x0[i] != 0 else 1.0)
+    scores = np.empty(dim + 1)
+    for i in range(dim + 1):
+        scores[i] = yield simplex[i]
+    while True:
+        order = np.argsort(scores)
+        simplex, scores = simplex[order], scores[order]
+        if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
+            steps["stop"] += 1
+            return
+        centroid = simplex[:-1].sum(axis=0) / dim
+        xr = centroid + alpha * (centroid - simplex[-1])
+        fr = yield xr
+        if scores[0] <= fr < scores[-2]:
+            steps["reflection"] += 1
+            simplex[-1], scores[-1] = xr, fr
+            continue
+        if fr < scores[0]:
+            steps["expansion"] += 1
+            xe = centroid + gamma * (centroid - simplex[-1])
+            fe = yield xe
+            if fe < fr:
+                simplex[-1], scores[-1] = xe, fe
+            else:
+                simplex[-1], scores[-1] = xr, fr
+            continue
+        xc = centroid + rho * (simplex[-1] - centroid)
+        fc = yield xc
+        if fc < scores[-1]:
+            steps["contraction"] += 1
+            simplex[-1], scores[-1] = xc, fc
+            continue
+        steps["shrink"] += 1
+        simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
+        for i in range(1, dim + 1):
+            scores[i] = yield simplex[i]
+
+
+def _starts(dim, seed):
+    """The piecewise search's restart starts: the ones vector, then seeded."""
+    starts = [np.ones(dim)]
+    for r in range(1, max(4, dim)):
+        rng = np.random.default_rng([seed, r])
+        starts.append(np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim)))
+    return starts
+
+
+def _sequential(score, starts, share, steps):
+    """The restarts as they ran before lockstep: one after another, one point
+    at a time through ``score``, each to its share or its collapse, with the
+    recorder that keeps the trace and the first best point."""
     trace, best, best_params = [], -math.inf, None
-    for r in range(restarts):
-        if r == 0:
-            x0 = np.ones(dim)
-        else:
-            rng = np.random.default_rng([seed, r])
-            x0 = np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim))
-        simplex = _nelder_mead(x0)
+    for x0 in starts:
+        simplex = _nelder_mead(x0, steps)
         x = next(simplex)
         for k in range(1, share + 1):
-            value = _evaluate(build, kernel, x)
+            value = score(x)
             if value > best:
                 best, best_params = value, x.copy()
             trace.append((len(trace) + 1, best))
@@ -228,6 +273,15 @@ def _sequential_record(objective, budget, seed, a, dimension, halfwidth):
             except StopIteration:
                 break
     return best, tuple(float(v) for v in best_params), len(trace), tuple(trace)
+
+
+def _sequential_record(objective, budget, seed, a, dimension, halfwidth, steps=None):
+    """The piecewise search with the restarts run in turn, each point through
+    the one-row kernel."""
+    build, dim = _family_builder("piecewise", dimension, halfwidth)
+    kernel = _objective_kernel(objective, a)
+    return _sequential(lambda x: _evaluate(build, kernel, x), _starts(dim, seed),
+                       budget // max(4, dim), collections.Counter() if steps is None else steps)
 
 
 def _bits(record) -> tuple:
@@ -273,27 +327,22 @@ class TestLockstep:
         # builder check's error, or else its lowest refused row's, and the
         # rounds after it never run
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        simplex, made = search_mod._nelder_mead, []
+        evaluate, rounds = search_mod._evaluate, []
 
-        def faulty(x0):
-            r = len(made)
-            made.append(r)
-            run = simplex(x0)
-            x = next(run)
-            for k in itertools.count(1):
-                if (r, k) in faults:
-                    x = np.full(x.size, faults[r, k])
-                score = yield x
-                try:
-                    x = run.send(score)
-                except StopIteration:
-                    return
+        def faulty(build, kernel, params):  # round k's stack, one row per live restart
+            rounds.append(len(params))
+            params = params.copy()
+            for r in range(len(params)):
+                if (r, len(rounds)) in faults:
+                    params[r] = faults[r, len(rounds)]
+            return evaluate(build, kernel, params)
 
-        monkeypatch.setattr(search_mod, "_nelder_mead", faulty)
+        monkeypatch.setattr(search_mod, "_evaluate", faulty)
         with np.errstate(all="ignore"), pytest.raises(error) as exc:
             search("min12", "piecewise", budget=400, seed=0, dimension=2)
         assert type(exc.value) is error
-        assert len(made) == 4
+        # all four restarts ran in every round, so row r was restart r
+        assert rounds == [4] * min(k for _, k in faults)
 
     def test_refused_round_is_evaluated_once(self, monkeypatch):
         # h sqrt(2a) = 28 is too coarse for the Gaussian weight on every row,
@@ -312,6 +361,55 @@ class TestLockstep:
         assert str(exc.value) == ("lattice too coarse for the Gaussian weight: h sqrt(2a) = 28 "
                                   "needs more than 64 Gauss nodes a cell")
         assert len(calls) == 1
+
+
+# The five steps of the simplex.  At dim 1 the second worst vertex is the
+# best, so no reflection is ever accepted (s0 <= fr < s0).
+_ALL_STEPS = frozenset({"reflection", "expansion", "contraction", "shrink", "stop"})
+_DIM_1_STEPS = _ALL_STEPS - {"reflection"}
+_SYNTHETIC = {
+    "constant": lambda x: 0.5,  # every score ties: shrink after shrink until the collapse
+    "capped": lambda x: min(float(x.sum()), 3.0),
+    "bowl": lambda x: -float(((x - 2.0) ** 2).sum()),
+}
+
+
+class TestSimplexSteps:
+    """Each step of the lockstep simplex against the one-restart oracle, bit
+    for bit, on runs in which the oracle counts the step at least once."""
+
+    @pytest.mark.parametrize("name, dim, steps", [
+        ("constant", 1, {"shrink", "stop"}), ("constant", 2, {"shrink", "stop"}),
+        ("capped", 1, _DIM_1_STEPS), ("capped", 2, _ALL_STEPS), ("capped", 3, _ALL_STEPS),
+        ("bowl", 1, {"expansion", "contraction", "stop"}),
+        ("bowl", 3, {"reflection", "expansion", "contraction", "stop"}),
+    ])
+    def test_synthetic_objective(self, monkeypatch, name, dim, steps):
+        score = _SYNTHETIC[name]
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        monkeypatch.setattr(search_mod, "_evaluate",
+                            lambda build, kernel, params: np.array([score(x) for x in params]))
+        rec = search("min12", "piecewise", budget=2000, seed=0, dimension=dim)
+        counts = collections.Counter()
+        expected = _sequential(score, _starts(dim, 0), 2000 // max(4, dim), counts)
+        assert _bits((rec.best_value, rec.best_params, rec.evaluations, rec.trace)) == \
+            _bits(expected)
+        assert all(counts[step] > 0 for step in steps), counts
+        if dim == 1:
+            assert counts["reflection"] == 0
+
+    @pytest.mark.parametrize("objective, dim, seed, steps", [
+        ("min12", 4, 0, _ALL_STEPS), ("mean", 3, 1, _ALL_STEPS), ("gauss", 2, 0, _ALL_STEPS),
+        ("mean", 1, 0, _DIM_1_STEPS), ("min12", 1, 0, {"shrink", "stop"}),
+    ])
+    def test_objective(self, objective, dim, seed, steps):
+        a = 2 * PI if objective == "gauss" else None
+        rec = search(objective, "piecewise", budget=2000, seed=seed, a=a, dimension=dim)
+        counts = collections.Counter()
+        expected = _sequential_record(objective, 2000, seed, a, dim, 0.5, counts)
+        assert _bits((rec.best_value, rec.best_params, rec.evaluations, rec.trace)) == \
+            _bits(expected)
+        assert all(counts[step] > 0 for step in steps), counts
 
 
 class TestGoldenStability:
@@ -427,6 +525,37 @@ class TestReachPastTheScan:
         build, _ = _family_builder("gaussian", 1, 0.5)
         clamped = _evaluate(build, _objective_kernel("gauss", 1e-5), np.array([1e-2]))
         assert rec.best_value == clamped
+        assert rec.best_params == (1e-2,)  # the clamp, not the theta the walk stepped to
+        assert rec.evaluations < 100
+
+    @pytest.mark.parametrize("a, clamp", [(1e-5, 1e-4), (4.1e8, 1e6)])
+    def test_record_past_a_gaussian_clamp_names_the_scored_function(self, a, clamp):
+        # the walk's first best point lies past the clamp of b = theta^2
+        # (theta^2 = 9.77e-5 and 1.6384e6 were reported); the record reports
+        # the clamp, and re-evaluating it gives the best value bit for bit
+        rec = search("gauss", "gaussian", a=a)
+        build, _ = _family_builder("gaussian", 1, 0.5)
+        assert rec.best_params[0] ** 2 == clamp
+        assert _evaluate(build, _objective_kernel("gauss", a), np.array(rec.best_params)) == \
+            rec.best_value
+        assert rec.evaluations < 100
+
+    def test_record_past_the_indicator_clamp_names_the_scored_function(self, monkeypatch):
+        # a ratio that rises as the indicator narrows, minus the cell width:
+        # the walk halves theta^2 from the scan's first point past the clamp
+        # A >= 1e-6, where the ratio is flat, and the record reports the clamp
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        monkeypatch.setattr(search_mod, "_objective_kernel",
+                            lambda objective, a: lambda lat: -lat[1])
+        search_mod._scan.cache_clear()
+        try:
+            rec = search("min12", "indicator")
+        finally:
+            search_mod._scan.cache_clear()
+        build, _ = _family_builder("indicator", 1, 0.5)
+        assert rec.best_params[0] ** 2 == 1e-6
+        assert _evaluate(build, lambda lat: -lat[1], np.array(rec.best_params)) == rec.best_value
+        assert rec.best_value == -2.0 * 1e-6 / 512
         assert rec.evaluations < 100
 
     def test_endless_rise_stops_on_the_budget(self, monkeypatch):

@@ -266,6 +266,8 @@ def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None
     if support is None:
         support = family.default_support()
     lo, hi = float(support[0]), float(support[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValueError(f"support must have finite ends and a finite width, got {support}")
     if not hi > lo:
         raise ValueError(f"support must be a nonempty interval, got {support}")
     vals, h = _midpoint_samples(family, lo, hi, cells)

@@ -16,8 +16,8 @@ Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
 ``lattice_and_norms``, which correlates the cells and refuses the zero
 function and sample scales that the float range cannot hold.
 ``dilated_lattice_and_norms`` gives the same tuple, bit for bit, for one
-profile at any cell width from one correlation, as the search scans a
-one-parameter family; both refuse through one check.  The ``q_*`` functions
+profile at any cell width from one correlation, as the search's scans and
+golden searches read a one-parameter family; both refuse through one check.  The ``q_*`` functions
 build the tuple once and wrap the core's fields, with the Fourier side for
 the weighted means, in a :class:`RatioResult`; the search and criterion 6
 call the cores, the time side alone, on their own tuple.

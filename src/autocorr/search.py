@@ -4,12 +4,13 @@ Nonnegativity is enforced by squaring (cell value or family parameter =
 theta^2), which keeps the landscape smooth instead of projecting onto a
 boundary.  The one-parameter families (``indicator``, ``gaussian``) are
 each one fixed profile whose cell width follows theta^2 by a spacing rule
-(``_SCANS``).  Each is scanned once at 288 values of theta^2, less those
-whose lattice the objective refuses: the scan correlates the profile once
-and reads every width's lattice-and-norms tuple off that one lattice
-(``functionals.dilated_lattice_and_norms``), bit for bit the tuple that an
-evaluation at that width makes.  The scan is cached and gives both the floor
-(``baseline``) and the bracket between the neighbours of its best point.
+(``_SCANS``).  Each correlates its profile once, on first use; its scans
+and golden searches read every width's lattice-and-norms tuple off that one
+lattice (``functionals.dilated_lattice_and_norms``), bit for bit the tuple
+of ``lattice_and_norms`` at that width.  Each objective scans it once, at 288
+values of theta^2 less those whose lattice the objective refuses; the cached
+scan gives the floor (``baseline``) and the bracket between the neighbours of
+its best point.
 Their search evaluates that point, so no record ends below its floor, then
 narrows the bracket by golden section (``constants._golden_min``)
 to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
@@ -40,15 +41,15 @@ index.  The record is therefore bit for bit the one of running the restarts
 one after another, one point at a time.  The BS example has no free
 parameter, so its record is a single evaluation.
 
-Each candidate is evaluated once, at array speed.  A family builder turns
-the parameters into the cell values and cell width of a grid function (the
-piecewise cells, or a one-parameter family's profile and its rule's width),
-``_evaluate`` checks them once (finite, nonnegative values, positive width),
-and the objective kernel reads the ratio's array core off their one
-``functionals.lattice_and_norms`` tuple, as the ``q_*`` functions do.  The
+Each candidate is evaluated once, at array speed.  The piecewise builder
+turns the parameters into the cell values and cell width of a grid function,
+``_evaluate`` checks them once (finite, nonnegative values, positive width;
+a one-parameter family checks its profile once and each width in
+``_Dilations.ratio``), and the objective kernel reads the ratio's array core
+off their one lattice-and-norms tuple, as the ``q_*`` functions do.  The
 piecewise builder and the kernels take a (rows, dim) stack of parameters as
 well, and give each row the bits of its own 1-D call.  The winner's value is
-therefore the ``q_*`` value of the builder's grid function at its
+therefore the ``q_*`` value of the family's grid function at its
 parameters, bit for bit, and is not evaluated again.  No GridFunction,
 Correlation or RatioResult is built per evaluation, yet every evaluation
 still raises ZeroFunctionError, the ValueError of a sample scale outside the
@@ -123,6 +124,8 @@ def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
     core = {"mean": mean_ratio, "min12": min12_ratio, "min01": min01_ratio}.get(objective)
     if core is None:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    if a is not None:
+        raise ValueError(f"the {objective} objective reads no a, got a = {a!r}")
     return lambda lat: core(lat)[0]
 
 
@@ -143,13 +146,22 @@ class _Dilations:
     def spacing(self, t2: float) -> float:
         return self.width(self.clamped(t2))
 
-    def build(self, params: np.ndarray) -> _Samples:
-        return self.profile, self.spacing(float(params[0]) ** 2)
+    @functools.cached_property
+    def lattice(self) -> Callable[[float], LatticeAndNorms]:
+        """Width -> tuple, off the profile's one correlation, made on first use."""
+        _check_samples(self.profile)
+        return dilated_lattice_and_norms(self.profile)
+
+    def ratio(self, kernel: _Kernel, t2: float) -> float:
+        """The objective's ratio at theta^2 = t2."""
+        spacing = self.spacing(t2)
+        _check_spacing(spacing)
+        return kernel(self.lattice(spacing))
 
     def scored(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        """The parameter of the function that ``build`` scores at params: theta
+        """The parameter of the function that ``ratio`` scores at params: theta
         past a clamp moves onto it.  The square root of each clamp squares back
-        to it, so ``build`` gives the same width at both."""
+        to it, so ``ratio`` reads the same width at both."""
         t2 = params[0] ** 2
         inside = self.clamped(t2)
         return params if inside == t2 else (math.sqrt(inside),)
@@ -181,14 +193,6 @@ _SCANS = {
 _GOLDEN_RTOL = 1e-6
 
 
-def _family_builder(family: str, dimension: int, halfwidth: float) -> tuple[Callable, int]:
-    if family in _SCANS:
-        return _SCANS[family].build, 1
-    if family == "piecewise":
-        return (lambda p: _build_piecewise(p, halfwidth)), dimension
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def _bs_value(objective: str) -> float:
     """The BS example's ratio: it has no free parameter and only a min01 value."""
     if objective != "min01":
@@ -197,8 +201,8 @@ def _bs_value(objective: str) -> float:
 
 
 def _check_samples(samples: np.ndarray) -> None:
-    """Only the optimizers and the scans give the builders parameters, so
-    output that fails a check is a program fault (RuntimeError)."""
+    """Only the optimizers and the scans choose the families' parameters, so
+    samples or a width that fail a check are a program fault (RuntimeError)."""
     if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
         raise RuntimeError("family builder gave non-finite or negative samples")
 
@@ -210,8 +214,8 @@ def _check_spacing(spacing: float) -> None:
 
 def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
               params: np.ndarray):
-    """The ratio at params, or one per row of a piecewise stack, after the
-    builder check."""
+    """The ratio of the piecewise function at params, or one per row of a
+    stack, after the builder check."""
     samples, spacing = build(params)
     _check_samples(samples)
     _check_spacing(spacing)
@@ -236,7 +240,7 @@ def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
     # Past an end of the scan: step outward by a factor of 2 while fn falls,
     # then bracket the last best point between its two neighbours.  A scan
     # that kept one point walks away from the end of the full scan it sits
-    # at, and the point is its own inner neighbour.  Beyond a builder clamp
+    # at, and the point is its own inner neighbour.  Beyond a spacing clamp
     # fn is flat, so the walk stops one step past it.
     up = i == len(grid) - 1 and grid[i] != full[0]
     step = 2.0 if up else 0.5
@@ -267,9 +271,9 @@ class _Run:
 
     values: list[float] = field(default_factory=list)
     best_value: float = -math.inf
-    best_params: Optional[np.ndarray] = None
+    best_params: Optional[Sequence[float]] = None
 
-    def record(self, params: np.ndarray, value: float) -> None:
+    def record(self, params: Sequence[float], value: float) -> None:
         if value > self.best_value:
             self.best_value, self.best_params = value, params
         self.values.append(value)
@@ -373,25 +377,20 @@ def _scan(objective: str, family: str,
     """The family's scan grid, the ratio at each of its values, and the index of
     the first best one.  Cached, so the floor and every search share one scan.
 
-    One correlation of the family's profile serves every value; each width
-    still runs the builder's spacing check, the scale refusals and the
-    objective's own checks.  A value whose lattice the objective refuses
-    (ValueError, as a Gaussian too wide for the Gaussian weight's per-cell
-    rule) is left out of the grid; if every value is refused, the first
-    refusal is raised.
+    Every value reads the family's one lattice and still runs the spacing
+    check, the scale refusals and the objective's own checks.  A value whose
+    lattice the objective refuses (ValueError, as a Gaussian too wide for the
+    Gaussian weight's per-cell rule) is left out of the grid; if every value
+    is refused, the first refusal is raised.
     """
     kernel = _objective_kernel(objective, a)
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
     scan = _SCANS[family]
-    _check_samples(scan.profile)
-    at = dilated_lattice_and_norms(scan.profile)  # the scan's one correlation
     grid, values, refusal = [], [], None
     for g in scan.grid:
-        spacing = scan.spacing(math.sqrt(g) ** 2)  # theta^2 as the golden search gives it
-        _check_spacing(spacing)
-        try:
-            value = kernel(at(spacing))
+        try:  # theta^2 as the golden search gives it
+            value = scan.ratio(kernel, math.sqrt(g) ** 2)
         except ValueError as err:
             refusal = refusal or err
         else:
@@ -405,6 +404,7 @@ def _scan(objective: str, family: str,
 def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
     """Floor value for search acceptance: the scan's best value, or the BS example's."""
     if family == "bs-example":
+        _objective_kernel(objective, a)
         return _bs_value(objective)
     _, values, i = _scan(objective, family, a)
     return values[i]
@@ -432,32 +432,32 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"halfwidth must be finite and positive, got {halfwidth}")
+    kernel = _objective_kernel(objective, a)
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
         value = _bs_value(objective)
         return SearchRecord(objective=label, family=family, dimension=0, best_params=(),
                             best_value=value, evaluations=1, seed=seed, trace=((1, value),))
-    build, dim = _family_builder(family, dimension, halfwidth)
-    kernel = _objective_kernel(objective, a)
 
     if family in _SCANS:
-        run = _Run()
+        scan, dim, run = _SCANS[family], 1, _Run()
 
-        def negated(x: np.ndarray) -> float:
+        def negated(t2: float) -> float:
             if len(run.values) >= budget:
                 raise _BudgetExhausted
-            value = _evaluate(build, kernel, x)
-            run.record(x, value)
+            theta = math.sqrt(t2)
+            value = scan.ratio(kernel, theta ** 2)
+            run.record(scan.scored((theta,)), value)  # past a clamp, the clamp's function
             return -value  # golden section minimizes
 
         try:
             grid, _, i = _scan(objective, family, a)
-            _golden_search(lambda g: negated(np.array([math.sqrt(g)])), grid, i,
-                           _SCANS[family].grid)
+            _golden_search(negated, grid, i, scan.grid)
         except _BudgetExhausted:
             pass
         runs = [run]
-    else:
+    elif family == "piecewise":
+        dim = dimension
         restarts = max(4, dim)
         per_restart = budget // restarts
         if per_restart < dim + 1:
@@ -467,7 +467,9 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         for r in range(1, restarts):
             rng = np.random.default_rng([seed, r])
             starts.append(np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim)))
-        runs = _lockstep(build, kernel, starts, per_restart)
+        runs = _lockstep(lambda p: _build_piecewise(p, halfwidth), kernel, starts, per_restart)
+    else:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     # The runs concatenated in index order; the winner is the first evaluation
     # that attains the best value.
@@ -479,10 +481,7 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
             trace.append((len(trace) + 1, best))
         if run.best_value > winner.best_value:
             winner = run
-    best_params = tuple(float(x) for x in winner.best_params)
-    if family in _SCANS:  # a walk past a clamp scored the function at the clamp
-        best_params = _SCANS[family].scored(best_params)
     return SearchRecord(objective=label, family=family, dimension=dim,
-                        best_params=best_params,
+                        best_params=tuple(float(x) for x in winner.best_params),
                         best_value=float(winner.best_value), evaluations=len(trace), seed=seed,
                         trace=tuple(trace))

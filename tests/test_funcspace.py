@@ -106,6 +106,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(Indicator(1.0), cells=1)
 
+    @pytest.mark.parametrize("family, support", [
+        (Gaussian(1e-320), None), (Gaussian(1.0), (-1e308, 1e308)),
+        (Gaussian(1.0), (-math.inf, 0.0)), (Indicator(1.0), (0.0, math.nan))])
+    def test_nonfinite_support_rejected(self, family, support):
+        # refused before any arithmetic on the ends: exp(-b x^2) at b = 1e-320
+        # has the default support +-inf, which warned "invalid value" first,
+        # and (-1e308, 1e308) has a width the float range cannot hold
+        with pytest.raises(ValueError, match="finite ends and a finite width"):
+            sample(family, support=support)
+
     @pytest.mark.parametrize("family,exact_l1,exact_l2", [
         (Gaussian(1.0), math.sqrt(math.pi), (math.pi / 2) ** 0.25),
         (Gaussian(3.0), math.sqrt(math.pi / 3), (math.pi / 6) ** 0.25),

@@ -1,6 +1,7 @@
 """Search tests: determinism, soundness, floors, record invariants."""
 
 import collections
+import functools
 import hashlib
 import importlib
 import math
@@ -27,9 +28,10 @@ from autocorr.funcspace import _midpoint_samples
 from autocorr.functionals import (MIN01_CEILING, gauss_ceiling, gauss_ratio,
                                   lattice_and_norms, mean_ratio)
 from autocorr.search import (
+    _SCANS,
     OBJECTIVES,
+    _build_piecewise,
     _evaluate,
-    _family_builder,
     _objective_kernel,
 )
 
@@ -133,6 +135,20 @@ class TestRecordInvariants:
         rec = search("min12", "piecewise", budget=272, dimension=16)
         assert rec.dimension == 16
         assert rec.evaluations == 272
+
+    @pytest.mark.parametrize("objective, family", [("mean", "indicator"), ("min12", "gaussian"),
+                                                   ("min01", "bs-example"),
+                                                   ("min12", "piecewise")])
+    def test_a_of_another_objective_rejected(self, monkeypatch, objective, family):
+        # only the gauss objective reads a; a record labelled mean(a=2), or a
+        # second cached scan under a key no evaluation reads, is refused
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
+        monkeypatch.setattr(search_mod._Dilations, "ratio", None)
+        with pytest.raises(ValueError, match="reads no a"):
+            search(objective, family, seed=0, a=2.0)
+        with pytest.raises(ValueError, match="reads no a"):
+            baseline(objective, family, a=5.0)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
@@ -278,10 +294,11 @@ def _sequential(score, starts, share, steps):
 def _sequential_record(objective, budget, seed, a, dimension, halfwidth, steps=None):
     """The piecewise search with the restarts run in turn, each point through
     the one-row kernel."""
-    build, dim = _family_builder("piecewise", dimension, halfwidth)
+    build = functools.partial(_build_piecewise, halfwidth=halfwidth)
     kernel = _objective_kernel(objective, a)
-    return _sequential(lambda x: _evaluate(build, kernel, x), _starts(dim, seed),
-                       budget // max(4, dim), collections.Counter() if steps is None else steps)
+    return _sequential(lambda x: _evaluate(build, kernel, x), _starts(dimension, seed),
+                       budget // max(4, dimension),
+                       collections.Counter() if steps is None else steps)
 
 
 def _bits(record) -> tuple:
@@ -522,8 +539,7 @@ class TestReachPastTheScan:
     def test_walk_stops_past_the_builder_clamp(self):
         # b* = 2e-5 lies beyond the clamp b >= 1e-4, where the ratio is flat
         rec = search("gauss", "gaussian", a=1e-5)
-        build, _ = _family_builder("gaussian", 1, 0.5)
-        clamped = _evaluate(build, _objective_kernel("gauss", 1e-5), np.array([1e-2]))
+        clamped = _SCANS["gaussian"].ratio(_objective_kernel("gauss", 1e-5), 1e-2 ** 2)
         assert rec.best_value == clamped
         assert rec.best_params == (1e-2,)  # the clamp, not the theta the walk stepped to
         assert rec.evaluations < 100
@@ -534,10 +550,9 @@ class TestReachPastTheScan:
         # (theta^2 = 9.77e-5 and 1.6384e6 were reported); the record reports
         # the clamp, and re-evaluating it gives the best value bit for bit
         rec = search("gauss", "gaussian", a=a)
-        build, _ = _family_builder("gaussian", 1, 0.5)
         assert rec.best_params[0] ** 2 == clamp
-        assert _evaluate(build, _objective_kernel("gauss", a), np.array(rec.best_params)) == \
-            rec.best_value
+        assert _SCANS["gaussian"].ratio(_objective_kernel("gauss", a),
+                                        rec.best_params[0] ** 2) == rec.best_value
         assert rec.evaluations < 100
 
     def test_record_past_the_indicator_clamp_names_the_scored_function(self, monkeypatch):
@@ -552,9 +567,9 @@ class TestReachPastTheScan:
             rec = search("min12", "indicator")
         finally:
             search_mod._scan.cache_clear()
-        build, _ = _family_builder("indicator", 1, 0.5)
         assert rec.best_params[0] ** 2 == 1e-6
-        assert _evaluate(build, lambda lat: -lat[1], np.array(rec.best_params)) == rec.best_value
+        assert _SCANS["indicator"].ratio(lambda lat: -lat[1], rec.best_params[0] ** 2) == \
+            rec.best_value
         assert rec.best_value == -2.0 * 1e-6 / 512
         assert rec.evaluations < 100
 
@@ -609,32 +624,64 @@ class TestOneLatticePerScan:
 
     @pytest.mark.parametrize("objective, family, a", _SCAN_CASES)
     def test_one_correlation_per_scan(self, monkeypatch, objective, family, a):
+        # from cleared caches, this objective's scan first, then the other
+        # objectives' scans of the family, then a search of each: the family's
+        # profile is correlated once, whichever objective reads it first
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        scan = search_mod._SCANS[family]
         real, calls = functionals.lattice_autocorrelation, []
 
         def counted(samples, spacing):
             calls.append(spacing)
             return real(samples, spacing)
 
-        monkeypatch.setattr(functionals, "lattice_autocorrelation", counted)
-        search_mod._scan.cache_clear()
-        try:
-            search_mod._scan(objective, family, a)
-        finally:
+        def clear():
             search_mod._scan.cache_clear()
+            vars(scan).pop("lattice", None)
+
+        cases = [(objective, a)] + [(o, b) for o, f, b in _SCAN_CASES
+                                    if f == family and o != objective]
+        monkeypatch.setattr(functionals, "lattice_autocorrelation", counted)
+        clear()
+        try:
+            for o, b in cases:
+                search_mod._scan(o, family, b)
+            for o, b in cases:
+                search(o, family, a=b)
+        finally:
+            clear()
         assert calls == [1.0]
 
     @pytest.mark.parametrize("family", ["indicator", "gaussian"])
     def test_dilation_is_the_lattice_at_each_spacing(self, family):
-        # the scan and the golden search read the same bits
+        # the scan and the golden search read the same bits: at the scan's
+        # widths, at the widths the outward walk and golden section reach
+        # from the scan's ends, and past the clamps of both families
         scan = importlib.import_module("autocorr.search")._SCANS[family]
         at = functionals.dilated_lattice_and_norms(scan.profile)
-        for g in scan.grid:
-            h = scan.spacing(math.sqrt(g) ** 2)
+        theta2 = [math.sqrt(g) ** 2 for g in scan.grid]
+        theta2 += [g * 2.0 ** k for g in scan.grid[[0, -1]] for k in range(-10, 11)]
+        for t2 in theta2 + [1e-9, 1e-8, 1e8]:
+            h = scan.spacing(t2)
             got, want = at(h), lattice_and_norms(scan.profile, h)
-            assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64)), g
+            assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64)), t2
             assert [np.float64(x).view(np.int64) for x in got[1:]] == \
-                [np.float64(x).view(np.int64) for x in want[1:]], g
+                [np.float64(x).view(np.int64) for x in want[1:]], t2
+
+    @pytest.mark.parametrize("family, spacing", [
+        ("indicator", _SCANS["indicator"].spacing(1e300)), ("indicator", 1e-300),
+        ("gaussian", 1e300), ("gaussian", 1e-300)])
+    def test_dilation_refuses_as_the_lattice_does(self, family, spacing):
+        # a scale the float range cannot hold: the indicator at theta^2 =
+        # 1e300, past which its spacing rule has no clamp, and widths beyond
+        # what either profile's norms can hold
+        scan = _SCANS[family]
+        at = functionals.dilated_lattice_and_norms(scan.profile)
+        with pytest.raises(ValueError, match="outside the float range") as got:
+            at(spacing)
+        with pytest.raises(ValueError, match="outside the float range") as want:
+            lattice_and_norms(scan.profile, spacing)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + [("gauss", "gaussian", 1.2e5),
                                                                     ("gauss", "indicator", 1e6)])
@@ -757,12 +804,12 @@ class TestBaseline:
         # of repeating it
         value = baseline("min12", "indicator")
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        evaluate = search_mod._evaluate
-        monkeypatch.setattr(search_mod, "_evaluate", None)  # no evaluation may run
+        ratio = search_mod._Dilations.ratio
+        monkeypatch.setattr(search_mod._Dilations, "ratio", None)  # no evaluation may run
         assert baseline("min12", "indicator") == value
         calls = []
-        monkeypatch.setattr(search_mod, "_evaluate",
-                            lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(search_mod._Dilations, "ratio",
+                            lambda scan, *args: calls.append(args) or ratio(scan, *args))
         rec = search("min12", "indicator")
         assert len(calls) == rec.evaluations
 
@@ -777,7 +824,7 @@ class TestEvaluationFailure:
             _evaluate(broken_build, lambda s, h: 0.0, np.array([1.0, 2.0]))
 
     def test_zero_piecewise_vector_raises_zero_function_error(self):
-        build, _ = _family_builder("piecewise", 16, 0.5)
+        build = functools.partial(_build_piecewise, halfwidth=0.5)
         kernel = _objective_kernel("min12", None)
         with pytest.raises(ZeroFunctionError):
             _evaluate(build, kernel, np.zeros(16))
@@ -785,7 +832,7 @@ class TestEvaluationFailure:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_samples_rejected(self, bad):
         # the simplex chose the parameters, so bad builder output exits 1
-        build, _ = _family_builder("piecewise", 4, 0.5)
+        build = functools.partial(_build_piecewise, halfwidth=0.5)
         kernel = _objective_kernel("mean", None)
         with pytest.raises(RuntimeError, match="non-finite"):
             _evaluate(build, kernel, np.array([1.0, bad, 1.0, 1.0]))
@@ -838,15 +885,20 @@ class TestKernelsMatchPublicPath:
     @pytest.mark.parametrize("family", ["indicator", "gaussian", "piecewise"])
     def test_kernel_equals_q_value(self, family, objective):
         dim, public_build = _PUBLIC_FAMILIES[family]
-        build, _ = _family_builder(family, dim, 0.5)
         a = 2 * PI if objective == "gauss" else None
         kernel = _objective_kernel(objective, a)
+
+        def ratio(params):
+            if family == "piecewise":
+                return _evaluate(functools.partial(_build_piecewise, halfwidth=0.5), kernel, params)
+            return _SCANS[family].ratio(kernel, float(params[0]) ** 2)
+
         rng = np.random.default_rng([7, dim, len(objective)])
         cases = [np.array(p) for p in _EDGE_PARAMS[family]]
         cases += [rng.uniform(-3.0, 3.0, dim) for _ in range(6)]
         for params in cases:
             expected = _PUBLIC_OBJECTIVES[objective](public_build(params))
-            assert _evaluate(build, kernel, params) == expected, params
+            assert ratio(params) == expected, params
 
     # every candidate is evaluated once, through the kernel; the winner's value
     # must still be the public q_* value at its parameters

@@ -221,7 +221,7 @@ def _gauss_time_cases():
 
     cases = []
     for b in (4 * PI, 1e-4):    # the search geometry at a = 2 pi; h = 0.98
-        s, h = _SCANS["gaussian"].build(np.array([math.sqrt(b)]))
+        s, h = _SCANS["gaussian"].profile, _SCANS["gaussian"].spacing(math.sqrt(b) ** 2)
         cases.append((f"gaussian-b={b:g}", lattice_autocorrelation(s, h), h, 2 * PI,
                       h * float(s.sum())))
     rng = np.random.default_rng(61)

@@ -31,7 +31,7 @@ from . import constants as C
 from . import dualcheck as dual
 from . import functionals as fun
 from . import verification
-from .search import DEFAULT_BUDGET, OBJECTIVES, search as run_search
+from .search import DEFAULT_BUDGET, DEFAULT_DIMENSION, OBJECTIVES, search as run_search
 from .funcspace import Gaussian, GridFunction, Indicator, sample
 from .spectral import INTERVAL_MOMENT_P_MAX, GaussianWeight, IntervalWeight
 
@@ -60,7 +60,7 @@ class RunConfig:
     b: float = 1.0
     s: float = 0.5
     values: Optional[list] = None
-    dimension: int = 16
+    dimension: int = DEFAULT_DIMENSION
     fault_inject: Optional[int] = None
 
     def echo(self) -> dict:
@@ -286,7 +286,7 @@ def _cmd_search(cfg: RunConfig) -> _Output:
     fam = {"piecewise-constant": "piecewise"}.get(cfg.family, cfg.family)
     record = run_search(cfg.functional, fam, budget=cfg.budget, seed=cfg.seed,
                         a=cfg.a if cfg.functional == "gauss" else None,
-                        dimension=cfg.dimension)
+                        **({"dimension": cfg.dimension} if fam == "piecewise" else {}))
     row = _row(record, "search", "objective", "family", "dimension", "best_value",
                "evaluations", "seed", best_params=list(record.best_params))
     trace = [[i, f"{v:.12g}"] for i, v in record.trace]

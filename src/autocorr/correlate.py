@@ -9,6 +9,8 @@ reads them off the lattice; linear interpolation between them is not an
 approximation.  The arithmetic lives in module-level kernels on the raw
 lattice array (``lattice_*``); the :class:`Correlation` methods and the
 functionals' array cores both call them, so there is one implementation.
+The kernels also take a stack of lattices, one row each, at one spacing or
+one spacing per row, and give each row its own 1-D call's bits.
 A weighted mean int (f*f) w = sum_m c_m int hat_m w is a ``spectral`` weight's
 ``correlation_integral``: exact for the interval, proven to 2^-54 c_0 for the Gaussian.
 
@@ -53,11 +55,13 @@ __all__ = [
 # functionals check those once, at the boundary, and call these.  Only
 # ``lattice_min`` refuses an input, an empty window (hi < lo).
 #
-# ``lattice_autocorrelation``, ``lattice_min`` and ``lattice_value`` also
-# take a (rows, ...) stack of functions on one spacing, as the search
-# evaluates a round of candidates: the same operations along the last axis,
-# so each row gets the bits of its own 1-D call, at a Python or numpy number
-# t as at an array of them.
+# Every kernel also takes a (rows, 2n + 1) stack of lattices, as the search
+# evaluates a round of candidates or a scan's block of cell widths.  The
+# spacing is then one float for every row or a 1-D array of one spacing per
+# row (``lattice_autocorrelation`` takes one float only).  The stack runs the
+# 1-D call's operations along the last axis, so each row gets the bits of its
+# own 1-D call, at a Python or numpy number t as at an array of them; an
+# array t or window gives the stack's rows first, then its own shape.
 # ---------------------------------------------------------------------------
 
 
@@ -85,16 +89,36 @@ def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:
     return (np.arange(2 * n + 1) - n) * spacing
 
 
-def lattice_value(c: np.ndarray, spacing: float, t):
+def _per_row(spacing) -> bool:
+    """Whether a stack's spacing is one value per row (np.ndim, without its cost)."""
+    return isinstance(spacing, np.ndarray) and spacing.ndim > 0
+
+
+def _row_spacing(spacing, trailing: int):
+    """A stack's spacing shaped to lead an array of ``trailing`` more axes:
+    one float keeps one leading axis of length 1, one spacing per row a
+    leading axis of the rows."""
+    return np.reshape(spacing, (-1,) + (1,) * trailing)
+
+
+def _gather(c: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """c[k] on one lattice; on a stack, row r's values at the indices k[r]
+    (k leads with the rows, or with 1 for the same indices in every row)."""
+    if c.ndim == 1:
+        return c[k]
+    return c[np.arange(c.shape[0]).reshape((-1,) + (1,) * (k.ndim - 1)), k]
+
+
+def lattice_value(c: np.ndarray, spacing, t):
     """The linear interpolant at t, read at |t| on the nonnegative half.
 
-    A 0-d t (a Python or numpy number, or a 0-d array) takes scalar
-    arithmetic, with the array branch's operations in the same order, so both
-    give the same bits; on a stack of lattices it reads one column pair and
-    gives one value per row.  An array t gives t's shape, after the stack's
-    rows on a stack."""
+    A 0-d t (a Python or numpy number, or a 0-d array) at one spacing takes
+    scalar arithmetic, with the array branch's operations in the same order,
+    so both give the same bits; on a stack of lattices it reads one column
+    pair and gives one value per row.  An array t, or one spacing per row,
+    gives t's shape, after the stack's rows on a stack."""
     n = c.shape[-1] // 2
-    if np.ndim(t) == 0:
+    if np.ndim(t) == 0 and not _per_row(spacing):
         u = abs(float(t)) / float(spacing)
         if u > n:
             return 0.0 if c.ndim == 1 else np.zeros(c.shape[:-1])
@@ -103,52 +127,67 @@ def lattice_value(c: np.ndarray, spacing: float, t):
         if c.ndim == 1:
             return float(c[n + k]) * (1.0 - frac) + float(c[n + k + 1]) * frac
         return c[:, n + k] * (1.0 - frac) + c[:, n + k + 1] * frac
-    u = np.abs(np.asarray(t, dtype=np.float64)) / spacing
+    t = np.asarray(t, dtype=np.float64)
+    u = np.abs(t) / (spacing if c.ndim == 1 else _row_spacing(spacing, t.ndim))
     k = np.minimum(u, n - 1).astype(np.int64)
     frac = u - k
-    return np.where(u > n, 0.0, c[..., n + k] * (1.0 - frac) + c[..., n + k + 1] * frac)
+    return np.where(u > n, 0.0, _gather(c, n + k) * (1.0 - frac) + _gather(c, n + k + 1) * frac)
 
 
-def lattice_min(c: np.ndarray, spacing: float, lo: float, hi: float):
+def lattice_min(c: np.ndarray, spacing, lo: float, hi: float):
     """Exact minimum of the piecewise-linear correlation over [lo, hi]; one
-    per row of a stack, whose rows share the window's end and slice columns."""
+    per row of a stack."""
     if hi < lo:
         raise ValueError("empty window")
-    W = c.shape[-1] // 2 * spacing
+    n = c.shape[-1] // 2
     cands = [lattice_value(c, spacing, lo), lattice_value(c, spacing, hi)]
-    if lo < -W or hi > W:
-        cands.append(0.0)  # window sticks out of the support
-    ts = _lattice_points(c, spacing)  # ascending: the lattice points in [lo, hi] are a slice
-    i, j = ts.searchsorted(lo, side="left"), ts.searchsorted(hi, side="right")
-    if c.ndim == 1:
+    if not _per_row(spacing):
+        W = n * spacing
+        if lo < -W or hi > W:
+            cands.append(0.0)  # window sticks out of the support
+        ts = _lattice_points(c, spacing)  # ascending: the lattice points in [lo, hi] are a slice
+        i, j = ts.searchsorted(lo, side="left"), ts.searchsorted(hi, side="right")
         if i < j:
-            cands.append(float(c[i:j].min()))
-        return min(cands)
-    if i < j:
-        cands.append(c[:, i:j].min(axis=-1))
+            cands.append(float(c[i:j].min()) if c.ndim == 1 else c[:, i:j].min(axis=-1))
+        if c.ndim == 1:
+            return min(cands)
+    else:  # per row, with +inf for a candidate the row lacks
+        h = _row_spacing(spacing, 1)
+        W = n * h[:, 0]
+        cands.append(np.where((lo < -W) | (hi > W), 0.0, np.inf))
+        ts = _lattice_points(c, h)
+        cands.append(np.where((ts >= lo) & (ts <= hi), c, np.inf).min(axis=-1))
     least = cands[0]
     for cand in cands[1:]:
         least = np.where(cand < least, cand, least)  # min(cands) per row: the first least
     return least
 
 
-def _lattice_antiderivative(c: np.ndarray, spacing: float, x: np.ndarray) -> np.ndarray:
-    h = spacing
-    n = c.size // 2
-    trap = np.concatenate(([0.0], np.cumsum(0.5 * h * (c[:-1] + c[1:]))))
+def _lattice_antiderivative(c: np.ndarray, spacing, x: np.ndarray) -> np.ndarray:
+    n = c.shape[-1] // 2
+    h = spacing if c.ndim == 1 else _row_spacing(spacing, x.ndim)
     u = np.clip(x / h + n, 0.0, 2.0 * n)  # position k of x = t_k = (k - n) h
     k = np.minimum(u.astype(np.int64), 2 * n - 1)
     frac = u - k
-    ck = c[k] * (1 - frac) + c[k + 1] * frac
-    return trap[k] + 0.5 * frac * h * (c[k] + ck)
+    # the trapezoid sums, one cumulative sum along each row; a stack's stop at
+    # the last k read
+    m = c.shape[-1] - 1 if c.ndim == 1 else int(k.max(initial=0))
+    trap = np.empty(c.shape[:-1] + (m + 1,))
+    trap[..., 0] = 0.0
+    steps = np.add(c[..., :m], c[..., 1:m + 1], out=trap[..., 1:])
+    steps *= 0.5 * (h if c.ndim == 1 else _row_spacing(spacing, 1))
+    np.cumsum(steps, axis=-1, out=steps)
+    ck, ck1 = _gather(c, k), _gather(c, k + 1)
+    return _gather(trap, k) + 0.5 * frac * h * (ck + (ck * (1 - frac) + ck1 * frac))
 
 
-def lattice_window_integral(c: np.ndarray, spacing: float, lo, hi):
+def lattice_window_integral(c: np.ndarray, spacing, lo, hi):
     """Exact integral of the piecewise-linear correlation over [lo, hi], 0 where hi <= lo."""
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.float64),
                                  np.asarray(hi, dtype=np.float64))
     F = _lattice_antiderivative(c, spacing, np.stack((hi, lo)))  # one cumulative sum
-    out = np.where(hi > lo, F[0] - F[1], 0.0)
+    F_hi, F_lo = (F[0], F[1]) if c.ndim == 1 else (F[:, 0], F[:, 1])  # after a stack's rows
+    out = np.where(hi > lo, F_hi - F_lo, 0.0)
     return out if out.ndim else float(out)
 
 

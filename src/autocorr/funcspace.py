@@ -78,11 +78,11 @@ def _l1_norm(samples: np.ndarray, spacing: float):
 
 def _l2_norm(samples: np.ndarray, spacing: float):
     """||f||_2 of the cell model with these samples and cell width; one per
-    row of a (rows, n) stack, each one ``np.dot`` as in the 1-D call (einsum
-    and matmul sum in another order)."""
+    row of a (rows, n) stack, whose ``np.vecdot`` sums each row as the 1-D
+    call's ``np.dot`` does (einsum and matmul sum in another order)."""
     if samples.ndim == 1:
         return math.sqrt(spacing * float(np.dot(samples, samples)))
-    return np.sqrt(spacing * np.array([np.dot(row, row) for row in samples]))
+    return np.sqrt(spacing * np.vecdot(samples, samples))
 
 
 @dataclass(frozen=True, eq=False)

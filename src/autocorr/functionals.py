@@ -21,9 +21,10 @@ golden searches read a one-parameter family; both refuse through one check.  The
 build the tuple once and wrap the core's fields, with the Fourier side for
 the weighted means, in a :class:`RatioResult`; the search and criterion 6
 call the cores, the time side alone, on their own tuple.
-The tuple and the cores also take a (rows, n) stack of functions on one cell
-width, as the search evaluates a round of candidates: each field is then an
-array with one entry per row, bit for bit the row's own 1-D value.
+The tuple and the cores also take a stack, one row per function: a (rows, n)
+stack of cells on one width, as the search evaluates a round of candidates,
+or a scan's block of widths of one profile, one spacing per row.  Each field
+is then an array with one entry per row, bit for bit the row's own 1-D value.
 """
 
 from __future__ import annotations
@@ -160,27 +161,35 @@ def dilated_lattice_and_norms(profile: np.ndarray) -> Callable[[float], LatticeA
     correlation scales its FFT output by the width, and for h > 0 the clamp at
     0 commutes with that product.  The norms are those of ``_l1_norm`` and
     ``_l2_norm`` on the profile's sum and dot product, and every width passes
-    the scale refusals of :func:`lattice_and_norms`.  One 1-D profile only.
+    the scale refusals of :func:`lattice_and_norms`.  One 1-D profile only;
+    a 1-D array of widths gives the stacked tuple, one row and one spacing
+    per width, each row bit for bit the tuple at its width.
     """
     unit = lattice_autocorrelation(profile, 1.0)
     total, energy = profile.sum(), float(np.dot(profile, profile))
 
-    def at(spacing: float) -> LatticeAndNorms:
+    def at(spacing) -> LatticeAndNorms:
+        if isinstance(spacing, np.ndarray):
+            return _scale_checked(unit * spacing[:, None], spacing, spacing * total,
+                                  np.sqrt(spacing * energy), profile)
         return _scale_checked(unit * spacing, spacing, float(spacing * total),
                               math.sqrt(spacing * energy), profile)
 
     return at
 
 
-def _scale_checked(c: np.ndarray, h: float, l1, l2, samples: np.ndarray) -> LatticeAndNorms:
+def _scale_checked(c: np.ndarray, h, l1, l2, samples: np.ndarray) -> LatticeAndNorms:
     """The tuple (c, h, l1, l2) once the float range holds its scale: the one
-    place of the refusals that :func:`lattice_and_norms` documents."""
+    place of the refusals that :func:`lattice_and_norms` documents.  A stack's
+    first refused row is checked alone, on its own samples or the profile."""
     if c.ndim == 2:
         c0 = c[:, c.shape[1] // 2]
-        if not ((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
-                & (_TINY <= l1 * l2) & (l1 * l2 < math.inf)).all():
-            for row in samples:  # the first refused row raises, as it does alone
-                lattice_and_norms(row, h)
+        bad = ~((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
+                & (_TINY <= l1 * l2) & (l1 * l2 < math.inf))
+        if bad.any():
+            r = int(np.argmax(bad))
+            _scale_checked(c[r], h[r] if np.ndim(h) else h, float(l1[r]), float(l2[r]),
+                           samples[r] if samples.ndim == 2 else samples)
         return c, h, l1, l2
     c0 = float(c[c.size // 2])
     if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
@@ -195,9 +204,7 @@ def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,
                    f: Optional[GridFunction] = None, tol: float = 0.0) -> tuple:
     """The time side; given f, then also its Fourier side to tol ||f||_1 ||f||_2."""
     c, h, l1, l2 = lat
-    # first: it refuses a too coarse lattice at once; one weight call per row of a stack
-    num = (w.correlation_integral(c, h) if c.ndim == 1
-           else np.array([w.correlation_integral(row, h) for row in c]))
+    num = w.correlation_integral(c, h)  # first: it refuses a too coarse lattice at once
     err = 1e-13 * l1 * l1  # time side is exact up to rounding
     fourier_num = None
     if f is not None:

@@ -8,9 +8,13 @@ each one fixed profile whose cell width follows theta^2 by a spacing rule
 and golden searches read every width's lattice-and-norms tuple off that one
 lattice (``functionals.dilated_lattice_and_norms``), bit for bit the tuple
 of ``lattice_and_norms`` at that width.  Each objective scans it once, at 288
-values of theta^2 less those whose lattice the objective refuses; the cached
-scan gives the floor (``baseline``) and the bracket between the neighbours of
-its best point.
+values of theta^2 less the widths the Gaussian weight refuses, which are
+masked out before any evaluation (``GaussianWeight.accepts``).  The scan
+evaluates the rest in a few stacked evaluations, blocks of widths with one
+lattice row and one spacing each, and each value is bit for bit the
+golden search's one-width evaluation at its theta^2.  The cached scan gives
+the floor (``baseline``) and the bracket between the neighbours of its best
+point.
 Their search evaluates that point, so no record ends below its floor, then
 narrows the bracket by golden section (``constants._golden_min``)
 to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
@@ -44,8 +48,9 @@ parameter, so its record is a single evaluation.
 Each candidate is evaluated once, at array speed.  The piecewise builder
 turns the parameters into the cell values and cell width of a grid function,
 ``_evaluate`` checks them once (finite, nonnegative values, positive width;
-a one-parameter family checks its profile once and each width in
-``_Dilations.ratio``), and the objective kernel reads the ratio's array core
+a one-parameter family checks its profile once, each width of a golden
+search in ``_Dilations.ratio`` and a scan's widths at once), and the
+objective kernel reads the ratio's array core
 off their one lattice-and-norms tuple, as the ``q_*`` functions do.  The
 piecewise builder and the kernels take a (rows, dim) stack of parameters as
 well, and give each row the bits of its own 1-D call.  The winner's value is
@@ -74,6 +79,7 @@ from .constants import _golden_min
 from .funcspace import Gaussian, _midpoint_samples, _readonly
 from .functionals import (LatticeAndNorms, dilated_lattice_and_norms, gauss_ratio,
                           lattice_and_norms, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs)
+from .spectral import GaussianWeight
 
 __all__ = [
     "SearchRecord",
@@ -84,6 +90,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2000
+DEFAULT_DIMENSION = 16     # the piecewise family's cells
+DEFAULT_HALFWIDTH = 0.5    # and its support [-1/2, 1/2]
 OBJECTIVES = ("mean", "gauss", "min12", "min01")
 FAMILIES = ("indicator", "gaussian", "piecewise", "bs-example")
 
@@ -151,6 +159,12 @@ class _Dilations:
         """Width -> tuple, off the profile's one correlation, made on first use."""
         _check_samples(self.profile)
         return dilated_lattice_and_norms(self.profile)
+
+    @functools.cached_property
+    def widths(self) -> np.ndarray:
+        """The cell width at each value of the scan, theta^2 as the golden
+        search gives it."""
+        return _readonly(np.array([self.spacing(math.sqrt(g) ** 2) for g in self.grid]))
 
     def ratio(self, kernel: _Kernel, t2: float) -> float:
         """The objective's ratio at theta^2 = t2."""
@@ -371,34 +385,51 @@ def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+# Lattice values per stacked evaluation of a scan: 128 KiB of them, glibc's
+# default threshold for mapping an allocation afresh.  Blocks amortize
+# numpy's per-call overhead, but from 256 KiB up a block's lattice and
+# temporaries were mapped and faulted in anew, up to 2,000 page faults a
+# scan, and the scans ran slower than at 128 KiB.
+_SCAN_BLOCK_VALUES = 2 ** 14
+
+
+def _accepted(objective: str, a: Optional[float], widths: np.ndarray) -> np.ndarray:
+    """The widths whose lattice the objective takes: the Gaussian weight
+    refuses cells too wide for its per-cell rule, and no other objective
+    refuses a width of the scans."""
+    if objective == "gauss":
+        return GaussianWeight(a).accepts(widths)
+    return np.ones(widths.shape, dtype=bool)
+
+
 @functools.lru_cache(maxsize=None)
 def _scan(objective: str, family: str,
           a: Optional[float] = None) -> tuple[tuple[float, ...], tuple[float, ...], int]:
     """The family's scan grid, the ratio at each of its values, and the index of
     the first best one.  Cached, so the floor and every search share one scan.
 
-    Every value reads the family's one lattice and still runs the spacing
-    check, the scale refusals and the objective's own checks.  A value whose
-    lattice the objective refuses (ValueError, as a Gaussian too wide for the
-    Gaussian weight's per-cell rule) is left out of the grid; if every value
-    is refused, the first refusal is raised.
+    The values whose widths the objective refuses (a Gaussian too wide for
+    the Gaussian weight's per-cell rule) are left out of the grid before any
+    evaluation; if every value is refused, the first one is evaluated and
+    raises its refusal.  The rest are evaluated in blocks of widths, one
+    stacked evaluation of the objective each, off the family's one lattice;
+    each value is bit for bit ``_Dilations.ratio`` at its theta^2 and still
+    passes the spacing check, the scale refusals and the objective's own
+    checks.
     """
     kernel = _objective_kernel(objective, a)
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
     scan = _SCANS[family]
-    grid, values, refusal = [], [], None
-    for g in scan.grid:
-        try:  # theta^2 as the golden search gives it
-            value = scan.ratio(kernel, math.sqrt(g) ** 2)
-        except ValueError as err:
-            refusal = refusal or err
-        else:
-            grid.append(float(g))
-            values.append(value)
-    if not values:
-        raise refusal
-    return tuple(grid), tuple(values), int(np.argmax(values))
+    accepted = _accepted(objective, a, scan.widths)
+    keep = np.flatnonzero(accepted) if accepted.any() else np.arange(1)
+    widths = scan.widths[keep]
+    for h in (widths.min(), widths.max()):  # every width lies between
+        _check_spacing(float(h))
+    block = max(1, _SCAN_BLOCK_VALUES // (2 * scan.profile.size + 1))
+    values = np.concatenate([kernel(scan.lattice(widths[s:s + block]))
+                             for s in range(0, widths.size, block)])
+    return tuple(scan.grid[keep].tolist()), tuple(values.tolist()), int(np.argmax(values))
 
 
 def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
@@ -411,8 +442,8 @@ def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
 
 
 def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int = 0,
-           a: Optional[float] = None, dimension: int = 16,
-           halfwidth: float = 0.5) -> SearchRecord:
+           a: Optional[float] = None, dimension: Optional[int] = None,
+           halfwidth: Optional[float] = None) -> SearchRecord:
     """Maximize an inequality ratio over a family (module docstring).
 
     Deterministic given (objective, family, budget, seed).  A one-parameter
@@ -420,18 +451,25 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     piecewise family runs max(4, dim) simplex restarts of budget // restarts
     evaluations each: restart 0 from the ones vector, the others from seeded
     random starts.  ``dimension`` is the piecewise family's cell count, at
-    least 1; each restart must afford the dim + 1 evaluations that seed its
-    simplex.  ``halfwidth`` is the piecewise family's support [-halfwidth,
-    halfwidth]; it must be finite and positive (ValueError, whatever the family).
+    least 1, ``DEFAULT_DIMENSION`` when not given; each restart must afford
+    the dim + 1 evaluations that seed its simplex.  ``halfwidth`` is the
+    piecewise family's support [-halfwidth, halfwidth], finite and positive,
+    ``DEFAULT_HALFWIDTH`` when not given.  Those checks refuse a bad value
+    whatever the family (ValueError); then a family that reads no dimension
+    or halfwidth refuses any given value of either.
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
-    if dimension < 1:
+    if dimension is not None and dimension < 1:
         raise ValueError(f"dimension must be positive, got {dimension}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if not (math.isfinite(halfwidth) and halfwidth > 0):
+    if halfwidth is not None and not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"halfwidth must be finite and positive, got {halfwidth}")
+    if family != "piecewise":
+        for name, value in (("dimension", dimension), ("halfwidth", halfwidth)):
+            if value is not None:
+                raise ValueError(f"the {family} family reads no {name}, got {name} = {value!r}")
     kernel = _objective_kernel(objective, a)
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
@@ -457,7 +495,8 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
             pass
         runs = [run]
     elif family == "piecewise":
-        dim = dimension
+        dim = DEFAULT_DIMENSION if dimension is None else dimension
+        halfwidth = DEFAULT_HALFWIDTH if halfwidth is None else halfwidth
         restarts = max(4, dim)
         per_restart = budget // restarts
         if per_restart < dim + 1:

@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .correlate import lattice_window_integral
-from .funcspace import GridFunction, MixedMeasure, _gauss_pieces, _leggauss
+from .funcspace import GridFunction, MixedMeasure, _gauss_pieces, _leggauss, _readonly
 
 __all__ = [
     "IntervalWeight",
@@ -52,6 +52,7 @@ _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 10
 _FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourier
 _MAX_TERMS = 2 ** 26    # terms that mean_functional_fourier sums at most
 _MAX_DFT = 2 ** 24      # its DFT length M stays below this
+_HAT_BLOCK = 2 ** 14    # exp-table entries (128 KiB) per step of a stacked Gaussian time side
 
 #: The error bound that every sinc-power moment must meet, or raise.
 MOMENT_TOL = 1e-9
@@ -85,9 +86,9 @@ class IntervalWeight:
             raise RuntimeError(f"int |sinc|^p at p={p} is certified to {err:.1e} > {MOMENT_TOL}")
         return MomentResult(value, err)
 
-    def correlation_integral(self, values: np.ndarray, spacing: float) -> float:
+    def correlation_integral(self, values: np.ndarray, spacing):
         """int (f*f) w from the correlation's lattice values, exact on the
-        piecewise-linear correlation."""
+        piecewise-linear correlation; one value per row of a stack."""
         return lattice_window_integral(values, spacing, -0.5, 0.5)
 
 
@@ -98,21 +99,52 @@ _REMAINDER_LOGS = [math.log(1.0865 / (2 * k + 1)) + 4 * math.lgamma(k + 1)
                    - 3 * math.lgamma(2 * k + 1) + 0.5 * math.lgamma(2 * k) for k in range(1, 65)]
 
 
-def _gauss_node_count(s: float) -> int:
-    """The least k <= 64 for which k-node Gauss-Legendre integrates g = l w,
-    l a hat piece (|l| <= 1, |l'| = 1/h), on a lattice cell to 2^-60 h max w.
+def _meets_rule(k: int, s: float) -> bool:
+    """Whether k-node Gauss-Legendre integrates g = l w, l a hat piece (|l| <= 1,
+    |l'| = 1/h), on a lattice cell to 2^-60 h max w, at s = h sqrt(2a).
 
-    s = h sqrt(2a).  The remainder h^(2k+1) (k!)^4 / ((2k+1) ((2k)!)^3)
-    max|g^(2k)| is, by Leibniz and Cramer's bound on the derivatives of w,
-    at most h max w times the table entry times s^(2k-1) (2k + s sqrt(2k)).
-    Raises ValueError when no k <= 64 meets it (s above 19.94).
-    """
-    ls = math.log(s)
-    for k, lead in enumerate(_REMAINDER_LOGS, start=1):
-        if lead + (2 * k - 1) * ls + math.log(2 * k + s * math.sqrt(2 * k)) < -60 * math.log(2):
-            return k
-    raise ValueError(f"lattice too coarse for the Gaussian weight: h sqrt(2a) = {s:.3g} "
-                     "needs more than 64 Gauss nodes a cell")
+    The remainder h^(2k+1) (k!)^4 / ((2k+1) ((2k)!)^3) max|g^(2k)| is, by
+    Leibniz and Cramer's bound on the derivatives of w, at most h max w times
+    the table entry times s^(2k-1) (2k + s sqrt(2k)); its log rises with s."""
+    return (_REMAINDER_LOGS[k - 1] + (2 * k - 1) * math.log(s)
+            + math.log(2 * k + s * math.sqrt(2 * k)) < -60 * math.log(2))
+
+
+@functools.lru_cache(maxsize=None)
+def _node_limits() -> np.ndarray:
+    """For k = 1..64, the largest float s at which k nodes meet ``_meets_rule``:
+    Newton on log s from above, then the last few ulps by the rule itself.
+    They rise with k, from 9.6e-18 to 19.94."""
+    k = np.arange(1.0, 65.0)
+    lead, tol = np.array(_REMAINDER_LOGS), -60 * math.log(2)
+    y = (tol - lead - np.log(2 * k)) / (2 * k - 1)  # the root without the s term: above it
+    for _ in range(4):
+        e = np.exp(y) * np.sqrt(2 * k)
+        y -= (lead + (2 * k - 1) * y + np.log(2 * k + e) - tol) / (2 * k - 1 + e / (2 * k + e))
+    limits = []
+    for k, s in enumerate(np.exp(y).tolist(), start=1):
+        while not _meets_rule(k, s):
+            s = math.nextafter(s, 0.0)
+        while _meets_rule(k, math.nextafter(s, math.inf)):
+            s = math.nextafter(s, math.inf)
+        limits.append(s)
+    return _readonly(np.array(limits))
+
+
+def _gauss_node_counts(s) -> np.ndarray:
+    """The least node count k <= 64 that meets ``_meets_rule`` at each s, by
+    one search of the limits; 65 where none does (s above 19.94, or NaN)."""
+    return np.searchsorted(_node_limits(), s) + 1
+
+
+def _gauss_node_count(s: float) -> int:
+    """``_gauss_node_counts`` at one s.  Raises ValueError when no k <= 64
+    meets the rule."""
+    k = int(_gauss_node_counts(s))
+    if k > 64:
+        raise ValueError(f"lattice too coarse for the Gaussian weight: h sqrt(2a) = {s:.3g} "
+                         "needs more than 64 Gauss nodes a cell")
+    return k
 
 
 @dataclass(frozen=True)
@@ -164,7 +196,12 @@ class GaussianWeight:
                 f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")
         return MomentResult(closed, 1e-15 * closed)
 
-    def correlation_integral(self, values: np.ndarray, spacing: float) -> float:
+    def accepts(self, spacing) -> np.ndarray:
+        """Whether ``correlation_integral`` takes lattices of these cell widths:
+        those with h sqrt(2a) at most 19.94, where 64 nodes still meet its rule."""
+        return spacing * math.sqrt(2.0 * self.a) <= _node_limits()[-1]
+
+    def correlation_integral(self, values: np.ndarray, spacing):
         """int (f*f) w = sum_m c_m omega_m over the lattice values c_m of f*f,
         omega_m = int hat_m w with hat_m the lattice hat function at m h.
 
@@ -173,17 +210,81 @@ class GaussianWeight:
         hat piece, (1 - u) w or u w with u = t/h - j, is integrated to
         2^-60 h max w, so the error is below 2^-58 (cells h) max w c_0 <
         2^-54 c_0, as cells h < R + h and c_0 = max c = ||f||_2^2.
+
+        A (rows, 2n + 1) stack of lattices, at one spacing or one per row,
+        gives one value per row, bit for bit its own 1-D call: the rows that
+        need the same number of nodes share one exp table and one einsum,
+        and each row keeps its own ``half @ omega``.  A stack with a row too
+        coarse for the rule raises what its first such row raises alone.
         """
-        n, h, a = values.size // 2, spacing, self.a
-        cells = min(n, math.ceil(self.reach / h))
-        x, wgt = _leggauss(_gauss_node_count(h * math.sqrt(2.0 * a)))
-        u = 0.5 * (1.0 + x)
-        t = h * np.add.outer(u, np.arange(cells))          # (node, cell)
-        pieces = np.einsum("pk,kj->pj", np.stack((wgt * (1.0 - u), wgt * u)),
-                           np.exp(-a * t * t))
-        omega = np.append(pieces[0], 0.0) + np.append(0.0, pieces[1])
-        half = values[n:n + cells + 1]
-        return h * math.sqrt(a / math.pi) * float(half @ omega)   # 2 (h/2) max w
+        n, a = values.shape[-1] // 2, self.a
+        if values.ndim == 1:
+            h = spacing
+            cells = min(n, math.ceil(self.reach / h))
+            (omega,) = self._hat_integrals([h], [cells], _gauss_node_count(h * math.sqrt(2.0 * a)))
+            return h * math.sqrt(a / math.pi) * float(values[n:n + cells + 1] @ omega[:cells + 1])
+        h = spacing if isinstance(spacing, np.ndarray) else np.full(values.shape[0], spacing)
+        s = h * math.sqrt(2.0 * a)
+        nodes = _gauss_node_counts(s).tolist()
+        if max(nodes) > 64:
+            _gauss_node_count(float(s[[k > 64 for k in nodes].index(True)]))
+        cells = np.minimum(n, np.ceil(self.reach / h)).astype(np.int64).tolist()
+        hs = h.tolist()
+        dots = np.empty(len(nodes))
+        for k in sorted(set(nodes)):
+            group = [r for r, count in enumerate(nodes) if count == k]
+            for rows in _runs(group, [k * (cells[r] + 1) for r in group], _HAT_BLOCK):
+                omegas = self._hat_integrals([hs[r] for r in rows], [cells[r] for r in rows], k)
+                for r, omega in zip(rows, omegas):
+                    dots[r] = values[r, n:n + cells[r] + 1] @ omega[:cells[r] + 1]
+        return h * math.sqrt(a / math.pi) * dots   # 2 (h/2) max w
+
+    def _hat_integrals(self, h: list, cells: list, k: int) -> np.ndarray:
+        """omega / (h sqrt(a/pi)) of each row at m = 0..cells (what follows in
+        the row is not its own), by the k-node rule on each cell: one exp table
+        over the rows' cells."""
+        u, hat = _hat_rule(k)
+        width = max(cells) + 1  # every row's cells and at least one more
+        t = np.add.outer(u, np.arange(float(width)))[:, None, :] * np.array(h)[:, None]
+        g = -self.a * t                                         # (node, row, cell)
+        g *= t
+        if self.a * (max(h) * width) ** 2 > 700.0:
+            # cells past a row's reach are not its own; -700 keeps exp off its
+            # slow underflowing path there (no cell within reach falls below -437)
+            np.maximum(g, -700.0, out=g)
+        np.exp(g, out=g)
+        pieces = np.einsum("pk,krj->prj", hat, g)
+        # einsum sums a one-column table, a one-cell row's alone, in another order
+        for r in [r for r, m in enumerate(cells) if m == 1]:
+            pieces[:, r, 0] = np.einsum("pk,kj->pj", hat, g[:, r, :1].copy())[:, 0]
+        # hat_m takes the piece (1 - u) w of cell m, none at m = cells, and the
+        # piece u w of cell m - 1
+        omega = pieces[0]
+        omega[range(len(cells)), cells] = 0.0
+        omega[:, 1:] += pieces[1, :, :-1]
+        return omega
+
+
+def _runs(items: list, sizes: list, budget: int):
+    """The items in runs whose sizes add up to at most the budget, or one item."""
+    run, total = [], 0
+    for item, size in zip(items, sizes):
+        if run and total + size > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
+
+
+@functools.lru_cache(maxsize=None)
+def _hat_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k Gauss-Legendre nodes u on [0, 1], and their weights times the
+    two hat pieces there, 1 - u and u."""
+    x, wgt = _leggauss(k)
+    u = 0.5 * (1.0 + x)
+    return _readonly(u), _readonly(np.stack((wgt * (1.0 - u), wgt * u)))
 
 
 Weight = Union[IntervalWeight, GaussianWeight]

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib
 import inspect
 import json
 import math
@@ -335,6 +336,21 @@ class TestSearch:
                      *flags, "--out", str(out)]) == 2
         assert "dimension" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family, functional", [("indicator", "min12"), ("gaussian", "mean"),
+                                                    ("bs-example", "min01"),
+                                                    ("piecewise-constant", "min12")])
+    def test_dimension_passed_to_the_piecewise_family_only(self, monkeypatch, tmp_path, family,
+                                                           functional):
+        # search refuses a dimension its family never reads; the runner used
+        # to pass the config's 16 cells to every family
+        real, calls = cli.run_search, []
+        monkeypatch.setattr(cli, "run_search",
+                            lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        assert main(["search", "--functional", functional, "--family", family,
+                     "--out", str(tmp_path)]) == 0
+        (kwargs,) = calls
+        assert kwargs.get("dimension") == (16 if family == "piecewise-constant" else None)
 
     def test_bs_example_rule_checked_at_the_boundary(self):
         # the evaluate form of the rule, before the search runner is called
@@ -697,8 +713,12 @@ class TestDefaultsEchoed:
         assert rep["results"][0]["dimension"] == 16
 
     def test_library_defaults_agree(self):
-        # search's own defaults are those RunConfig echoes
+        # search's own defaults are those RunConfig echoes; its dimension and
+        # halfwidth default to None, which the piecewise family resolves
         params = inspect.signature(search).parameters
         cfg = cli.RunConfig("search")
-        assert (cfg.dimension, cfg.s, cfg.budget, cfg.seed) == tuple(
-            params[name].default for name in ("dimension", "halfwidth", "budget", "seed"))
+        search_mod = importlib.import_module("autocorr.search")
+        assert (cfg.dimension, cfg.s, cfg.budget, cfg.seed) == (
+            search_mod.DEFAULT_DIMENSION, search_mod.DEFAULT_HALFWIDTH,
+            params["budget"].default, params["seed"].default)
+        assert params["dimension"].default is None and params["halfwidth"].default is None

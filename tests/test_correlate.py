@@ -27,6 +27,7 @@ from autocorr.correlate import (
     lattice_autocorrelation,
     lattice_min,
     lattice_value,
+    lattice_window_integral,
     measure_correlation,
 )
 
@@ -253,6 +254,64 @@ class TestStackedLattices:
         c = lattice_autocorrelation(stack, 1.0 / 8192)
         assert _bits(c) == _bits(np.array([lattice_autocorrelation(row, 1.0 / 8192)
                                            for row in stack]))
+
+
+@st.composite
+def _stack_of_spacings(draw):
+    """A (rows, 2n + 1) stack of lattices and its spacing: one float for every
+    row, or one spacing per row, each row correlated at its own spacing."""
+    rows, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        spacing = draw(st.floats(1e-3, 10.0))
+        row_spacings = [spacing] * rows
+    else:
+        spacing = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=rows, max_size=rows)))
+        row_spacings = spacing.tolist()
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.0, 4.0, (rows, n)) ** 2
+    samples[rng.uniform(size=samples.shape) < 0.2] = 0.0
+    c = np.array([lattice_autocorrelation(s, h) for s, h in zip(samples, row_spacings)])
+    return c, spacing, row_spacings
+
+
+class TestOneSpacingPerRow:
+    """Each kernel on a stack, at one spacing or one per row, gives each row
+    the bits of its own 1-D call (``lattice_window_integral`` through
+    ``_lattice_antiderivative``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stack_of_spacings(), t=st.floats(-30.0, 30.0),
+           window=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2))
+    def test_rows_equal_their_own_calls(self, case, t, window):
+        c, spacing, row_spacings = case
+        lo, hi = sorted(window)
+        ts = np.array([t, lo, hi, 0.0, -0.0])
+        pairs = list(zip(c, row_spacings))
+        for x in (t, np.float64(t), ts):
+            assert _bits(lattice_value(c, spacing, x)) == \
+                _bits(np.array([lattice_value(row, h, x) for row, h in pairs]))
+        for a, b in [(lo, hi), (-0.5, 0.5), (0.0, 1.0), (hi, hi)]:
+            assert _bits(lattice_min(c, spacing, a, b)) == \
+                [_bits(lattice_min(row, h, a, b))[0] for row, h in pairs]
+        los, his = np.array([lo, -0.5, hi, 0.0]), np.array([hi, 0.5, lo, 1.0])
+        for a, b in [(lo, hi), (-0.5, 0.5), (hi, lo), (los, his), (los[:, None], his)]:
+            got = lattice_window_integral(c, spacing, a, b)
+            want = np.array([lattice_window_integral(row, h, a, b) for row, h in pairs])
+            assert np.shape(got) == want.shape
+            assert _bits(got) == _bits(want)
+        with pytest.raises(ValueError, match="empty window"):
+            lattice_min(c, spacing, 1.0, 0.0)
+
+    def test_window_past_the_support_reads_the_last_cell(self):
+        # rows whose lattice ends inside the window next to rows that reach
+        # past it: every row clips the window to its own support
+        spacing = np.array([0.01, 0.5, 2.0])
+        c = np.array([lattice_autocorrelation(np.ones(4), h) for h in spacing])
+        got = lattice_window_integral(c, spacing, -0.5, 0.5)
+        assert _bits(got) == [_bits(lattice_window_integral(row, h, -0.5, 0.5))[0]
+                              for row, h in zip(c, spacing)]
+        assert got[0] == pytest.approx((4 * 0.01) ** 2)  # the whole mass ||f||_1^2
 
 
 class TestSingularBS:

@@ -16,6 +16,7 @@ from autocorr import (
     bs_l1,
     sample,
 )
+from autocorr.funcspace import _l2_norm
 
 
 class TestGridFunction:
@@ -78,6 +79,18 @@ class TestGridFunction:
         g = f.scaled(c)
         assert g.l1_norm == pytest.approx(c * f.l1_norm, rel=1e-12)
         assert g.l2_norm == pytest.approx(c * f.l2_norm, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 40), n=st.integers(1, 1024), spacing=st.floats(1e-3, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_l2_norm_is_each_rows_dot(self, rows, n, spacing, seed):
+        # the stack's one vecdot sums each row as the 1-D call's np.dot does
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0.0, 4.0, (rows, n)) ** 2
+        got = _l2_norm(stack, spacing)
+        want = np.sqrt(spacing * np.array([np.dot(row, row) for row in stack]))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert [float(x) for x in got] == [_l2_norm(row, spacing) for row in stack]
 
 
 class TestSampling:

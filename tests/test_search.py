@@ -125,6 +125,29 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match="halfwidth must be finite and positive"):
             search("min12", family, halfwidth=halfwidth)
 
+    @pytest.mark.parametrize("objective, family", [("min12", "indicator"), ("gauss", "gaussian"),
+                                                   ("min01", "bs-example")])
+    @pytest.mark.parametrize("key, value", [("dimension", 7), ("dimension", 16),
+                                            ("halfwidth", 3.0), ("halfwidth", 0.5)])
+    def test_unread_dimension_or_halfwidth_rejected(self, monkeypatch, objective, family, key,
+                                                    value):
+        # only the piecewise family reads them; the other families used to
+        # return a record that ignored them
+        search_mod = importlib.import_module("autocorr.search")
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
+        a = 2 * PI if objective == "gauss" else None
+        with pytest.raises(ValueError, match=f"the {family} family reads no {key}"):
+            search(objective, family, a=a, **{key: value})
+
+    def test_piecewise_defaults(self):
+        search_mod = importlib.import_module("autocorr.search")
+        rec = search("min12", "piecewise", budget=272)
+        assert rec.dimension == search_mod.DEFAULT_DIMENSION == 16
+        given = search("min12", "piecewise", budget=272, dimension=16,
+                       halfwidth=search_mod.DEFAULT_HALFWIDTH)
+        assert (rec.best_value, rec.best_params, rec.trace) == \
+            (given.best_value, given.best_params, given.trace)
+
     def test_zero_dimension_rejected(self):
         # 0 used to stand for the 16-cell default; 16 is now the default itself
         with pytest.raises(ValueError, match="dimension must be positive"):
@@ -536,6 +559,38 @@ class TestReachPastTheScan:
         with pytest.raises(ValueError, match="lattice too coarse"):
             search("gauss", "gaussian", a=1e10)
 
+    @pytest.mark.parametrize("family, a", [("gaussian", 1.2e5), ("gaussian", 2e5),
+                                           ("indicator", 1e6), ("indicator", 1.8e8),
+                                           ("gaussian", 4.1e8), ("gaussian", 1e10)])
+    def test_refusals_keep_the_per_width_grid(self, family, a):
+        # the widths the Gaussian weight refuses are masked out before the
+        # stacked evaluation; the scan is still the one of trying every width
+        # alone and leaving out the refused ones, value for value, and a scan
+        # that refuses every width raises the first width's own refusal
+        search_mod = importlib.import_module("autocorr.search")
+        scan, kernel = search_mod._SCANS[family], _objective_kernel("gauss", a)
+        grid, values, refusals = [], [], []
+        for g in scan.grid:
+            try:
+                value = scan.ratio(kernel, math.sqrt(g) ** 2)
+            except ValueError as err:
+                refusals.append(str(err))
+            else:
+                grid.append(float(g))
+                values.append(value)
+        search_mod._scan.cache_clear()
+        try:
+            if not values:
+                with pytest.raises(ValueError, match="lattice too coarse") as got:
+                    search_mod._scan("gauss", family, a)
+                assert str(got.value) == refusals[0]
+                return
+            got = search_mod._scan("gauss", family, a)
+        finally:
+            search_mod._scan.cache_clear()
+        assert got[0] == tuple(grid) and got[2] == int(np.argmax(values))
+        assert [v.hex() for v in got[1]] == [v.hex() for v in values]
+
     def test_walk_stops_past_the_builder_clamp(self):
         # b* = 2e-5 lies beyond the clamp b >= 1e-4, where the ratio is flat
         rec = search("gauss", "gaussian", a=1e-5)
@@ -652,6 +707,25 @@ class TestOneLatticePerScan:
             clear()
         assert calls == [1.0]
 
+    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES)
+    def test_scan_is_stacked(self, monkeypatch, objective, family, a):
+        # the scan makes no per-width evaluation: its blocks of widths go
+        # through the objective's array core, bit for bit each width's own
+        search_mod = importlib.import_module("autocorr.search")
+        scan, kernel = search_mod._SCANS[family], _objective_kernel(objective, a)
+        want = [scan.ratio(kernel, math.sqrt(g) ** 2) for g in scan.grid]
+        calls = []
+        monkeypatch.setattr(search_mod._Dilations, "ratio",
+                            lambda self, kernel, t2: calls.append(t2))
+        search_mod._scan.cache_clear()
+        try:
+            grid, values, i = search_mod._scan(objective, family, a)
+        finally:
+            search_mod._scan.cache_clear()
+        assert calls == []
+        assert grid == tuple(scan.grid.tolist()) and i == int(np.argmax(want))
+        assert [v.hex() for v in values] == [v.hex() for v in want]
+
     @pytest.mark.parametrize("family", ["indicator", "gaussian"])
     def test_dilation_is_the_lattice_at_each_spacing(self, family):
         # the scan and the golden search read the same bits: at the scan's
@@ -667,6 +741,14 @@ class TestOneLatticePerScan:
             assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64)), t2
             assert [np.float64(x).view(np.int64) for x in got[1:]] == \
                 [np.float64(x).view(np.int64) for x in want[1:]], t2
+        # an array of widths gives the stacked tuple, each row the tuple at its width
+        hs = np.array([scan.spacing(t2) for t2 in theta2 + [1e-9, 1e-8, 1e8]])
+        c, h, l1, l2 = at(hs)
+        for r, width in enumerate(hs.tolist()):
+            want = lattice_and_norms(scan.profile, width)
+            assert np.array_equal(c[r].view(np.int64), want[0].view(np.int64)), width
+            assert [np.float64(x).view(np.int64) for x in (h[r], l1[r], l2[r])] == \
+                [np.float64(x).view(np.int64) for x in want[1:]], width
 
     @pytest.mark.parametrize("family, spacing", [
         ("indicator", _SCANS["indicator"].spacing(1e300)), ("indicator", 1e-300),
@@ -682,6 +764,10 @@ class TestOneLatticePerScan:
         with pytest.raises(ValueError, match="outside the float range") as want:
             lattice_and_norms(scan.profile, spacing)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="outside the float range") as stacked:
+            at(np.array([scan.spacing(1.0), spacing, spacing / 2]))
+        assert type(stacked.value) is type(want.value) and str(stacked.value) == str(want.value)
 
     @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + [("gauss", "gaussian", 1.2e5),
                                                                     ("gauss", "indicator", 1e6)])

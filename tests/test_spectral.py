@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autocorr import (
     Gaussian,
@@ -289,6 +291,122 @@ class TestGaussianTimeSide:
         h = 21 / math.sqrt(4 * PI)
         with pytest.raises(ValueError, match="64 Gauss nodes"):
             GaussianWeight(2 * PI).correlation_integral(np.array([0.0, 1.0, 0.0]), h)
+
+    def test_node_counts_are_the_per_k_rule(self):
+        # the limits stand for the rule that tried k = 1, 2, ... in turn: at
+        # every limit, a few ulps either side and across the whole range of s
+        from autocorr.spectral import _gauss_node_count, _meets_rule, _node_limits
+
+        def first_k(s):
+            return next((k for k in range(1, 65) if _meets_rule(k, s)), None)
+
+        limits = _node_limits().tolist()
+        assert limits == sorted(set(limits)) and 19.94 < limits[-1] < 19.95
+        probes = [s + k * math.ulp(s) for s in limits for k in range(-3, 4)]
+        probes += np.geomspace(1e-20, 25.0, 2001).tolist()
+        for s in probes:
+            want = first_k(s)
+            if want is None:
+                with pytest.raises(ValueError, match="64 Gauss nodes"):
+                    _gauss_node_count(s)
+            else:
+                assert _gauss_node_count(s) == want, s
+
+    def test_accepts_the_widths_it_integrates(self):
+        from autocorr.correlate import lattice_autocorrelation
+        from autocorr.spectral import _node_limits
+
+        w = GaussianWeight(2 * PI)
+        edge = _node_limits()[-1] / math.sqrt(4 * PI)
+        hs = np.array([1e-3, edge * (1 - 1e-15), edge * (1 + 1e-15), 10.0])
+        for h, ok in zip(hs, w.accepts(hs).tolist()):
+            c = lattice_autocorrelation(np.ones(3), h)
+            if ok:
+                w.correlation_integral(c, h)
+            else:
+                with pytest.raises(ValueError, match="64 Gauss nodes"):
+                    w.correlation_integral(c, h)
+        assert w.accepts(hs).tolist() == [True, True, False, False]
+
+
+def _bits(x) -> list:
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64).tolist()
+
+
+def _one_lattice_time_side(values, h, a):
+    """The Gaussian time side as each lattice had it alone: the first node
+    count that meets the rule, its own exp table over its cells and its own
+    einsum (a one-cell table sums in another order than a wider one)."""
+    from autocorr.spectral import _meets_rule
+
+    n = values.size // 2
+    cells = min(n, math.ceil(GaussianWeight(a).reach / h))
+    k = next(k for k in range(1, 65) if _meets_rule(k, h * math.sqrt(2 * a)))
+    x, wgt = np.polynomial.legendre.leggauss(k)
+    u = 0.5 * (1.0 + x)
+    t = h * np.add.outer(u, np.arange(cells))
+    pieces = np.einsum("pk,kj->pj", np.stack((wgt * (1.0 - u), wgt * u)), np.exp(-a * t * t))
+    omega = np.append(pieces[0], 0.0) + np.append(0.0, pieces[1])
+    return h * math.sqrt(a / math.pi) * float(values[n:n + cells + 1] @ omega)
+
+
+class TestStackedWeights:
+    """Both weights on a (rows, 2n + 1) stack, at one spacing or one per row,
+    give each row the bits of its own 1-D call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 12), n=st.integers(1, 40), a=st.sampled_from([0.5, 2 * PI, 1e4]),
+           log_s=st.lists(st.floats(-8.0, math.log(19.9)), min_size=12, max_size=12),
+           shared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_their_own_calls(self, rows, n, a, log_s, shared, seed):
+        # s = h sqrt(2a) from 3e-4 to 19.9 spans one to 61 Gauss nodes; at
+        # a = 1e4 the widest cells exceed the reach, one-cell rows
+        from autocorr.correlate import lattice_autocorrelation
+
+        hs = np.exp(np.array(log_s[:rows])) / math.sqrt(2 * a)
+        if shared:
+            hs[:] = hs[0]
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(0.0, 4.0, (rows, n)) ** 2
+        c = np.array([lattice_autocorrelation(f, h) for f, h in zip(samples, hs)])
+        spacing = float(hs[0]) if shared else hs
+        for w in (IntervalWeight(), GaussianWeight(a)):
+            got = w.correlation_integral(c, spacing)
+            assert got.shape == (rows,)
+            assert _bits(got) == [_bits(w.correlation_integral(row, float(h)))[0]
+                                  for row, h in zip(c, hs)]
+        assert _bits(got) == [_bits(_one_lattice_time_side(row, float(h), a))[0]
+                              for row, h in zip(c, hs)]
+
+    def test_nodes_and_one_cell_rows_mixed(self):
+        # rows needing 2 .. 61 nodes, and cells of one lattice step past the
+        # reach, in one stack
+        from autocorr.correlate import lattice_autocorrelation
+        from autocorr.spectral import _gauss_node_count
+
+        a = 1e4
+        hs = np.geomspace(1e-4, 19.9, 40) / math.sqrt(2 * a)
+        c = np.array([lattice_autocorrelation(np.linspace(1.0, 2.0, 9), h) for h in hs])
+        w = GaussianWeight(a)
+        nodes = {_gauss_node_count(h * math.sqrt(2 * a)) for h in hs}
+        assert len(nodes) > 10 and any(h >= w.reach for h in hs)
+        got = w.correlation_integral(c, hs)
+        assert _bits(got) == [_bits(w.correlation_integral(row, float(h)))[0]
+                              for row, h in zip(c, hs)]
+        assert _bits(got) == [_bits(_one_lattice_time_side(row, float(h), a))[0]
+                              for row, h in zip(c, hs)]
+
+    def test_refused_row_raises_as_alone(self):
+        from autocorr.correlate import lattice_autocorrelation
+
+        a = 2 * PI
+        hs = np.array([0.01, 21 / math.sqrt(2 * a), 0.02, 30 / math.sqrt(2 * a)])
+        c = np.array([lattice_autocorrelation(np.ones(3), h) for h in hs])
+        with pytest.raises(ValueError) as alone:
+            GaussianWeight(a).correlation_integral(c[1], float(hs[1]))
+        with pytest.raises(ValueError) as stacked:
+            GaussianWeight(a).correlation_integral(c, hs)
+        assert str(stacked.value) == str(alone.value) and "= 21 " in str(alone.value)
 
 
 class TestMeanFunctionalFourier:

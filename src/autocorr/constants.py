@@ -57,8 +57,8 @@ class BoundReport:
 
 def hy_coefficient(p: float) -> float:
     """K_p = (2p)^(1/p) (p-1)^((p-1)/(2p)) (p+1)^(-(p+1)/(2p)), p > 1."""
-    if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"need 1 < p < inf, got {p}")
     return (2 * p) ** (1 / p) * (p - 1) ** ((p - 1) / (2 * p)) / (p + 1) ** ((p + 1) / (2 * p))
 
 
@@ -90,8 +90,8 @@ def _pipeline_constant(w: Weight, p: float) -> tuple[float, dict[str, float]]:
 
 def mean_upper_constant(w: Weight, p: float) -> BoundReport:
     """C_p(w) = (K_p I_w(p)^(1/p))^(p/(2(p-1))) for p >= 2, moments at ``MOMENT_TOL``."""
-    if not p >= 2:
-        raise ValueError(f"the mean bound needs p >= 2, got {p}")
+    if not 2 <= p < math.inf:
+        raise ValueError(f"the mean bound needs 2 <= p < inf, got {p}")
     value, ingredients = _pipeline_constant(w, p)
     if isinstance(w, GaussianWeight):
         ingredients["closed_form_paper_consistent"] = gaussian_closed_form(p, w.a)
@@ -123,7 +123,7 @@ def _golden_min(fn, grid, i: int, tol: float) -> float:
 def mean_upper_sweep(w: Weight, p_range: tuple[float, float]) -> list[BoundReport]:
     """C_p(w) at each p of the scan of ``p_range``: both ends, spacing at most 1/4."""
     lo, hi = float(p_range[0]), float(p_range[1])
-    if lo < 2.0 or hi < lo or not np.isfinite(hi):
+    if not 2.0 <= lo <= hi < math.inf:
         raise ValueError(f"p range must satisfy 2 <= lo <= hi < inf, got {p_range}")
     grid = np.linspace(lo, hi, math.ceil((hi - lo) / 0.25) + 1)
     return [mean_upper_constant(w, float(p)) for p in grid]

@@ -53,7 +53,7 @@ __all__ = [
 # below read the piecewise-linear correlation off them exactly.  They do not
 # check the lattice values or the spacing: :class:`Correlation` and the
 # functionals check those once, at the boundary, and call these.  Only
-# ``lattice_min`` refuses an input, an empty window (hi < lo).
+# ``lattice_min`` refuses an input, an empty window (hi < lo) or a NaN end.
 #
 # Every kernel also takes a (rows, 2n + 1) stack of lattices, as the search
 # evaluates a round of candidates or a scan's block of cell widths.  The
@@ -137,8 +137,8 @@ def lattice_value(c: np.ndarray, spacing, t):
 def lattice_min(c: np.ndarray, spacing, lo: float, hi: float):
     """Exact minimum of the piecewise-linear correlation over [lo, hi]; one
     per row of a stack."""
-    if hi < lo:
-        raise ValueError("empty window")
+    if not lo <= hi:
+        raise ValueError("empty window" if hi < lo else f"window [{lo}, {hi}] has a NaN end")
     n = c.shape[-1] // 2
     cands = [lattice_value(c, spacing, lo), lattice_value(c, spacing, hi)]
     if not _per_row(spacing):

@@ -131,8 +131,9 @@ def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
 # array cores
 #
 # ``lattice_and_norms`` takes cell values and width that the caller has
-# checked (finite, nonnegative samples, positive spacing: a GridFunction, or
-# the search's family builders and scan profiles).  Each core reads its
+# checked (finite, nonnegative samples, positive spacing: a GridFunction, the
+# search's squared simplex parameters and checked cell width, or its scan
+# profiles and golden-search widths).  Each core reads its
 # tuple (c, h, l1, l2), returns the fields of a RatioResult after
 # ``functional`` and ``method``, (value, numerator, l1, l2,
 # error_estimate[, fourier_numerator]), and raises InvariantViolation on a
@@ -142,13 +143,14 @@ def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
 LatticeAndNorms = tuple[np.ndarray, float, float, float]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is what the refusal reads
 def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
     """(c, h, l1, l2) of the cell model; ZeroFunctionError for all-zero cells.
 
     ValueError when the float range cannot hold their scale: f*f(0) = ||f||_2^2
     read off the lattice (inf or NaN after an FFT overflow), l1 l2 or l1^2 is
-    not finite or below the least normal float.  A stack raises what its
-    first refused row raises alone.
+    not finite or below the least normal float, with no numpy warning on the
+    way.  A stack raises what its first refused row raises alone.
     """
     return _scale_checked(lattice_autocorrelation(samples, spacing), spacing,
                           _l1_norm(samples, spacing), _l2_norm(samples, spacing), samples)

@@ -45,25 +45,27 @@ index.  The record is therefore bit for bit the one of running the restarts
 one after another, one point at a time.  The BS example has no free
 parameter, so its record is a single evaluation.
 
-Each candidate is evaluated once, at array speed.  The piecewise builder
-turns the parameters into the cell values and cell width of a grid function,
-``_evaluate`` checks them once (finite, nonnegative values, positive width;
-a one-parameter family checks its profile once, each width of a golden
-search in ``_Dilations.ratio`` and a scan's widths at once), and the
-objective kernel reads the ratio's array core
-off their one lattice-and-norms tuple, as the ``q_*`` functions do.  The
-piecewise builder and the kernels take a (rows, dim) stack of parameters as
-well, and give each row the bits of its own 1-D call.  The winner's value is
-therefore the ``q_*`` value of the family's grid function at its
-parameters, bit for bit, and is not evaluated again.  No GridFunction,
+Each candidate is evaluated once, at array speed.  Every input is checked
+once, where it enters.  ``search`` refuses a piecewise cell width 2 halfwidth
+/ dim that is not a positive float (ValueError) before any evaluation; it
+never changes.  ``_evaluate`` squares the parameters into the cell values,
+checks only that they are finite, as they are the one input the simplex
+chooses each round, and the objective kernel reads the ratio's array core
+off their one lattice-and-norms tuple, as the ``q_*`` functions do.  A
+one-parameter family checks each width its golden search picks, in
+``_Dilations.ratio``; its profile and its scan's widths are module
+constants.  ``_evaluate`` and the kernels take a (rows, dim) stack of
+parameters as well, and give each row the bits of its own 1-D call.  The
+winner's value is therefore the ``q_*`` value of the family's grid function
+at its parameters, bit for bit, and is not evaluated again.  No GridFunction,
 Correlation or RatioResult is built per evaluation, yet every evaluation
 still raises ZeroFunctionError, the ValueError of a sample scale outside the
 float range, or the proven-ceiling InvariantViolation.  An evaluation's error
 propagates as it was raised: a ValueError is malformed input, a RuntimeError
 a breached invariant.  A lockstep round fails as one evaluation: the first
 round with a refused row raises what its stacked evaluation raises, the
-builder check's RuntimeError for the whole stack, or else the lowest refused
-row's own error from the first check that refuses it.
+finiteness check's RuntimeError for the whole stack, or else the lowest
+refused row's own error from the first check that refuses it.
 """
 
 from __future__ import annotations
@@ -114,13 +116,7 @@ class SearchRecord:
 # families and objectives (see the module docstring)
 # ---------------------------------------------------------------------------
 
-_Samples = tuple[np.ndarray, float]
 _Kernel = Callable[[LatticeAndNorms], float]
-
-
-def _build_piecewise(params: np.ndarray, halfwidth: float) -> _Samples:
-    vals = np.asarray(params, dtype=np.float64) ** 2
-    return vals, 2.0 * halfwidth / vals.shape[-1]
 
 
 def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
@@ -157,7 +153,6 @@ class _Dilations:
     @functools.cached_property
     def lattice(self) -> Callable[[float], LatticeAndNorms]:
         """Width -> tuple, off the profile's one correlation, made on first use."""
-        _check_samples(self.profile)
         return dilated_lattice_and_norms(self.profile)
 
     @functools.cached_property
@@ -169,7 +164,12 @@ class _Dilations:
     def ratio(self, kernel: _Kernel, t2: float) -> float:
         """The objective's ratio at theta^2 = t2."""
         spacing = self.spacing(t2)
-        _check_spacing(spacing)
+        # Only the golden search chooses theta^2, and its outward walk doubles
+        # it without a bound where no clamp holds it, so a width that fails
+        # this check is a program fault (RuntimeError), not malformed input.
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise RuntimeError(f"the golden search gave spacing {spacing}, "
+                               "not finite and positive")
         return kernel(self.lattice(spacing))
 
     def scored(self, params: tuple[float, ...]) -> tuple[float, ...]:
@@ -214,26 +214,15 @@ def _bs_value(objective: str) -> float:
     return q_min_01_bs().value
 
 
-def _check_samples(samples: np.ndarray) -> None:
-    """Only the optimizers and the scans choose the families' parameters, so
-    samples or a width that fail a check are a program fault (RuntimeError)."""
-    if not (samples.min() >= 0.0 and math.isfinite(samples.max())):
-        raise RuntimeError("family builder gave non-finite or negative samples")
-
-
-def _check_spacing(spacing: float) -> None:
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise RuntimeError(f"family builder gave spacing {spacing}, not positive")
-
-
-def _evaluate(build: Callable[[np.ndarray], _Samples], kernel: _Kernel,
-              params: np.ndarray):
-    """The ratio of the piecewise function at params, or one per row of a
-    stack, after the builder check."""
-    samples, spacing = build(params)
-    _check_samples(samples)
-    _check_spacing(spacing)
-    return kernel(lattice_and_norms(samples, spacing))
+def _evaluate(spacing: float, kernel: _Kernel, params: np.ndarray):
+    """The ratio of the step function with cell values params^2 and cell
+    width ``spacing``, or one per row of a stack of parameters."""
+    cells = np.asarray(params, dtype=np.float64) ** 2
+    # Only the simplex chooses the parameters, so cells that fail this check
+    # are a program fault (RuntimeError), not malformed input.
+    if not math.isfinite(cells.max()):
+        raise RuntimeError("the simplex gave non-finite cells")
+    return kernel(lattice_and_norms(cells, spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +282,14 @@ class _Run:
         self.values.append(value)
 
 
-def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
+def _lockstep(spacing: float, kernel: _Kernel, starts: list[np.ndarray],
               share: int) -> list[_Run]:
     """Nelder-Mead from each start, minimizing the negated ratio until the
     simplex collapses (every vertex within 1e-10 of the best) or the run has
     its ``share`` of evaluations, in rounds of one stacked evaluation (module
-    docstring).  The first round with a refused row raises what its stacked
-    evaluation raises.
+    docstring) of step functions with cell width ``spacing``, which the
+    caller has checked.  The first round with a refused row raises what its
+    stacked evaluation raises.
 
     Each restart's simplex, dim + 1 vertices kept sorted by score, and the
     three points its next step may score (reflection, expansion and
@@ -326,7 +316,7 @@ def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
     while live:
         stack = pool[live, [slot[r] for r in live]]
         replaced, sources, to_sort, to_shrink, ended = [], [], [], [], []
-        for r, x, value in zip(live, stack, _evaluate(build, kernel, stack)):
+        for r, x, value in zip(live, stack, _evaluate(spacing, kernel, stack)):
             value = float(value)
             runs[r].record(x, value)
             if len(runs[r].values) >= share:
@@ -393,15 +383,6 @@ def _lockstep(build: Callable, kernel: _Kernel, starts: list[np.ndarray],
 _SCAN_BLOCK_VALUES = 2 ** 14
 
 
-def _accepted(objective: str, a: Optional[float], widths: np.ndarray) -> np.ndarray:
-    """The widths whose lattice the objective takes: the Gaussian weight
-    refuses cells too wide for its per-cell rule, and no other objective
-    refuses a width of the scans."""
-    if objective == "gauss":
-        return GaussianWeight(a).accepts(widths)
-    return np.ones(widths.shape, dtype=bool)
-
-
 @functools.lru_cache(maxsize=None)
 def _scan(objective: str, family: str,
           a: Optional[float] = None) -> tuple[tuple[float, ...], tuple[float, ...], int]:
@@ -414,18 +395,19 @@ def _scan(objective: str, family: str,
     raises its refusal.  The rest are evaluated in blocks of widths, one
     stacked evaluation of the objective each, off the family's one lattice;
     each value is bit for bit ``_Dilations.ratio`` at its theta^2 and still
-    passes the spacing check, the scale refusals and the objective's own
-    checks.
+    passes the scale refusals and the objective's own checks.  The scan's
+    widths are module constants, all positive floats, so they are not
+    checked again.
     """
     kernel = _objective_kernel(objective, a)
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
     scan = _SCANS[family]
-    accepted = _accepted(objective, a, scan.widths)
-    keep = np.flatnonzero(accepted) if accepted.any() else np.arange(1)
+    keep = np.arange(scan.grid.size)
+    if objective == "gauss":  # no other objective refuses a width of the scans
+        accepted = GaussianWeight(a).accepts(scan.widths)
+        keep = np.flatnonzero(accepted) if accepted.any() else keep[:1]
     widths = scan.widths[keep]
-    for h in (widths.min(), widths.max()):  # every width lies between
-        _check_spacing(float(h))
     block = max(1, _SCAN_BLOCK_VALUES // (2 * scan.profile.size + 1))
     values = np.concatenate([kernel(scan.lattice(widths[s:s + block]))
                              for s in range(0, widths.size, block)])
@@ -456,7 +438,9 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     piecewise family's support [-halfwidth, halfwidth], finite and positive,
     ``DEFAULT_HALFWIDTH`` when not given.  Those checks refuse a bad value
     whatever the family (ValueError); then a family that reads no dimension
-    or halfwidth refuses any given value of either.
+    or halfwidth refuses any given value of either, and the piecewise family
+    refuses a cell width 2 halfwidth / dim that underflows to 0 or
+    overflows (ValueError), before any evaluation.
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
@@ -497,6 +481,10 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     elif family == "piecewise":
         dim = DEFAULT_DIMENSION if dimension is None else dimension
         halfwidth = DEFAULT_HALFWIDTH if halfwidth is None else halfwidth
+        spacing = 2.0 * halfwidth / dim
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise ValueError(f"halfwidth {halfwidth} over {dim} cells gives cell width "
+                             f"{spacing}, not finite and positive")
         restarts = max(4, dim)
         per_restart = budget // restarts
         if per_restart < dim + 1:
@@ -506,7 +494,7 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         for r in range(1, restarts):
             rng = np.random.default_rng([seed, r])
             starts.append(np.exp(rng.uniform(-math.log(4.0), math.log(4.0), dim)))
-        runs = _lockstep(lambda p: _build_piecewise(p, halfwidth), kernel, starts, per_restart)
+        runs = _lockstep(spacing, kernel, starts, per_restart)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 

@@ -79,8 +79,9 @@ class IntervalWeight:
 
     def lp_moment(self, p: float) -> MomentResult:
         """int |sinc|^p for p > 1 by a fixed rule whose error bound must meet ``MOMENT_TOL``."""
-        if p <= 1:
-            raise ValueError(f"int |sinc|^p diverges for p <= 1 (got p={p})")
+        if not 1 < p < math.inf:
+            raise ValueError(f"int |sinc|^p needs 1 < p < inf; it diverges for p <= 1 "
+                             f"(got p={p})")
         value, err = _interval_lp_moment(float(p))
         if not err <= MOMENT_TOL:
             raise RuntimeError(f"int |sinc|^p at p={p} is certified to {err:.1e} > {MOMENT_TOL}")
@@ -185,8 +186,8 @@ class GaussianWeight:
 
         The error bound covers the rounding of the closed form.
         """
-        if p < 1:
-            raise ValueError(f"need p >= 1 for the Gaussian weight (got p={p})")
+        if not 1 <= p < math.inf:
+            raise ValueError(f"need 1 <= p < inf for the Gaussian weight (got p={p})")
         closed = math.sqrt(self.a / (math.pi * p))
         hi = math.sqrt(40.0 * self.a / (math.pi ** 2 * p))
         c = math.pi ** 2 * p / self.a

@@ -7,7 +7,6 @@ import inspect
 import json
 import math
 
-import numpy as np
 import pytest
 
 from autocorr import GaussianWeight, GridFunction, IntervalWeight, cli, q_min_12, verification
@@ -225,8 +224,7 @@ class TestEvaluate:
                                    "functional": functional,
                                    "values": [scale, 2 * scale, 3 * scale],
                                    "out": str(tmp_path / "out")}))
-        with np.errstate(all="ignore"):
-            assert main(["--config", str(cfg)]) == 2
+        assert main(["--config", str(cfg)]) == 2  # and no numpy warning (filterwarnings)
         assert "sample scale" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -44,6 +44,11 @@ class TestHYCoefficient:
         with pytest.raises(ValueError):
             hy_coefficient(1.0)
 
+    def test_rejects_infinite_p(self):
+        # it used to return NaN
+        with pytest.raises(ValueError, match="need 1 < p < inf"):
+            hy_coefficient(math.inf)
+
 
 class TestMeanUpperConstant:
     def test_interval_p2(self):
@@ -74,6 +79,14 @@ class TestMeanUpperConstant:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             mean_upper_constant(IntervalWeight(), 1.5)
+
+    @pytest.mark.parametrize("w", [IntervalWeight(), GaussianWeight(1.0)],
+                             ids=["interval", "gaussian"])
+    def test_rejects_infinite_p(self, w):
+        # p = inf used to reach the moment: numpy's LinAlgError for the
+        # interval weight, a NaN constant refused as a report for the Gaussian
+        with pytest.raises(ValueError, match="the mean bound needs 2 <= p < inf"):
+            mean_upper_constant(w, math.inf)
 
 
 class TestMinimizeOverP:
@@ -114,7 +127,10 @@ class TestMinimizeOverP:
         ps = [rep.ingredients["p"] for rep in mean_upper_sweep(IntervalWeight(), (3.3, 7.9))]
         assert ps[0] == 3.3 and ps[-1] == 7.9 and max(np.diff(ps)) <= 0.25
 
-    @pytest.mark.parametrize("p_range", [(1.5, 3.0), (5.0, 4.0), (2.0, math.inf)])
+    # a NaN lower end used to pass every comparison and fail in the grid's
+    # int(), with numpy's own error
+    @pytest.mark.parametrize("p_range", [(1.5, 3.0), (5.0, 4.0), (2.0, math.inf),
+                                         (math.nan, 3.0)])
     def test_bad_range_rejected(self, p_range):
         with pytest.raises(ValueError, match="p range"):
             minimize_over_p(IntervalWeight(), p_range)

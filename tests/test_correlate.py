@@ -140,6 +140,22 @@ class TestAutocorrelate:
         assert c.min_on(-0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
         assert c.min_on(0.0, 2.0) == 0.0  # window exits the support
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 0.5), (-0.5, math.nan)])
+    @pytest.mark.parametrize("path", ["1-D", "one-spacing", "per-row"])
+    def test_nan_window_end_rejected(self, path, lo, hi):
+        # a NaN end passed the hi < lo refusal: the 1-D and one-spacing paths
+        # then failed in a float-to-int conversion, the per-row path with
+        # IndexError
+        c = autocorrelate(sample(Indicator(0.75), cells=96))
+        stack = np.array([c.values, c.values])
+        with pytest.raises(ValueError, match="NaN end"):
+            if path == "1-D":
+                c.min_on(lo, hi)
+            elif path == "one-spacing":
+                lattice_min(stack, c.spacing, lo, hi)
+            else:
+                lattice_min(stack, np.array([c.spacing, 2.0 * c.spacing]), lo, hi)
+
 
 def _masked_lattice_min(c, spacing, lo, hi):
     """The reference: the window minimum with both ends read through the array

@@ -1,7 +1,6 @@
 """Search tests: determinism, soundness, floors, record invariants."""
 
 import collections
-import functools
 import hashlib
 import importlib
 import math
@@ -30,7 +29,6 @@ from autocorr.functionals import (MIN01_CEILING, gauss_ceiling, gauss_ratio,
 from autocorr.search import (
     _SCANS,
     OBJECTIVES,
-    _build_piecewise,
     _evaluate,
     _objective_kernel,
 )
@@ -118,12 +116,22 @@ class TestRecordInvariants:
     @pytest.mark.parametrize("family", ["piecewise", "indicator"])
     @pytest.mark.parametrize("halfwidth", [0.0, -1.0, math.nan, math.inf])
     def test_bad_halfwidth_rejected(self, monkeypatch, family, halfwidth):
-        # a piecewise search used to fail the builder's spacing check, an
+        # a piecewise search used to fail the per-round spacing check, an
         # invariant breach (exit 1), on malformed input
         search_mod = importlib.import_module("autocorr.search")
         monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
         with pytest.raises(ValueError, match="halfwidth must be finite and positive"):
             search("min12", family, halfwidth=halfwidth)
+
+    @pytest.mark.parametrize("halfwidth", [5e-324, 1e308])
+    def test_cell_width_outside_float_range_rejected(self, monkeypatch, halfwidth):
+        # 2 halfwidth / 16 underflows to 0 or overflows; the cell width used
+        # to fail the per-round spacing check, an invariant breach (exit 1),
+        # on malformed input
+        search_mod = importlib.import_module("autocorr.search")
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
+        with pytest.raises(ValueError, match="cell width"):
+            search("min12", "piecewise", halfwidth=halfwidth)
 
     @pytest.mark.parametrize("objective, family", [("min12", "indicator"), ("gauss", "gaussian"),
                                                    ("min01", "bs-example")])
@@ -207,7 +215,7 @@ class TestTieRule:
                 self.log.append((tuple(float(v) for v in params), value))
                 super().record(params, value)
 
-        def evaluate(build, kernel, params):  # a (rows, dim) stack
+        def evaluate(spacing, kernel, params):  # a (rows, dim) stack
             return np.array([objective(row) for row in params])
 
         monkeypatch.setattr(search_mod, "_Run", Logged)
@@ -317,9 +325,9 @@ def _sequential(score, starts, share, steps):
 def _sequential_record(objective, budget, seed, a, dimension, halfwidth, steps=None):
     """The piecewise search with the restarts run in turn, each point through
     the one-row kernel."""
-    build = functools.partial(_build_piecewise, halfwidth=halfwidth)
+    spacing = 2.0 * halfwidth / dimension
     kernel = _objective_kernel(objective, a)
-    return _sequential(lambda x: _evaluate(build, kernel, x), _starts(dimension, seed),
+    return _sequential(lambda x: _evaluate(spacing, kernel, x), _starts(dimension, seed),
                        budget // max(4, dimension),
                        collections.Counter() if steps is None else steps)
 
@@ -358,24 +366,24 @@ class TestLockstep:
         ({(1, 4): 0.0, (2, 4): 1e100}, ZeroFunctionError),
         ({(1, 4): 1e100, (2, 4): 0.0}, ValueError),
     ], ids=["one", "lower-restart-later", "lower-restart-later-2", "restart-0-last",
-            "builder-check-first", "lowest-row-first", "lowest-row-first-2"])
+            "finiteness-check-first", "lowest-row-first", "lowest-row-first-2"])
     def test_lowest_failed_restart_raises(self, monkeypatch, faults, error):
         # restart r's k-th point, in round k, is replaced by a constant
-        # vector: NaN or inf fail the builder check (RuntimeError) for the
+        # vector: NaN or inf fail the finiteness check (RuntimeError) for the
         # whole stack, zeros the zero-function check and 1e100 the float
         # range (ValueError); the first round with a refused row raises the
-        # builder check's error, or else its lowest refused row's, and the
+        # finiteness check's error, or else its lowest refused row's, and the
         # rounds after it never run
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         evaluate, rounds = search_mod._evaluate, []
 
-        def faulty(build, kernel, params):  # round k's stack, one row per live restart
+        def faulty(spacing, kernel, params):  # round k's stack, one row per live restart
             rounds.append(len(params))
             params = params.copy()
             for r in range(len(params)):
                 if (r, len(rounds)) in faults:
                     params[r] = faults[r, len(rounds)]
-            return evaluate(build, kernel, params)
+            return evaluate(spacing, kernel, params)
 
         monkeypatch.setattr(search_mod, "_evaluate", faulty)
         with np.errstate(all="ignore"), pytest.raises(error) as exc:
@@ -428,7 +436,7 @@ class TestSimplexSteps:
         score = _SYNTHETIC[name]
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         monkeypatch.setattr(search_mod, "_evaluate",
-                            lambda build, kernel, params: np.array([score(x) for x in params]))
+                            lambda spacing, kernel, params: np.array([score(x) for x in params]))
         rec = search("min12", "piecewise", budget=2000, seed=0, dimension=dim)
         counts = collections.Counter()
         expected = _sequential(score, _starts(dim, 0), 2000 // max(4, dim), counts)
@@ -903,25 +911,23 @@ class TestBaseline:
 class TestEvaluationFailure:
     # an evaluation's error propagates with its own class, not re-wrapped
     def test_aborts_with_failing_params(self):
-        def broken_build(params):
+        def broken_kernel(lat):
             raise ArithmeticError("boom")
 
         with pytest.raises(ArithmeticError, match="boom"):
-            _evaluate(broken_build, lambda s, h: 0.0, np.array([1.0, 2.0]))
+            _evaluate(0.5, broken_kernel, np.array([1.0, 2.0]))
 
     def test_zero_piecewise_vector_raises_zero_function_error(self):
-        build = functools.partial(_build_piecewise, halfwidth=0.5)
         kernel = _objective_kernel("min12", None)
         with pytest.raises(ZeroFunctionError):
-            _evaluate(build, kernel, np.zeros(16))
+            _evaluate(1.0 / 16, kernel, np.zeros(16))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_samples_rejected(self, bad):
-        # the simplex chose the parameters, so bad builder output exits 1
-        build = functools.partial(_build_piecewise, halfwidth=0.5)
+        # the simplex chose the parameters, so non-finite cells exit 1
         kernel = _objective_kernel("mean", None)
         with pytest.raises(RuntimeError, match="non-finite"):
-            _evaluate(build, kernel, np.array([1.0, bad, 1.0, 1.0]))
+            _evaluate(0.25, kernel, np.array([1.0, bad, 1.0, 1.0]))
 
     def test_ceiling_breach_surfaces_as_invariant_violation(self, monkeypatch):
         # every evaluation runs the proven-ceiling check; a lowered ceiling
@@ -976,7 +982,7 @@ class TestKernelsMatchPublicPath:
 
         def ratio(params):
             if family == "piecewise":
-                return _evaluate(functools.partial(_build_piecewise, halfwidth=0.5), kernel, params)
+                return _evaluate(1.0 / 16, kernel, params)
             return _SCANS[family].ratio(kernel, float(params[0]) ** 2)
 
         rng = np.random.default_rng([7, dim, len(objective)])

@@ -156,6 +156,16 @@ class TestWeightLpMoment:
         with pytest.raises(ValueError):
             weight_lp_moment(GaussianWeight(1.0), 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    @pytest.mark.parametrize("w", [IntervalWeight(), GaussianWeight(1.0)],
+                             ids=["interval", "gaussian"])
+    def test_nonfinite_p_rejected(self, w, p):
+        # NaN passed the old p <= 1 and p < 1 refusals and inf is no moment
+        # order: the interval weight's Gauss-Jacobi nodes raised numpy's
+        # LinAlgError, and the Gaussian closed form gave NaN and 0
+        with pytest.raises(ValueError, match="p < inf"):
+            weight_lp_moment(w, p)
+
     def test_monotone_decreasing_in_p(self):
         ps = np.arange(2.0, 10.0001, 0.1)
         vals = [weight_lp_moment(IntervalWeight(), float(p)).value for p in ps]

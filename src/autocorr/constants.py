@@ -234,18 +234,20 @@ def gaussian_mean_lower(a: float) -> BoundReport:
     """Best pure-Gaussian lower bound a^(1/4)/(pi^(1/4) sqrt(2)) at b = 2a.
 
     The closed-form ratio R(b) = 2^(1/4) / (b^(1/4) pi^(1/4) (2/b + 1/a)^(1/2))
-    is scanned at 801 points over b in [0.1a, 10a] to confirm the maximizer.
+    is (a/pi)^(1/4) times a function of x = b/a, scanned at 801 points over
+    x in [0.1, 10] to confirm the maximizer b = a x at any a, subnormal too.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
     value = a ** 0.25 / (math.pi ** 0.25 * math.sqrt(2.0))
 
-    def ratio(b):
-        return 2.0 ** 0.25 / (b ** 0.25 * math.pi ** 0.25 * np.sqrt(2.0 / b + 1.0 / a))
+    def shape(x):  # R(a x) / (a/pi)^(1/4)
+        return 2.0 ** 0.25 / (x ** 0.25 * np.sqrt(2.0 / x + 1.0))
 
-    bs = np.geomspace(0.1 * a, 10.0 * a, 801)
-    scan_b = _golden_min(lambda b: -ratio(b), bs, int(np.argmax(ratio(bs))), 1e-10 * a)
-    scan_v = ratio(scan_b)
+    xs = np.geomspace(0.1, 10.0, 801)
+    scan_x = _golden_min(lambda x: -shape(x), xs, int(np.argmax(shape(xs))), 1e-10)
+    scan_b = a * scan_x
+    scan_v = a ** 0.25 * shape(scan_x) / math.pi ** 0.25
     if abs(scan_v - value) > 1e-6 * value:
         raise RuntimeError(
             f"Gaussian scan maximum {scan_v!r} disagrees with the closed form {value!r}")

@@ -49,7 +49,7 @@ __all__ = [
 # lattice kernels: arrays in, arrays or floats out
 #
 # ``c`` holds the 2n + 1 lattice values of f*f at t_k = (k - n) h, k = 0..2n,
-# clamped at 0, as ``lattice_autocorrelation`` returns them; the functions
+# clamped at 0, ``lattice_autocorrelation``'s values times h; the functions
 # below read the piecewise-linear correlation off them exactly.  They do not
 # check the lattice values or the spacing: :class:`Correlation` and the
 # functionals check those once, at the boundary, and call these.  Only
@@ -58,10 +58,10 @@ __all__ = [
 # Every kernel also takes a (rows, 2n + 1) stack of lattices, as the search
 # evaluates a round of candidates or a scan's block of cell widths.  The
 # spacing is then one float for every row or a 1-D array of one spacing per
-# row (``lattice_autocorrelation`` takes one float only).  The stack runs the
-# 1-D call's operations along the last axis, so each row gets the bits of its
-# own 1-D call, at a Python or numpy number t as at an array of them; an
-# array t or window gives the stack's rows first, then its own shape.
+# row.  The stack runs the 1-D call's operations along the last axis, so
+# each row gets the bits of its own 1-D call, at a Python or numpy number t
+# as at an array of them; an array t or window gives the stack's rows first,
+# then its own shape.
 # ---------------------------------------------------------------------------
 
 
@@ -69,16 +69,16 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def lattice_autocorrelation(samples: np.ndarray, spacing: float) -> np.ndarray:
-    """Lattice values of f*f for cell values ``samples``, by zero-padded FFT;
-    one row of values for each row of a (rows, n) stack."""
+def lattice_autocorrelation(samples: np.ndarray) -> np.ndarray:
+    """Lattice values of f*f at unit cell width (times h at width h) for cell
+    values ``samples``, by zero-padded FFT; one row per row of a stack."""
     n = samples.shape[-1]
     L = _next_pow2(2 * n)
     S = np.fft.rfft(samples, L)
     # Named, not a temporary: from 256 KiB numpy would reuse the conjugate's
     # buffer and compute conj(S) * S, which rounds differently from S * conj(S).
     conj = np.conj(S)
-    pos = np.fft.irfft(S * conj, L)[..., :n] * spacing  # lags 0 .. n-1
+    pos = np.fft.irfft(S * conj, L)[..., :n]  # lags 0 .. n-1
     end = np.zeros(samples.shape[:-1] + (1,))
     c = np.concatenate((end, pos[..., :0:-1], pos, end), axis=-1)  # the lags mirrored: even exactly
     return np.where(c < 0.0, 0.0, c)  # the FFT's rounding noise, clamped at 0
@@ -255,10 +255,10 @@ class Correlation:
 def autocorrelate(f: GridFunction) -> Correlation:
     """Autocorrelation of a grid function, exact on the lattice {k*h}.
 
-    Zero-padded fast correlation (:func:`lattice_autocorrelation`), with the
-    exact zeros at t = +-(support length) at the ends.
+    Zero-padded fast correlation (:func:`lattice_autocorrelation`) times the
+    cell width, with the exact zeros at t = +-(support length) at the ends.
     """
-    return Correlation(spacing=f.spacing, values=lattice_autocorrelation(f.samples, f.spacing))
+    return Correlation(spacing=f.spacing, values=lattice_autocorrelation(f.samples) * f.spacing)
 
 
 # ---------------------------------------------------------------------------

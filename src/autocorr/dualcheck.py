@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -486,11 +487,13 @@ def case2bb_residual(a: float) -> float:
     Candidate: f0 = (1/(4a)) 1_[-1+alpha0, 1-alpha0], alpha0 = 1/(2 xi0).
     Residual(t) = | (1/2) 1_[-1,1](t) - 2a f0(t-alpha0) - 2a f0(t+alpha0)
                     - (f0*f0)(t) | over a uniform 4001-point lattice on
-    [-1.2, 1.2] chosen to avoid landing exactly on the jump points.
+    [-1.2, 1.2] chosen to avoid landing exactly on the jump points.  An a
+    whose 16 a^2 (and so 4a) is not a finite normal float is refused.
     """
-    if not a > 0:
-        raise ValueError(f"need a > 0, got {a}")
-    return float(_case2bb_residuals([float(a)])[0])
+    a = float(a)
+    if not (a > 0 and sys.float_info.min <= 16.0 * a * a < math.inf):
+        raise ValueError(f"need a > 0 with 16 a^2 a finite normal float, got {a}")
+    return float(_case2bb_residuals([a])[0])
 
 
 def case2bb_scan() -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ __all__ = [
 
 #: Relative clamp size above which clamping negative samples emits a warning.
 CLAMP_WARN_REL = 1e-12
+_MAX_DFT = 2 ** 24  # cells that ``sample`` makes at most; the Fourier side's DFTs stay below
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -68,20 +69,15 @@ def _gauss_pieces(f, edges, n: int) -> np.ndarray:
     return out
 
 
-def _l1_norm(samples: np.ndarray, spacing: float):
-    """||f||_1 of the cell model with these samples and cell width; one per
-    row of a (rows, n) stack."""
-    if samples.ndim == 1:
-        return float(spacing * samples.sum())
+def _l1_norm(samples: np.ndarray, spacing):
+    """||f||_1 of the cell model with these samples and cell width (a numpy
+    float), or one per row of a (rows, n) stack or of a 1-D array of widths."""
     return spacing * samples.sum(axis=-1)
 
 
-def _l2_norm(samples: np.ndarray, spacing: float):
-    """||f||_2 of the cell model with these samples and cell width; one per
-    row of a (rows, n) stack, whose ``np.vecdot`` sums each row as the 1-D
-    call's ``np.dot`` does (einsum and matmul sum in another order)."""
-    if samples.ndim == 1:
-        return math.sqrt(spacing * float(np.dot(samples, samples)))
+def _l2_norm(samples: np.ndarray, spacing):
+    """||f||_2 as ``_l1_norm`` gives ||f||_1; ``np.vecdot`` sums each row as
+    ``np.dot`` sums a 1-D array (einsum and matmul sum in another order)."""
     return np.sqrt(spacing * np.vecdot(samples, samples))
 
 
@@ -141,11 +137,11 @@ class GridFunction:
 
     @property
     def l1_norm(self) -> float:
-        return _l1_norm(self.samples, self.spacing)
+        return float(_l1_norm(self.samples, self.spacing))
 
     @property
     def l2_norm(self) -> float:
-        return _l2_norm(self.samples, self.spacing)
+        return float(_l2_norm(self.samples, self.spacing))
 
     @property
     def total_variation(self) -> float:
@@ -263,6 +259,8 @@ def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None
     """Midpoint-sample an analytic family onto a uniform grid."""
     if cells < 2:
         raise ValueError(f"cells must be >= 2, got {cells}")
+    if cells > _MAX_DFT:  # before any allocation
+        raise ValueError(f"cells must be at most {_MAX_DFT}, got {cells}")
     if support is None:
         support = family.default_support()
     lo, hi = float(support[0]), float(support[1])

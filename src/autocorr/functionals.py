@@ -12,19 +12,21 @@ Every result is checked against its proven theorem ceiling; a breach raises
 :class:`InvariantViolation` since it can only come from a numerics bug.
 
 Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
-``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2) of
-``lattice_and_norms``, which correlates the cells and refuses the zero
-function and sample scales that the float range cannot hold.
-``dilated_lattice_and_norms`` gives the same tuple, bit for bit, for one
-profile at any cell width from one correlation, as the search's scans and
-golden searches read a one-parameter family; both refuse through one check.  The ``q_*`` functions
-build the tuple once and wrap the core's fields, with the Fourier side for
-the weighted means, in a :class:`RatioResult`; the search and criterion 6
-call the cores, the time side alone, on their own tuple.
-The tuple and the cores also take a stack, one row per function: a (rows, n)
-stack of cells on one width, as the search evaluates a round of candidates,
-or a scan's block of widths of one profile, one spacing per row.  Each field
-is then an array with one entry per row, bit for bit the row's own 1-D value.
+``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2).  One rule
+puts every lattice at a width: the lattice at cell width h is the
+unit-width lattice (``correlate.lattice_autocorrelation``) times h.
+``at_width`` is that step: it scales a unit lattice and the norms to a
+width and refuses the zero function and sample scales that the float range
+cannot hold.  ``lattice_and_norms`` correlates the cells and takes that
+step; the search's one-parameter families keep their profile's unit
+lattice and take it at every width they read.  The ``q_*`` functions build
+the tuple once and wrap the core's fields, with the Fourier side for the
+weighted means, in a :class:`RatioResult`; the search and criterion 6 call
+the cores, the time side alone, on their own tuple.  The tuple and the
+cores also take a stack, one row per function: a (rows, n) stack of cells
+on one width, as the search evaluates a round of candidates, or a scan's
+block of widths of one profile, one spacing per row.  Each field is then an
+array with one entry per row, bit for bit the row's own 1-D value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +53,7 @@ __all__ = [
     "q_min_01",
     "q_min_01_bs",
     "lattice_and_norms",
-    "dilated_lattice_and_norms",
+    "at_width",
     "mean_ratio",
     "gauss_ratio",
     "min12_ratio",
@@ -130,10 +132,10 @@ def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
 # ---------------------------------------------------------------------------
 # array cores
 #
-# ``lattice_and_norms`` takes cell values and width that the caller has
-# checked (finite, nonnegative samples, positive spacing: a GridFunction, the
-# search's squared simplex parameters and checked cell width, or its scan
-# profiles and golden-search widths).  Each core reads its
+# ``lattice_and_norms`` and ``at_width`` take cell values and widths that
+# the caller has checked (finite, nonnegative samples, positive spacing: a
+# GridFunction, the search's squared simplex parameters and checked cell
+# width, or its scan profiles and golden-search widths).  Each core reads its
 # tuple (c, h, l1, l2), returns the fields of a RatioResult after
 # ``functional`` and ``method``, (value, numerator, l1, l2,
 # error_estimate[, fourier_numerator]), and raises InvariantViolation on a
@@ -143,63 +145,45 @@ def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
 LatticeAndNorms = tuple[np.ndarray, float, float, float]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is what the refusal reads
+@np.errstate(over="ignore", invalid="ignore")  # an FFT overflow is what the refusal reads
 def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
-    """(c, h, l1, l2) of the cell model; ZeroFunctionError for all-zero cells.
+    """(c, h, l1, l2) of the cell model: its unit-width lattice put
+    :func:`at_width` ``spacing``, with that step's refusals."""
+    return at_width(lattice_autocorrelation(samples), samples, spacing)
 
-    ValueError when the float range cannot hold their scale: f*f(0) = ||f||_2^2
-    read off the lattice (inf or NaN after an FFT overflow), l1 l2 or l1^2 is
-    not finite or below the least normal float, with no numpy warning on the
-    way.  A stack raises what its first refused row raises alone.
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is what the refusal reads
+def at_width(unit: np.ndarray, samples: np.ndarray, spacing) -> LatticeAndNorms:
+    """(c, h, l1, l2) of the cells ``samples`` at width h = ``spacing``
+    from their unit-width lattice ``unit``: c = unit h.
+
+    ZeroFunctionError for all-zero cells.  ValueError when the float range
+    cannot hold their scale: f*f(0) = ||f||_2^2 read off the lattice (inf or
+    NaN after an overflow), l1 l2 or l1^2 is not finite or below the least
+    normal float, with no numpy warning on the way.  A stack, one row per
+    row of (rows, n) cells or per width of one profile, raises what its
+    first refused row raises alone.
     """
-    return _scale_checked(lattice_autocorrelation(samples, spacing), spacing,
-                          _l1_norm(samples, spacing), _l2_norm(samples, spacing), samples)
-
-
-def dilated_lattice_and_norms(profile: np.ndarray) -> Callable[[float], LatticeAndNorms]:
-    """h -> ``lattice_and_norms(profile, h)``, bit for bit, from one correlation.
-
-    The lattice at cell width h is the unit-width lattice times h: the
-    correlation scales its FFT output by the width, and for h > 0 the clamp at
-    0 commutes with that product.  The norms are those of ``_l1_norm`` and
-    ``_l2_norm`` on the profile's sum and dot product, and every width passes
-    the scale refusals of :func:`lattice_and_norms`.  One 1-D profile only;
-    a 1-D array of widths gives the stacked tuple, one row and one spacing
-    per width, each row bit for bit the tuple at its width.
-    """
-    unit = lattice_autocorrelation(profile, 1.0)
-    total, energy = profile.sum(), float(np.dot(profile, profile))
-
-    def at(spacing) -> LatticeAndNorms:
-        if isinstance(spacing, np.ndarray):
-            return _scale_checked(unit * spacing[:, None], spacing, spacing * total,
-                                  np.sqrt(spacing * energy), profile)
-        return _scale_checked(unit * spacing, spacing, float(spacing * total),
-                              math.sqrt(spacing * energy), profile)
-
-    return at
-
-
-def _scale_checked(c: np.ndarray, h, l1, l2, samples: np.ndarray) -> LatticeAndNorms:
-    """The tuple (c, h, l1, l2) once the float range holds its scale: the one
-    place of the refusals that :func:`lattice_and_norms` documents.  A stack's
-    first refused row is checked alone, on its own samples or the profile."""
+    per_row = isinstance(spacing, np.ndarray)
+    c = unit * (spacing[:, None] if per_row else spacing)
+    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
     if c.ndim == 2:
         c0 = c[:, c.shape[1] // 2]
         bad = ~((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
                 & (_TINY <= l1 * l2) & (l1 * l2 < math.inf))
         if bad.any():
             r = int(np.argmax(bad))
-            _scale_checked(c[r], h[r] if np.ndim(h) else h, float(l1[r]), float(l2[r]),
-                           samples[r] if samples.ndim == 2 else samples)
-        return c, h, l1, l2
-    c0 = float(c[c.size // 2])
+            at_width(unit[r] if unit.ndim == 2 else unit,
+                     samples[r] if samples.ndim == 2 else samples,
+                     spacing[r] if per_row else spacing)
+        return c, spacing, l1, l2
+    c0, l1, l2 = float(c[c.size // 2]), float(l1), float(l2)
     if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
             and _TINY <= l1 * l2 < math.inf):
         if not samples.any():
             raise ZeroFunctionError("functional undefined for the zero function")
         raise ValueError(f"sample scale outside the float range: f*f(0) = {c0!r}, l1 = {l1!r}")
-    return c, h, l1, l2
+    return c, spacing, l1, l2
 
 
 def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,

@@ -4,27 +4,28 @@ Nonnegativity is enforced by squaring (cell value or family parameter =
 theta^2), which keeps the landscape smooth instead of projecting onto a
 boundary.  The one-parameter families (``indicator``, ``gaussian``) are
 each one fixed profile whose cell width follows theta^2 by a spacing rule
-(``_SCANS``).  Each correlates its profile once, on first use; its scans
-and golden searches read every width's lattice-and-norms tuple off that one
-lattice (``functionals.dilated_lattice_and_norms``), bit for bit the tuple
-of ``lattice_and_norms`` at that width.  Each objective scans it once, at 288
-values of theta^2 less the widths the Gaussian weight refuses, which are
-masked out before any evaluation (``GaussianWeight.accepts``).  The scan
-evaluates the rest in a few stacked evaluations, blocks of widths with one
-lattice row and one spacing each, and each value is bit for bit the
-golden search's one-width evaluation at its theta^2.  The cached scan gives
-the floor (``baseline``) and the bracket between the neighbours of its best
-point.
-Their search evaluates that point, so no record ends below its floor, then
-narrows the bracket by golden section (``constants._golden_min``)
-to 1e-6 relative; it ignores the seed.  A best point at an end of the scan
-first walks outward, doubling or halving theta^2 while the ratio rises, so
-the search reaches past the scan as far as the spacing rule's clamps; a
-scan that keeps one point walks away from the end of the full scan that
-point sits at.  A best point past a clamp is reported at the clamp, the
-parameter of the function it scored.  The ``piecewise`` family runs a
-seeded multi-restart Nelder-Mead simplex (reflection / expansion /
-contraction / shrink) on the unconstrained cell parameters.
+(``_SCANS``).  A lattice is the unit-width lattice times the cell width, so
+each correlates its profile once, at unit width, on first use, and its
+scans and golden searches put that one lattice at every width they read
+(``functionals.at_width``, the step of ``lattice_and_norms`` too), bit for
+bit the tuple of ``lattice_and_norms`` at that width.  Each objective scans
+it once, at 288 values of theta^2 less the widths the Gaussian weight
+refuses, which are masked out before any evaluation
+(``GaussianWeight.accepts``).  The scan evaluates the rest in a few stacked
+evaluations, blocks of widths with one lattice row and one spacing each,
+and each value is bit for bit the golden search's one-width evaluation at
+its theta^2.  The cached scan gives the floor (``baseline``) and the
+bracket between the neighbours of its best point.  Their search evaluates
+that point, so no record ends below its floor, then narrows the bracket by
+golden section (``constants._golden_min``) to 1e-6 relative; it ignores the
+seed.  A best point at an end of the scan first walks outward, doubling or
+halving theta^2 while the ratio rises, so the search reaches past the scan
+as far as the spacing rule's clamps; a scan that keeps one point walks away
+from the end of the full scan that point sits at.  A best point past a
+clamp is reported at the clamp, the parameter of the function it scored.
+The ``piecewise`` family runs a seeded multi-restart Nelder-Mead simplex
+(reflection / expansion / contraction / shrink) on the unconstrained cell
+parameters.
 
 The optimizers only see scores; ``search`` owns the budget, the trace and
 the winner in one recorder, a ``_Run`` per optimizer run that keeps its
@@ -78,9 +79,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import _golden_min
+from .correlate import lattice_autocorrelation
 from .funcspace import Gaussian, _midpoint_samples, _readonly
-from .functionals import (LatticeAndNorms, dilated_lattice_and_norms, gauss_ratio,
-                          lattice_and_norms, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs)
+from .functionals import (LatticeAndNorms, at_width, gauss_ratio, lattice_and_norms,
+                          mean_ratio, min01_ratio, min12_ratio, q_min_01_bs)
 from .spectral import GaussianWeight
 
 __all__ = [
@@ -151,9 +153,13 @@ class _Dilations:
         return self.width(self.clamped(t2))
 
     @functools.cached_property
-    def lattice(self) -> Callable[[float], LatticeAndNorms]:
-        """Width -> tuple, off the profile's one correlation, made on first use."""
-        return dilated_lattice_and_norms(self.profile)
+    def unit(self) -> np.ndarray:
+        """The profile's unit-width lattice, correlated on first use."""
+        return lattice_autocorrelation(self.profile)
+
+    def lattice(self, spacing) -> LatticeAndNorms:
+        """The tuple at a cell width, or at each of a 1-D array of widths."""
+        return at_width(self.unit, self.profile, spacing)
 
     @functools.cached_property
     def widths(self) -> np.ndarray:
@@ -381,6 +387,7 @@ def _lockstep(spacing: float, kernel: _Kernel, starts: list[np.ndarray],
 # temporaries were mapped and faulted in anew, up to 2,000 page faults a
 # scan, and the scans ran slower than at 128 KiB.
 _SCAN_BLOCK_VALUES = 2 ** 14
+_MAX_POOL_VALUES = 2 ** 24  # floats of the piecewise lockstep pool at most: dim <= 254
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,8 +446,9 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     ``DEFAULT_HALFWIDTH`` when not given.  Those checks refuse a bad value
     whatever the family (ValueError); then a family that reads no dimension
     or halfwidth refuses any given value of either, and the piecewise family
-    refuses a cell width 2 halfwidth / dim that underflows to 0 or
-    overflows (ValueError), before any evaluation.
+    refuses a dimension past 254, whose lockstep pool would hold more than
+    ``_MAX_POOL_VALUES`` floats, and a cell width 2 halfwidth / dim that
+    underflows to 0 or overflows (ValueError), before any evaluation.
     """
     if budget < 100:
         raise ValueError(f"budget must be at least 100, got {budget}")
@@ -486,6 +494,9 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
             raise ValueError(f"halfwidth {halfwidth} over {dim} cells gives cell width "
                              f"{spacing}, not finite and positive")
         restarts = max(4, dim)
+        if restarts * (dim + 4) * dim > _MAX_POOL_VALUES:  # before any allocation
+            raise ValueError(f"dimension {dim} needs a lockstep pool of more than "
+                             f"{_MAX_POOL_VALUES} floats")
         per_restart = budget // restarts
         if per_restart < dim + 1:
             raise ValueError(f"budget {budget} gives each of {restarts} restarts {per_restart} "

@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .correlate import lattice_window_integral
-from .funcspace import GridFunction, MixedMeasure, _gauss_pieces, _leggauss, _readonly
+from .funcspace import _MAX_DFT, GridFunction, MixedMeasure, _gauss_pieces, _leggauss, _readonly
 
 __all__ = [
     "IntervalWeight",
@@ -51,7 +51,6 @@ __all__ = [
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
 _FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourier
 _MAX_TERMS = 2 ** 26    # terms that mean_functional_fourier sums at most
-_MAX_DFT = 2 ** 24      # its DFT length M stays below this
 _HAT_BLOCK = 2 ** 14    # exp-table entries (128 KiB) per step of a stacked Gaussian time side
 
 #: The error bound that every sinc-power moment must meet, or raise.

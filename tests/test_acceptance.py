@@ -42,9 +42,9 @@ def test_criterion_6_reads_one_lattice_per_function(monkeypatch):
     calls = []
     lattice = autocorr.correlate.lattice_autocorrelation
 
-    def counted(samples, spacing):
+    def counted(samples):
         calls.append(samples.size)
-        return lattice(samples, spacing)
+        return lattice(samples)
 
     for module in (autocorr.correlate, autocorr.functionals):
         monkeypatch.setattr(module, "lattice_autocorrelation", counted)

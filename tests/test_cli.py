@@ -325,10 +325,13 @@ class TestSearch:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("flags", [["--dimension", "-3"], ["--dimension", "0"],
-                                       ["--dimension", "200", "--budget", "100"]],
-                             ids=["negative", "zero", "budget-too-small"])
+                                       ["--dimension", "200", "--budget", "100"],
+                                       ["--dimension", "1000000000000",
+                                        "--budget", "10000000000000000000000000"]],
+                             ids=["negative", "zero", "budget-too-small", "no-array-can-hold"])
     def test_dimension_it_cannot_run(self, tmp_path, capsys, flags):
-        # -3 and 0 used to run 16 dimensions; 200 at budget 100 exited 1
+        # -3 and 0 used to run 16 dimensions; 200 at budget 100 exited 1, and
+        # 10^12 ended in numpy's MemoryError traceback, an exit 1
         out = tmp_path / "out"
         assert main(["search", "--functional", "min12", "--family", "piecewise-constant",
                      *flags, "--out", str(out)]) == 2
@@ -440,6 +443,24 @@ class TestExitCodes:
                      "--a", "1e10", *budget, "--out", str(out)]) == 2
         assert "bad input: lattice too coarse" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_cells_no_array_can_hold_exit_2(self, tmp_path, capsys):
+        # used to end in numpy's MemoryError traceback, an exit 1
+        out = tmp_path / "out"
+        assert main(["evaluate", "--family", "indicator", "--functional", "min12",
+                     "--cells", "1000000000000", "--out", str(out)]) == 2
+        assert "cells must be at most" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subnormal_gaussian_weight_constants_exit_0(self, tmp_path):
+        # the Gaussian lower bound's scan of b over [0.1a, 10a] overflowed at
+        # 2/b and read "invariant violation", an exit 1
+        assert main(["constants", "--weight", "gaussian", "--a", "1e-320",
+                     "--out", str(tmp_path)]) == 0
+        rep = _load(tmp_path / "constants_report.json")
+        lower = [r for r in rep["results"] if r["name"] == "gaussian-mean-lower"]
+        assert lower[0]["ingredients"]["scan_best_b"] == pytest.approx(2e-320, rel=0.01)
 
 
 def _subcommand_flags():

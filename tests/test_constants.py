@@ -262,9 +262,13 @@ class TestGaussianMeanLower:
         assert rep.value == pytest.approx(0.84090, abs=5e-4)
 
     def test_scan_peaks_at_2a(self):
-        for a in (0.5, 2 * PI, 11.0):
+        # down to subnormal a: the scan used to read 2/b, which overflows
+        # below a ~ 1e-307, and raised "Gaussian scan maximum 0.0 disagrees
+        # with the closed form"
+        for a in (0.5, 2 * PI, 11.0, 1e-320, 5e-324, 1e-300, 1e300):
             rep = gaussian_mean_lower(a)
             assert rep.ingredients["scan_best_b"] == pytest.approx(2 * a, rel=0.01)
+            assert rep.ingredients["scan_best_value"] == pytest.approx(rep.value, rel=1e-12)
 
     def test_small_a_scan_agreement(self):
         rep = gaussian_mean_lower(0.5)

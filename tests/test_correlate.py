@@ -79,7 +79,7 @@ class TestAutocorrelate:
         ends = np.zeros(64)
         ends[0] = ends[-1] = 1.0
         for f in [GridFunction(0.0, 0.1, ends)] + [random_grid(seed) for seed in range(20)]:
-            c = lattice_autocorrelation(f.samples, f.spacing)
+            c = lattice_autocorrelation(f.samples) * f.spacing
             assert c.min() >= 0.0
             assert np.array_equal(c, autocorrelate(f).values)
 
@@ -178,7 +178,7 @@ def _lattice_and_window(draw):
     n = draw(st.integers(1, 40))
     spacing = draw(st.floats(1e-3, 10.0))
     samples = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
-    c = lattice_autocorrelation(samples, spacing)
+    c = lattice_autocorrelation(samples) * spacing
     ts = (np.arange(2 * n + 1) - n) * spacing
     kind = draw(st.sampled_from(["any", "lattice ends", "one cell"]))
     if kind == "lattice ends":
@@ -233,9 +233,9 @@ class TestStackedLattices:
         rng = np.random.default_rng(seed)
         stack = rng.uniform(0.0, 4.0, (rows, n)) ** 2
         stack[rng.uniform(size=stack.shape) < 0.2] = 0.0
-        c = lattice_autocorrelation(stack, spacing)
+        c = lattice_autocorrelation(stack) * spacing
         assert c.shape == (rows, 2 * n + 1)
-        singles = [lattice_autocorrelation(row, spacing) for row in stack]
+        singles = [lattice_autocorrelation(row) * spacing for row in stack]
         assert _bits(c) == _bits(np.array(singles))
         for lo, hi in [(-0.5, 0.5), (0.0, 1.0), (-3.0 * n * spacing, 0.25), (0.3, 0.3)]:
             assert _bits(lattice_min(c, spacing, lo, hi)) == \
@@ -253,7 +253,7 @@ class TestStackedLattices:
         # columns: a (40, 9) stack gave row 5's lattice at float32(0.3)
         rng = np.random.default_rng(11)
         spacing = 0.25
-        c = lattice_autocorrelation(rng.uniform(0.0, 1.0, (40, 4)), spacing)
+        c = lattice_autocorrelation(rng.uniform(0.0, 1.0, (40, 4))) * spacing
         value = lattice_value(c, spacing, t)
         assert value.shape == (40,) + np.shape(t)
         assert _bits(value) == _bits(np.array([lattice_value(row, spacing, t) for row in c]))
@@ -267,8 +267,8 @@ class TestStackedLattices:
         # stack's spectrum is 3 x 8193 complex values, 384 KiB
         rng = np.random.default_rng(5)
         stack = rng.uniform(0.0, 1.0, (3, 8192))
-        c = lattice_autocorrelation(stack, 1.0 / 8192)
-        assert _bits(c) == _bits(np.array([lattice_autocorrelation(row, 1.0 / 8192)
+        c = lattice_autocorrelation(stack) / 8192
+        assert _bits(c) == _bits(np.array([lattice_autocorrelation(row) / 8192
                                            for row in stack]))
 
 
@@ -287,7 +287,7 @@ def _stack_of_spacings(draw):
     rng = np.random.default_rng(seed)
     samples = rng.uniform(0.0, 4.0, (rows, n)) ** 2
     samples[rng.uniform(size=samples.shape) < 0.2] = 0.0
-    c = np.array([lattice_autocorrelation(s, h) for s, h in zip(samples, row_spacings)])
+    c = np.array([lattice_autocorrelation(s) * h for s, h in zip(samples, row_spacings)])
     return c, spacing, row_spacings
 
 
@@ -323,7 +323,7 @@ class TestOneSpacingPerRow:
         # rows whose lattice ends inside the window next to rows that reach
         # past it: every row clips the window to its own support
         spacing = np.array([0.01, 0.5, 2.0])
-        c = np.array([lattice_autocorrelation(np.ones(4), h) for h in spacing])
+        c = np.array([lattice_autocorrelation(np.ones(4)) * h for h in spacing])
         got = lattice_window_integral(c, spacing, -0.5, 0.5)
         assert _bits(got) == [_bits(lattice_window_integral(row, h, -0.5, 0.5))[0]
                               for row, h in zip(c, spacing)]

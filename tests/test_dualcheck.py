@@ -572,3 +572,10 @@ class TestCase2bb:
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
             case2bb_residual(-1.0)
+
+    @pytest.mark.parametrize("a", [math.inf, 1e308, 1e160, 1e-160, math.nan])
+    def test_rejects_a_outside_the_float_range(self, a):
+        # inf and 1e308 returned NaN (2a times 1/(4a) is inf times 0), and
+        # 1e-160 raised numpy's overflow warning (filterwarnings: an error)
+        with pytest.raises(ValueError, match="16 a\\^2"):
+            case2bb_residual(a)

@@ -90,7 +90,10 @@ class TestGridFunction:
         got = _l2_norm(stack, spacing)
         want = np.sqrt(spacing * np.array([np.dot(row, row) for row in stack]))
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        assert [float(x) for x in got] == [_l2_norm(row, spacing) for row in stack]
+        # each row is its 1-D call, one expression on a row as on the stack,
+        # bit for bit the scalar arithmetic of math.sqrt on a float np.dot
+        assert [float(x) for x in got] == [float(_l2_norm(row, spacing)) for row in stack] \
+            == [math.sqrt(spacing * float(np.dot(row, row))) for row in stack]
 
 
 class TestSampling:
@@ -118,6 +121,11 @@ class TestSampling:
                 bad(-1.0)
         with pytest.raises(ValueError):
             sample(Indicator(1.0), cells=1)
+        # past the Fourier side's DFT cap; 10^12 cells used to end in numpy's
+        # MemoryError at the first allocation
+        for cells in (2 ** 24 + 1, 10 ** 12):
+            with pytest.raises(ValueError, match="cells must be at most"):
+                sample(Indicator(0.5), cells=cells)
 
     @pytest.mark.parametrize("family, support", [
         (Gaussian(1e-320), None), (Gaussian(1.0), (-1e308, 1e308)),

@@ -26,8 +26,10 @@ from autocorr import (
     sample,
 )
 from autocorr import functionals, verification
+from autocorr.correlate import lattice_autocorrelation
 from autocorr.functionals import (
     MIN01_CEILING,
+    at_width,
     gauss_ceiling,
     gauss_ratio,
     lattice_and_norms,
@@ -299,6 +301,46 @@ class TestStackedRows:
         with pytest.raises(InvariantViolation) as exc:
             min12_ratio(lattice_and_norms(stack, 0.5))
         assert f"min12 ratio {values[1]!r} " in str(exc.value)
+
+
+@st.composite
+def _profile_and_widths(draw):
+    """A profile of 1..64 cells, some of them zero (at times all of them), and
+    1..8 cell widths from 1e-300 to 1e300."""
+    n = draw(st.integers(1, 64))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    profile = np.array(draw(st.lists(cell, min_size=n, max_size=n)))
+    exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8))
+    return profile, [10.0 ** e for e in exponents]
+
+
+def _outcome(call):
+    """The bits of a tuple's fields, or a refusal's type and message."""
+    try:
+        return tuple(_bits(np.ravel(field)) for field in call())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneWidthStep:
+    """Every lattice is the unit-width lattice times its cell width: a
+    profile's one unit lattice put at a width, or at a block of widths one row
+    each, is the tuple of ``lattice_and_norms`` at that width in every bit,
+    and a refusal is its refusal, by type and message."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_profile_and_widths())
+    def test_unit_lattice_at_each_width_is_the_tuple(self, case):
+        profile, widths = case
+        unit = lattice_autocorrelation(profile)
+        alone = [_outcome(lambda h=h: lattice_and_norms(profile, h)) for h in widths]
+        assert [_outcome(lambda h=h: at_width(unit, profile, h)) for h in widths] == alone
+        block = _outcome(lambda: at_width(unit, profile, np.array(widths)))
+        refused = [one for one in alone if isinstance(one[0], type)]
+        if refused:  # the first refused width decides
+            assert block == refused[0]
+        else:  # the rows in order, each its width's own fields
+            assert block == tuple(sum((one[k] for one in alone), []) for k in range(4))
 
 
 def _ramp(scale: float, cells: int = 16) -> GridFunction:

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ class TestRecordInvariants:
         monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
         with pytest.raises(ValueError, match="cell width"):
             search("min12", "piecewise", halfwidth=halfwidth)
+
+    @pytest.mark.parametrize("dimension", [255, 10 ** 12])
+    def test_dimension_past_the_pool_rejected(self, monkeypatch, dimension):
+        # max(4, dim) (dim + 4) dim floats above 2^24; 10^12 cells used to end
+        # in numpy's MemoryError at the first allocation, an exit 1
+        search_mod = importlib.import_module("autocorr.search")
+        monkeypatch.setattr(search_mod, "_evaluate", None)  # rejected before any evaluation
+        with pytest.raises(ValueError, match="dimension"):
+            search("min12", "piecewise", budget=10 ** 25, dimension=dimension)
 
     @pytest.mark.parametrize("objective, family", [("min12", "indicator"), ("gauss", "gaussian"),
                                                    ("min01", "bs-example")])
@@ -692,19 +702,19 @@ class TestOneLatticePerScan:
         # profile is correlated once, whichever objective reads it first
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         scan = search_mod._SCANS[family]
-        real, calls = functionals.lattice_autocorrelation, []
+        real, calls = search_mod.lattice_autocorrelation, []
 
-        def counted(samples, spacing):
-            calls.append(spacing)
-            return real(samples, spacing)
+        def counted(samples):
+            calls.append(samples is scan.profile)
+            return real(samples)
 
         def clear():
             search_mod._scan.cache_clear()
-            vars(scan).pop("lattice", None)
+            vars(scan).pop("unit", None)
 
         cases = [(objective, a)] + [(o, b) for o, f, b in _SCAN_CASES
                                     if f == family and o != objective]
-        monkeypatch.setattr(functionals, "lattice_autocorrelation", counted)
+        monkeypatch.setattr(search_mod, "lattice_autocorrelation", counted)
         clear()
         try:
             for o, b in cases:
@@ -713,7 +723,7 @@ class TestOneLatticePerScan:
                 search(o, family, a=b)
         finally:
             clear()
-        assert calls == [1.0]
+        assert calls == [True]
 
     @pytest.mark.parametrize("objective, family, a", _SCAN_CASES)
     def test_scan_is_stacked(self, monkeypatch, objective, family, a):
@@ -740,7 +750,7 @@ class TestOneLatticePerScan:
         # widths, at the widths the outward walk and golden section reach
         # from the scan's ends, and past the clamps of both families
         scan = importlib.import_module("autocorr.search")._SCANS[family]
-        at = functionals.dilated_lattice_and_norms(scan.profile)
+        at = scan.lattice
         theta2 = [math.sqrt(g) ** 2 for g in scan.grid]
         theta2 += [g * 2.0 ** k for g in scan.grid[[0, -1]] for k in range(-10, 11)]
         for t2 in theta2 + [1e-9, 1e-8, 1e8]:
@@ -766,16 +776,26 @@ class TestOneLatticePerScan:
         # 1e300, past which its spacing rule has no clamp, and widths beyond
         # what either profile's norms can hold
         scan = _SCANS[family]
-        at = functionals.dilated_lattice_and_norms(scan.profile)
+        at = scan.lattice
         with pytest.raises(ValueError, match="outside the float range") as got:
             at(spacing)
         with pytest.raises(ValueError, match="outside the float range") as want:
             lattice_and_norms(scan.profile, spacing)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="outside the float range") as stacked:
+        with pytest.raises(ValueError, match="outside the float range") as stacked:
             at(np.array([scan.spacing(1.0), spacing, spacing / 2]))
         assert type(stacked.value) is type(want.value) and str(stacked.value) == str(want.value)
+
+    @pytest.mark.parametrize("family", ["indicator", "gaussian"])
+    def test_overflowing_block_refused_without_a_warning(self, family):
+        # a block of widths whose lattice and norms overflow: numpy's
+        # RuntimeWarning ("overflow encountered in multiply") used to come
+        # before the scale refusal, and under warnings as errors ended the run
+        scan = _SCANS[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the float range"):
+                scan.lattice(np.array([scan.spacing(1.0), 1e300, 5e299]))
 
     @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + [("gauss", "gaussian", 1.2e5),
                                                                     ("gauss", "indicator", 1e6)])

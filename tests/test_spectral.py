@@ -234,12 +234,12 @@ def _gauss_time_cases():
     cases = []
     for b in (4 * PI, 1e-4):    # the search geometry at a = 2 pi; h = 0.98
         s, h = _SCANS["gaussian"].profile, _SCANS["gaussian"].spacing(math.sqrt(b) ** 2)
-        cases.append((f"gaussian-b={b:g}", lattice_autocorrelation(s, h), h, 2 * PI,
+        cases.append((f"gaussian-b={b:g}", lattice_autocorrelation(s) * h, h, 2 * PI,
                       h * float(s.sum())))
     rng = np.random.default_rng(61)
     for i in range(9):          # criterion-6-like random functions
         f = random_grid_function(rng)
-        cases.append((f"random-{i}", lattice_autocorrelation(f.samples, f.spacing),
+        cases.append((f"random-{i}", lattice_autocorrelation(f.samples) * f.spacing,
                       f.spacing, (0.5, 2 * PI, 20.0)[i % 3], f.l1_norm))
     return cases
 
@@ -330,7 +330,7 @@ class TestGaussianTimeSide:
         edge = _node_limits()[-1] / math.sqrt(4 * PI)
         hs = np.array([1e-3, edge * (1 - 1e-15), edge * (1 + 1e-15), 10.0])
         for h, ok in zip(hs, w.accepts(hs).tolist()):
-            c = lattice_autocorrelation(np.ones(3), h)
+            c = lattice_autocorrelation(np.ones(3)) * h
             if ok:
                 w.correlation_integral(c, h)
             else:
@@ -378,7 +378,7 @@ class TestStackedWeights:
             hs[:] = hs[0]
         rng = np.random.default_rng(seed)
         samples = rng.uniform(0.0, 4.0, (rows, n)) ** 2
-        c = np.array([lattice_autocorrelation(f, h) for f, h in zip(samples, hs)])
+        c = np.array([lattice_autocorrelation(f) * h for f, h in zip(samples, hs)])
         spacing = float(hs[0]) if shared else hs
         for w in (IntervalWeight(), GaussianWeight(a)):
             got = w.correlation_integral(c, spacing)
@@ -396,7 +396,7 @@ class TestStackedWeights:
 
         a = 1e4
         hs = np.geomspace(1e-4, 19.9, 40) / math.sqrt(2 * a)
-        c = np.array([lattice_autocorrelation(np.linspace(1.0, 2.0, 9), h) for h in hs])
+        c = np.array([lattice_autocorrelation(np.linspace(1.0, 2.0, 9)) * h for h in hs])
         w = GaussianWeight(a)
         nodes = {_gauss_node_count(h * math.sqrt(2 * a)) for h in hs}
         assert len(nodes) > 10 and any(h >= w.reach for h in hs)
@@ -411,7 +411,7 @@ class TestStackedWeights:
 
         a = 2 * PI
         hs = np.array([0.01, 21 / math.sqrt(2 * a), 0.02, 30 / math.sqrt(2 * a)])
-        c = np.array([lattice_autocorrelation(np.ones(3), h) for h in hs])
+        c = np.array([lattice_autocorrelation(np.ones(3)) * h for h in hs])
         with pytest.raises(ValueError) as alone:
             GaussianWeight(a).correlation_integral(c[1], float(hs[1]))
         with pytest.raises(ValueError) as stacked:
@@ -438,7 +438,7 @@ class TestMeanFunctionalFourier:
         # may drop; the time side is the lattice value
         from autocorr.correlate import lattice_autocorrelation
 
-        time_side = w.correlation_integral(lattice_autocorrelation(f.samples, f.spacing),
+        time_side = w.correlation_integral(lattice_autocorrelation(f.samples) * f.spacing,
                                            f.spacing)
         four = mean_functional_fourier(f, w, tol=tol)
         return abs(time_side - four) - w.tail_bound(f, w.cutoff(f, tol))

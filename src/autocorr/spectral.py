@@ -51,7 +51,6 @@ __all__ = [
 _PHASE_BLOCK = 512      # xi per block of _phase_sum: 1.2 MB of tables at n = 1025
 _FOLD_PERIODS = 256     # periods of M terms per block of mean_functional_fourier
 _MAX_TERMS = 2 ** 26    # terms that mean_functional_fourier sums at most
-_HAT_BLOCK = 2 ** 14    # exp-table entries (128 KiB) per step of a stacked Gaussian time side
 
 #: The error bound that every sinc-power moment must meet, or raise.
 MOMENT_TOL = 1e-9
@@ -131,16 +130,11 @@ def _node_limits() -> np.ndarray:
     return _readonly(np.array(limits))
 
 
-def _gauss_node_counts(s) -> np.ndarray:
-    """The least node count k <= 64 that meets ``_meets_rule`` at each s, by
-    one search of the limits; 65 where none does (s above 19.94, or NaN)."""
-    return np.searchsorted(_node_limits(), s) + 1
-
-
 def _gauss_node_count(s: float) -> int:
-    """``_gauss_node_counts`` at one s.  Raises ValueError when no k <= 64
-    meets the rule."""
-    k = int(_gauss_node_counts(s))
+    """The least node count k <= 64 that meets ``_meets_rule`` at s, by one
+    search of the limits.  Raises ValueError where none does (s above 19.94,
+    or NaN)."""
+    k = int(_node_limits().searchsorted(s)) + 1
     if k > 64:
         raise ValueError(f"lattice too coarse for the Gaussian weight: h sqrt(2a) = {s:.3g} "
                          "needs more than 64 Gauss nodes a cell")
@@ -188,10 +182,10 @@ class GaussianWeight:
         if not 1 <= p < math.inf:
             raise ValueError(f"need 1 <= p < inf for the Gaussian weight (got p={p})")
         closed = math.sqrt(self.a / (math.pi * p))
-        hi = math.sqrt(40.0 * self.a / (math.pi ** 2 * p))
+        hi = math.sqrt(40.0 / (math.pi ** 2 * p)) * math.sqrt(self.a)   # finite for every a
         c = math.pi ** 2 * p / self.a
         num = 2.0 * float(_gauss_pieces(lambda u: np.exp(-c * u * u), np.array([0.0, hi]), 64)[0])
-        if abs(num - closed) > max(MOMENT_TOL, 1e-10 * closed):
+        if not abs(num - closed) <= max(MOMENT_TOL, 1e-10 * closed):   # NaN fails
             raise RuntimeError(
                 f"Gaussian moment cross-check failed: closed={closed!r} quad={num!r}")
         return MomentResult(closed, 1e-15 * closed)
@@ -212,70 +206,41 @@ class GaussianWeight:
         2^-54 c_0, as cells h < R + h and c_0 = max c = ||f||_2^2.
 
         A (rows, 2n + 1) stack of lattices, at one spacing or one per row,
-        gives one value per row, bit for bit its own 1-D call: the rows that
-        need the same number of nodes share one exp table and one einsum,
-        and each row keeps its own ``half @ omega``.  A stack with a row too
-        coarse for the rule raises what its first such row raises alone.
+        gives one value per row; a lattice is a stack of one row.  Each row is
+        evaluated alone, in order, so it has the bits of its own 1-D call and
+        the first row too coarse for the rule raises what it raises alone;
+        omega is built once per distinct width of the call.
         """
-        n, a = values.shape[-1] // 2, self.a
-        if values.ndim == 1:
-            h = spacing
-            cells = min(n, math.ceil(self.reach / h))
-            (omega,) = self._hat_integrals([h], [cells], _gauss_node_count(h * math.sqrt(2.0 * a)))
-            return h * math.sqrt(a / math.pi) * float(values[n:n + cells + 1] @ omega[:cells + 1])
-        h = spacing if isinstance(spacing, np.ndarray) else np.full(values.shape[0], spacing)
-        s = h * math.sqrt(2.0 * a)
-        nodes = _gauss_node_counts(s).tolist()
-        if max(nodes) > 64:
-            _gauss_node_count(float(s[[k > 64 for k in nodes].index(True)]))
-        cells = np.minimum(n, np.ceil(self.reach / h)).astype(np.int64).tolist()
-        hs = h.tolist()
-        dots = np.empty(len(nodes))
-        for k in sorted(set(nodes)):
-            group = [r for r, count in enumerate(nodes) if count == k]
-            for rows in _runs(group, [k * (cells[r] + 1) for r in group], _HAT_BLOCK):
-                omegas = self._hat_integrals([hs[r] for r in rows], [cells[r] for r in rows], k)
-                for r, omega in zip(rows, omegas):
-                    dots[r] = values[r, n:n + cells[r] + 1] @ omega[:cells[r] + 1]
-        return h * math.sqrt(a / math.pi) * dots   # 2 (h/2) max w
+        rows = np.atleast_2d(values)
+        n, a = rows.shape[1] // 2, self.a
+        omegas, out = {}, []
+        for row, h in zip(rows, np.broadcast_to(spacing, rows.shape[:1]).tolist()):
+            if h not in omegas:
+                k = _gauss_node_count(h * math.sqrt(2.0 * a))
+                omegas[h] = self._hat_integrals(h, math.ceil(min(self.reach / h, n)), k)
+            omega = omegas[h]
+            # h sqrt(a/pi) = 2 (h/2) max w
+            out.append(h * math.sqrt(a / math.pi) * float(row[n:n + omega.size] @ omega))
+        return out[0] if values.ndim == 1 else np.array(out)
 
-    def _hat_integrals(self, h: list, cells: list, k: int) -> np.ndarray:
-        """omega / (h sqrt(a/pi)) of each row at m = 0..cells (what follows in
-        the row is not its own), by the k-node rule on each cell: one exp table
-        over the rows' cells."""
+    def _hat_integrals(self, h: float, cells: int, k: int) -> np.ndarray:
+        """omega / (h sqrt(a/pi)) at m = 0..cells, by the k-node rule on each
+        of the cells: one (node, cell) exp table and one einsum.  Every cell
+        starts within the reach, and h sqrt(a) <= 14.1, so no exponent falls
+        below -(sqrt(46) + 14.1)^2 > -437, far above exp's underflow."""
         u, hat = _hat_rule(k)
-        width = max(cells) + 1  # every row's cells and at least one more
-        t = np.add.outer(u, np.arange(float(width)))[:, None, :] * np.array(h)[:, None]
-        g = -self.a * t                                         # (node, row, cell)
+        t = u[:, None] + np.arange(float(cells))
+        t *= h
+        g = -self.a * t
         g *= t
-        if self.a * (max(h) * width) ** 2 > 700.0:
-            # cells past a row's reach are not its own; -700 keeps exp off its
-            # slow underflowing path there (no cell within reach falls below -437)
-            np.maximum(g, -700.0, out=g)
         np.exp(g, out=g)
-        pieces = np.einsum("pk,krj->prj", hat, g)
-        # einsum sums a one-column table, a one-cell row's alone, in another order
-        for r in [r for r, m in enumerate(cells) if m == 1]:
-            pieces[:, r, 0] = np.einsum("pk,kj->pj", hat, g[:, r, :1].copy())[:, 0]
+        pieces = np.einsum("pk,kj->pj", hat, g)
         # hat_m takes the piece (1 - u) w of cell m, none at m = cells, and the
         # piece u w of cell m - 1
-        omega = pieces[0]
-        omega[range(len(cells)), cells] = 0.0
-        omega[:, 1:] += pieces[1, :, :-1]
+        omega = np.zeros(cells + 1)
+        omega[:-1] = pieces[0]
+        omega[1:] += pieces[1]
         return omega
-
-
-def _runs(items: list, sizes: list, budget: int):
-    """The items in runs whose sizes add up to at most the budget, or one item."""
-    run, total = [], 0
-    for item, size in zip(items, sizes):
-        if run and total + size > budget:
-            yield run
-            run, total = [], 0
-        run.append(item)
-        total += size
-    if run:
-        yield run
 
 
 @functools.lru_cache(maxsize=None)

@@ -462,6 +462,30 @@ class TestExitCodes:
         lower = [r for r in rep["results"] if r["name"] == "gaussian-mean-lower"]
         assert lower[0]["ingredients"]["scan_best_b"] == pytest.approx(2e-320, rel=0.01)
 
+    @pytest.mark.parametrize("family", ["gaussian", "indicator"])
+    def test_subnormal_gaussian_weight_search_exit_0(self, tmp_path, family):
+        # the weight's reach sqrt(46/a) is inf: its cell count ceil(inf) raised
+        # OverflowError, an exit 1
+        assert main(["search", "--family", family, "--functional", "gauss", "--a", "5e-324",
+                     "--out", str(tmp_path)]) == 0
+        assert _load(tmp_path / "search_report.json")["results"][0]["evaluations"] < 100
+
+    def test_subnormal_gaussian_weight_evaluate_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--family", "gaussian", "--functional", "gauss",
+                     "--a", "5e-324", "--out", str(out)]) == 2
+        assert "DFT longer than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_gaussian_weight_constants_exit_2(self, tmp_path, capsys):
+        # the moment's cross-check overflowed to NaN at a = 1e308 and numpy
+        # warned, an exit 1 under -W error
+        out = tmp_path / "out"
+        assert main(["constants", "--weight", "gaussian", "--a", "1e308",
+                     "--out", str(out)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _subcommand_flags():
     ap = cli._build_parser()

@@ -419,6 +419,106 @@ class TestStackedWeights:
         assert str(stacked.value) == str(alone.value) and "= 21 " in str(alone.value)
 
 
+class TestOneWidthPerCall:
+    """Each row of a Gaussian stack is its own one-width call, and omega is
+    built once per distinct width of the call."""
+
+    A = 2 * PI
+    # h1 and h2 need the same node count, h3 is wider than the reach: one-cell rows
+    WIDTHS = (0.01, 0.011, 3.0)
+
+    def _stack(self, hs, n=9, seed=5):
+        from autocorr.correlate import lattice_autocorrelation
+
+        rng = np.random.default_rng(seed)
+        return np.array([lattice_autocorrelation(rng.uniform(0.0, 2.0, n) ** 2) * h for h in hs])
+
+    def _counted(self, monkeypatch):
+        calls = []
+        build = GaussianWeight._hat_integrals
+
+        def counting(self, *args):
+            calls.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(GaussianWeight, "_hat_integrals", counting)
+        return calls
+
+    def test_repeating_widths_equal_their_own_calls(self):
+        from autocorr.spectral import _gauss_node_count
+
+        h1, h2, h3 = self.WIDTHS
+        w = GaussianWeight(self.A)
+        assert h3 > w.reach
+        assert _gauss_node_count(h1 * math.sqrt(2 * self.A)) == _gauss_node_count(
+            h2 * math.sqrt(2 * self.A))
+        hs = np.array([h1, h2, h1, h3, h2, h3])
+        c = self._stack(hs)
+        got = w.correlation_integral(c, hs)
+        assert _bits(got) == [_bits(w.correlation_integral(row, float(h)))[0]
+                              for row, h in zip(c, hs)]
+        assert _bits(got) == [_bits(_one_lattice_time_side(row, float(h), self.A))[0]
+                              for row, h in zip(c, hs)]
+
+    def test_refused_row_raises_its_own_message(self):
+        h1, h2, _ = self.WIDTHS
+        hs = np.array([h1, h2, h1, 25 / math.sqrt(2 * self.A), h2, 30 / math.sqrt(2 * self.A)])
+        c = self._stack(hs)
+        with pytest.raises(ValueError, match="= 25 needs more than 64 Gauss nodes"):
+            GaussianWeight(self.A).correlation_integral(c, hs)
+
+    def test_one_omega_per_distinct_width(self, monkeypatch):
+        # however wide the stack's table would be (16 rows of 401 cells), one
+        # width builds one omega, and each row reads it
+        calls = self._counted(monkeypatch)
+        w = GaussianWeight(0.5)
+        c = self._stack([0.01] * 16, n=400)
+        for spacing in (0.01, np.full(16, 0.01)):
+            calls.clear()
+            w.correlation_integral(c, spacing)
+            assert len(calls) == 1
+        calls.clear()
+        h1, h2, h3 = self.WIDTHS
+        GaussianWeight(self.A).correlation_integral(self._stack([h1, h2, h1, h3, h2]),
+                                                   np.array([h1, h2, h1, h3, h2]))
+        assert [args[0] for args in calls] == [h1, h2, h3]
+
+    def test_subnormal_a_reads_every_cell(self):
+        # the reach sqrt(46/a) is inf below a ~ 2.6e-307: every cell counts,
+        # as on a lattice narrower than the reach (ceil(inf) raised OverflowError)
+        c = self._stack([0.1, 0.2], n=6)
+        for a in (5e-324, 1e-310):
+            w = GaussianWeight(a)
+            assert w.reach == math.inf
+            got = w.correlation_integral(c, np.array([0.1, 0.2]))
+            assert np.all(np.isfinite(got)) and got[0] == w.correlation_integral(c[0], 0.1)
+
+    def test_q_gauss_at_subnormal_a_refuses_its_fourier_side(self):
+        from autocorr import q_gauss
+
+        with pytest.raises(ValueError, match="DFT longer"):
+            q_gauss(sample(Indicator(0.5), cells=16), 5e-324)
+
+
+class TestGaussianMomentEnds:
+    def test_huge_a_warns_nothing(self):
+        # sqrt(40 a/(pi^2 p)) overflowed from a ~ 4.5e306, and the cross-check
+        # then integrated NaN
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = GaussianWeight(1e308).lp_moment(2.0)
+        assert m.value == math.sqrt(1e308 / (2 * PI))
+
+    def test_nan_cross_check_raises(self, monkeypatch):
+        from autocorr import spectral
+
+        monkeypatch.setattr(spectral, "_gauss_pieces", lambda *args: np.array([math.nan]))
+        with pytest.raises(RuntimeError, match="cross-check failed"):
+            GaussianWeight(2 * PI).lp_moment(2.0)
+
+
 class TestMeanFunctionalFourier:
     def test_indicator_interval_weight(self):
         # time side: int_{-1/2}^{1/2} (1 - |t|) dt = 3/4

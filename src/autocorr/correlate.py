@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft
 
-from .funcspace import BSExample, GridFunction, MixedMeasure, _readonly
+from .funcspace import BSExample, GridFunction, MixedMeasure, _readonly, _window
 
 __all__ = [
     "Correlation",
@@ -51,7 +51,7 @@ __all__ = [
 # ``c`` holds the 2n + 1 lattice values of f*f at t_k = (k - n) h, k = 0..2n,
 # clamped at 0, ``lattice_autocorrelation``'s values times h; the functions
 # below read the piecewise-linear correlation off them exactly.  They do not
-# check the lattice values or the spacing: :class:`Correlation` and the
+# check the lattice values, the spacing or t: :class:`Correlation` and the
 # functionals check those once, at the boundary, and call these.  Only
 # ``lattice_min`` refuses an input, an empty window (hi < lo) or a NaN end.
 #
@@ -205,7 +205,9 @@ class Correlation:
     values are the exact zeros at t = +-n h.  The values are read-only and
     clamped at 0.  Between lattice points the cell-model correlation is
     linear, which ``value``, ``integral_window`` and ``min_on`` reproduce
-    exactly.  Each method delegates to its lattice kernel above.
+    exactly.  Each method delegates to its lattice kernel above.  The
+    spacing must be finite and positive, and a NaN t or window end is
+    refused (ValueError); an infinite one is read.
     """
 
     spacing: float
@@ -215,8 +217,11 @@ class Correlation:
         c = np.asarray(self.values, dtype=np.float64)
         if c.ndim != 1 or c.size < 3 or c.size % 2 == 0:
             raise ValueError("values must be a 1-D array of odd length >= 3")
+        h = float(self.spacing)
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"spacing must be finite and positive, got {h}")
         object.__setattr__(self, "values", _readonly(np.where(c < 0.0, 0.0, c)))
-        object.__setattr__(self, "spacing", float(self.spacing))
+        object.__setattr__(self, "spacing", h)
 
     @property
     def halfwidth(self) -> float:
@@ -234,6 +239,8 @@ class Correlation:
 
     def value(self, t) -> np.ndarray:
         """The linear interpolant at t, read at |t| on the nonnegative half."""
+        if np.isnan(t).any():
+            raise ValueError(f"t = {t} has a NaN")
         return lattice_value(self.values, self.spacing, t)
 
     def min_on(self, lo: float, hi: float) -> float:
@@ -245,7 +252,7 @@ class Correlation:
 
         Takes scalars or broadcastable arrays like ``GridFunction.integral``.
         """
-        return lattice_window_integral(self.values, self.spacing, lo, hi)
+        return lattice_window_integral(self.values, self.spacing, *_window(lo, hi))
 
     def weighted_integral(self, weight) -> float:
         """int (f*f) w for a ``spectral`` weight: its ``correlation_integral``."""
@@ -436,17 +443,18 @@ class MeasureCorrelation:
         return self._pair_cum[np.maximum(i, j)] - self._pair_cum[i]  # 0 when hi < lo
 
     def interval_mass(self, lo, hi) -> np.ndarray:
-        """mu*mu([lo, hi]); 0 where hi < lo, the point mass mu*mu({lo}) where hi == lo."""
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
+        """mu*mu([lo, hi]); 0 where hi < lo, the point mass mu*mu({lo}) where
+        hi == lo.  A NaN end is refused (ValueError)."""
+        lo, hi = _window(lo, hi)
         total = self._atom_pair_mass(lo, hi).astype(np.float64)
         mu = self.mu
         if mu.density is not None:
             d = mu.density
-            for x, m in mu.atoms:
-                total = total + m * d.integral(x - hi, x - lo)
-                total = total + m * d.integral(x + lo, x + hi)
-            total = total + self.density_corr.integral_window(lo, hi)
+            for x, m in mu.atoms:  # no NaN end: lo and hi are checked, x is finite
+                total = total + m * d._integral(x - hi, x - lo)
+                total = total + m * d._integral(x + lo, x + hi)
+            c = self.density_corr
+            total = total + lattice_window_integral(c.values, c.spacing, lo, hi)
         return total if total.ndim else float(total)
 
 

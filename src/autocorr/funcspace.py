@@ -4,10 +4,12 @@ The workhorse type is :class:`GridFunction`, a nonnegative piecewise-constant
 function on a uniform grid (samples are cell-midpoint values, which for the
 cell model are also the cell values); a step function with equal cells is a
 GridFunction as it stands.  The analytic families (Gaussian, interval
-indicator) are sampled onto grids.  The singular boundary-blowup
-counterexample :class:`BSExample` is not: its correlation has a closed form.
-:class:`MixedMeasure` represents a finite nonnegative measure as an atom list
-plus an optional absolutely continuous part.
+indicator) are sampled onto grids by :func:`sample`, the one sampling path:
+the search's one-parameter families take their profile and cell width from
+it too.  The singular boundary-blowup counterexample :class:`BSExample` is
+not: its correlation has a closed form.  :class:`MixedMeasure` represents
+a finite nonnegative measure as an atom list plus an optional absolutely
+continuous part.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+def _window(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of a window as float arrays, refused (ValueError) where one
+    is NaN; an infinite end is kept."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError(f"window [{lo}, {hi}] has a NaN end")
+    return lo, hi
 
 
 @functools.lru_cache(maxsize=64)
@@ -162,10 +173,13 @@ class GridFunction:
     def integral(self, lo, hi):
         """Exact integral of the cell model over ``[lo, hi]`` (0 when hi <= lo).
 
-        Takes scalars or broadcastable arrays; scalars give a float.
+        Takes scalars or broadcastable arrays; scalars give a float.  A NaN
+        end is refused (ValueError).
         """
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
+        return self._integral(*_window(lo, hi))
+
+    def _integral(self, lo: np.ndarray, hi: np.ndarray):
+        """``integral`` on float arrays, unchecked."""
         out = np.where(hi > lo, self._antiderivative(hi) - self._antiderivative(lo), 0.0)
         return out if out.ndim else float(out)
 
@@ -256,7 +270,8 @@ def bs_l1() -> float:
 
 def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None,
            cells: int = 1024) -> GridFunction:
-    """Midpoint-sample an analytic family onto a uniform grid."""
+    """Midpoint-sample an analytic family onto ``cells`` equal cells of its
+    support, ``family.default_support()`` when not given."""
     if cells < 2:
         raise ValueError(f"cells must be >= 2, got {cells}")
     if cells > _MAX_DFT:  # before any allocation
@@ -268,19 +283,8 @@ def sample(family: AnalyticFamily, support: Optional[tuple[float, float]] = None
         raise ValueError(f"support must have finite ends and a finite width, got {support}")
     if not hi > lo:
         raise ValueError(f"support must be a nonempty interval, got {support}")
-    vals, h = _midpoint_samples(family, lo, hi, cells)
-    return GridFunction(lo, h, vals)
-
-
-def _midpoint_samples(family: AnalyticFamily, lo: float, hi: float,
-                      cells: int) -> tuple[np.ndarray, float]:
-    """The cell-midpoint values of ``family`` on [lo, hi] and the cell width.
-
-    The arithmetic of :func:`sample`, without its validation or the
-    :class:`GridFunction`; callers that skip ``sample`` check the values.
-    """
     h = (hi - lo) / cells
-    return np.asarray(family(lo + (np.arange(cells) + 0.5) * h), dtype=np.float64), h
+    return GridFunction(lo, h, family(lo + (np.arange(cells) + 0.5) * h))
 
 
 # ---------------------------------------------------------------------------

@@ -3,29 +3,31 @@
 Nonnegativity is enforced by squaring (cell value or family parameter =
 theta^2), which keeps the landscape smooth instead of projecting onto a
 boundary.  The one-parameter families (``indicator``, ``gaussian``) are
-each one fixed profile whose cell width follows theta^2 by a spacing rule
-(``_SCANS``).  A lattice is the unit-width lattice times the cell width, so
-each correlates its profile once, at unit width, on first use, and its
-scans and golden searches put that one lattice at every width they read
-(``functionals.at_width``, the step of ``lattice_and_norms`` too), bit for
-bit the tuple of ``lattice_and_norms`` at that width.  Each objective scans
-it once, at 288 values of theta^2 less the widths the Gaussian weight
-refuses, which are masked out before any evaluation
-(``GaussianWeight.accepts``).  The scan evaluates the rest in a few stacked
-evaluations, blocks of widths with one lattice row and one spacing each,
-and each value is bit for bit the golden search's one-width evaluation at
-its theta^2.  The cached scan gives the floor (``baseline``) and the
-bracket between the neighbours of its best point.  Their search evaluates
-that point, so no record ends below its floor, then narrows the bracket by
-golden section (``constants._golden_min``) to 1e-6 relative; it ignores the
-seed.  A best point at an end of the scan first walks outward, doubling or
-halving theta^2 while the ratio rises, so the search reaches past the scan
-as far as the spacing rule's clamps; a scan that keeps one point walks away
-from the end of the full scan that point sits at.  A best point past a
-clamp is reported at the clamp, the parameter of the function it scored.
-The ``piecewise`` family runs a seeded multi-restart Nelder-Mead simplex
-(reflection / expansion / contraction / shrink) on the unconstrained cell
-parameters.
+``funcspace.sample`` of their analytic family at theta^2 on its default
+support, on 512 and 1,024 cells (``_SCANS``): one fixed profile, the
+family's at theta^2 = 1, whose cell width (hi - lo) / cells follows theta^2,
+clamped to the range the family is sampled on.  A lattice is the unit-width
+lattice times the cell width, so each correlates its profile once, at unit
+width, on first use, and its scans and golden searches put that one lattice
+at every width they read (``functionals.at_width``, the step of
+``lattice_and_norms`` too), bit for bit the tuple of ``lattice_and_norms``
+at that width.  Each objective scans it once, at 288 values of theta^2 less
+the widths the Gaussian weight refuses, which are masked out before any
+evaluation (``GaussianWeight.accepts``).  The scan evaluates the rest in a
+few stacked evaluations, blocks of widths with one lattice row and one
+spacing each, and each value is bit for bit the golden search's one-width
+evaluation at its theta^2.  The cached scan gives the floor (``baseline``)
+and the bracket between the neighbours of its best point.  Their search
+evaluates that point, so no record ends below its floor, then narrows the
+bracket by golden section (``constants._golden_min``) to 1e-6 relative; it
+ignores the seed.  A best point at an end of the scan first walks outward,
+doubling or halving theta^2 while the ratio rises, so the search reaches
+past the scan as far as the clamps; a scan that keeps one point walks away
+from the end of the full scan that point sits at.  The search clamps theta^2
+before it takes theta, so a point past a clamp is scored and recorded at the
+clamp.  The ``piecewise`` family runs a seeded multi-restart Nelder-Mead
+simplex (reflection / expansion / contraction / shrink) on the unconstrained
+cell parameters.
 
 The optimizers only see scores; ``search`` owns the budget, the trace and
 the winner in one recorder, a ``_Run`` per optimizer run that keeps its
@@ -35,16 +37,20 @@ their simplices are the rows of one array; each round stacks the pending
 point of every live restart, in restart order, and evaluates the stack in
 one call of the row kernels, and the array steps that follow (re-sort,
 collapse test, centroid and step points) run once on the rows of every
-restart that takes them.  The budget only caps the evaluations: a golden
-search ends on its tolerance well inside it (or, walking outward without
-end, on the budget), while each simplex restart stops on its share or on
-the collapse of its simplex.  ``trace`` has one entry (index, best so far) per objective
-evaluation, the runs concatenated in index order, and ``evaluations`` is
-``len(trace)``; the cached scan is not counted.  The winner is the first
-evaluation that attains the best value, so ties keep the lowest restart
-index.  The record is therefore bit for bit the one of running the restarts
-one after another, one point at a time.  The BS example has no free
-parameter, so its record is a single evaluation.
+restart that takes them.  The BS example has no free parameter: its run is
+its one evaluation.  The budget only caps the evaluations: a golden search
+ends on its tolerance well inside it, while each simplex restart stops on
+its share or on the collapse of its simplex.  Once a golden search's run
+holds ``budget`` values, its objective scores inf without an evaluation, a
+score that improves on nothing, so an outward walk without end stops there
+and golden section narrows its bracket on scores alone.  Every run ends in
+one record: ``trace`` has one entry (index, best so far) per objective
+evaluation, the runs' values concatenated in index order under a running
+max, and ``evaluations`` is ``len(trace)``; the cached scan is not counted.
+The winner is the first run that attains the best value, and within it the
+first such evaluation, so ties keep the lowest restart index.  The record
+is therefore bit for bit the one of running the restarts one after
+another, one point at a time.
 
 Each candidate is evaluated once, at array speed.  Every input is checked
 once, where it enters.  ``search`` refuses a piecewise cell width 2 halfwidth
@@ -54,8 +60,8 @@ checks only that they are finite, as they are the one input the simplex
 chooses each round, and the objective kernel reads the ratio's array core
 off their one lattice-and-norms tuple, as the ``q_*`` functions do.  A
 one-parameter family checks each width its golden search picks, in
-``_Dilations.ratio``; its profile and its scan's widths are module
-constants.  ``_evaluate`` and the kernels take a (rows, dim) stack of
+``_Dilations.ratio``; its profile and its scan's widths follow from
+``_SCANS`` alone.  ``_evaluate`` and the kernels take a (rows, dim) stack of
 parameters as well, and give each row the bits of its own 1-D call.  The
 winner's value is therefore the ``q_*`` value of the family's grid function
 at its parameters, bit for bit, and is not evaluated again.  No GridFunction,
@@ -72,6 +78,7 @@ refused row's own error from the first check that refuses it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -80,7 +87,7 @@ import numpy as np
 
 from .constants import _golden_min
 from .correlate import lattice_autocorrelation
-from .funcspace import Gaussian, _midpoint_samples, _readonly
+from .funcspace import AnalyticFamily, Gaussian, Indicator, _readonly, sample
 from .functionals import (LatticeAndNorms, at_width, gauss_ratio, lattice_and_norms,
                           mean_ratio, min01_ratio, min12_ratio, q_min_01_bs)
 from .spectral import GaussianWeight
@@ -137,11 +144,12 @@ def _objective_kernel(objective: str, a: Optional[float]) -> _Kernel:
 
 @dataclass(frozen=True, eq=False)
 class _Dilations:
-    """A one-parameter family: one fixed profile whose cell width follows theta^2,
-    and the 288 values of theta^2 whose scan gives the floor and the golden bracket."""
+    """A one-parameter family, ``family(theta^2)`` sampled on ``cells`` cells of
+    its default support, and the 288 values of theta^2 whose scan gives the
+    floor and the golden bracket."""
 
-    profile: np.ndarray
-    width: Callable[[float], float]  # clamped theta^2 -> cell width
+    family: Callable[[float], AnalyticFamily]  # the class, by its one parameter
+    cells: int
     clamp: tuple[float, float]  # the range of theta^2 the family is sampled on
     grid: np.ndarray
 
@@ -149,8 +157,15 @@ class _Dilations:
         lo, hi = self.clamp
         return min(max(t2, lo), hi)
 
+    @functools.cached_property
+    def profile(self) -> np.ndarray:
+        """The cell values, the same at every theta^2: those of ``family(1)``."""
+        return sample(self.family(1.0), cells=self.cells).samples
+
     def spacing(self, t2: float) -> float:
-        return self.width(self.clamped(t2))
+        """The cell width of ``sample`` at theta^2 = t2, clamped."""
+        lo, hi = self.family(self.clamped(t2)).default_support()
+        return (hi - lo) / self.cells
 
     @functools.cached_property
     def unit(self) -> np.ndarray:
@@ -178,29 +193,13 @@ class _Dilations:
                                "not finite and positive")
         return kernel(self.lattice(spacing))
 
-    def scored(self, params: tuple[float, ...]) -> tuple[float, ...]:
-        """The parameter of the function that ``ratio`` scores at params: theta
-        past a clamp moves onto it.  The square root of each clamp squares back
-        to it, so ``ratio`` reads the same width at both."""
-        t2 = params[0] ** 2
-        inside = self.clamped(t2)
-        return params if inside == t2 else (math.sqrt(inside),)
 
-
-# The spacing rules are the arithmetic of sampling each family on its support
-# (``funcspace.sample``), bit for bit.  Every midpoint of [-A, A] lies in the
-# indicator 1_[-A, A], A = max(theta^2, 1e-6), so its 512 cells are all 1 and
-# only the width 2A/512 moves.  exp(-b x^2) on [-5/sqrt(b), 5/sqrt(b)], b =
-# theta^2 clamped to [1e-4, 1e6], is the b = 1 profile at width
-# 2 sqrt(25/b)/1024, up to the rounding of b x^2 (1.5e-14 relative).
+# Every midpoint of [-A, A] lies in the indicator 1_[-A, A], so its cells are
+# all 1 at every A; exp(-b x^2) on its support [-5/sqrt(b), 5/sqrt(b)] is the
+# b = 1 profile up to the rounding of b x^2 (1.5e-14 relative).
 _SCANS = {
-    "indicator": _Dilations(
-        _readonly(np.ones(512)), lambda A: 2.0 * A / 512, (1e-6, math.inf),
-        np.linspace(0.26, 6.0, 288)),
-    "gaussian": _Dilations(
-        _readonly(_midpoint_samples(Gaussian(1.0), -5.0, 5.0, 1024)[0]),
-        lambda b: 2.0 * math.sqrt(25.0 / b) / 1024, (1e-4, 1e6),
-        np.geomspace(0.05, 200.0, 288)),
+    "indicator": _Dilations(Indicator, 512, (1e-6, math.inf), np.linspace(0.26, 6.0, 288)),
+    "gaussian": _Dilations(Gaussian, 1024, (1e-4, 1e6), np.geomspace(0.05, 200.0, 288)),
 }
 
 
@@ -241,7 +240,7 @@ def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
     """Minimize fn over theta^2 from the scan's best point grid[i]; ``full``
     is the family's whole scan, of which ``grid`` keeps a run.  Every
     evaluation goes through fn, which keeps the budget, the trace and the
-    best, and ends the run by raising ``_BudgetExhausted``."""
+    best, and scores inf once the budget is spent."""
     f_mid = fn(grid[i])  # the scan's best point first: no record ends below its floor
     if 0 < i < len(grid) - 1:
         _golden_min(fn, grid, i, _GOLDEN_RTOL * grid[i])
@@ -263,10 +262,6 @@ def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
         inner, mid, f_mid = mid, outer, f_outer
     lo, hi = sorted((inner, outer))
     _golden_min(fn, (lo, mid, hi), 1, _GOLDEN_RTOL * mid)
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -465,26 +460,22 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
     kernel = _objective_kernel(objective, a)
     label = objective if a is None else f"{objective}(a={a:.6g})"
     if family == "bs-example":
-        value = _bs_value(objective)
-        return SearchRecord(objective=label, family=family, dimension=0, best_params=(),
-                            best_value=value, evaluations=1, seed=seed, trace=((1, value),))
-
-    if family in _SCANS:
+        dim, run = 0, _Run()
+        run.record((), _bs_value(objective))
+        runs = [run]
+    elif family in _SCANS:
         scan, dim, run = _SCANS[family], 1, _Run()
 
         def negated(t2: float) -> float:
             if len(run.values) >= budget:
-                raise _BudgetExhausted
-            theta = math.sqrt(t2)
+                return math.inf  # the budget is spent: a score that improves on nothing
+            theta = math.sqrt(scan.clamped(t2))  # past a clamp, the clamp's function
             value = scan.ratio(kernel, theta ** 2)
-            run.record(scan.scored((theta,)), value)  # past a clamp, the clamp's function
+            run.record((theta,), value)
             return -value  # golden section minimizes
 
-        try:
-            grid, _, i = _scan(objective, family, a)
-            _golden_search(negated, grid, i, scan.grid)
-        except _BudgetExhausted:
-            pass
+        grid, _, i = _scan(objective, family, a)
+        _golden_search(negated, grid, i, scan.grid)
         runs = [run]
     elif family == "piecewise":
         dim = DEFAULT_DIMENSION if dimension is None else dimension
@@ -510,16 +501,10 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     # The runs concatenated in index order; the winner is the first evaluation
-    # that attains the best value.
-    trace: list[tuple[int, float]] = []
-    best, winner = -math.inf, runs[0]
-    for run in runs:
-        for value in run.values:
-            best = value if value > best else best
-            trace.append((len(trace) + 1, best))
-        if run.best_value > winner.best_value:
-            winner = run
+    # that attains the best value, as max keeps the first of equal runs.
+    values = [value for run in runs for value in run.values]
+    winner = max(runs, key=lambda run: run.best_value)
     return SearchRecord(objective=label, family=family, dimension=dim,
                         best_params=tuple(float(x) for x in winner.best_params),
-                        best_value=float(winner.best_value), evaluations=len(trace), seed=seed,
-                        trace=tuple(trace))
+                        best_value=float(winner.best_value), evaluations=len(values), seed=seed,
+                        trace=tuple(enumerate(itertools.accumulate(values, max), 1)))

@@ -551,3 +551,46 @@ class TestMeasureAutocorrelate:
         right = mc.interval_mass(-b, -a)
         assert left == pytest.approx(right, rel=1e-12)
         assert left >= 0
+
+
+def _indicator_inputs():
+    """The 8-cell indicator at A = 3/4, its correlation, and the correlation of
+    an atom plus that density and of the atom alone."""
+    f = sample(Indicator(0.75), cells=8)
+    return (f, autocorrelate(f), measure_correlation(MixedMeasure(atoms=((0.1, 0.5),), density=f)),
+            measure_correlation(MixedMeasure(atoms=((0.1, 0.5),))))
+
+
+_NAN_INPUTS = {
+    "value-scalar": lambda f, c, mc, atom: c.value(math.nan),
+    "value-array": lambda f, c, mc, atom: c.value(np.array([0.1, math.nan])),
+    "integral_window": lambda f, c, mc, atom: c.integral_window(np.array([0.0, math.nan]), 1.0),
+    "grid-integral": lambda f, c, mc, atom: f.integral(0.0, math.nan),
+    "interval_mass": lambda f, c, mc, atom: mc.interval_mass(math.nan, np.array([0.5, 1.0])),
+    "interval_mass-atoms": lambda f, c, mc, atom: atom.interval_mass(-1.0, math.nan),
+}
+
+
+class TestRefusedAtTheBoundary:
+    """A spacing that is not finite and positive, and a NaN t or window end,
+    are refused (ValueError) by the public methods where they enter; they
+    once read a negative mass, divided by zero or cast NaN to an index."""
+
+    @pytest.mark.parametrize("spacing", [-1.0, 0.0, math.nan, math.inf])
+    def test_correlation_spacing_refused(self, spacing):
+        _, c, _, _ = _indicator_inputs()
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            Correlation(spacing, c.values)
+
+    @pytest.mark.parametrize("call", list(_NAN_INPUTS.values()), ids=list(_NAN_INPUTS))
+    def test_nan_refused(self, call):
+        with pytest.raises(ValueError, match="has a NaN"):
+            call(*_indicator_inputs())
+
+    def test_infinite_ends_read(self):
+        f, c, mc, _ = _indicator_inputs()
+        assert c.value(math.inf) == 0.0
+        assert c.integral_window(-math.inf, math.inf) == pytest.approx(c.mass, rel=1e-14)
+        assert f.integral(-math.inf, math.inf) == pytest.approx(f.l1_norm, rel=1e-14)
+        assert mc.interval_mass(-math.inf, math.inf) == pytest.approx(
+            (0.5 + f.l1_norm) ** 2, rel=1e-14)

@@ -24,7 +24,6 @@ from autocorr import (
     sample,
     search,
 )
-from autocorr.funcspace import _midpoint_samples
 from autocorr.functionals import (MIN01_CEILING, gauss_ceiling, gauss_ratio,
                                   lattice_and_norms, mean_ratio)
 from autocorr.search import (
@@ -672,11 +671,10 @@ def _sampled_scan(objective, family, a):
     for g in full:
         t2 = math.sqrt(g) ** 2  # theta^2 as the golden search gives it
         if family == "indicator":
-            A = max(t2, 1e-6)
-            samples, h = _midpoint_samples(Indicator(A), -A, A, 512)
+            f = sample(Indicator(max(t2, 1e-6)), cells=512)
         else:
-            f = Gaussian(min(max(t2, 1e-4), 1e6))
-            samples, h = _midpoint_samples(f, *f.default_support(), 1024)
+            f = sample(Gaussian(min(max(t2, 1e-4), 1e6)), cells=1024)
+        samples, h = f.samples, f.spacing
         spacings.append(h)
         try:
             value = kernel(lattice_and_norms(samples, h))
@@ -1044,6 +1042,14 @@ _PINNED = [
      "3d026bff7ea3556f1486c55b5090cdf1150673353a0c6cd56201fc3145d7d837"),
     ("gauss", "gaussian", {"a": 2 * PI}, 1, "0x1.ae898977574f0p-1", 26,
      "3d026bff7ea3556f1486c55b5090cdf1150673353a0c6cd56201fc3145d7d837"),
+    # the outward walk that spends its budget, the walk past the b >= 1e-4
+    # clamp (reported at theta = 0.01), and the BS example's one evaluation
+    ("gauss", "indicator", {"a": 1e-80, "budget": 100}, 0, "0x1.813d2541ccbbbp-83", 100,
+     "cb796c66e40c8ec855ab6e373224cdd6ee201c53ce0e81af389f65453fcea47c"),
+    ("gauss", "gaussian", {"a": 1e-5}, 2, "0x1.a6790a9ce8ce0p-6", 43,
+     "25e68664522c02aa4466d8af62adace541ccf571d77c8992aff775b02b42b08d"),
+    ("min01", "bs-example", {}, 0, "0x1.83e8191778b2fp-2", 1,
+     "2b818b3c1951d233eca45d482cb12814083d793c7e2b2be5d43a467096e8cf54"),
 ]
 
 

@@ -25,6 +25,7 @@ from .constants import (
 )
 from .correlate import (
     Correlation,
+    ZeroFunctionError,
     autocorrelate,
     autocorrelate_singular,
     dilate,
@@ -52,7 +53,6 @@ from .funcspace import (
 from .functionals import (
     InvariantViolation,
     RatioResult,
-    ZeroFunctionError,
     q_gauss,
     q_mean,
     q_min_01,

@@ -56,7 +56,7 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-8
     out: str = "."
-    json_path: Optional[str] = None
+    json: Optional[str] = None
     b: float = 1.0
     s: float = 0.5
     values: Optional[list] = None
@@ -71,7 +71,7 @@ class RunConfig:
 
 # The config keys each subcommand reads.  Each key is also a flag of that
 # subcommand (``p_min`` is ``--p-min``), except ``values``, a list, which only
-# a config file can give.  The key ``json`` fills the field ``json_path``.
+# a config file can give.
 _OPTIONS = {
     "constants": ("weight", "a", "p_min", "p_max", "out"),
     "roots": ("out",),
@@ -103,16 +103,12 @@ _HELP = {
 }
 
 
-def _field(key: str) -> str:
-    return "json_path" if key == "json" else key
-
-
 _HINTS = get_type_hints(RunConfig)
 
 
 def _field_type(key: str) -> tuple[type, bool]:
     """The type of a key's RunConfig field, and whether it may be None."""
-    hint = _HINTS[_field(key)]
+    hint = _HINTS[key]
     args = get_args(hint)                 # Optional[X] is Union[X, None]
     return (args[0], True) if args else (hint, False)
 
@@ -151,7 +147,7 @@ def _config_from_dict(data: dict) -> RunConfig:
     for key, value in data.items():
         if key != "command":
             _check_value(key, value)
-        kwargs[_field(key)] = value
+        kwargs[key] = value
     cfg = RunConfig(**kwargs)
     # the mean bound needs p >= 2; the sinc-power moments are certified up to
     # INTERVAL_MOMENT_P_MAX
@@ -344,10 +340,10 @@ def _run(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     results = verification.run_acceptance(fault=cfg.fault_inject)
     print(verification.format_table(results))
-    if cfg.json_path:
+    if cfg.json:
         payload = _report(cfg, [r.to_dict() for r in results])
         payload["passed"] = all(r.passed for r in results)
-        _write_json(Path(cfg.json_path), payload)
+        _write_json(Path(cfg.json), payload)
     if not all(r.passed for r in results):
         failed = [str(r.index) for r in results if not r.passed]
         print(f"FAILED criteria: {', '.join(failed)}", file=sys.stderr)
@@ -380,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if key == "values":
                 continue
             choices = _CHOICES.get(key)
-            default = RunConfig.__dataclass_fields__[_field(key)].default
+            default = RunConfig.__dataclass_fields__[key].default
             note = "" if default is None else f" (default {default})"
             p.add_argument("--" + key.replace("_", "-"), type=_field_type(key)[0],
                            default=argparse.SUPPRESS, help=(_HELP.get(key, "") + note).strip(),

@@ -14,6 +14,19 @@ one spacing per row, and give each row its own 1-D call's bits.
 A weighted mean int (f*f) w = sum_m c_m int hat_m w is a ``spectral`` weight's
 ``correlation_integral``: exact for the interval, proven to 2^-54 c_0 for the Gaussian.
 
+One rule puts every lattice at a width: the lattice at cell width h is the
+unit-width lattice (``lattice_autocorrelation``) times h.  ``at_width`` is
+that step: it scales a unit lattice and the norms to a width, the tuple
+(c, h, l1, l2) that the functionals' ratio cores read, and refuses the zero
+function and sample scales that the float range cannot hold.
+``lattice_and_norms`` correlates the cells and takes that step, and so does
+``autocorrelate``; the search's one-parameter families keep their profile's
+unit lattice and take it at every width they read.  The tuple also takes a
+stack, one row per function: a (rows, n) stack of cells on one width, as the
+search evaluates a round of candidates, or a scan's block of widths of one
+profile, one spacing per row.  Each field is then an array with one entry
+per row, bit for bit the row's own 1-D value.
+
 The singular BS example is handled separately: its correlation is a sum of
 incomplete elliptic integrals of the first kind, evaluated in closed form
 through Carlson's R_F (``_carlson_rf``), with no quadrature.  (Its L1 norm
@@ -23,17 +36,23 @@ through Carlson's R_F (``_carlson_rf``), with no quadrature.  (Its L1 norm
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft
 
-from .funcspace import BSExample, GridFunction, MixedMeasure, _readonly, _window
+from .funcspace import (BSExample, GridFunction, MixedMeasure, _l1_norm, _l2_norm, _readonly,
+                        _window)
 
 __all__ = [
     "Correlation",
     "autocorrelate",
     "lattice_autocorrelation",
+    "at_width",
+    "lattice_and_norms",
+    "LatticeAndNorms",
+    "ZeroFunctionError",
     "lattice_value",
     "lattice_min",
     "lattice_window_integral",
@@ -82,6 +101,65 @@ def lattice_autocorrelation(samples: np.ndarray) -> np.ndarray:
     end = np.zeros(samples.shape[:-1] + (1,))
     c = np.concatenate((end, pos[..., :0:-1], pos, end), axis=-1)  # the lags mirrored: even exactly
     return np.where(c < 0.0, 0.0, c)  # the FFT's rounding noise, clamped at 0
+
+
+# ---------------------------------------------------------------------------
+# the width step
+#
+# ``lattice_and_norms`` and ``at_width`` take cell values and widths that
+# the caller has checked (finite, nonnegative samples, positive spacing: a
+# GridFunction, the search's squared simplex parameters and checked cell
+# width, or its scan profiles and golden-search widths).
+# ---------------------------------------------------------------------------
+
+_TINY = sys.float_info.min     # the least normal float
+
+LatticeAndNorms = tuple[np.ndarray, float, float, float]
+
+
+class ZeroFunctionError(ValueError):
+    """The ratio is undefined for the zero function."""
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an FFT overflow is what the refusal reads
+def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
+    """(c, h, l1, l2) of the cell model: its unit-width lattice put
+    :func:`at_width` ``spacing``, with that step's refusals."""
+    return at_width(lattice_autocorrelation(samples), samples, spacing)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is what the refusal reads
+def at_width(unit: np.ndarray, samples: np.ndarray, spacing) -> LatticeAndNorms:
+    """(c, h, l1, l2) of the cells ``samples`` at width h = ``spacing``
+    from their unit-width lattice ``unit``: c = unit h.
+
+    ZeroFunctionError for all-zero cells.  ValueError when the float range
+    cannot hold their scale: f*f(0) = ||f||_2^2 read off the lattice (inf or
+    NaN after an overflow), l1 l2 or l1^2 is not finite or below the least
+    normal float, with no numpy warning on the way.  A stack, one row per
+    row of (rows, n) cells or per width of one profile, raises what its
+    first refused row raises alone.
+    """
+    per_row = isinstance(spacing, np.ndarray)
+    c = unit * (spacing[:, None] if per_row else spacing)
+    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
+    if c.ndim == 2:
+        c0 = c[:, c.shape[1] // 2]
+        bad = ~((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
+                & (_TINY <= l1 * l2) & (l1 * l2 < math.inf))
+        if bad.any():
+            r = int(np.argmax(bad))
+            at_width(unit[r] if unit.ndim == 2 else unit,
+                     samples[r] if samples.ndim == 2 else samples,
+                     spacing[r] if per_row else spacing)
+        return c, spacing, l1, l2
+    c0, l1, l2 = float(c[c.size // 2]), float(l1), float(l2)
+    if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
+            and _TINY <= l1 * l2 < math.inf):
+        if not samples.any():
+            raise ZeroFunctionError("functional undefined for the zero function")
+        raise ValueError(f"sample scale outside the float range: f*f(0) = {c0!r}, l1 = {l1!r}")
+    return c, spacing, l1, l2
 
 
 def _lattice_points(c: np.ndarray, spacing: float) -> np.ndarray:
@@ -169,9 +247,8 @@ def _lattice_antiderivative(c: np.ndarray, spacing, x: np.ndarray) -> np.ndarray
     u = np.clip(x / h + n, 0.0, 2.0 * n)  # position k of x = t_k = (k - n) h
     k = np.minimum(u.astype(np.int64), 2 * n - 1)
     frac = u - k
-    # the trapezoid sums, one cumulative sum along each row; a stack's stop at
-    # the last k read
-    m = c.shape[-1] - 1 if c.ndim == 1 else int(k.max(initial=0))
+    # the trapezoid sums, one cumulative sum along each row, up to the last k read
+    m = int(k.max(initial=0))
     trap = np.empty(c.shape[:-1] + (m + 1,))
     trap[..., 0] = 0.0
     steps = np.add(c[..., :m], c[..., 1:m + 1], out=trap[..., 1:])
@@ -185,9 +262,8 @@ def lattice_window_integral(c: np.ndarray, spacing, lo, hi):
     """Exact integral of the piecewise-linear correlation over [lo, hi], 0 where hi <= lo."""
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.float64),
                                  np.asarray(hi, dtype=np.float64))
-    F = _lattice_antiderivative(c, spacing, np.stack((hi, lo)))  # one cumulative sum
-    F_hi, F_lo = (F[0], F[1]) if c.ndim == 1 else (F[:, 0], F[:, 1])  # after a stack's rows
-    out = np.where(hi > lo, F_hi - F_lo, 0.0)
+    F = _lattice_antiderivative(c, spacing, np.stack((hi, lo), axis=-1))  # one cumulative sum
+    out = np.where(hi > lo, F[..., 0] - F[..., 1], 0.0)
     return out if out.ndim else float(out)
 
 
@@ -262,10 +338,16 @@ class Correlation:
 def autocorrelate(f: GridFunction) -> Correlation:
     """Autocorrelation of a grid function, exact on the lattice {k*h}.
 
-    Zero-padded fast correlation (:func:`lattice_autocorrelation`) times the
-    cell width, with the exact zeros at t = +-(support length) at the ends.
+    The lattice of :func:`lattice_and_norms`, with the exact zeros at
+    t = +-(support length) at the ends, and its ValueError for a sample
+    scale outside the float range.  The zero function has no ratio to
+    refuse: its correlation is the zero lattice.
     """
-    return Correlation(spacing=f.spacing, values=lattice_autocorrelation(f.samples) * f.spacing)
+    try:
+        c = lattice_and_norms(f.samples, f.spacing)[0]
+    except ZeroFunctionError:
+        c = np.zeros(2 * f.cells + 1)
+    return Correlation(spacing=f.spacing, values=c)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ class GridFunction:
 
     # -- norms ---------------------------------------------------------------
 
-    @property
+    @functools.cached_property  # read on every step of the Gaussian weight's cutoff
     def l1_norm(self) -> float:
         return float(_l1_norm(self.samples, self.spacing))
 

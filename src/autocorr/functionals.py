@@ -12,48 +12,36 @@ Every result is checked against its proven theorem ceiling; a breach raises
 :class:`InvariantViolation` since it can only come from a numerics bug.
 
 Each ratio has one array core (``mean_ratio``, ``gauss_ratio``,
-``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2).  One rule
-puts every lattice at a width: the lattice at cell width h is the
-unit-width lattice (``correlate.lattice_autocorrelation``) times h.
-``at_width`` is that step: it scales a unit lattice and the norms to a
-width and refuses the zero function and sample scales that the float range
-cannot hold.  ``lattice_and_norms`` correlates the cells and takes that
-step; the search's one-parameter families keep their profile's unit
-lattice and take it at every width they read.  The ``q_*`` functions build
-the tuple once and wrap the core's fields, with the Fourier side for the
-weighted means, in a :class:`RatioResult`; the search and criterion 6 call
-the cores, the time side alone, on their own tuple.  The tuple and the
-cores also take a stack, one row per function: a (rows, n) stack of cells
-on one width, as the search evaluates a round of candidates, or a scan's
-block of widths of one profile, one spacing per row.  Each field is then an
-array with one entry per row, bit for bit the row's own 1-D value.
+``min12_ratio``, ``min01_ratio``) on the tuple (c, h, l1, l2) that
+``correlate.lattice_and_norms`` or ``correlate.at_width`` makes.  The
+``q_*`` functions build the tuple once and wrap the core's fields, with the
+Fourier side for the weighted means, in a :class:`RatioResult`; the search
+and criterion 6 call the cores, the time side alone, on their own tuple.
+The cores also take the tuple of a stack, one row per function, and give
+one value per row, bit for bit the row's own 1-D value.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import sinc_min_roots
-from .correlate import autocorrelate_singular, lattice_autocorrelation, lattice_min
-from .funcspace import BSExample, GridFunction, _l1_norm, _l2_norm, bs_l1
+from .correlate import LatticeAndNorms, autocorrelate_singular, lattice_and_norms, lattice_min
+from .funcspace import BSExample, GridFunction, bs_l1
 from .spectral import GaussianWeight, IntervalWeight, Weight, mean_functional_fourier
 
 __all__ = [
     "RatioResult",
-    "ZeroFunctionError",
     "InvariantViolation",
     "q_mean",
     "q_gauss",
     "q_min_12",
     "q_min_01",
     "q_min_01_bs",
-    "lattice_and_norms",
-    "at_width",
     "mean_ratio",
     "gauss_ratio",
     "min12_ratio",
@@ -67,16 +55,11 @@ MIN01_CEILING = sinc_min_roots().min_l1_01   # 1/(2(1+theta0)), window-[0,1] pur
 # error reported by q_min_01_bs, 1e-8/||f||_1^2 + 1e-10 with ||f||_1 = bs_l1():
 # a fixed, conservative figure (the closed-form grid values are good to ~1e-15)
 BS_ERROR_ESTIMATE = 4.9232232874369055e-09
-_TINY = sys.float_info.min     # the least normal float
 
 
 def gauss_ceiling(a: float) -> float:
     """g_2(a) = (8a / (27 pi))^(1/4)."""
     return (8.0 * a / (27.0 * math.pi)) ** 0.25
-
-
-class ZeroFunctionError(ValueError):
-    """The ratio is undefined for the zero function."""
 
 
 class InvariantViolation(RuntimeError):
@@ -132,58 +115,11 @@ def _ceiling_check(functional: str, value, ceiling: float, err) -> None:
 # ---------------------------------------------------------------------------
 # array cores
 #
-# ``lattice_and_norms`` and ``at_width`` take cell values and widths that
-# the caller has checked (finite, nonnegative samples, positive spacing: a
-# GridFunction, the search's squared simplex parameters and checked cell
-# width, or its scan profiles and golden-search widths).  Each core reads its
-# tuple (c, h, l1, l2), returns the fields of a RatioResult after
-# ``functional`` and ``method``, (value, numerator, l1, l2,
-# error_estimate[, fourier_numerator]), and raises InvariantViolation on a
-# ceiling breach or a ratio that is not finite.
+# Each core reads its tuple (c, h, l1, l2), returns the fields of a
+# RatioResult after ``functional`` and ``method``, (value, numerator, l1,
+# l2, error_estimate[, fourier_numerator]), and raises InvariantViolation on
+# a ceiling breach or a ratio that is not finite.
 # ---------------------------------------------------------------------------
-
-LatticeAndNorms = tuple[np.ndarray, float, float, float]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an FFT overflow is what the refusal reads
-def lattice_and_norms(samples: np.ndarray, spacing: float) -> LatticeAndNorms:
-    """(c, h, l1, l2) of the cell model: its unit-width lattice put
-    :func:`at_width` ``spacing``, with that step's refusals."""
-    return at_width(lattice_autocorrelation(samples), samples, spacing)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is what the refusal reads
-def at_width(unit: np.ndarray, samples: np.ndarray, spacing) -> LatticeAndNorms:
-    """(c, h, l1, l2) of the cells ``samples`` at width h = ``spacing``
-    from their unit-width lattice ``unit``: c = unit h.
-
-    ZeroFunctionError for all-zero cells.  ValueError when the float range
-    cannot hold their scale: f*f(0) = ||f||_2^2 read off the lattice (inf or
-    NaN after an overflow), l1 l2 or l1^2 is not finite or below the least
-    normal float, with no numpy warning on the way.  A stack, one row per
-    row of (rows, n) cells or per width of one profile, raises what its
-    first refused row raises alone.
-    """
-    per_row = isinstance(spacing, np.ndarray)
-    c = unit * (spacing[:, None] if per_row else spacing)
-    l1, l2 = _l1_norm(samples, spacing), _l2_norm(samples, spacing)
-    if c.ndim == 2:
-        c0 = c[:, c.shape[1] // 2]
-        bad = ~((_TINY <= c0) & (c0 < math.inf) & (_TINY <= l1 * l1) & (l1 * l1 < math.inf)
-                & (_TINY <= l1 * l2) & (l1 * l2 < math.inf))
-        if bad.any():
-            r = int(np.argmax(bad))
-            at_width(unit[r] if unit.ndim == 2 else unit,
-                     samples[r] if samples.ndim == 2 else samples,
-                     spacing[r] if per_row else spacing)
-        return c, spacing, l1, l2
-    c0, l1, l2 = float(c[c.size // 2]), float(l1), float(l2)
-    if not (_TINY <= c0 < math.inf and _TINY <= l1 * l1 < math.inf
-            and _TINY <= l1 * l2 < math.inf):
-        if not samples.any():
-            raise ZeroFunctionError("functional undefined for the zero function")
-        raise ValueError(f"sample scale outside the float range: f*f(0) = {c0!r}, l1 = {l1!r}")
-    return c, spacing, l1, l2
 
 
 def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,

@@ -9,7 +9,7 @@ family's at theta^2 = 1, whose cell width (hi - lo) / cells follows theta^2,
 clamped to the range the family is sampled on.  A lattice is the unit-width
 lattice times the cell width, so each correlates its profile once, at unit
 width, on first use, and its scans and golden searches put that one lattice
-at every width they read (``functionals.at_width``, the step of
+at every width they read (``correlate.at_width``, the step of
 ``lattice_and_norms`` too), bit for bit the tuple of ``lattice_and_norms``
 at that width.  Each objective scans it once, at 288 values of theta^2 less
 the widths the Gaussian weight refuses, which are masked out before any
@@ -86,10 +86,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import _golden_min
-from .correlate import lattice_autocorrelation
+from .correlate import LatticeAndNorms, at_width, lattice_and_norms, lattice_autocorrelation
 from .funcspace import AnalyticFamily, Gaussian, Indicator, _readonly, sample
-from .functionals import (LatticeAndNorms, at_width, gauss_ratio, lattice_and_norms,
-                          mean_ratio, min01_ratio, min12_ratio, q_min_01_bs)
+from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs
 from .spectral import GaussianWeight
 
 __all__ = [

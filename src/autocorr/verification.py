@@ -189,7 +189,7 @@ def criterion_6(fault: bool = False) -> CriterionResult:
     for i in range(200):
         f = random_grid_function(rng)
         a = a_pool[i % 3]
-        lat = fun.lattice_and_norms(f.samples, f.spacing)  # one lattice of f*f for all
+        lat = corr.lattice_and_norms(f.samples, f.spacing)  # one lattice of f*f for all
         c, h, l1, _ = lat  # h c.sum() is Correlation.mass, the lattice trapezoid of f*f
         pairs = [
             (fun.mean_ratio(lat)[0], fun.MEAN_CEILING),

@@ -46,7 +46,6 @@ def test_criterion_6_reads_one_lattice_per_function(monkeypatch):
         calls.append(samples.size)
         return lattice(samples)
 
-    for module in (autocorr.correlate, autocorr.functionals):
-        monkeypatch.setattr(module, "lattice_autocorrelation", counted)
+    monkeypatch.setattr(autocorr.correlate, "lattice_autocorrelation", counted)
     assert criterion_6().passed
     assert len(calls) == 200 + 2 * 50 + 2 * 50 + 2 * 50

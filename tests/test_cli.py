@@ -13,7 +13,8 @@ from autocorr import GaussianWeight, GridFunction, IntervalWeight, cli, q_min_12
 from autocorr import constants as C
 from autocorr import dualcheck as dual
 from autocorr.cli import main
-from autocorr.functionals import InvariantViolation, ZeroFunctionError
+from autocorr.correlate import ZeroFunctionError
+from autocorr.functionals import InvariantViolation
 from autocorr.search import search
 
 
@@ -722,6 +723,7 @@ class TestVerifyFaultInjection:
         assert "FAILED criteria: 4" in captured.err
         rep = _load(out)
         assert rep["passed"] is False
+        assert rep["config"]["json"] == str(out)  # the echo names the flag's key
         by_idx = {r["criterion"]: r for r in rep["results"]}
         assert by_idx[4]["passed"] is False
 

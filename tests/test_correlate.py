@@ -1,6 +1,7 @@
 """Autocorrelation engine tests: grid, singular, periodization, measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ from autocorr import (
     sample,
 )
 from autocorr.correlate import (
+    MeasureCorrelation,
+    ZeroFunctionError,
     _carlson_rf,
+    lattice_and_norms,
     lattice_autocorrelation,
     lattice_min,
     lattice_value,
@@ -551,6 +555,52 @@ class TestMeasureAutocorrelate:
         right = mc.interval_mass(-b, -a)
         assert left == pytest.approx(right, rel=1e-12)
         assert left >= 0
+
+
+def _density(scale: float) -> GridFunction:
+    """64 cells of value ``scale`` on [-1/2, 1/2]."""
+    return GridFunction(-0.5, 1.0 / 64, np.full(64, scale))
+
+
+def _refusal(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is not the refusal
+        with pytest.raises(ValueError) as exc:
+            call()
+    return type(exc.value), str(exc.value)
+
+
+class TestWidthStep:
+    """``autocorrelate`` puts its lattice at the cell width through the
+    width step of the ratios, with its refusals; the measure correlation
+    built on it once read masses off by 1e-7 to 1e-3 relative at density
+    scales near 1e-160 and NaN, with two numpy warnings, at 1e160."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-158, 1e160])
+    def test_scale_outside_the_float_range_refused(self, scale):
+        d = _density(scale)
+        want = _refusal(lambda: lattice_and_norms(d.samples, d.spacing))
+        assert want[0] is ValueError
+        assert _refusal(lambda: autocorrelate(d)) == want
+        assert _refusal(lambda: MeasureCorrelation(MixedMeasure(density=d))) == want
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_representable_scale_reads_the_squared_mass(self, scale):
+        d = _density(scale)
+        mass = MeasureCorrelation(MixedMeasure(density=d)).interval_mass(-1.0, 1.0)
+        assert mass == pytest.approx(d.l1_norm ** 2, rel=1e-14)
+
+    def test_zero_density_gives_the_zero_lattice(self):
+        zero = GridFunction(-0.5, 1.0 / 64, np.zeros(64))
+        with pytest.raises(ZeroFunctionError):
+            lattice_and_norms(zero.samples, zero.spacing)
+        c = autocorrelate(zero)
+        assert _bits(c.values) == _bits(np.zeros(129)) and c.spacing == zero.spacing
+        atoms = ((-0.5, 0.3), (0.5, 0.3))
+        lo, hi = np.linspace(-1.5, 1.0, 11), np.linspace(-1.0, 1.5, 11)
+        with_zero = MeasureCorrelation(MixedMeasure(atoms=atoms, density=zero))
+        alone = MeasureCorrelation(MixedMeasure(atoms=atoms))
+        assert _bits(with_zero.interval_mass(lo, hi)) == _bits(alone.interval_mass(lo, hi))
 
 
 def _indicator_inputs():

@@ -26,13 +26,11 @@ from autocorr import (
     sample,
 )
 from autocorr import functionals, verification
-from autocorr.correlate import lattice_autocorrelation
+from autocorr.correlate import at_width, lattice_and_norms, lattice_autocorrelation
 from autocorr.functionals import (
     MIN01_CEILING,
-    at_width,
     gauss_ceiling,
     gauss_ratio,
-    lattice_and_norms,
     mean_ratio,
     min01_ratio,
     min12_ratio,

@@ -24,8 +24,8 @@ from autocorr import (
     sample,
     search,
 )
-from autocorr.functionals import (MIN01_CEILING, gauss_ceiling, gauss_ratio,
-                                  lattice_and_norms, mean_ratio)
+from autocorr.correlate import lattice_and_norms
+from autocorr.functionals import MIN01_CEILING, gauss_ceiling, gauss_ratio, mean_ratio
 from autocorr.search import (
     _SCANS,
     OBJECTIVES,

@@ -224,6 +224,19 @@ class TestWeightTails:
             assert w.tail_bound(f, hi) <= 0.5 * tol * (1 + 1e-12)
             assert w.tail_bound(f, 2 * hi) < w.tail_bound(f, hi)
 
+    def test_gaussian_cutoff_sums_the_cells_once(self, monkeypatch):
+        # the cutoff's loop reads ||f||_1 at each step; it once summed the
+        # cells at each (about 0.20 s of a 0.22 s q_gauss on 65536 cells)
+        import autocorr.funcspace as funcspace
+
+        calls, l1_norm = [], funcspace._l1_norm
+        monkeypatch.setattr(funcspace, "_l1_norm", lambda *args: calls.append(1) or l1_norm(*args))
+        f, w = sample(Gaussian(3.0), cells=256), GaussianWeight(200.0)
+        hi = w.cutoff(f, 1e-9)
+        assert hi > 10 and len(calls) == 1  # many steps, one sum
+        assert w.cutoff(f, 1e-12) > hi and len(calls) == 1
+        assert f.l1_norm == float(l1_norm(f.samples, f.spacing))
+
 
 def _gauss_time_cases():
     """(label, lattice values, spacing, a, ||f||_1) of the Gaussian time side."""

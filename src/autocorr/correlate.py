@@ -12,7 +12,10 @@ functionals' array cores both call them, so there is one implementation.
 The kernels also take a stack of lattices, one row each, at one spacing or
 one spacing per row, and give each row its own 1-D call's bits.
 A weighted mean int (f*f) w = sum_m c_m int hat_m w is a ``spectral`` weight's
-``correlation_integral``: exact for the interval, proven to 2^-54 c_0 for the Gaussian.
+``correlation_integral``: exact for the interval; for the Gaussian, a closed
+form on a lattice coarser than its reach, else a quadrature whose error is
+proven below 2^-54 c_0 with exact nodes and measured at up to 3.8e-14 c_0
+with numpy's rounded ones.
 
 One rule puts every lattice at a width: the lattice at cell width h is the
 unit-width lattice (``lattice_autocorrelation``) times h.  ``at_width`` is

@@ -146,7 +146,7 @@ class GridFunction:
 
     # -- norms ---------------------------------------------------------------
 
-    @functools.cached_property  # read on every step of the Gaussian weight's cutoff
+    @functools.cached_property  # summed once: the Gaussian cutoff and tail bound read it again
     def l1_norm(self) -> float:
         return float(_l1_norm(self.samples, self.spacing))
 

@@ -126,7 +126,7 @@ def _weighted_mean(lat: LatticeAndNorms, w: Weight, label: str, ceiling: float,
                    f: Optional[GridFunction] = None, tol: float = 0.0) -> tuple:
     """The time side; given f, then also its Fourier side to tol ||f||_1 ||f||_2."""
     c, h, l1, l2 = lat
-    num = w.correlation_integral(c, h)  # first: it refuses a too coarse lattice at once
+    num = w.correlation_integral(c, h)
     err = 1e-13 * l1 * l1  # time side is exact up to rounding
     fourier_num = None
     if f is not None:

@@ -11,10 +11,8 @@ lattice times the cell width, so each correlates its profile once, at unit
 width, on first use, and its scans and golden searches put that one lattice
 at every width they read (``correlate.at_width``, the step of
 ``lattice_and_norms`` too), bit for bit the tuple of ``lattice_and_norms``
-at that width.  Each objective scans it once, at 288 values of theta^2 less
-the widths the Gaussian weight refuses, which are masked out before any
-evaluation (``GaussianWeight.accepts``).  The scan evaluates the rest in a
-few stacked evaluations, blocks of widths with one lattice row and one
+at that width.  Each objective scans it once, at 288 values of theta^2, in
+a few stacked evaluations, blocks of widths with one lattice row and one
 spacing each, and each value is bit for bit the golden search's one-width
 evaluation at its theta^2.  The cached scan gives the floor (``baseline``)
 and the bracket between the neighbours of its best point.  Their search
@@ -22,8 +20,7 @@ evaluates that point, so no record ends below its floor, then narrows the
 bracket by golden section (``constants._golden_min``) to 1e-6 relative; it
 ignores the seed.  A best point at an end of the scan first walks outward,
 doubling or halving theta^2 while the ratio rises, so the search reaches
-past the scan as far as the clamps; a scan that keeps one point walks away
-from the end of the full scan that point sits at.  The search clamps theta^2
+past the scan as far as the clamps.  The search clamps theta^2
 before it takes theta, so a point past a clamp is scored and recorded at the
 clamp.  The ``piecewise`` family runs a seeded multi-restart Nelder-Mead
 simplex (reflection / expansion / contraction / shrink) on the unconstrained
@@ -89,7 +86,6 @@ from .constants import _golden_min
 from .correlate import LatticeAndNorms, at_width, lattice_and_norms, lattice_autocorrelation
 from .funcspace import AnalyticFamily, Gaussian, Indicator, _readonly, sample
 from .functionals import gauss_ratio, mean_ratio, min01_ratio, min12_ratio, q_min_01_bs
-from .spectral import GaussianWeight
 
 __all__ = [
     "SearchRecord",
@@ -234,10 +230,8 @@ def _evaluate(spacing: float, kernel: _Kernel, params: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
-                   full: Sequence[float]) -> None:
-    """Minimize fn over theta^2 from the scan's best point grid[i]; ``full``
-    is the family's whole scan, of which ``grid`` keeps a run.  Every
+def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int) -> None:
+    """Minimize fn over theta^2 from the scan's best point grid[i].  Every
     evaluation goes through fn, which keeps the budget, the trace and the
     best, and scores inf once the budget is spent."""
     f_mid = fn(grid[i])  # the scan's best point first: no record ends below its floor
@@ -245,13 +239,11 @@ def _golden_search(fn: Callable[[float], float], grid: Sequence[float], i: int,
         _golden_min(fn, grid, i, _GOLDEN_RTOL * grid[i])
         return
     # Past an end of the scan: step outward by a factor of 2 while fn falls,
-    # then bracket the last best point between its two neighbours.  A scan
-    # that kept one point walks away from the end of the full scan it sits
-    # at, and the point is its own inner neighbour.  Beyond a spacing clamp
-    # fn is flat, so the walk stops one step past it.
-    up = i == len(grid) - 1 and grid[i] != full[0]
+    # then bracket the last best point between its two neighbours.  Beyond a
+    # spacing clamp fn is flat, so the walk stops one step past it.
+    up = i == len(grid) - 1
     step = 2.0 if up else 0.5
-    inner = grid[i - 1 if up else i + 1] if len(grid) > 1 else grid[i]
+    inner = grid[i - 1 if up else i + 1]
     mid = grid[i]
     while True:
         outer = mid * step
@@ -390,13 +382,10 @@ def _scan(objective: str, family: str,
     """The family's scan grid, the ratio at each of its values, and the index of
     the first best one.  Cached, so the floor and every search share one scan.
 
-    The values whose widths the objective refuses (a Gaussian too wide for
-    the Gaussian weight's per-cell rule) are left out of the grid before any
-    evaluation; if every value is refused, the first one is evaluated and
-    raises its refusal.  The rest are evaluated in blocks of widths, one
-    stacked evaluation of the objective each, off the family's one lattice;
-    each value is bit for bit ``_Dilations.ratio`` at its theta^2 and still
-    passes the scale refusals and the objective's own checks.  The scan's
+    The values are evaluated in blocks of widths, one stacked evaluation of
+    the objective each, off the family's one lattice; each value is bit for
+    bit ``_Dilations.ratio`` at its theta^2 and still passes the scale
+    refusals and the objective's own checks.  The scan's
     widths are module constants, all positive floats, so they are not
     checked again.
     """
@@ -404,15 +393,10 @@ def _scan(objective: str, family: str,
     if family not in _SCANS:
         raise ValueError(f"no scannable baseline for family {family!r}")
     scan = _SCANS[family]
-    keep = np.arange(scan.grid.size)
-    if objective == "gauss":  # no other objective refuses a width of the scans
-        accepted = GaussianWeight(a).accepts(scan.widths)
-        keep = np.flatnonzero(accepted) if accepted.any() else keep[:1]
-    widths = scan.widths[keep]
     block = max(1, _SCAN_BLOCK_VALUES // (2 * scan.profile.size + 1))
-    values = np.concatenate([kernel(scan.lattice(widths[s:s + block]))
-                             for s in range(0, widths.size, block)])
-    return tuple(scan.grid[keep].tolist()), tuple(values.tolist()), int(np.argmax(values))
+    values = np.concatenate([kernel(scan.lattice(scan.widths[s:s + block]))
+                             for s in range(0, scan.widths.size, block)])
+    return tuple(scan.grid.tolist()), tuple(values.tolist()), int(np.argmax(values))
 
 
 def baseline(objective: str, family: str, a: Optional[float] = None) -> float:
@@ -474,7 +458,7 @@ def search(objective: str, family: str, budget: int = DEFAULT_BUDGET, seed: int 
             return -value  # golden section minimizes
 
         grid, _, i = _scan(objective, family, a)
-        _golden_search(negated, grid, i, scan.grid)
+        _golden_search(negated, grid, i)
         runs = [run]
     elif family == "piecewise":
         dim = DEFAULT_DIMENSION if dimension is None else dimension

@@ -436,14 +436,31 @@ class TestExitCodes:
         assert main(["roots", "--out", str(tmp_path)]) == code
 
     @pytest.mark.parametrize("command", ["evaluate", "search"])
-    def test_coarse_lattice_exits_2_from_either_command(self, tmp_path, capsys, command):
-        # the library's ValueError reaches main unwrapped from either command
+    def test_coarse_lattice_exits_0_from_either_command(self, tmp_path, command):
+        # at a = 1e10 the Gaussian weight lies inside the first cell of the
+        # evaluated lattice and of most of the search's; the time side is the
+        # closed form there, and each report stays below g_2(a)
         budget = ["--budget", "100"] if command == "search" else []
         out = tmp_path / "out"
         assert main([command, "--family", "gaussian", "--functional", "gauss",
-                     "--a", "1e10", *budget, "--out", str(out)]) == 2
-        assert "bad input: lattice too coarse" in capsys.readouterr().err
-        assert not out.exists()
+                     "--a", "1e10", *budget, "--out", str(out)]) == 0
+        with open(out / f"{command}_report.json") as fh:
+            r = json.load(fh)["results"][0]
+        value = r["best_value" if command == "search" else "value"]
+        assert 0.0 < value <= (8e10 / (27 * math.pi)) ** 0.25
+        if command == "evaluate":  # the a -> inf limit (pi/2)^(1/4)/sqrt(pi)
+            assert abs(value - (math.pi / 2) ** 0.25 / math.sqrt(math.pi)) <= 1e-7
+            assert r["error_estimate"] <= 1e-8 * r["l1"] * r["l2"]
+
+    def test_term_limit_exits_2_without_a_traceback(self, tmp_path, capsys):
+        # a = 1e308 puts the Fourier cutoff past the float range; the term
+        # limit refuses it in floats (math.ceil(inf) raised OverflowError)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--family", "gaussian", "--functional", "gauss",
+                     "--a", "1e308", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: the Fourier side would sum inf terms")
+        assert "Traceback" not in err and not out.exists()
 
 
     def test_cells_no_array_can_hold_exit_2(self, tmp_path, capsys):

@@ -101,12 +101,16 @@ class TestFourierSide:
             assert g.fourier_numerator == mean_functional_fourier(f, GaussianWeight(2 * PI),
                                                                   tol=tol)
 
-    def test_coarse_lattice_refused_before_the_fourier_side(self, monkeypatch):
-        # the time side refuses a lattice too coarse for the Gaussian weight at
-        # once; the Fourier side, which would sum about 2e7 terms here, never runs
-        monkeypatch.setattr(functionals, "mean_functional_fourier", None)
+    def test_term_limit_refused_before_the_dft(self, monkeypatch):
+        # the coarse lattice's time side is its closed form; the Fourier side
+        # would sum 3.8e8 terms up to its cutoff, and refuses them
+        # before any DFT
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a DFT was started")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
         f = sample(Gaussian(1.0), support=(-1000.0, 1000.0), cells=2048)
-        with pytest.raises(ValueError, match="lattice too coarse"):
+        with pytest.raises(ValueError, match="terms, more than 67108864: the cutoff Xi"):
             q_gauss(f, 1e10)
 
 

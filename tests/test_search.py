@@ -402,8 +402,8 @@ class TestLockstep:
         assert rounds == [4] * min(k for _, k in faults)
 
     def test_refused_round_is_evaluated_once(self, monkeypatch):
-        # h sqrt(2a) = 28 is too coarse for the Gaussian weight on every row,
-        # so the first round is refused as one stacked evaluation
+        # cells 1e-170 wide put every row's scale outside the float range, so
+        # the first round is refused as one stacked evaluation
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
         calls = []
 
@@ -413,10 +413,10 @@ class TestLockstep:
 
         monkeypatch.setattr(search_mod, "_evaluate", counted)
         with pytest.raises(ValueError) as exc:
-            search("gauss", "piecewise", a=1e5)
+            search("gauss", "piecewise", a=2 * PI, halfwidth=8e-170)
         assert type(exc.value) is ValueError
-        assert str(exc.value) == ("lattice too coarse for the Gaussian weight: h sqrt(2a) = 28 "
-                                  "needs more than 64 Gauss nodes a cell")
+        assert str(exc.value) == ("sample scale outside the float range: "
+                                  "f*f(0) = 1.6e-169, l1 = 1.6e-169")
         assert len(calls) == 1
 
 
@@ -539,74 +539,30 @@ class TestReachPastTheScan:
             assert rec.best_params[0] ** 2 == pytest.approx(2 * a, rel=1e-4)
         assert rec.evaluations < 100
 
-    @pytest.mark.parametrize("family, a, refused", [("gaussian", 1.2e5, True),
-                                                    ("gaussian", 2e5, True),
-                                                    ("indicator", 1e6, True),
-                                                    ("gaussian", 2 * PI, False),
-                                                    ("gaussian", 1e5, False)])
-    def test_refused_lattices_left_out_of_the_scan(self, family, a, refused):
-        # from a = 1.2e5 the widest Gaussians of the scan (the longest
-        # indicators from a = 1e6) give lattices too coarse for the Gaussian
-        # weight's per-cell rule; the scan keeps the rest, a run of the grid
+    @pytest.mark.parametrize("family, a", [("gaussian", 4.1e8), ("indicator", 1.8e8),
+                                           ("gaussian", 1e10), ("indicator", 1e10)])
+    def test_coarse_scan_walks_out(self, family, a):
+        # from a = 1.2e5 the widest functions of the scan give lattices whose
+        # first cell holds the Gaussian weight's reach, and from a = 1.8e8
+        # most do; their time side is the first cell's closed form, so
+        # the scan keeps all 288 values, its best is an end, and the walk goes
+        # past it, every value below g_2(a)
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        full = tuple(float(g) for g in search_mod._SCANS[family].grid)
         grid, values, i = search_mod._scan("gauss", family, a)
-        assert len(grid) == len(values) and values[i] == max(values)
-        start = full.index(grid[0])
-        assert grid == full[start:start + len(grid)]
-        assert (len(grid) < len(full)) == refused
-        assert baseline("gauss", family, a=a) == values[i]
-
-    @pytest.mark.parametrize("family, a, kept", [("gaussian", 4.1e8, 200.0),
-                                                 ("indicator", 1.8e8, 0.26)])
-    def test_scan_of_one_point_walks_out(self, family, a, kept):
-        # the scan keeps only the narrowest function of the family, an end of
-        # the full scan; the walk used to read a second grid point and raise
-        # IndexError
-        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
-        grid, _, _ = search_mod._scan("gauss", family, a)
-        assert grid == (pytest.approx(kept, rel=1e-15),)
+        assert grid == tuple(_SCANS[family].grid.tolist())
+        assert i == (len(grid) - 1 if family == "gaussian" else 0)
         rec = search("gauss", family, a=a)
-        assert rec.best_value >= baseline("gauss", family, a=a)
+        assert max(values) <= rec.best_value <= gauss_ceiling(a)
         assert rec.trace[-1][1] > rec.trace[0][1]  # the walk went past the scan
         assert rec.evaluations < 100
+        if family == "gaussian":  # b = 2a lies past the clamp b <= 1e6
+            assert rec.best_params == (1000.0,)
 
-    def test_all_refused_raises(self):
-        # at a = 1e10 no value of the scan gives an accepted lattice
-        with pytest.raises(ValueError, match="lattice too coarse"):
-            search("gauss", "gaussian", a=1e10)
-
-    @pytest.mark.parametrize("family, a", [("gaussian", 1.2e5), ("gaussian", 2e5),
-                                           ("indicator", 1e6), ("indicator", 1.8e8),
-                                           ("gaussian", 4.1e8), ("gaussian", 1e10)])
-    def test_refusals_keep_the_per_width_grid(self, family, a):
-        # the widths the Gaussian weight refuses are masked out before the
-        # stacked evaluation; the scan is still the one of trying every width
-        # alone and leaving out the refused ones, value for value, and a scan
-        # that refuses every width raises the first width's own refusal
-        search_mod = importlib.import_module("autocorr.search")
-        scan, kernel = search_mod._SCANS[family], _objective_kernel("gauss", a)
-        grid, values, refusals = [], [], []
-        for g in scan.grid:
-            try:
-                value = scan.ratio(kernel, math.sqrt(g) ** 2)
-            except ValueError as err:
-                refusals.append(str(err))
-            else:
-                grid.append(float(g))
-                values.append(value)
-        search_mod._scan.cache_clear()
-        try:
-            if not values:
-                with pytest.raises(ValueError, match="lattice too coarse") as got:
-                    search_mod._scan("gauss", family, a)
-                assert str(got.value) == refusals[0]
-                return
-            got = search_mod._scan("gauss", family, a)
-        finally:
-            search_mod._scan.cache_clear()
-        assert got[0] == tuple(grid) and got[2] == int(np.argmax(values))
-        assert [v.hex() for v in got[1]] == [v.hex() for v in values]
+    def test_coarse_piecewise_search(self):
+        # h sqrt(2a) = 28 on every candidate: each is the first cell's closed form
+        rec = search("gauss", "piecewise", a=1e5)
+        assert rec.evaluations == 2000
+        assert 3.8 < rec.best_value <= gauss_ceiling(1e5)
 
     def test_walk_stops_past_the_builder_clamp(self):
         # b* = 2e-5 lies beyond the clamp b >= 1e-4, where the ratio is flat
@@ -663,8 +619,8 @@ class TestReachPastTheScan:
 def _sampled_scan(objective, family, a):
     """The scan as the families were evaluated before one profile stood for
     each: the function sampled anew at every theta^2 of the scan, with the
-    builder clamps, and its own ``lattice_and_norms`` tuple; a value whose
-    lattice the objective refuses is left out.  Also each theta^2's width."""
+    builder clamps, and its own ``lattice_and_norms`` tuple.  Also each
+    theta^2's width."""
     kernel = _objective_kernel(objective, a)
     full = np.linspace(0.26, 6.0, 288) if family == "indicator" else np.geomspace(0.05, 200.0, 288)
     grid, values, spacings = [], [], []
@@ -676,17 +632,15 @@ def _sampled_scan(objective, family, a):
             f = sample(Gaussian(min(max(t2, 1e-4), 1e6)), cells=1024)
         samples, h = f.samples, f.spacing
         spacings.append(h)
-        try:
-            value = kernel(lattice_and_norms(samples, h))
-        except ValueError:
-            continue
         grid.append(float(g))
-        values.append(value)
+        values.append(kernel(lattice_and_norms(samples, h)))
     return tuple(grid), tuple(values), int(np.argmax(values)), spacings
 
 
 _SCAN_CASES = [(o, f, 2 * PI if o == "gauss" else None)
                for o in OBJECTIVES for f in ("indicator", "gaussian")]
+_COARSE_SCAN_CASES = [("gauss", "gaussian", a) for a in (1.2e5, 2e5, 4.1e8, 1e10)] + \
+    [("gauss", "indicator", a) for a in (1e6, 1.8e8)]
 
 
 class TestOneLatticePerScan:
@@ -723,10 +677,11 @@ class TestOneLatticePerScan:
             clear()
         assert calls == [True]
 
-    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES)
+    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + _COARSE_SCAN_CASES)
     def test_scan_is_stacked(self, monkeypatch, objective, family, a):
         # the scan makes no per-width evaluation: its blocks of widths go
-        # through the objective's array core, bit for bit each width's own
+        # through the objective's array core, bit for bit each width's own,
+        # coarse lattices (the gauss objective from a = 1.2e5) included
         search_mod = importlib.import_module("autocorr.search")
         scan, kernel = search_mod._SCANS[family], _objective_kernel(objective, a)
         want = [scan.ratio(kernel, math.sqrt(g) ** 2) for g in scan.grid]
@@ -798,7 +753,7 @@ class TestOneLatticePerScan:
     @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + [("gauss", "gaussian", 1.2e5),
                                                                     ("gauss", "indicator", 1e6)])
     def test_scan_equals_the_sampled_families(self, objective, family, a):
-        # the same grid, refusals included, and best point; the indicator's
+        # the same grid and best point; the indicator's
         # cells are all 1 at every width, so its values keep every bit, while
         # the Gaussian's move by the rounding of b x^2
         search_mod = importlib.import_module("autocorr.search")  # the name is shadowed

@@ -225,8 +225,8 @@ class TestWeightTails:
             assert w.tail_bound(f, 2 * hi) < w.tail_bound(f, hi)
 
     def test_gaussian_cutoff_sums_the_cells_once(self, monkeypatch):
-        # the cutoff's loop reads ||f||_1 at each step; it once summed the
-        # cells at each (about 0.20 s of a 0.22 s q_gauss on 65536 cells)
+        # the cutoff and the tail bound read ||f||_1, cached on f: the cells
+        # are summed once however often either is called
         import autocorr.funcspace as funcspace
 
         calls, l1_norm = [], funcspace._l1_norm
@@ -236,6 +236,57 @@ class TestWeightTails:
         assert hi > 10 and len(calls) == 1  # many steps, one sum
         assert w.cutoff(f, 1e-12) > hi and len(calls) == 1
         assert f.l1_norm == float(l1_norm(f.samples, f.spacing))
+
+    @pytest.mark.parametrize("a", [0.5, 2 * PI, 200.0, 1e8, 1e12])
+    def test_gaussian_cutoff_is_the_closed_form(self, a):
+        # c Xi^2 = log(||f||_1^2 / (c tol/2)) leaves tail_bound = (tol/2)/Xi;
+        # at a = 1e8 the loop's cap near 1e4 left 1.66e7 times tol/2
+        f = sample(Gaussian(1.0), cells=65536)
+        w = GaussianWeight(a)
+        for rel in (1e-6, 1e-8, 1e-12):
+            tol = rel * f.l1_norm * f.l2_norm
+            hi = w.cutoff(f, tol)
+            assert hi >= 1.0 and w.tail_bound(f, hi) <= 0.5 * tol
+            if hi > 1.0:
+                assert w.tail_bound(f, hi) == pytest.approx(0.5 * tol / hi, rel=1e-9)
+        if a == 1e8:
+            assert w.cutoff(f, 1e-8 * f.l1_norm * f.l2_norm) > 1.5e4
+
+    def test_cutoffs_have_no_cap(self):
+        # the interval weight's cutoff was capped at 2e5, short of tol/2 here
+        f = sample(Gaussian(3.0), cells=256)
+        w = IntervalWeight()
+        hi = w.cutoff(f, 1e-16)
+        assert hi > 2e5 and w.tail_bound(f, hi) <= 0.5e-16 * (1 + 1e-12)
+
+    def test_gaussian_cutoff_at_the_ends(self):
+        # no tail: the zero function, and a subnormal a (c = inf); a = 1e308
+        # needs a cutoff past the float range, which is inf, not an error
+        zero = GridFunction(0.0, 0.1, np.zeros(4))
+        f = sample(Gaussian(1.0), cells=64)
+        assert GaussianWeight(2 * PI).cutoff(zero, 1e-9) == 1.0
+        assert GaussianWeight(5e-324).cutoff(f, 1e-9) == 1.0
+        assert GaussianWeight(1e308).cutoff(f, 1e-8) == math.inf
+
+
+def _mp_time_side(c, h, a, dps=40):
+    """int (f*f) w on the piecewise-linear lattice c at spacing h, in mpmath:
+    per cell [p, q] of the nonnegative half, with c = alpha + beta t there,
+    alpha (erf(sqrt(a) q) - erf(sqrt(a) p))/2 + beta (e^(-a p^2) - e^(-a q^2))
+    / (2 sqrt(a pi)), doubled as c and w are even."""
+    mpmath = pytest.importorskip("mpmath")
+    n = c.size // 2
+    with mpmath.workdps(dps):
+        am, hm = mpmath.mpf(a), mpmath.mpf(h)
+        ra, total = mpmath.sqrt(am), mpmath.mpf(0)
+        for k in range(n):
+            p, q = k * hm, (k + 1) * hm
+            c0, c1 = mpmath.mpf(c[n + k]), mpmath.mpf(c[n + k + 1])
+            beta = (c1 - c0) / hm
+            total += ((c0 - beta * p) * (mpmath.erf(ra * q) - mpmath.erf(ra * p)) / 2
+                      + beta * (mpmath.exp(-am * p * p) - mpmath.exp(-am * q * q))
+                      / (2 * mpmath.sqrt(am * mpmath.pi)))
+        return float(2 * total)
 
 
 def _gauss_time_cases():
@@ -264,25 +315,11 @@ class TestGaussianTimeSide:
     @pytest.mark.parametrize("label, c, h, a, l1", _GAUSS_CASES,
                              ids=[case[0] for case in _GAUSS_CASES])
     def test_against_erf_closed_form(self, label, c, h, a, l1):
-        # per lattice cell [p, q], int (alpha + beta t) sqrt(a/pi) exp(-a t^2) dt
-        # = alpha (erf(sqrt(a) q) - erf(sqrt(a) p))/2
-        #   + beta (exp(-a p^2) - exp(-a q^2)) / (2 sqrt(a pi)), at 30 digits
-        mpmath = pytest.importorskip("mpmath")
-        n = c.size // 2
-        with mpmath.workdps(30):
-            am, hm = mpmath.mpf(a), mpmath.mpf(h)
-            ts = [(k - n) * hm for k in range(2 * n + 1)]
-            erfs = [mpmath.erf(mpmath.sqrt(am) * t) for t in ts]
-            gs = [mpmath.exp(-am * t * t) for t in ts]
-            ref = mpmath.mpf(0)
-            for k in range(2 * n):
-                beta = (mpmath.mpf(c[k + 1]) - mpmath.mpf(c[k])) / hm
-                alpha = mpmath.mpf(c[k]) - beta * ts[k]
-                ref += (alpha * (erfs[k + 1] - erfs[k]) / 2
-                        + beta * (gs[k] - gs[k + 1]) / (2 * mpmath.sqrt(am * mpmath.pi)))
-            ref = float(ref)
+        # the lattice is even, bit for bit, so its nonnegative half doubled
+        # is the whole integral
+        assert np.array_equal(c, c[::-1])
         got = GaussianWeight(a).correlation_integral(c, h)
-        assert abs(got - ref) <= 1e-14 * l1 * l1
+        assert abs(got - _mp_time_side(c, h, a, dps=30)) <= 1e-14 * l1 * l1
 
     @pytest.mark.parametrize("label, c, h, a, l1", _GAUSS_CASES,
                              ids=[case[0] for case in _GAUSS_CASES])
@@ -309,11 +346,43 @@ class TestGaussianTimeSide:
         counts = [_gauss_node_count(s) for s in np.geomspace(1e-8, 19.9, 60)]
         assert counts == sorted(counts) and counts[-1] <= 64
 
-    def test_too_coarse_a_lattice_raises(self):
-        # h sqrt(2a) = 21: no rule of at most 64 nodes meets the bound
-        h = 21 / math.sqrt(4 * PI)
-        with pytest.raises(ValueError, match="64 Gauss nodes"):
-            GaussianWeight(2 * PI).correlation_integral(np.array([0.0, 1.0, 0.0]), h)
+    def test_coarse_lattice_is_the_closed_form(self):
+        # past the 64-node limit h sqrt(2a) = 19.94 the reach lies inside the
+        # first cell, and the integral has a two-term closed form: 40 random
+        # lattices, h sqrt(2a) up to 2e4 and a from 1e-2 to 1e308, the first
+        # just past the limit at a = 1e-2 and the second at a = 1e308
+        from autocorr.correlate import lattice_autocorrelation
+        from autocorr.spectral import _node_limits
+
+        rng = np.random.default_rng(41)
+        edge = float(_node_limits()[-1])
+        for i in range(40):
+            s = edge * math.exp(rng.uniform(0.0, math.log(2e4 / edge))) if i else edge * 1.0001
+            a = 10.0 ** rng.uniform(-2.0, 308.0) if i > 1 else (1e-2, 1e308)[i]
+            h = s / (math.sqrt(2.0) * math.sqrt(a))
+            c = lattice_autocorrelation(rng.uniform(0.0, 2.0, int(rng.integers(1, 9))) ** 2) * h
+            got = GaussianWeight(a).correlation_integral(c, h)
+            assert abs(got - _mp_time_side(c, h, a)) <= 1e-15 * float(c.max()), (s, a)
+
+    def test_gauss_legendre_error_is_measured(self):
+        # numpy's rounded Gauss-Legendre weights: the quadrature, proven below
+        # 2^-54 c_0 with exact nodes, errs by up to 3.8e-14 c_0 near
+        # h sqrt(2a) = 18.8 (worst of 568 widths spread over each node count's
+        # range); this holds it under 5e-14 c_0 from h sqrt(2a) = 1e-6 to 19.94
+        from autocorr.correlate import lattice_autocorrelation
+        from autocorr.spectral import _node_limits
+
+        limits = np.concatenate([[1e-6], _node_limits()[_node_limits() > 1e-6]])
+        ss = np.unique(np.concatenate([np.geomspace(lo, hi, 3)
+                                       for lo, hi in zip(limits[:-1], limits[1:])]))
+        a, worst = 2 * PI, 0.0
+        for s in ss.tolist():
+            h = s / math.sqrt(2 * a)
+            for f in (np.ones(1), np.array([1.0, 0.2, 3.0, 0.5])):
+                c = lattice_autocorrelation(f) * h
+                err = abs(GaussianWeight(a).correlation_integral(c, h) - _mp_time_side(c, h, a))
+                worst = max(worst, err / float(c.max()))
+        assert worst <= 5e-14
 
     def test_node_counts_are_the_per_k_rule(self):
         # the limits stand for the rule that tried k = 1, 2, ... in turn: at
@@ -328,28 +397,22 @@ class TestGaussianTimeSide:
         probes = [s + k * math.ulp(s) for s in limits for k in range(-3, 4)]
         probes += np.geomspace(1e-20, 25.0, 2001).tolist()
         for s in probes:
-            want = first_k(s)
-            if want is None:
-                with pytest.raises(ValueError, match="64 Gauss nodes"):
-                    _gauss_node_count(s)
-            else:
-                assert _gauss_node_count(s) == want, s
+            # 65 past the last limit: the closed form, no nodes
+            assert _gauss_node_count(s) == (65 if first_k(s) is None else first_k(s)), s
 
-    def test_accepts_the_widths_it_integrates(self):
+    def test_either_side_of_the_node_limit(self):
+        # 64 nodes just below h sqrt(2a) = 19.94 and the closed form just
+        # above it give the integral to the measured quadrature error
         from autocorr.correlate import lattice_autocorrelation
-        from autocorr.spectral import _node_limits
+        from autocorr.spectral import _gauss_node_count, _node_limits
 
-        w = GaussianWeight(2 * PI)
-        edge = _node_limits()[-1] / math.sqrt(4 * PI)
-        hs = np.array([1e-3, edge * (1 - 1e-15), edge * (1 + 1e-15), 10.0])
-        for h, ok in zip(hs, w.accepts(hs).tolist()):
-            c = lattice_autocorrelation(np.ones(3)) * h
-            if ok:
-                w.correlation_integral(c, h)
-            else:
-                with pytest.raises(ValueError, match="64 Gauss nodes"):
-                    w.correlation_integral(c, h)
-        assert w.accepts(hs).tolist() == [True, True, False, False]
+        a, edge = 2 * PI, float(_node_limits()[-1])
+        for s, k in ((edge, 64), (math.nextafter(edge, math.inf), 65), (edge * 1.01, 65)):
+            h = s / (math.sqrt(2.0) * math.sqrt(a))
+            assert _gauss_node_count(h * math.sqrt(2.0) * math.sqrt(a)) == k
+            c = lattice_autocorrelation(np.array([1.0, 0.3, 2.0])) * h
+            got = GaussianWeight(a).correlation_integral(c, h)
+            assert abs(got - _mp_time_side(c, h, a)) <= 5e-14 * float(c.max())
 
 
 def _bits(x) -> list:
@@ -359,12 +422,19 @@ def _bits(x) -> list:
 def _one_lattice_time_side(values, h, a):
     """The Gaussian time side as each lattice had it alone: the first node
     count that meets the rule, its own exp table over its cells and its own
-    einsum (a one-cell table sums in another order than a wider one)."""
+    einsum (a one-cell table sums in another order than a wider one); past
+    the 64-node limit, the first cell's closed form with erf and exp, which
+    round to 1 and 0 there."""
     from autocorr.spectral import _meets_rule
 
     n = values.size // 2
+    s = h * math.sqrt(2.0) * math.sqrt(a)
+    k = next((k for k in range(1, 65) if _meets_rule(k, s)), None)
+    if k is None:
+        x, c0, c1 = h * math.sqrt(a), float(values[n]), float(values[n + 1])
+        return (c0 * math.erf(x) - (c0 - c1) * -math.expm1(-x * x)
+                / (h * math.sqrt(math.pi) * math.sqrt(a)))
     cells = min(n, math.ceil(GaussianWeight(a).reach / h))
-    k = next(k for k in range(1, 65) if _meets_rule(k, h * math.sqrt(2 * a)))
     x, wgt = np.polynomial.legendre.leggauss(k)
     u = 0.5 * (1.0 + x)
     t = h * np.add.outer(u, np.arange(cells))
@@ -378,15 +448,17 @@ class TestStackedWeights:
     give each row the bits of its own 1-D call."""
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=st.integers(1, 12), n=st.integers(1, 40), a=st.sampled_from([0.5, 2 * PI, 1e4]),
-           log_s=st.lists(st.floats(-8.0, math.log(19.9)), min_size=12, max_size=12),
+    @given(rows=st.integers(1, 12), n=st.integers(1, 40),
+           a=st.sampled_from([0.5, 2 * PI, 1e4, 1e300]),
+           log_s=st.lists(st.floats(-8.0, math.log(2e4)), min_size=12, max_size=12),
            shared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_equal_their_own_calls(self, rows, n, a, log_s, shared, seed):
-        # s = h sqrt(2a) from 3e-4 to 19.9 spans one to 61 Gauss nodes; at
+        # s = h sqrt(2a) from 3e-4 to 19.94 spans one to 64 Gauss nodes, and
+        # past 19.94 up to 2e4 a row is the closed form of its first cell; at
         # a = 1e4 the widest cells exceed the reach, one-cell rows
         from autocorr.correlate import lattice_autocorrelation
 
-        hs = np.exp(np.array(log_s[:rows])) / math.sqrt(2 * a)
+        hs = np.exp(np.array(log_s[:rows])) / (math.sqrt(2.0) * math.sqrt(a))
         if shared:
             hs[:] = hs[0]
         rng = np.random.default_rng(seed)
@@ -419,26 +491,15 @@ class TestStackedWeights:
         assert _bits(got) == [_bits(_one_lattice_time_side(row, float(h), a))[0]
                               for row, h in zip(c, hs)]
 
-    def test_refused_row_raises_as_alone(self):
-        from autocorr.correlate import lattice_autocorrelation
-
-        a = 2 * PI
-        hs = np.array([0.01, 21 / math.sqrt(2 * a), 0.02, 30 / math.sqrt(2 * a)])
-        c = np.array([lattice_autocorrelation(np.ones(3)) * h for h in hs])
-        with pytest.raises(ValueError) as alone:
-            GaussianWeight(a).correlation_integral(c[1], float(hs[1]))
-        with pytest.raises(ValueError) as stacked:
-            GaussianWeight(a).correlation_integral(c, hs)
-        assert str(stacked.value) == str(alone.value) and "= 21 " in str(alone.value)
-
 
 class TestOneWidthPerCall:
     """Each row of a Gaussian stack is its own one-width call, and omega is
     built once per distinct width of the call."""
 
     A = 2 * PI
-    # h1 and h2 need the same node count, h3 is wider than the reach: one-cell rows
-    WIDTHS = (0.01, 0.011, 3.0)
+    # h1 and h2 need the same node count, h3 is wider than the reach: one-cell
+    # rows, and h4 is past the 64-node limit: the first cell's closed form
+    WIDTHS = (0.01, 0.011, 3.0, 25 / math.sqrt(4 * PI))
 
     def _stack(self, hs, n=9, seed=5):
         from autocorr.correlate import lattice_autocorrelation
@@ -460,25 +521,18 @@ class TestOneWidthPerCall:
     def test_repeating_widths_equal_their_own_calls(self):
         from autocorr.spectral import _gauss_node_count
 
-        h1, h2, h3 = self.WIDTHS
+        h1, h2, h3, h4 = self.WIDTHS
         w = GaussianWeight(self.A)
-        assert h3 > w.reach
+        assert h3 > w.reach and _gauss_node_count(h4 * math.sqrt(2 * self.A)) == 65
         assert _gauss_node_count(h1 * math.sqrt(2 * self.A)) == _gauss_node_count(
             h2 * math.sqrt(2 * self.A))
-        hs = np.array([h1, h2, h1, h3, h2, h3])
+        hs = np.array([h1, h4, h2, h1, h3, h2, h4, h3])
         c = self._stack(hs)
         got = w.correlation_integral(c, hs)
         assert _bits(got) == [_bits(w.correlation_integral(row, float(h)))[0]
                               for row, h in zip(c, hs)]
         assert _bits(got) == [_bits(_one_lattice_time_side(row, float(h), self.A))[0]
                               for row, h in zip(c, hs)]
-
-    def test_refused_row_raises_its_own_message(self):
-        h1, h2, _ = self.WIDTHS
-        hs = np.array([h1, h2, h1, 25 / math.sqrt(2 * self.A), h2, 30 / math.sqrt(2 * self.A)])
-        c = self._stack(hs)
-        with pytest.raises(ValueError, match="= 25 needs more than 64 Gauss nodes"):
-            GaussianWeight(self.A).correlation_integral(c, hs)
 
     def test_one_omega_per_distinct_width(self, monkeypatch):
         # however wide the stack's table would be (16 rows of 401 cells), one
@@ -491,9 +545,9 @@ class TestOneWidthPerCall:
             w.correlation_integral(c, spacing)
             assert len(calls) == 1
         calls.clear()
-        h1, h2, h3 = self.WIDTHS
-        GaussianWeight(self.A).correlation_integral(self._stack([h1, h2, h1, h3, h2]),
-                                                   np.array([h1, h2, h1, h3, h2]))
+        h1, h2, h3, h4 = self.WIDTHS  # h4 builds none: its rows are the closed form
+        GaussianWeight(self.A).correlation_integral(self._stack([h1, h4, h2, h1, h3, h2, h4]),
+                                                   np.array([h1, h4, h2, h1, h3, h2, h4]))
         assert [args[0] for args in calls] == [h1, h2, h3]
 
     def test_subnormal_a_reads_every_cell(self):
@@ -609,11 +663,25 @@ class TestMeanFunctionalFourier:
         assert peak < 32e6
 
     def test_term_count_bounded_on_a_wide_support(self):
-        # the cap on Xi does not bound Xi (width + R): this default support,
-        # about [-1.6e6, 1.6e6], needs 2.0e8 terms, about 12 s of work
+        # Xi (width + R) terms: this default support, about [-1.6e6, 1.6e6],
+        # needs 2.0e8 terms, about 12 s of work
         f = sample(Gaussian(1e-11), cells=2048)
         with pytest.raises(ValueError, match="terms"):
             q_mean(f)
+
+    @pytest.mark.parametrize("a, terms", [(1e13, "6.92e+07"), (1e308, "inf")])
+    def test_term_count_bounded_for_a_narrow_weight(self, a, terms):
+        # the cutoff Xi grows like sqrt(a): the term limit refuses it, naming
+        # the cutoff and the weight, in floats where Xi is past the float
+        # range (math.ceil(inf) raised OverflowError)
+        from autocorr import q_gauss
+
+        f = sample(Gaussian(1.0), cells=2048)  # autocorr evaluate's function and tol
+        with pytest.raises(ValueError) as exc:
+            q_gauss(f, a, tol=1e-8)
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith(f"the Fourier side would sum {terms} terms")
+        assert "the cutoff Xi = " in str(exc.value) and f"GaussianWeight(a={a!r})" in str(exc.value)
 
     def test_dft_length_bounded_on_a_narrow_support(self, monkeypatch):
         # M = floor((width + R)/h) + 1 grows like R/h: this default support,

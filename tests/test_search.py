@@ -32,6 +32,7 @@ from autocorr.search import (
     _evaluate,
     _objective_kernel,
 )
+from autocorr.spectral import _gauss_node_count
 
 functionals = importlib.import_module("autocorr.functionals")
 
@@ -539,6 +540,25 @@ class TestReachPastTheScan:
             assert rec.best_params[0] ** 2 == pytest.approx(2 * a, rel=1e-4)
         assert rec.evaluations < 100
 
+    @pytest.mark.parametrize("family, a, coarse", [("gaussian", 1.2e5, True),
+                                                   ("gaussian", 2e5, True),
+                                                   ("indicator", 1e6, True),
+                                                   ("gaussian", 2 * PI, False),
+                                                   ("gaussian", 1e5, False)])
+    def test_refused_lattices_left_out_of_the_scan(self, family, a, coarse):
+        # from a = 1.2e5 the widest Gaussians of the scan (the longest
+        # indicators from a = 1e6) give lattices past the Gaussian weight's
+        # 64-node limit, once refused and left out; they now take the first
+        # cell's closed form, and the scan keeps the whole grid
+        search_mod = importlib.import_module("autocorr.search")  # the name is shadowed
+        scan = search_mod._SCANS[family]
+        grid, values, i = search_mod._scan("gauss", family, a)
+        assert grid == tuple(float(g) for g in scan.grid)
+        assert len(values) == len(grid) and values[i] == max(values)
+        limit = [_gauss_node_count(h * math.sqrt(2.0) * math.sqrt(a)) > 64 for h in scan.widths]
+        assert any(limit) == coarse
+        assert baseline("gauss", family, a=a) == values[i]
+
     @pytest.mark.parametrize("family, a", [("gaussian", 4.1e8), ("indicator", 1.8e8),
                                            ("gaussian", 1e10), ("indicator", 1e10)])
     def test_coarse_scan_walks_out(self, family, a):
@@ -563,6 +583,28 @@ class TestReachPastTheScan:
         rec = search("gauss", "piecewise", a=1e5)
         assert rec.evaluations == 2000
         assert 3.8 < rec.best_value <= gauss_ceiling(1e5)
+
+    @pytest.mark.parametrize("family, a", [("gaussian", 1.2e5), ("gaussian", 2e5),
+                                           ("indicator", 1e6), ("indicator", 1.8e8),
+                                           ("gaussian", 4.1e8), ("gaussian", 1e10)])
+    def test_refusals_keep_the_per_width_grid(self, monkeypatch, family, a):
+        # no width is refused any more, the coarse ones included: the scan is
+        # the one of trying every width alone, value for value, and goes
+        # through the stacked evaluation without a per-width call
+        search_mod = importlib.import_module("autocorr.search")
+        scan, kernel = search_mod._SCANS[family], _objective_kernel("gauss", a)
+        want = [scan.ratio(kernel, math.sqrt(g) ** 2) for g in scan.grid]
+        calls = []
+        monkeypatch.setattr(search_mod._Dilations, "ratio",
+                            lambda self, kernel, t2: calls.append(t2))
+        search_mod._scan.cache_clear()
+        try:
+            got = search_mod._scan("gauss", family, a)
+        finally:
+            search_mod._scan.cache_clear()
+        assert calls == []
+        assert got[0] == tuple(scan.grid.tolist()) and got[2] == int(np.argmax(want))
+        assert [v.hex() for v in got[1]] == [v.hex() for v in want]
 
     def test_walk_stops_past_the_builder_clamp(self):
         # b* = 2e-5 lies beyond the clamp b >= 1e-4, where the ratio is flat
@@ -639,8 +681,6 @@ def _sampled_scan(objective, family, a):
 
 _SCAN_CASES = [(o, f, 2 * PI if o == "gauss" else None)
                for o in OBJECTIVES for f in ("indicator", "gaussian")]
-_COARSE_SCAN_CASES = [("gauss", "gaussian", a) for a in (1.2e5, 2e5, 4.1e8, 1e10)] + \
-    [("gauss", "indicator", a) for a in (1e6, 1.8e8)]
 
 
 class TestOneLatticePerScan:
@@ -677,11 +717,11 @@ class TestOneLatticePerScan:
             clear()
         assert calls == [True]
 
-    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES + _COARSE_SCAN_CASES)
+    @pytest.mark.parametrize("objective, family, a", _SCAN_CASES)
     def test_scan_is_stacked(self, monkeypatch, objective, family, a):
         # the scan makes no per-width evaluation: its blocks of widths go
-        # through the objective's array core, bit for bit each width's own,
-        # coarse lattices (the gauss objective from a = 1.2e5) included
+        # through the objective's array core, bit for bit each width's own
+        # (coarse lattices in test_refusals_keep_the_per_width_grid)
         search_mod = importlib.import_module("autocorr.search")
         scan, kernel = search_mod._SCANS[family], _objective_kernel(objective, a)
         want = [scan.ratio(kernel, math.sqrt(g) ** 2) for g in scan.grid]
